@@ -21,7 +21,6 @@ canonical reports.
 
 __version__ = "0.1.0"
 
-from ._backend import BACKEND_NAME, USING_NUMBA
 from .errors import (
     BudgetExceededError,
     CycleflowError,

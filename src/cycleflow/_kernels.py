@@ -1,13 +1,10 @@
 """Hot loops.
 
-Deterministic kernels (orbit walks) come in two interchangeable forms: a
-scalar walk that numba compiles, and a vectorised numpy sweep used when
-the interpreter has to run them.  Both accumulate in step-major order so
-float results agree bit for bit.
-
-Random-number kernels exist in a single scalar form; the numpy backend
-runs the same source interpreted, on the same ``numpy.random.Generator``
-stream, so simulations are reproducible across backends.
+Each kernel has one form.  The deterministic orbit kernels are
+vectorised numpy sweeps that advance every start point one step at a
+time, accumulating in step-major order.  The random-number kernels are
+scalar loops over a ``numpy.random.Generator``, so a seed fixes every
+draw.
 
 Status codes returned by kernels: 0 ok, 1 step budget exhausted,
 2 record buffer too small (caller grows it and reruns the chunk).
@@ -15,32 +12,14 @@ Status codes returned by kernels: 0 ok, 1 step budget exhausted,
 
 import numpy as np
 
-from ._backend import USING_NUMBA, compile_kernel
-
 
 # ---------------------------------------------------------------------------
 # deterministic orbit kernels
 
 
-def _hitting_walk(mapping, in_set):
+def hitting_times(mapping, in_set):
     # times[i] = least n >= 1 with map^n(i) in the set, -1 if none within m
     # steps; entry[i] = the point first entered (i itself when never).
-    m = mapping.shape[0]
-    times = np.full(m, -1, dtype=np.int64)
-    entry = np.arange(m)
-    for i in range(m):
-        x = mapping[i]
-        n = 1
-        while n <= m and not in_set[x]:
-            x = mapping[x]
-            n += 1
-        if n <= m:
-            times[i] = n
-            entry[i] = x
-    return times, entry
-
-
-def _hitting_sweep(mapping, in_set):
     m = mapping.shape[0]
     times = np.full(m, -1, dtype=np.int64)
     entry = np.arange(m)
@@ -54,37 +33,11 @@ def _hitting_sweep(mapping, in_set):
     return times, entry
 
 
-def _excursion_walk(mapping, in_set, start_idx, start_wt):
+def excursion_mass(mapping, in_set, start_idx, start_wt):
     # Spread each start weight over its orbit until the orbit re-enters the
     # set; the entry point itself is not counted.  Start points must carry
     # positive weight; a walker that fails to return within m steps means
     # the caller's model contradicts itself (status 1).
-    m = mapping.shape[0]
-    values = np.zeros(m)
-    k = start_idx.shape[0]
-    cur = start_idx.copy()
-    alive = np.ones(k, dtype=np.bool_)
-    n_alive = k
-    steps = 0
-    while n_alive > 0:
-        if steps > m:
-            return values, 1
-        for j in range(k):
-            if alive[j]:
-                values[cur[j]] += start_wt[j]
-        for j in range(k):
-            if alive[j]:
-                nxt = mapping[cur[j]]
-                if in_set[nxt]:
-                    alive[j] = False
-                    n_alive -= 1
-                else:
-                    cur[j] = nxt
-        steps += 1
-    return values, 0
-
-
-def _excursion_sweep(mapping, in_set, start_idx, start_wt):
     m = mapping.shape[0]
     values = np.zeros(m)
     cur = start_idx.copy()
@@ -102,21 +55,8 @@ def _excursion_sweep(mapping, in_set, start_idx, start_wt):
     return values, 0
 
 
-def _backward_hits_walk(inv_mapping, in_set):
+def backward_hits(inv_mapping, in_set):
     # Does the strict backward orbit {inv(i), inv^2(i), ...} meet the set?
-    m = inv_mapping.shape[0]
-    out = np.zeros(m, dtype=np.bool_)
-    for i in range(m):
-        x = i
-        for _ in range(m):
-            x = inv_mapping[x]
-            if in_set[x]:
-                out[i] = True
-                break
-    return out
-
-
-def _backward_hits_sweep(inv_mapping, in_set):
     m = inv_mapping.shape[0]
     out = np.zeros(m, dtype=np.bool_)
     cur = inv_mapping.copy()
@@ -127,7 +67,7 @@ def _backward_hits_sweep(inv_mapping, in_set):
 
 
 # ---------------------------------------------------------------------------
-# random-number kernels (single source for both backends)
+# random-number kernels
 
 
 def _draw_index(gen, cum):
@@ -138,7 +78,7 @@ def _draw_index(gen, cum):
     return idx
 
 
-def _markov_cycle_batch(gen, row_cum, base, occ, lengths, budget):
+def markov_cycle_batch(gen, row_cum, base, occ, lengths, budget):
     # Generate len(lengths) independent return cycles from `base`.
     # occ[c, x] counts visits to x during cycle c, the start included and
     # the closing return excluded; lengths[c] is the return time.
@@ -202,9 +142,9 @@ def _block_states(gen, branch, x0, k_raw, k_cum, lam_cum, res_row_cum, kpow, ell
         out[ell - 1] = xl
 
 
-def _split_chain_batch(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
-                       eps, ell, occ, lengths, regen_states, record, traj,
-                       marks, budget):
+def split_chain_batch(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
+                      eps, ell, occ, lengths, regen_states, record, traj,
+                      marks, budget):
     # Run the split chain until len(lengths) regenerations occur.  Blocks
     # start at multiples of ell; a coin with success probability eps is
     # tossed whenever a block starts inside the small set, and success
@@ -262,47 +202,3 @@ def _split_chain_batch(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
         blocks += 1
         if pos >= budget:
             return c, pos, blocks, 1
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if USING_NUMBA:
-    hitting_times = compile_kernel(_hitting_walk)
-    excursion_mass = compile_kernel(_excursion_walk)
-    backward_hits = compile_kernel(_backward_hits_walk)
-else:
-    hitting_times = _hitting_sweep
-    excursion_mass = _excursion_sweep
-    backward_hits = _backward_hits_sweep
-
-# rebind in dependency order so compiled callers see compiled callees
-_draw_index = compile_kernel(_draw_index)
-_bridge_step = compile_kernel(_bridge_step)
-_block_states = compile_kernel(_block_states)
-markov_cycle_batch = compile_kernel(_markov_cycle_batch)
-split_chain_batch = compile_kernel(_split_chain_batch)
-
-
-def warmup():
-    """Trigger jit compilation of every kernel on toy inputs."""
-    mapping = np.array([1, 0], dtype=np.int64)
-    in_set = np.array([True, False])
-    hitting_times(mapping, in_set)
-    excursion_mass(mapping, in_set, np.array([0], dtype=np.int64), np.ones(1))
-    backward_hits(mapping, in_set)
-    gen = np.random.default_rng(0)
-    k = np.array([[0.5, 0.5], [0.5, 0.5]])
-    k_cum = np.cumsum(k, axis=1)
-    occ = np.zeros((1, 2), dtype=np.int64)
-    lengths = np.zeros(1, dtype=np.int64)
-    markov_cycle_batch(gen, k_cum, 0, occ, lengths, 10 ** 6)
-    kpow = np.stack([np.eye(2), k, k @ k])
-    occ[:] = 0
-    lengths[:] = 0
-    regen = np.zeros(1, dtype=np.int64)
-    traj = np.zeros(1, dtype=np.int64)
-    marks = np.zeros(1, dtype=np.int8)
-    split_chain_batch(gen, k, k_cum, k_cum[0], np.zeros_like(k_cum), kpow,
-                      np.array([True, True]), 1.0, 2, occ, lengths, regen,
-                      False, traj, marks, 10 ** 6)

@@ -39,6 +39,9 @@ from .measure import FiniteSystem
 
 KINDS = ("finite_system", "markov_chain", "harris_discrete")
 
+_INT64_MIN = -2 ** 63
+_INT64_MAX = 2 ** 63 - 1
+
 
 def _require(doc, key, types, kind):
     if key not in doc:
@@ -65,6 +68,16 @@ def _int_list(value, field):
     return value
 
 
+def _index_list(value, field):
+    # map entries and regeneration states go into int64 arrays; rational
+    # weights stay exact Python ints and are not bounded
+    for i, v in enumerate(_int_list(value, field)):
+        if not _INT64_MIN <= v <= _INT64_MAX:
+            raise InvariantError("integer outside the int64 range",
+                                 field="%s[%d]" % (field, i))
+    return value
+
+
 def _matrix(value, field):
     if not isinstance(value, list) or not value:
         raise InvariantError("expected a nonempty matrix", field=field)
@@ -87,7 +100,7 @@ def _renormalized_rows(matrix, field):
 
 
 def _build_finite_system(doc):
-    mapping = _int_list(_require(doc, "map", list, "finite_system"), "map")
+    mapping = _index_list(_require(doc, "map", list, "finite_system"), "map")
     raw_weights = _require(doc, "weights", (list, dict), "finite_system")
     if isinstance(raw_weights, dict):
         num = _int_list(_require(raw_weights, "num", list, "finite_system"),
@@ -129,10 +142,12 @@ def _build_harris(doc):
     states = doc.get("states")
     if states is not None and len(states) != k.shape[0]:
         raise InvariantError("states length does not match K", field="states")
-    regen = _int_list(_require(doc, "R", list, "harris_discrete"), "R")
+    regen = _index_list(_require(doc, "R", list, "harris_discrete"), "R")
     ell = _require(doc, "ell", int, "harris_discrete")
     if isinstance(ell, bool) or ell < 1:
         raise InvariantError("ell must be a positive integer", field="ell")
+    if ell > _INT64_MAX:
+        raise InvariantError("integer outside the int64 range", field="ell")
     epsilon = doc.get("epsilon")
     if epsilon is not None and not isinstance(epsilon, (int, float)):
         raise InvariantError("epsilon must be a number", field="epsilon")

@@ -80,6 +80,16 @@ def model_kind(model):
     raise UnknownKindError("no suite for %r" % type(model).__name__)
 
 
+def model_identity(model, kind):
+    """The ``model`` block of a report: kind, size, hash and source."""
+    return {
+        "kind": kind,
+        "size": model_size(model),
+        "hash": model_hash(model),
+        "source": getattr(model, "source", None),
+    }
+
+
 def _finite_system_suite(system, cfg):
     checks = []
     pres = _measure.check_preserving(system, tol=cfg.tolerance)
@@ -227,6 +237,19 @@ def _harris_suite(model, cfg):
         details["simulation"] = "skipped: structural checks failed"
         return checks, details
 
+    sim_checks, _ = harris_simulation(model, cfg, details)
+    return checks + sim_checks, details
+
+
+def harris_simulation(model, cfg, details):
+    """Simulate ``cfg.cycles`` split-chain cycles and gate the estimate.
+
+    The z gate compares the regenerative estimate with the kernel's
+    stationary law when that law is unique; the goodness-of-fit gate
+    tests the regeneration draws against lambda.  Estimates go into
+    ``details``; returns the checks and the run.
+    """
+    checks = []
     run = _harris.simulate_split_chain(model, cfg.cycles, cfg.seed)
     estimate = _harris.regen_ratio_estimator(run.occupations, run.lengths)
     details["n_cycles"] = estimate.n_cycles
@@ -252,7 +275,7 @@ def _harris_suite(model, cfg):
                               comparator=">="))
     details["gof_statistic"] = stat
     details["gof_dof"] = dof
-    return checks, details
+    return checks, run
 
 
 def run_suite(model, cfg=None):
@@ -268,11 +291,6 @@ def run_suite(model, cfg=None):
     else:
         checks, details = _harris_suite(model, cfg)
     elapsed = time.perf_counter() - started
-    identity = {
-        "kind": kind,
-        "size": model_size(model),
-        "hash": model_hash(model),
-        "source": getattr(model, "source", None),
-    }
-    return SuiteReport(kind=kind, model=identity, config=asdict(cfg),
-                       checks=checks, details=details, timing_s=elapsed)
+    return SuiteReport(kind=kind, model=model_identity(model, kind),
+                       config=asdict(cfg), checks=checks, details=details,
+                       timing_s=elapsed)

@@ -4,14 +4,6 @@ import pytest
 import cycleflow as cf
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile (or no-op) every kernel once so timed tests measure work,
-    # not JIT latency
-    from cycleflow import _kernels
-    _kernels.warmup()
-
-
 @pytest.fixture
 def rot4():
     """Rotation by one step on four points, uniform mass."""

@@ -1,7 +1,7 @@
 # End-to-end gate: each test covers one headline guarantee at its
 # stated tolerance and prints a single "[acceptance] name: PASS/FAIL"
-# line.  Kernel warmup happens in the session fixture, so the timed
-# budgets here measure the work itself.
+# line.  The kernels are plain Python and numpy with no compile step,
+# so the timed budgets here measure the work itself.
 
 import time
 from fractions import Fraction

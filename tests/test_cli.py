@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -183,6 +180,15 @@ def test_stationary_accepts_harris_kernel(files, capsys, clean_env):
                   - np.array([13, 25, 15]) / 53).max() <= 1e-12
 
 
+def test_stationary_cycles_needs_two_cycles(files, capsys, clean_env):
+    # a single cycle has no standard error, so the report would carry no
+    # check at all
+    for cycles in ("0", "1"):
+        assert main(["stationary", files["markov"], "--method", "cycles",
+                     "--cycles", cycles]) == 7
+        assert "at least 2 cycles" in capsys.readouterr().err
+
+
 def test_stationary_rejects_finite_system(files, capsys, clean_env):
     assert main(["stationary", files["finite"]]) == 7
     assert "transition kernel" in capsys.readouterr().err
@@ -209,7 +215,9 @@ def test_harris_simulation_report(files, capsys, clean_env):
     assert details["epsilon"] == 0.5
     assert details["n_cycles"] == 300
     assert len(details["pi_hat"]) == 3
-    assert doc["checks"] == []
+    names = [c["name"] for c in doc["checks"]]
+    assert names == ["estimator_z_max", "regeneration_draw_gof"]
+    assert all(c["passed"] for c in doc["checks"])
 
 
 def test_harris_rejects_markov_files(files, capsys, clean_env):
@@ -288,6 +296,30 @@ def test_unwritable_output_exit(files, capsys, clean_env):
                  files["markov"] + "/sub/dir.json"]) == 9
 
 
+def test_int64_overflow_exit(tmp_path, capsys, clean_env):
+    big = 100000000000000000000
+    docs = (
+        ("map", dict(FINITE, map=[1, 2, 3, big])),
+        ("R", dict(HARRIS, R=[big])),
+    )
+    for field, doc in docs:
+        path = tmp_path / (field + ".json")
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 6
+        assert "%s[" % field in capsys.readouterr().err
+
+
+def test_unclassified_error_exit(files, capsys, clean_env, monkeypatch):
+    def broken(model, cfg):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("cycleflow.cli.run_suite", broken)
+    assert main(["verify", files["markov"]]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cycleflow: error: LinAlgError: Singular matrix\n"
+
+
 def test_errors_go_to_stderr_not_stdout(tmp_path, capsys, clean_env):
     main(["verify", str(tmp_path / "no.json")])
     captured = capsys.readouterr()
@@ -335,20 +367,3 @@ def test_json_reports_are_byte_identical(files, tmp_path, clean_env):
                      "--cycles", "400", "--seed", "17",
                      "--output", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_backends_produce_identical_bytes(files, tmp_path):
-    # the backend is chosen at import, so each run needs its own process
-    outputs = []
-    for backend in ("numba", "numpy"):
-        out = tmp_path / (backend + ".json")
-        env = dict(os.environ, CYCLEFLOW_BACKEND=backend)
-        env.pop("CYCLEFLOW_SEED", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cycleflow.cli", "verify",
-             files["harris"], "--format", "json", "--cycles", "300",
-             "--seed", "23", "--output", str(out)],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]

@@ -176,11 +176,19 @@ def test_states_length_mismatch(tmp_path):
 
 
 def test_bad_ell_rejected(tmp_path):
-    for ell in (0, True, "two"):
+    for ell in (0, True, "two", 2 ** 63):
         doc = dict(HARRIS_DOC, ell=ell)
         with pytest.raises(InvariantError) as err:
             cf.load_model(write(tmp_path, doc))
         assert err.value.field == "ell"
+
+
+def test_rational_weights_keep_big_integers(tmp_path):
+    big = 10 ** 20
+    doc = dict(FINITE_DOC, weights={"num": [big, 1], "den": [2 * big, 2]},
+               map=[1, 0])
+    model = cf.load_model(write(tmp_path, doc))
+    assert list(model.weights) == [Fraction(1, 2), Fraction(1, 2)]
 
 
 # ---------------------------------------------------------------------------
