@@ -68,13 +68,16 @@ def _int_list(value, field):
     return value
 
 
+def _check_int64(value, field):
+    # indices and block lengths go into int64 arrays; rational weights stay
+    # exact Python ints and are not bounded
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise InvariantError("integer outside the int64 range", field=field)
+
+
 def _index_list(value, field):
-    # map entries and regeneration states go into int64 arrays; rational
-    # weights stay exact Python ints and are not bounded
     for i, v in enumerate(_int_list(value, field)):
-        if not _INT64_MIN <= v <= _INT64_MAX:
-            raise InvariantError("integer outside the int64 range",
-                                 field="%s[%d]" % (field, i))
+        _check_int64(v, "%s[%d]" % (field, i))
     return value
 
 
@@ -146,8 +149,7 @@ def _build_harris(doc):
     ell = _require(doc, "ell", int, "harris_discrete")
     if isinstance(ell, bool) or ell < 1:
         raise InvariantError("ell must be a positive integer", field="ell")
-    if ell > _INT64_MAX:
-        raise InvariantError("integer outside the int64 range", field="ell")
+    _check_int64(ell, "ell")
     epsilon = doc.get("epsilon")
     if epsilon is not None and not isinstance(epsilon, (int, float)):
         raise InvariantError("epsilon must be a number", field="epsilon")
