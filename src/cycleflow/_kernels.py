@@ -1,10 +1,16 @@
 """Hot loops.
 
-Each kernel has one form.  The deterministic orbit kernels are
-vectorised numpy sweeps that advance every start point one step at a
-time, accumulating in step-major order.  The random-number kernels are
-scalar loops over a ``numpy.random.Generator``, so a seed fixes every
-draw.
+Each kernel has one form.  The first-hit kernels (``hitting_times``,
+``backward_hits``) use pointer doubling (Hillis & Steele 1986, "Data
+parallel algorithms"): after level k every point knows what happens in
+the window of steps [1, 2^k] along its orbit, so ceil(log2 m)
+vectorised passes do the work of m single steps.  A first hit always
+falls within m steps, so stopping once 2^k >= m gives the answer of a
+step-by-step walk on any map, endomorphisms included.
+``excursion_mass`` advances every start point one step at a time,
+accumulating in step-major order in the dtype of its weights (float64,
+int64 or Python ints).  The random-number kernels are scalar loops over
+a ``numpy.random.Generator``, so a seed fixes every draw.
 
 Status codes returned by kernels: 0 ok, 1 step budget exhausted,
 2 record buffer too small (caller grows it and reruns the chunk).
@@ -20,16 +26,22 @@ import numpy as np
 def hitting_times(mapping, in_set):
     # times[i] = least n >= 1 with map^n(i) in the set, -1 if none within m
     # steps; entry[i] = the point first entered (i itself when never).
+    # Level k holds the first hit within [1, span], span = 2^k, and
+    # jump = map^span; a miss there is completed from the window of
+    # jump[i], which starts span steps later.
     m = mapping.shape[0]
-    times = np.full(m, -1, dtype=np.int64)
-    entry = np.arange(m)
-    cur = mapping.copy()
-    for n in range(1, m + 1):
-        hit = (times == -1) & in_set[cur]
-        times[hit] = n
-        entry[hit] = cur[hit]
-        if n < m:
-            cur = mapping[cur]
+    hit = in_set[mapping]
+    times = np.where(hit, 1, -1).astype(np.int64)
+    entry = np.where(hit, mapping, np.arange(m))
+    jump = mapping
+    span = 1
+    while span < m:
+        late = (times == -1) & (times[jump] != -1)
+        src = jump[late]
+        times[late] = span + times[src]
+        entry[late] = entry[src]
+        jump = jump[jump]
+        span *= 2
     return times, entry
 
 
@@ -39,7 +51,7 @@ def excursion_mass(mapping, in_set, start_idx, start_wt):
     # positive weight; a walker that fails to return within m steps means
     # the caller's model contradicts itself (status 1).
     m = mapping.shape[0]
-    values = np.zeros(m)
+    values = np.zeros(m, dtype=start_wt.dtype)
     cur = start_idx.copy()
     wt = start_wt.copy()
     steps = 0
@@ -57,12 +69,16 @@ def excursion_mass(mapping, in_set, start_idx, start_wt):
 
 def backward_hits(inv_mapping, in_set):
     # Does the strict backward orbit {inv(i), inv^2(i), ...} meet the set?
+    # OR-doubling: out covers the window [1, span] of inverse steps and
+    # jump = inv^span.  No hitting times are involved.
     m = inv_mapping.shape[0]
-    out = np.zeros(m, dtype=np.bool_)
-    cur = inv_mapping.copy()
-    for _ in range(m):
-        out |= in_set[cur]
-        cur = inv_mapping[cur]
+    out = in_set[inv_mapping]
+    jump = inv_mapping
+    span = 1
+    while span < m:
+        out |= out[jump]
+        jump = jump[jump]
+        span *= 2
     return out
 
 

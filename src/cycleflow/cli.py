@@ -14,6 +14,7 @@ import numpy as np
 
 from . import __version__, harris, markov
 from .errors import CycleflowError, PreconditionError
+from .measure import EXHAUSTIVE_CAP
 from .modelio import load_model
 # perfbench's tracer test checks that cli still holds model_hash
 from .modelio import model_hash  # noqa: F401
@@ -74,7 +75,9 @@ def build_parser():
     p.add_argument("--exhaustive-limit", type=int, default=None,
                    dest="exhaustive_limit", metavar="M",
                    help="enumerate all subset pairs up to M points "
-                        "(default 8)")
+                        "(default 8); an exhaustive plan over more than "
+                        "%d points (4^%d subset pairs) is refused with "
+                        "exit 7" % (EXHAUSTIVE_CAP, EXHAUSTIVE_CAP))
     p.add_argument("--sample-pairs", type=int, default=None,
                    dest="sample_pairs", metavar="N",
                    help="sampled pairs above the exhaustive limit "

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import _kernels
 from ._stats import RatioAccumulator, chunk_plan, chunk_seeds
@@ -679,6 +678,8 @@ def regen_distribution_gof(run, model):
     """Chi-square test of the states observed at regenerations against
     lam.  Returns (statistic, dof, pvalue); mass observed outside the
     support of lam is an immediate failure (pvalue 0)."""
+    from scipy import stats  # on demand: scipy is slow to import
+
     counts = np.bincount(run.regen_states, minlength=model.n).astype(np.float64)
     support = model.lam > 0
     if counts[~support].sum() > 0:
@@ -687,7 +688,7 @@ def regen_distribution_gof(run, model):
     obs, exp = _merge_small_bins(counts[support], expected)
     if obs.shape[0] < 2:
         return 0.0, 0, 1.0
-    stat, pvalue = _scipy_stats.chisquare(obs, exp)
+    stat, pvalue = stats.chisquare(obs, exp)
     return float(stat), obs.shape[0] - 1, float(pvalue)
 
 
@@ -703,6 +704,8 @@ def block_marginal_gof(run, model, min_row_count=25):
     if run.trajectory is None:
         raise PreconditionError("block test needs a recorded trajectory",
                                 field="run")
+    from scipy import stats  # on demand: scipy is slow to import
+
     starts = run.trajectory[::run.ell]
     if starts.shape[0] < 2:
         return 0.0, 0, 1.0
@@ -723,10 +726,10 @@ def block_marginal_gof(run, model, min_row_count=25):
         obs, exp = _merge_small_bins(observed[support], count * k_ell[s][support])
         if obs.shape[0] < 2:
             continue
-        stat, _ = _scipy_stats.chisquare(obs, exp)
+        stat, _ = stats.chisquare(obs, exp)
         total_stat += float(stat)
         total_dof += obs.shape[0] - 1
     if total_dof == 0:
         return 0.0, 0, 1.0
-    pvalue = float(_scipy_stats.chi2.sf(total_stat, total_dof))
+    pvalue = float(stats.chi2.sf(total_stat, total_dof))
     return total_stat, total_dof, pvalue

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import _kernels
 from ._stats import RatioAccumulator, chunk_generators, chunk_plan
@@ -106,6 +104,10 @@ class ClassStructure:
 def class_structure(chain):
     """Strongly connected classes of the support graph, their closure
     flags and a topological order of the condensation."""
+    # scipy is imported on demand: it costs about a second of start-up
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     p = chain.matrix
     n = chain.n
     graph = sp.csr_matrix((p > 0).astype(np.int8))

@@ -8,7 +8,11 @@ checks here: each one is exposed as a residual that must vanish.
 
 Weights are either float64 or ``fractions.Fraction`` objects; in the
 rational case every residual is computed exactly and equality means
-equality, not closeness.
+equality, not closeness.  ``identity_suite`` runs one numpy code path for
+both: Fraction weights are scaled once to integer numerators over their
+common denominator L (int64, or Python ints where int64 could overflow),
+and residuals become ``Fraction(num, L)`` only at the end.  The per-pair
+functions keep plain Fraction arithmetic and so referee the suite.
 """
 
 import math
@@ -37,6 +41,9 @@ _KINDS = (FORWARD, BACKWARD, RESTRICTION)
 # mass defect tolerated before probability statements (Kac, pre-capacity)
 # refuse to normalise silently
 _MASS_TOL = 1e-9
+
+_NO_RETURN = ("a positive-weight point of the base set never returns; "
+              "the system cannot be measure-preserving")
 
 
 def event_mask(size, members):
@@ -216,16 +223,20 @@ def check_preserving(system, tol=1e-12):
     ``preserving`` is True when it does not exceed ``tol`` (exceed zero,
     in rational mode).
     """
-    m = system.size
+    pushed = _scatter(system.mapping, system.weights, system.size)
+    worst = np.abs(pushed - system.weights).max()
     if system.exact:
-        pushed = [Fraction(0)] * m
-        for i in range(m):
-            pushed[system.mapping[i]] += system.weights[i]
-        worst = max(abs(pushed[i] - system.weights[i]) for i in range(m))
         return PreservationReport(worst == 0, worst)
-    pushed = np.bincount(system.mapping, weights=system.weights, minlength=m)
-    worst = float(np.abs(pushed - system.weights).max())
+    worst = float(worst)
     return PreservationReport(worst <= tol, worst)
+
+
+def _scatter(index, values, m):
+    """out[j] = sum of values[k] over index[k] == j, added in k order (the
+    order of ``np.bincount``), in the dtype of ``values``."""
+    out = np.zeros(m, dtype=values.dtype)
+    np.add.at(out, index, values)
+    return out
 
 
 @dataclass
@@ -352,17 +363,18 @@ def _excursion_values(system, b_mask, direction):
                 if b_mask[x]:
                     break
             else:
-                raise InternalInconsistencyError(
-                    "a positive-weight point of the base set never returns; "
-                    "the system cannot be measure-preserving")
+                raise InternalInconsistencyError(_NO_RETURN)
         return values
-    start = np.flatnonzero(b_mask & (system.weights > 0)).astype(np.int64)
+    return _excursion_sweep(step, b_mask, system.weights)
+
+
+def _excursion_sweep(step, b_mask, weights):
+    """Excursion mass vector of float or integer-lattice ``weights``."""
+    start = np.flatnonzero(b_mask & (weights > 0)).astype(np.int64)
     values, status = _kernels.excursion_mass(step, b_mask, start,
-                                             system.weights[start])
+                                             weights[start])
     if status != 0:
-        raise InternalInconsistencyError(
-            "a positive-weight point of the base set never returns; "
-            "the system cannot be measure-preserving")
+        raise InternalInconsistencyError(_NO_RETURN)
     return values
 
 
@@ -424,11 +436,9 @@ def entrance_invariance_residual(system, a_members, b_members):
     out = []
     for direction in _DIRECTIONS:
         prof = hitting_profile(system, b_mask, direction)
-        sel = b_mask & _positive_mask(system.weights)
+        sel = b_mask & (system.weights > 0)
         if not np.all(prof.finite[sel]):
-            raise InternalInconsistencyError(
-                "a positive-weight point of the base set never returns; "
-                "the system cannot be measure-preserving")
+            raise InternalInconsistencyError(_NO_RETURN)
         if system.exact:
             lhs = sum((system.weights[i] for i in np.flatnonzero(sel)
                        if a_mask[prof.entry[i]]), Fraction(0))
@@ -437,22 +447,6 @@ def entrance_invariance_residual(system, a_members, b_members):
         rhs = system.mass(a_mask & b_mask)
         out.append(abs(lhs - rhs))
     return ResidualPair(*out)
-
-
-def _positive_mask(weights):
-    if weights.dtype == object:
-        return np.array([w > 0 for w in weights], dtype=bool)
-    return weights > 0
-
-
-def _pushforward(system, values):
-    m = values.shape[0]
-    if values.dtype == object:
-        out = np.array([Fraction(0)] * m, dtype=object)
-        for i in range(m):
-            out[system.mapping[i]] += values[i]
-        return out
-    return np.bincount(system.mapping, weights=values, minlength=m)
 
 
 def shift_invariance_residual(system, b_members, a_members, kind=FORWARD):
@@ -474,7 +468,7 @@ def shift_invariance_residual(system, b_members, a_members, kind=FORWARD):
         image = np.zeros(system.size, dtype=bool)
         image[system.mapping[a_mask]] = True
         return abs(cm.mass(image) - cm.mass(a_mask))
-    pushed = _pushforward(system, cm.values)
+    pushed = _scatter(system.mapping, cm.values, system.size)
     if system.exact:
         lhs = sum((pushed[i] for i in np.flatnonzero(a_mask)), Fraction(0))
     else:
@@ -540,12 +534,10 @@ def kac_check(system, members):
         raise PreconditionError("base set has zero mass", field="members")
     fwd = hitting_profile(system, b_mask, FORWARD)
     bwd = hitting_profile(system, b_mask, BACKWARD)
-    pos = _positive_mask(system.weights)
+    pos = system.weights > 0
     for prof in (fwd, bwd):
         if not np.all(prof.finite[b_mask & pos]):
-            raise InternalInconsistencyError(
-                "a positive-weight point of the base set never returns; "
-                "the system cannot be measure-preserving")
+            raise InternalInconsistencyError(_NO_RETURN)
     zero = Fraction(0) if system.exact else 0.0
     int_fwd = zero
     int_bwd = zero
@@ -659,11 +651,15 @@ def induced_map(system, members):
 # whole-lattice identity suite
 
 
+# An exhaustive plan examines 2^m base sets against 2^m A sets each; above
+# this many points (2^24 pairs) it is refused before anything is built.
+EXHAUSTIVE_CAP = 12
+
+
 @lru_cache(maxsize=16)
 def _subset_matrix(m):
     # row k of the matrix is the indicator of subset k, bit i <-> point i
-    bits = (np.arange(2 ** m)[:, None] >> np.arange(m)) & 1
-    return bits.astype(np.float64)
+    return ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(bool)
 
 
 @dataclass
@@ -680,7 +676,14 @@ class IdentitySuiteResult:
 def _suite_masks(m, exhaustive_limit, sample_pairs, seed):
     """Base sets and per-base-set A collections to examine."""
     if m <= exhaustive_limit:
-        full = _subset_matrix(m).astype(bool)
+        if m > EXHAUSTIVE_CAP:
+            raise PreconditionError(
+                "an exhaustive plan over %d points examines %d base sets and "
+                "%d subset pairs; at most %d points are enumerated, so set "
+                "exhaustive_limit below %d to sample pairs instead"
+                % (m, 2 ** m, 4 ** m, EXHAUSTIVE_CAP, m),
+                field="exhaustive_limit")
+        full = _subset_matrix(m)
         return True, [(full[k], full) for k in range(2 ** m)]
     rng = np.random.default_rng(seed)
     groups = {}
@@ -694,21 +697,25 @@ def _suite_masks(m, exhaustive_limit, sample_pairs, seed):
     return False, out
 
 
-def _max_subset_sum(diff_cols, a_masks, exact):
-    """Largest |sum over A| per column, with the witnessing A row."""
-    if exact:
-        best = [Fraction(0)] * len(diff_cols)
-        arg = [0] * len(diff_cols)
-        for r, row in enumerate(a_masks):
-            idx = np.flatnonzero(row)
-            for c, col in enumerate(diff_cols):
-                s = abs(sum((col[i] for i in idx), Fraction(0)))
-                if s > best[c]:
-                    best[c] = s
-                    arg[c] = r
-        return best, arg
+def _lattice(weights):
+    """Fraction weights as integer numerators over their common denominator.
+
+    int64 while max|num| * m < 2^62, Python ints in object arrays
+    otherwise.  The bound covers every value the suite forms: excursion
+    masses and Kac integrals stay below max|num| * m on a permutation (the
+    return times of a cycle's base points sum to its length), hitting
+    masses below the total L, and a subset sum of a difference of two
+    nonnegative vectors below the larger of their totals."""
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    dtype = np.int64 if max(nums) * len(nums) < 2 ** 62 else object
+    return np.array(nums, dtype=dtype), den
+
+
+def _max_subset_sum(diff_cols, a_masks):
+    """Largest |sum over A| per column, with the first A row attaining it."""
     stacked = np.column_stack(diff_cols)
-    vals = np.abs(a_masks.astype(np.float64) @ stacked)
+    vals = np.abs(a_masks.astype(stacked.dtype) @ stacked)
     return vals.max(axis=0), vals.argmax(axis=0)
 
 
@@ -717,20 +724,24 @@ def identity_suite(system, exhaustive_limit=8, sample_pairs=50, seed=0):
 
     Systems with at most ``exhaustive_limit`` points are checked over all
     pairs of subsets (A, B); larger systems over ``sample_pairs`` seeded
-    random pairs.  The system is normalised internally so probability
-    statements apply.  Residuals are reported as maxima over everything
-    examined, together with the worst witnessing pair.
+    random pairs.  Exhaustive plans over more than ``EXHAUSTIVE_CAP``
+    points are refused with a PreconditionError.  The system is
+    normalised internally so probability statements apply.  Residuals
+    are reported as maxima over everything examined, together with the
+    worst witnessing pair.
 
     Non-invertible systems get the forward recurrence check only; the
     other identities need both orbit directions.
     """
+    exhaustive, plan = _suite_masks(system.size, exhaustive_limit,
+                                    sample_pairs, seed)
     sysn = system.normalized()
     m = sysn.size
-    exact = sysn.exact
-    zero = Fraction(0) if exact else 0.0
+    den = None
     w = sysn.weights
-    pos = _positive_mask(w)
-    exhaustive, plan = _suite_masks(m, exhaustive_limit, sample_pairs, seed)
+    if sysn.exact:
+        w, den = _lattice(w)
+    pos = w > 0
 
     vector_names = (
         "excursion_identity_forward", "excursion_identity_backward",
@@ -745,7 +756,7 @@ def identity_suite(system, exhaustive_limit=8, sample_pairs=50, seed=0):
         vector_names = ("restriction_preimage_invariance",)
         scalar_names = ("poincare_forward",)
 
-    residuals = {name: zero for name in vector_names + scalar_names}
+    residuals = {name: 0 for name in vector_names + scalar_names}
     worst = {name: (None, None) for name in residuals}
     violations = 0
     n_pairs = 0
@@ -756,98 +767,77 @@ def identity_suite(system, exhaustive_limit=8, sample_pairs=50, seed=0):
             worst[name] = (_indices(b_mask),
                            None if a_mask is None else _indices(a_mask))
 
+    def ratio(a, b):
+        return a / b if den is None else Fraction(int(a), int(b))
+
+    def bump_columns(names, cols, b_mask, a_masks):
+        maxima, argrows = _max_subset_sum(cols, a_masks)
+        for name, value, row in zip(names, maxima, argrows):
+            bump(name, value, b_mask, np.asarray(a_masks[row]))
+
     for b_mask, a_masks in plan:
         b_sel = b_mask & pos
+        n_pairs += len(a_masks)
         fwd = hitting_profile(sysn, b_mask, FORWARD)
-        mass_b = sysn.mass(b_mask)
-        bump("poincare_forward", abs(mass_b - sysn.mass(b_mask & fwd.finite)),
+        mass_b = w[b_mask].sum()
+        bump("poincare_forward", abs(mass_b - w[b_mask & fwd.finite].sum()),
              b_mask)
+        nu = np.where(fwd.finite, w, 0)
         if not sysn.invertible:
             # restriction to the hitting set is still preimage-invariant
             # for an endomorphism; image invariance would be false
-            if exact:
-                nu = np.array([wi if f else Fraction(0)
-                               for wi, f in zip(w, fwd.finite)], dtype=object)
-            else:
-                nu = np.where(fwd.finite, w, 0.0)
-            cols = [_pushforward(sysn, nu) - nu]
-            maxima, argrows = _max_subset_sum(cols, a_masks, exact)
-            bump("restriction_preimage_invariance", maxima[0], b_mask,
-                 np.asarray(a_masks[argrows[0]]))
-            n_pairs += len(a_masks)
+            bump_columns(vector_names,
+                         [_scatter(sysn.mapping, nu, m) - nu], b_mask, a_masks)
             continue
         bwd = hitting_profile(sysn, b_mask, BACKWARD)
-        bump("poincare_backward", abs(mass_b - sysn.mass(b_mask & bwd.finite)),
+        bump("poincare_backward", abs(mass_b - w[b_mask & bwd.finite].sum()),
              b_mask)
 
-        mu_f = _excursion_values(sysn, b_mask, FORWARD)
-        mu_b = _excursion_values(sysn, b_mask, BACKWARD)
-        if exact:
-            nu = np.array([wi if f else Fraction(0)
-                           for wi, f in zip(w, fwd.finite)], dtype=object)
-            wb = np.array([wi if b else Fraction(0)
-                           for wi, b in zip(w, b_mask)], dtype=object)
-            ent_f = np.array([Fraction(0)] * m, dtype=object)
-            ent_b = np.array([Fraction(0)] * m, dtype=object)
-            for i in np.flatnonzero(b_sel):
-                ent_f[fwd.entry[i]] += w[i]
-                ent_b[bwd.entry[i]] += w[i]
-            hit_f = np.array([wi if f else Fraction(0)
-                              for wi, f in zip(w, fwd.finite)], dtype=object)
-            hit_b = np.array([wi if f else Fraction(0)
-                              for wi, f in zip(w, bwd.finite)], dtype=object)
-        else:
-            nu = np.where(fwd.finite, w, 0.0)
-            wb = np.where(b_mask, w, 0.0)
-            ent_f = np.bincount(fwd.entry[b_sel], weights=w[b_sel], minlength=m)
-            ent_b = np.bincount(bwd.entry[b_sel], weights=w[b_sel], minlength=m)
-            hit_f = np.where(fwd.finite, w, 0.0)
-            hit_b = np.where(bwd.finite, w, 0.0)
+        mu_f = _excursion_sweep(sysn.mapping, b_mask, w)
+        mu_b = _excursion_sweep(sysn.inverse_mapping, b_mask, w)
+        hit_b = np.where(bwd.finite, w, 0)
+        wb = np.where(b_mask, w, 0)
+        ent_f = _scatter(fwd.entry[b_sel], w[b_sel], m)
+        ent_b = _scatter(bwd.entry[b_sel], w[b_sel], m)
         reach = _kernels.backward_hits(sysn.inverse_mapping, b_mask)
-        if exact:
-            reach_w = np.array([wi if r else Fraction(0)
-                                for wi, r in zip(w, reach)], dtype=object)
-        else:
-            reach_w = np.where(reach, w, 0.0)
+        bump_columns(vector_names, [
+            mu_f - hit_b,  # excursion_identity_forward
+            mu_b - nu,  # excursion_identity_backward
+            ent_f - wb,  # entrance_invariance_forward
+            ent_b - wb,  # entrance_invariance_backward
+            _scatter(sysn.mapping, mu_f, m) - mu_f,  # shift_invariance_forward
+            _scatter(sysn.mapping, mu_b, m) - mu_b,  # shift_invariance_backward
+            _scatter(sysn.mapping, nu, m) - nu,  # shift_invariance_restriction
+            mu_f - np.where(reach, w, 0),  # precapacity
+        ], b_mask, a_masks)
 
-        cols = [
-            mu_f - hit_b,                      # excursion_identity_forward
-            mu_b - hit_f,                      # excursion_identity_backward
-            ent_f - wb,                        # entrance_invariance_forward
-            ent_b - wb,                        # entrance_invariance_backward
-            _pushforward(sysn, mu_f) - mu_f,   # shift_invariance_forward
-            _pushforward(sysn, mu_b) - mu_b,   # shift_invariance_backward
-            _pushforward(sysn, nu) - nu,       # shift_invariance_restriction
-            mu_f - reach_w,                    # precapacity
-        ]
-        maxima, argrows = _max_subset_sum(cols, a_masks, exact)
-        for name, value, row in zip(vector_names, maxima, argrows):
-            bump(name, value, b_mask, np.asarray(a_masks[row]))
-        n_pairs += len(a_masks)
-
-        hits_fwd_mass = sysn.mass(fwd.finite)
-        hits_bwd_mass = sysn.mass(bwd.finite)
+        hits_fwd_mass = w[fwd.finite].sum()
+        hits_bwd_mass = w[bwd.finite].sum()
         flags = (mass_b > 0, hits_fwd_mass > 0, hits_bwd_mass > 0)
         if not flags[0] == flags[1] == flags[2]:
             violations += 1
         bump("positivity_bound",
-             max(zero, mass_b - min(hits_fwd_mass, hits_bwd_mass)), b_mask)
+             max(0, mass_b - min(hits_fwd_mass, hits_bwd_mass)), b_mask)
 
         if mass_b > 0:
-            int_fwd = zero
-            int_bwd = zero
-            for i in np.flatnonzero(b_sel):
-                int_fwd = int_fwd + w[i] * int(fwd.times[i])
-                int_bwd = int_bwd + w[i] * int(bwd.times[i])
-            expected = int_fwd / mass_b
-            conditional = sysn.mass(b_mask & bwd.finite) / hits_bwd_mass
+            # cumsum adds left to right, the order kac_check's loop uses
+            int_fwd = np.cumsum(w[b_sel] * fwd.times[b_sel])[-1]
+            int_bwd = np.cumsum(w[b_sel] * bwd.times[b_sel])[-1]
+            expected = ratio(int_fwd, mass_b)
+            conditional = ratio(w[b_mask & bwd.finite].sum(), hits_bwd_mass)
             bump("kac_product", abs(expected * conditional - 1), b_mask)
             bump("kac_integral_forward", abs(int_fwd - hits_bwd_mass), b_mask)
             bump("kac_integral_backward", abs(int_bwd - hits_fwd_mass), b_mask)
 
+    if den is not None:
+        # lattice numerators become exact values; kac_product is a
+        # Fraction already
+        residuals = {name: v if isinstance(v, Fraction)
+                     else Fraction(int(v), den)
+                     for name, v in residuals.items()}
     return IdentitySuiteResult(
         exhaustive=exhaustive,
-        exact=exact,
+        exact=sysn.exact,
         n_base_sets=len(plan),
         n_pairs=n_pairs,
         residuals=residuals,

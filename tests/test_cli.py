@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import cycleflow as cf
 from cycleflow.cli import main
+from cycleflow.measure import EXHAUSTIVE_CAP
 
 FINITE = {
     "kind": "finite_system",
@@ -60,6 +64,28 @@ def test_help_lists_exit_codes(capsys):
     text = capsys.readouterr().out
     for code in (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 70):
         assert "\n  %d " % code in text or "\n  %d  " % code in text
+
+
+def test_verify_help_states_exhaustive_cap(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "more than %d points" % EXHAUSTIVE_CAP in text
+    assert "exit 7" in text
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported on demand by the few functions that use it
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, cycleflow, cycleflow.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_version(capsys):
@@ -289,6 +315,15 @@ def test_invariant_violation_exit(tmp_path, capsys, clean_env):
         "kind": "markov_chain", "P": [[0.5, 0.4], [0.25, 0.75]]}))
     assert main(["verify", str(path)]) == 6
     assert "row sums" in capsys.readouterr().err
+
+
+def test_oversized_exhaustive_plan_exit(tmp_path, capsys, clean_env):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(FINITE, map=list(range(1, 14)) + [0],
+                                    weights=[1.0] * 14)))
+    assert main(["verify", str(path), "--exhaustive-limit", "14"]) == 7
+    err = capsys.readouterr().err
+    assert "16384 base sets" in err and "268435456 subset pairs" in err
 
 
 def test_unwritable_output_exit(files, capsys, clean_env):

@@ -21,7 +21,7 @@ def random_cases(seed, count):
 
 # ---------------------------------------------------------------------------
 # scalar reference walks: one start point at a time, independent of the
-# vectorised sweeps they referee
+# vectorised kernels they referee
 
 
 def _hitting_walk(mapping, in_set):
@@ -87,7 +87,7 @@ def _backward_hits_walk(inv_mapping, in_set):
 
 
 # ---------------------------------------------------------------------------
-# deterministic kernels: scalar walk vs vectorised sweep
+# deterministic kernels: scalar walk vs vectorised kernel
 
 
 def test_hitting_walk_matches_sweep():
@@ -174,3 +174,53 @@ def test_backward_fixed_point_reaches_itself():
     member = np.ones(1, dtype=np.bool_)
     for fn in (_backward_hits_walk, kr.backward_hits):
         np.testing.assert_array_equal(fn(inv, member), [True])
+
+
+# ---------------------------------------------------------------------------
+# doubling depth: random_cases stay below 65 points, six levels at most
+
+
+def _depth_cases():
+    # a 3000-cycle needs twelve levels; the hit set {0} makes every first
+    # hit time from 1 to 3000 occur
+    cycle = np.roll(np.arange(3000), -1)
+    one = np.zeros(3000, dtype=np.bool_)
+    one[0] = True
+    yield cycle, one
+    # rho: a 2000-point tail 0 -> 1 -> ... -> 1999 running into a 5-cycle;
+    # hits far down the tail or only on the cycle
+    m = 2005
+    rho = np.arange(1, m + 1)
+    rho[-1] = 2000
+    on_cycle = np.zeros(m, dtype=np.bool_)
+    on_cycle[2003] = True
+    yield rho, on_cycle
+    tail_and_cycle = on_cycle.copy()
+    tail_and_cycle[1500] = True
+    yield rho, tail_and_cycle
+    # m = 1 and m = 2^k - 1, 2^k, 2^k + 1 around every level boundary up to
+    # 128, on a cycle and on a random map, with empty, full and random sets
+    rng = np.random.default_rng(41)
+    sizes = [1] + [2 ** k + d for k in range(1, 8) for d in (-1, 0, 1)]
+    for m in sizes:
+        for mapping in (np.roll(np.arange(m), -1), rng.integers(0, m, size=m)):
+            for in_set in (np.zeros(m, dtype=np.bool_),
+                           np.ones(m, dtype=np.bool_),
+                           rng.random(m) < 0.1):
+                yield mapping.astype(np.int64), in_set
+
+
+def test_hitting_times_at_doubling_depth():
+    for mapping, in_set in _depth_cases():
+        ts, es = kr.hitting_times(mapping, in_set)
+        tw, ew = _hitting_walk(mapping, in_set)
+        np.testing.assert_array_equal(ts, tw)
+        np.testing.assert_array_equal(es, ew)
+
+
+def test_backward_hits_at_doubling_depth():
+    # backward_hits takes any map as its inverse, so the rho and random
+    # maps serve too
+    for mapping, in_set in _depth_cases():
+        np.testing.assert_array_equal(kr.backward_hits(mapping, in_set),
+                                      _backward_hits_walk(mapping, in_set))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cycleflow as cf
+from cycleflow import measure
 from cycleflow.errors import (
     InvariantError,
     PreconditionError,
@@ -398,6 +399,114 @@ def test_suite_sampling_above_limit():
     assert max(float(v) for v in res.residuals.values()) <= 1e-12
 
 
+def test_suite_refuses_oversized_exhaustive_plan(monkeypatch):
+    sys = cf.FiniteSystem(np.roll(np.arange(13), 1), np.ones(13))
+
+    def unreachable(m):
+        raise AssertionError("subset matrix built before the refusal")
+
+    monkeypatch.setattr(measure, "_subset_matrix", unreachable)
+    with pytest.raises(PreconditionError) as exc:
+        cf.identity_suite(sys, exhaustive_limit=13)
+    assert "13 points" in str(exc.value)
+    assert "8192 base sets" in str(exc.value)
+    assert "67108864 subset pairs" in str(exc.value)
+    # a limit at or below the cap samples the same system instead
+    assert not cf.identity_suite(sys, exhaustive_limit=12).exhaustive
+
+
+# ---------------------------------------------------------------------------
+# integer lattice: exact weights as numerators over one denominator
+
+
+def _max_subset_sum_loop(diff_cols, a_masks):
+    # reference: the interpreted Fraction loop the lattice matmul replaced;
+    # the first row attaining the maximum wins
+    best = [Fraction(0)] * len(diff_cols)
+    arg = [0] * len(diff_cols)
+    for r, row in enumerate(a_masks):
+        idx = np.flatnonzero(row)
+        for c, col in enumerate(diff_cols):
+            s = abs(sum((col[i] for i in idx), Fraction(0)))
+            if s > best[c]:
+                best[c] = s
+                arg[c] = r
+    return best, arg
+
+
+# distinct large primes: the common denominator passes 2^64
+_BIG_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1, 1000003, 999983)
+
+
+@pytest.mark.parametrize("dens,dtype", [([3, 4, 6, 12], np.int64),
+                                        (list(_BIG_PRIMES), object)])
+def test_max_subset_sum_matches_fraction_loop(dens, dtype):
+    sys = cf.FiniteSystem.from_rational([1, 2, 0, 3], [1, 2, 3, 4], dens)
+    nums, den = measure._lattice(sys.normalized().weights)
+    assert nums.dtype == dtype
+    rng = np.random.default_rng(8)
+    cols = [nums - nums[rng.permutation(4)] for _ in range(6)]
+    cols.append(nums * 0)
+    a_masks = measure._subset_matrix(4)
+    maxima, rows = measure._max_subset_sum(cols, a_masks)
+    oracle = [[Fraction(int(x), den) for x in col] for col in cols]
+    best, arg = _max_subset_sum_loop(oracle, a_masks)
+    assert [Fraction(int(v), den) for v in maxima] == best
+    assert list(rows) == arg
+
+
+def _per_pair_maxima(sys):
+    # every identity over every (A, B) from the per-pair functions, which
+    # keep plain Fraction arithmetic
+    subsets = [[i for i in range(sys.size) if k >> i & 1]
+               for k in range(2 ** sys.size)]
+    best = {}
+    violations = 0
+
+    def keep(name, value):
+        best[name] = max(best.get(name, Fraction(0)), value)
+
+    for b in subsets:
+        for a in subsets:
+            ex = cf.excursion_identity_residual(sys, a, b)
+            keep("excursion_identity_forward", ex.forward)
+            keep("excursion_identity_backward", ex.backward)
+            ent = cf.entrance_invariance_residual(sys, a, b)
+            keep("entrance_invariance_forward", ent.forward)
+            keep("entrance_invariance_backward", ent.backward)
+            for kind in cf.FORWARD, cf.BACKWARD, cf.RESTRICTION:
+                keep("shift_invariance_" + kind,
+                     cf.shift_invariance_residual(sys, b, a, kind))
+            keep("precapacity", cf.precapacity_residual(sys, a, b))
+        rec = cf.poincare_residual(sys, b)
+        keep("poincare_forward", rec.forward)
+        keep("poincare_backward", rec.backward)
+        pos = cf.positivity_equivalence(sys, b)
+        keep("positivity_bound", pos.bound_residual)
+        violations += not pos.equivalent
+        if sys.mass(b) > 0:
+            kac = cf.kac_check(sys, b)
+            keep("kac_product", kac.product_residual)
+            keep("kac_integral_forward", kac.integral_residual_forward)
+            keep("kac_integral_backward", kac.integral_residual_backward)
+    return best, violations
+
+
+def test_suite_on_python_int_lattice_matches_per_pair_functions():
+    # a 3-cycle and a fixed point with unrelated weights: not preserving,
+    # so every identity has a nonzero residual to get right
+    sys = cf.FiniteSystem.from_rational([1, 2, 0, 3], [3, 1, 4, 1],
+                                        _BIG_PRIMES).normalized()
+    nums, den = measure._lattice(sys.weights)
+    assert nums.dtype == object and den > 2 ** 64
+    res = cf.identity_suite(sys)
+    best, violations = _per_pair_maxima(sys)
+    assert res.residuals == best
+    assert res.positivity_violations == violations
+    assert all(isinstance(v, Fraction) for v in res.residuals.values())
+    assert res.residuals["precapacity"] > 0
+
+
 # ---------------------------------------------------------------------------
 # randomized battery: permutations with cycle-constant weights
 
@@ -453,6 +562,62 @@ def _permutation_systems(draw):
     rng = np.random.default_rng(seed)
     weights = _cycle_constant_weights(np.array(perm), rng)
     return cf.FiniteSystem(perm, weights)
+
+
+def _cycle_labels(mapping):
+    # smallest point of the cycle each periodic point lies on; -1 for the
+    # points on a tail, which an invariant measure leaves weightless
+    m = len(mapping)
+    x = np.arange(m)
+    for _ in range(m):
+        x = mapping[x]
+    labels = np.full(m, -1)
+    for start in np.unique(x):
+        cycle = [start]
+        while mapping[cycle[-1]] != start:
+            cycle.append(mapping[cycle[-1]])
+        labels[cycle] = min(cycle)
+    return labels
+
+
+@st.composite
+def _rational_systems(draw):
+    # permutations and endomorphisms, with invariant (cycle-constant) or
+    # arbitrary rational weights; small numerators and denominators keep
+    # every nonzero exact residual far above the float tolerance
+    m = draw(st.integers(min_value=1, max_value=6))
+    invertible = draw(st.booleans())
+    if invertible:
+        mapping = np.array(draw(st.permutations(range(m))))
+    else:
+        mapping = np.array(draw(st.lists(st.integers(0, m - 1),
+                                         min_size=m, max_size=m)))
+    fractions = st.builds(Fraction, st.integers(0, 5), st.integers(1, 6))
+    if draw(st.booleans()):
+        labels = _cycle_labels(mapping)
+        per_cycle = {c: draw(fractions) for c in np.unique(labels[labels >= 0])}
+        weights = [per_cycle[c] if c >= 0 else Fraction(0) for c in labels]
+    else:
+        weights = draw(st.lists(fractions, min_size=m, max_size=m))
+    if sum(weights) == 0:
+        weights[int(np.flatnonzero(_cycle_labels(mapping) >= 0)[0])] = 1
+    return cf.FiniteSystem(mapping, np.array(weights, dtype=object),
+                           invertible=invertible)
+
+
+@given(_rational_systems())
+@settings(max_examples=60, deadline=None)
+def test_property_exact_and_float_engines_agree(sys):
+    twin = cf.FiniteSystem(sys.mapping, [float(w) for w in sys.weights],
+                           invertible=sys.invertible)
+    exact = cf.identity_suite(sys)
+    approx = cf.identity_suite(twin)
+    assert exact.exact and not approx.exact
+    assert exact.residuals.keys() == approx.residuals.keys()
+    for name, value in exact.residuals.items():
+        assert (value == 0) == (approx.residuals[name] <= 1e-12), \
+            (name, value, approx.residuals[name])
+    assert exact.positivity_violations == approx.positivity_violations
 
 
 @given(_permutation_systems(), st.data())
