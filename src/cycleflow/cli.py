@@ -19,8 +19,8 @@ from .modelio import load_model
 # perfbench's tracer test checks that cli still holds model_hash
 from .modelio import model_hash  # noqa: F401
 from .report import CheckResult, SuiteReport, emit_report
-from .suite import (RunConfig, harris_simulation, model_identity, model_kind,
-                    run_suite)
+from .suite import (RunConfig, harris_details, harris_simulation,
+                    model_identity, model_kind, run_suite)
 
 _EXIT_TABLE = """\
 exit codes:
@@ -108,7 +108,9 @@ def build_parser():
     p.add_argument("--set", required=True, dest="regen_set", metavar="I,J,..",
                    help="comma-separated regeneration states")
     p.add_argument("--ell", type=int, default=1,
-                   help="block length (default 1)")
+                   help="block length (default 1); kernel powers "
+                        "K^0..K^ell over %d bytes are refused with exit 7"
+                        % harris.MAX_POWER_BYTES)
     return parser
 
 
@@ -210,13 +212,7 @@ def _harris_report(model, cfg):
     if model_kind(model) != "harris_discrete":
         raise PreconditionError(
             "the harris command needs a harris_discrete file", field="file")
-    details = {
-        "regen_set": list(model.regen_indices),
-        "ell": model.ell,
-        "epsilon": model.epsilon,
-        "lambda": model.lam,
-        "fitted": list(model.fitted_fields),
-    }
+    details = harris_details(model)
     checks, run = harris_simulation(model, cfg, details)
     details["steps"] = run.steps
     return _command_report("harris", model, cfg, checks, details)

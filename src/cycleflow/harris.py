@@ -34,6 +34,8 @@ from .measure import event_mask
 _LAM_SUM_TOL = 1e-9
 _RESIDUAL_TOL = 1e-12
 _DEFAULT_STEP_BUDGET = 10 ** 7
+# the stack of kernel powers I, K, ..., K^ell is refused beyond this size
+MAX_POWER_BYTES = 2 ** 28
 
 
 @dataclass
@@ -108,10 +110,17 @@ class HarrisModel:
         self.ell = int(ell)
 
         # powers I, K, ..., K^ell; the bridge needs every intermediate one
-        powers = [np.eye(n)]
-        for _ in range(self.ell):
-            powers.append(powers[-1] @ self.kernel.matrix)
-        self.kernel_powers = np.ascontiguousarray(np.stack(powers))
+        size = (self.ell + 1) * n * n * 8
+        if size > MAX_POWER_BYTES:
+            raise PreconditionError(
+                "the kernel powers K^0..K^%d of %d states need %d bytes, "
+                "over the cap of %d bytes" % (self.ell, n, size,
+                                              MAX_POWER_BYTES), field="ell")
+        powers = np.empty((self.ell + 1, n, n))
+        powers[0] = np.eye(n)
+        for s in range(1, self.ell + 1):
+            np.matmul(powers[s - 1], self.kernel.matrix, out=powers[s])
+        self.kernel_powers = powers
 
         fitted = []
         if lam is None:

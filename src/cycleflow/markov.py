@@ -69,16 +69,23 @@ class StochasticMatrix:
 
     @property
     def row_cumulative(self):
-        cum = getattr(self, "_row_cum", None)
-        if cum is None:
-            cum = np.cumsum(self.matrix, axis=1)
-            self._row_cum = cum
-        return cum
+        return _per_matrix(self, "_row_cum",
+                           lambda p: np.cumsum(p, axis=1))
 
     def _check_state(self, i, name):
         if not 0 <= i < self.n:
             raise PreconditionError("state index out of range", field=name)
         return int(i)
+
+
+def _per_matrix(chain, attr, compute):
+    # what is derived from the matrix is kept on the chain under ``attr``,
+    # keyed on the identity of the matrix: binding a new array recomputes it
+    cached = getattr(chain, attr, None)
+    if cached is None or cached[0] is not chain.matrix:
+        cached = (chain.matrix, compute(chain.matrix))
+        setattr(chain, attr, cached)
+    return cached[1]
 
 
 @dataclass
@@ -103,45 +110,52 @@ class ClassStructure:
 
 def class_structure(chain):
     """Strongly connected classes of the support graph, their closure
-    flags and a topological order of the condensation."""
+    flags and a topological order of the condensation.
+
+    The result is computed once per transition matrix and kept on the
+    chain; binding a new array to ``chain.matrix`` recomputes it.
+    """
+    return _per_matrix(chain, "_structure", _class_structure)
+
+
+def _class_structure(p):
     # scipy is imported on demand: it costs about a second of start-up
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
-    p = chain.matrix
-    n = chain.n
-    graph = sp.csr_matrix((p > 0).astype(np.int8))
+    n = p.shape[0]
+    rows, cols = np.nonzero(p > 0)
+    graph = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                          shape=(n, n))
     n_comp, raw = connected_components(graph, directed=True, connection="strong")
     # renumber components by smallest member state
     first = np.full(n_comp, n, dtype=np.int64)
-    for i in range(n):
-        first[raw[i]] = min(first[raw[i]], i)
+    np.minimum.at(first, raw, np.arange(n))
     renum = np.empty(n_comp, dtype=np.int64)
     renum[np.argsort(first, kind="stable")] = np.arange(n_comp)
     labels = renum[raw]
-    classes = [np.flatnonzero(labels == c) for c in range(n_comp)]
-    recurrent = np.zeros(n_comp, dtype=bool)
-    succ = [set() for _ in range(n_comp)]
-    for c, members in enumerate(classes):
-        rows = p[members]
-        mask = np.zeros(n, dtype=bool)
-        mask[members] = True
-        recurrent[c] = not np.any(rows[:, ~mask] > 0)
-        for j in np.flatnonzero(rows.max(axis=0) > 0):
-            if labels[j] != c:
-                succ[c].add(int(labels[j]))
+    # members of each class in increasing order, sliced out of one sort
+    ends = np.cumsum(np.bincount(labels, minlength=n_comp))
+    classes = np.split(np.argsort(labels, kind="stable"), ends[:-1])
+    # a class is closed when no support edge leaves it; the edges that
+    # do leave give the condensation, sorted by (source, target)
+    src, dst = labels[rows], labels[cols]
+    cross = src != dst
+    edges = np.unique(src[cross] * n_comp + dst[cross])
+    src, dst = edges // n_comp, edges % n_comp
+    recurrent = np.ones(n_comp, dtype=bool)
+    recurrent[src] = False
     # Kahn with a heap frontier: deterministic topological order
-    indeg = np.zeros(n_comp, dtype=np.int64)
-    for c in range(n_comp):
-        for d in succ[c]:
-            indeg[d] += 1
+    indeg = np.bincount(dst, minlength=n_comp).tolist()
+    starts = np.searchsorted(src, np.arange(n_comp + 1)).tolist()
+    dst = dst.tolist()
     frontier = [c for c in range(n_comp) if indeg[c] == 0]
     heapq.heapify(frontier)
     order = []
     while frontier:
         c = heapq.heappop(frontier)
         order.append(c)
-        for d in sorted(succ[c]):
+        for d in dst[starts[c]:starts[c + 1]]:
             indeg[d] -= 1
             if indeg[d] == 0:
                 heapq.heappush(frontier, d)
@@ -187,7 +201,10 @@ def cycle_occupation(chain, base):
     counts = np.zeros(chain.n)
     counts[base] = 1.0
     if rest.size:
-        counts[rest] = np.linalg.solve((np.eye(rest.size) - q).T, r)
+        # (I - Q)^T without an identity matrix: (-q) + 1 rounds as 1 - q
+        a = -q.T
+        a[np.diag_indices(rest.size)] += 1.0
+        counts[rest] = np.linalg.solve(a, r)
     return CycleOccupation(base, counts, float(counts.sum()))
 
 

@@ -219,13 +219,13 @@ def model_document(model):
         return {
             "kind": "markov_chain",
             "states": list(model.states),
-            "P": [[float(x) for x in row] for row in model.matrix],
+            "P": model.matrix.tolist(),
         }
     if isinstance(model, HarrisModel):
         return {
             "kind": "harris_discrete",
             "states": list(model.kernel.states),
-            "K": [[float(x) for x in row] for row in model.kernel.matrix],
+            "K": model.kernel.matrix.tolist(),
             "R": list(model.regen_indices),
             "ell": model.ell,
             "epsilon": float(model.epsilon),

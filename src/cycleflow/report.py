@@ -10,6 +10,7 @@ reproduce.
 """
 
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,8 +57,12 @@ def _canon(value, out):
             _canon(value[key], out)
         out.write("}")
     elif isinstance(value, (list, tuple, np.ndarray)):
-        out.write("[")
         seq = value.tolist() if isinstance(value, np.ndarray) else value
+        if _finite_floats(seq):
+            # the bytes _format_float gives item by item, in one join
+            out.write("[" + ",".join(map("%.17g".__mod__, seq)) + "]")
+            return
+        out.write("[")
         for i, item in enumerate(seq):
             if i:
                 out.write(",")
@@ -65,6 +70,11 @@ def _canon(value, out):
         out.write("]")
     else:
         raise TypeError("cannot canonically serialise %r" % type(value).__name__)
+
+
+def _finite_floats(seq):
+    return (all(type(x) is float for x in seq)
+            and all(map(math.isfinite, seq)))
 
 
 def _json_string(s):

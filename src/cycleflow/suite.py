@@ -188,16 +188,22 @@ def _kernel_stationary(kernel_matrix):
     return _markov.stationary_leftnull(chain, base)
 
 
-def _harris_suite(model, cfg):
-    checks = []
-    details = {
-        "states": model.n,
+def harris_details(model):
+    """The regeneration structure a Harris report starts from: set,
+    block length, minorization and which of its fields were fitted."""
+    return {
         "regen_set": list(model.regen_indices),
         "ell": model.ell,
         "epsilon": model.epsilon,
         "lambda": model.lam,
         "fitted": list(model.fitted_fields),
     }
+
+
+def _harris_suite(model, cfg):
+    checks = []
+    details = harris_details(model)
+    details["states"] = model.n
 
     minor = _harris.minorization_residual(model)
     checks.append(CheckResult("minorization_residual", minor, -1e-12,

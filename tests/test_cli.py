@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,19 @@ def test_harris_simulation_report(files, capsys, clean_env):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_harris_and_verify_share_the_regeneration_details(files, capsys,
+                                                          clean_env):
+    _, harris_doc = run_json(["harris", files["harris"], "--cycles", "300"],
+                             capsys)
+    _, verify_doc = run_json(["verify", files["harris"], "--cycles", "300"],
+                             capsys)
+    shared = ("regen_set", "ell", "epsilon", "lambda", "fitted")
+    for key in shared:
+        assert harris_doc["details"][key] == verify_doc["details"][key]
+    assert verify_doc["details"]["states"] == 3
+    assert "states" not in harris_doc["details"]
+
+
 def test_harris_rejects_markov_files(files, capsys, clean_env):
     assert main(["harris", files["markov"]]) == 7
 
@@ -342,6 +356,16 @@ def test_int64_overflow_exit(tmp_path, capsys, clean_env):
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path)]) == 6
         assert "%s[" % field in capsys.readouterr().err
+
+
+def test_huge_ell_is_refused_up_front(tmp_path, capsys, clean_env):
+    path = tmp_path / "ell.json"
+    path.write_text(json.dumps(dict(HARRIS, ell=4611686018427387904)))
+    started = time.perf_counter()
+    assert main(["verify", str(path)]) == 7
+    assert time.perf_counter() - started < 5.0
+    err = capsys.readouterr().err
+    assert "bytes" in err and "cap" in err
 
 
 def test_unclassified_error_exit(files, capsys, clean_env, monkeypatch):

@@ -275,6 +275,19 @@ def test_block_endpoint_law_when_lambda_is_proportional():
     assert chi2 < 13.8  # chi-square(2) at the 0.1% level
 
 
+def test_kernel_power_stack_is_capped(monkeypatch):
+    # three states, ell = 3: four 3x3 float64 matrices, 288 bytes
+    monkeypatch.setattr(cf.harris, "MAX_POWER_BYTES", 288)
+    model = cf.HarrisModel(H3, [0], ell=3)
+    assert model.kernel_powers.shape == (4, 3, 3)
+    assert np.allclose(model.k_ell, np.linalg.matrix_power(H3, 3))
+    with pytest.raises(PreconditionError) as err:
+        cf.HarrisModel(H3, [0], ell=4)
+    assert err.value.field == "ell"
+    assert "360 bytes" in str(err.value)
+    assert "cap of 288 bytes" in str(err.value)
+
+
 def test_block_length_matches_ell():
     model = variant_c()
     out = cf.split_block(model, 1, 0, np.random.default_rng(5))

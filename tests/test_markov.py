@@ -1,5 +1,9 @@
+import heapq
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +114,148 @@ def test_topological_order_respects_arrows():
                 ci, cj = s.labels[i], s.labels[j]
                 if ci != cj:
                     assert position[ci] < position[cj]
+
+
+def _class_structure_loop(chain):
+    """Reference for ``class_structure``: per-state and per-class Python
+    loops over a dense support copy."""
+    p = chain.matrix
+    n = chain.n
+    graph = sp.csr_matrix((p > 0).astype(np.int8))
+    n_comp, raw = connected_components(graph, directed=True, connection="strong")
+    first = np.full(n_comp, n, dtype=np.int64)
+    for i in range(n):
+        first[raw[i]] = min(first[raw[i]], i)
+    renum = np.empty(n_comp, dtype=np.int64)
+    renum[np.argsort(first, kind="stable")] = np.arange(n_comp)
+    labels = renum[raw]
+    classes = [np.flatnonzero(labels == c) for c in range(n_comp)]
+    recurrent = np.zeros(n_comp, dtype=bool)
+    succ = [set() for _ in range(n_comp)]
+    for c, members in enumerate(classes):
+        rows = p[members]
+        mask = np.zeros(n, dtype=bool)
+        mask[members] = True
+        recurrent[c] = not np.any(rows[:, ~mask] > 0)
+        for j in np.flatnonzero(rows.max(axis=0) > 0):
+            if labels[j] != c:
+                succ[c].add(int(labels[j]))
+    indeg = np.zeros(n_comp, dtype=np.int64)
+    for c in range(n_comp):
+        for d in succ[c]:
+            indeg[d] += 1
+    frontier = [c for c in range(n_comp) if indeg[c] == 0]
+    heapq.heapify(frontier)
+    order = []
+    while frontier:
+        c = heapq.heappop(frontier)
+        order.append(c)
+        for d in sorted(succ[c]):
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                heapq.heappush(frontier, d)
+    return labels, classes, recurrent, order
+
+
+def _random_reducible(rng, n):
+    """Closed blocks on a shuffled diagonal, then transient rows that may
+    point anywhere; zeros are common so classes and arrows vary."""
+    p = np.zeros((n, n))
+    perm = rng.permutation(n)
+    n_transient = int(rng.integers(0, n // 2 + 1))
+    closed, transient = perm[n_transient:], perm[:n_transient]
+    if closed.size == 0:
+        closed, transient = perm[:1], perm[1:]
+    cuts = np.sort(rng.choice(np.arange(1, closed.size), replace=False,
+                              size=min(int(rng.integers(0, 5)),
+                                       closed.size - 1)))
+    for block in np.split(closed, cuts):
+        for i in block:
+            k = int(rng.integers(1, block.size + 1))
+            p[i, rng.choice(block, size=k, replace=False)] = 1.0
+        # a cycle through the block keeps it one communicating class
+        p[block, np.roll(block, -1)] = 1.0
+    for i in transient:
+        k = int(rng.integers(1, n + 1))
+        p[i, rng.choice(n, size=k, replace=False)] = 1.0
+    p *= rng.random((n, n))
+    p[p.sum(axis=1) == 0, closed[0]] = 1.0
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _assert_matches_loop(chain):
+    s = cf.class_structure(chain)
+    labels, classes, recurrent, order = _class_structure_loop(chain)
+    assert s.labels.dtype == labels.dtype
+    assert np.array_equal(s.labels, labels)
+    assert len(s.classes) == len(classes)
+    for got, want in zip(s.classes, classes):
+        assert np.array_equal(got, want)
+    assert np.array_equal(s.recurrent, recurrent)
+    assert s.order.tolist() == order
+
+
+def test_class_structure_matches_loop_on_random_reducible_chains():
+    rng = np.random.default_rng(20261018)
+    for n in range(1, 61):
+        for _ in range(3):
+            _assert_matches_loop(cf.StochasticMatrix(_random_reducible(rng, n)))
+
+
+def test_class_structure_matches_loop_when_every_state_is_a_class():
+    # upper-triangular support: only the last state is closed
+    n = 40
+    p = np.triu(np.random.default_rng(3).random((n, n)))
+    p /= p.sum(axis=1, keepdims=True)
+    chain = cf.StochasticMatrix(p)
+    _assert_matches_loop(chain)
+    s = cf.class_structure(chain)
+    assert len(s.classes) == n
+    assert s.recurrent_classes == [n - 1]
+    # the identity: n closed singletons, no arrows
+    _assert_matches_loop(cf.StochasticMatrix(np.eye(n)))
+
+
+def test_class_structure_is_computed_once_per_matrix():
+    chain = block_chain()
+    s = cf.class_structure(chain)
+    assert cf.class_structure(chain) is s
+    chain.matrix = np.array([[0.5, 0.5, 0.0, 0.0],
+                             [0.0, 0.5, 0.5, 0.0],
+                             [0.0, 0.0, 0.5, 0.5],
+                             [0.5, 0.0, 0.0, 0.5]])
+    again = cf.class_structure(chain)
+    assert again is not s
+    assert list(again.labels) == [0, 0, 0, 0]
+    assert cf.class_structure(chain) is again
+
+
+def test_row_cumulative_follows_the_bound_matrix(flip2):
+    chain = cf.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+    assert chain.row_cumulative.tolist() == [[0.5, 1.0], [0.5, 1.0]]
+    chain.matrix = flip2.matrix
+    assert chain.row_cumulative.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+    # the flip returns to its base in exactly two steps
+    est = cf.simulate_cycle_estimator(chain, 0, 200, seed=1)
+    assert est.mean_return == 2.0
+
+
+def test_occupation_solve_keeps_the_bits_of_the_dense_transpose():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 9, 30):
+        p = rng.dirichlet(np.full(n, 0.3), size=n)
+        p[rng.random((n, n)) < 0.3] = 0.0
+        p[:, 0] += 0.05
+        p /= p.sum(axis=1, keepdims=True)
+        chain = cf.StochasticMatrix(p)
+        s = cf.class_structure(chain)
+        for base in np.flatnonzero(s.recurrent[s.labels]):
+            members = s.classes[s.labels[base]]
+            rest = members[members != base]
+            want = np.linalg.solve(
+                (np.eye(rest.size) - p[np.ix_(rest, rest)]).T, p[base, rest])
+            got = cf.cycle_occupation(chain, base).counts[rest]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

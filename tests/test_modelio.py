@@ -237,6 +237,25 @@ def test_hash_is_stable_across_runs(tmp_path):
     assert len(cf.model_hash(model)) == 64
 
 
+def test_hash_literals_are_fixed():
+    # digests of the serialisation before float rows were written in one
+    # join; the hash must never drift, reports quote it
+    chain = cf.parse_model(MARKOV_DOC)
+    assert cf.model_hash(chain) == \
+        "be221e9f88dea8d51378711d72084096c95256dec90b368964b22e8696de04a5"
+    harris = cf.parse_model(HARRIS_DOC)
+    assert cf.model_hash(harris) == \
+        "464e171ecd346c4a7bdf5413e3bf180f3ca9b896aadd508e388b1d7011c8650a"
+
+
+def test_document_rows_are_plain_lists(tmp_path):
+    model = cf.load_model(write(tmp_path, MARKOV_DOC))
+    doc = cf.model_document(model)
+    assert type(doc["P"]) is list
+    assert all(type(x) is float for row in doc["P"] for x in row)
+    assert np.array_equal(cf.parse_model(doc).matrix, model.matrix)
+
+
 def test_model_size_all_kinds(tmp_path):
     assert cf.model_size(cf.load_model(write(tmp_path, FINITE_DOC))) == 4
     assert cf.model_size(cf.load_model(write(tmp_path, MARKOV_DOC))) == 2

@@ -45,6 +45,35 @@ def test_non_finite_floats_become_strings():
     assert text == '["NaN","Infinity","-Infinity"]'
 
 
+def _item_by_item(seq):
+    # the per-item path: every element serialised on its own
+    return "[" + ",".join(cf.canonical_json(x) for x in seq) + "]"
+
+
+def test_float_runs_match_the_per_item_path():
+    runs = [
+        [-0.0, 0.0, 1.0, -1.5],
+        [5e-324, 2.2250738585072009e-308, 2.225073858507201e-308 / 3],
+        [1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3],
+        [0.1 * i for i in range(50)],
+        np.linspace(-1.0, 1.0, 7),
+        (0.5, 0.25),
+        [],
+    ]
+    for seq in runs:
+        assert cf.canonical_json(seq) == _item_by_item(list(seq))
+    mixed = [1, 0.5, -0.0, 2, 5e-324, True, np.float64(0.1), Fraction(1, 3)]
+    assert cf.canonical_json(mixed) == _item_by_item(mixed)
+    assert cf.canonical_json(mixed) == \
+        '[1,0.5,-0,2,4.9406564584124654e-324,true,0.10000000000000001,"1/3"]'
+
+
+def test_non_finite_floats_keep_their_strings_in_a_run():
+    assert cf.canonical_json([0.5, math.nan, 1.0]) == '[0.5,"NaN",1]'
+    assert cf.canonical_json([math.inf, 0.25]) == '["Infinity",0.25]'
+    assert cf.canonical_json(np.array([1.0, -math.inf])) == '[1,"-Infinity"]'
+
+
 def test_fractions_serialise_exactly():
     assert cf.canonical_json({"x": Fraction(1, 3)}) == '{"x":"1/3"}'
 
