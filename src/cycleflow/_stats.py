@@ -42,8 +42,11 @@ class RatioAccumulator:
         pi_hat  = sum Y / sum t
         se      = sd(Y - pi_hat * t) / (sqrt(n) * mean t)
 
-    computed from accumulated first and second moments only, so chunked
-    runs never hold all cycles in memory.
+    computed from accumulated moments only, so chunked runs never hold
+    all cycles in memory.  pi_hat and the mean length come from plain
+    sums; the spread comes from moments centred on each chunk's means and
+    merged pairwise (Chan, Golub & LeVeque 1979), which keeps it accurate
+    when cycles are long and nearly alike.
     """
 
     def __init__(self, n_states):
@@ -51,19 +54,38 @@ class RatioAccumulator:
         self.n_cycles = 0
         self.sum_occ = np.zeros(n_states)
         self.sum_len = 0.0
-        self.sum_occ_sq = np.zeros(n_states)
-        self.sum_cross = np.zeros(n_states)
-        self.sum_len_sq = 0.0
+        # means, centred sums of squares and the centred cross sum
+        self.mean_occ = np.zeros(n_states)
+        self.mean_len = 0.0
+        self.m2_occ = np.zeros(n_states)
+        self.m2_len = 0.0
+        self.cross = np.zeros(n_states)
 
     def add(self, occ, lengths):
         occ = np.asarray(occ, dtype=np.float64)
         lengths = np.asarray(lengths, dtype=np.float64)
-        self.n_cycles += lengths.shape[0]
+        k = lengths.shape[0]
+        if k == 0:
+            return
         self.sum_occ += occ.sum(axis=0)
         self.sum_len += lengths.sum()
-        self.sum_occ_sq += (occ * occ).sum(axis=0)
-        self.sum_cross += (occ * lengths[:, None]).sum(axis=0)
-        self.sum_len_sq += (lengths * lengths).sum()
+        mean_occ = occ.mean(axis=0)
+        mean_len = lengths.mean()
+        d_occ = occ - mean_occ
+        d_len = lengths - mean_len
+        n = self.n_cycles
+        total = n + k
+        # merge the chunk's centred moments into the running ones
+        delta_occ = mean_occ - self.mean_occ
+        delta_len = mean_len - self.mean_len
+        weight = n * k / total
+        self.m2_occ += (d_occ * d_occ).sum(axis=0) + delta_occ ** 2 * weight
+        self.m2_len += (d_len * d_len).sum() + delta_len ** 2 * weight
+        self.cross += ((d_occ * d_len[:, None]).sum(axis=0)
+                       + delta_occ * delta_len * weight)
+        self.mean_occ += delta_occ * (k / total)
+        self.mean_len += delta_len * (k / total)
+        self.n_cycles = total
 
     def estimate(self):
         """Return (pi_hat, standard_errors or None, mean_length).
@@ -78,10 +100,10 @@ class RatioAccumulator:
         mean_len = self.sum_len / n
         if n < 2:
             return pi_hat, None, mean_len
-        # sum of squared residuals (Y - pi_hat t), expanded in moments;
+        # sum of squared residuals (Y - pi_hat t) from the centred moments;
         # clip the tiny negatives rounding can produce
-        ssd = (self.sum_occ_sq - 2.0 * pi_hat * self.sum_cross
-               + pi_hat * pi_hat * self.sum_len_sq)
+        ssd = (self.m2_occ - 2.0 * pi_hat * self.cross
+               + pi_hat * pi_hat * self.m2_len)
         ssd = np.maximum(ssd, 0.0)
         se = np.sqrt(ssd / (n - 1) / n) / mean_len
         return pi_hat, se, mean_len

@@ -109,8 +109,9 @@ def build_parser():
                    help="comma-separated regeneration states")
     p.add_argument("--ell", type=int, default=1,
                    help="block length (default 1); kernel powers "
-                        "K^0..K^ell over %d bytes are refused with exit 7"
-                        % harris.MAX_POWER_BYTES)
+                        "K^0..K^ell, each counted as at least %d bytes, "
+                        "over %d bytes in all are refused with exit 7"
+                        % (harris.MIN_POWER_BYTES, harris.MAX_POWER_BYTES))
     return parser
 
 

@@ -34,8 +34,11 @@ from .measure import event_mask
 _LAM_SUM_TOL = 1e-9
 _RESIDUAL_TOL = 1e-12
 _DEFAULT_STEP_BUDGET = 10 ** 7
-# the stack of kernel powers I, K, ..., K^ell is refused beyond this size
+# the stack of kernel powers I, K, ..., K^ell is refused beyond this size,
+# each power counting as at least one page: that also bounds the number
+# of matmuls a small kernel may ask for (ell <= 65535 at one state)
 MAX_POWER_BYTES = 2 ** 28
+MIN_POWER_BYTES = 4096
 
 
 @dataclass
@@ -110,12 +113,13 @@ class HarrisModel:
         self.ell = int(ell)
 
         # powers I, K, ..., K^ell; the bridge needs every intermediate one
-        size = (self.ell + 1) * n * n * 8
+        size = (self.ell + 1) * max(n * n * 8, MIN_POWER_BYTES)
         if size > MAX_POWER_BYTES:
             raise PreconditionError(
-                "the kernel powers K^0..K^%d of %d states need %d bytes, "
-                "over the cap of %d bytes" % (self.ell, n, size,
-                                              MAX_POWER_BYTES), field="ell")
+                "the kernel powers K^0..K^%d of %d states count as %d bytes "
+                "(at least %d per power), over the cap of %d bytes"
+                % (self.ell, n, size, MIN_POWER_BYTES, MAX_POWER_BYTES),
+                field="ell")
         powers = np.empty((self.ell + 1, n, n))
         powers[0] = np.eye(n)
         for s in range(1, self.ell + 1):
@@ -262,12 +266,7 @@ def harris_conditions(model, tol=1e-10):
     n = model.n
     r_mask = model.regen_mask
     # backward closure of R: states with some support path into R
-    can_reach = r_mask.copy()
-    while True:
-        grown = can_reach | (k[:, can_reach].max(axis=1) > 0)
-        if np.array_equal(grown, can_reach):
-            break
-        can_reach = grown
+    can_reach = _forward_closure(k.T, r_mask)
     h = np.zeros(n)
     h[r_mask] = 1.0
     t1 = can_reach & ~r_mask
@@ -363,7 +362,6 @@ class BridgeLaw:
         probabilities; they sum to one."""
         k = self.model.kernel.matrix
         kpow = self.model.kernel_powers
-        norm = self.model.k_ell[self.start, self.end]
 
         def walk(prefix, prev, steps_left):
             if steps_left == 1:
@@ -374,11 +372,7 @@ class BridgeLaw:
                     yield from walk(prefix + (s,), s, steps_left - 1)
 
         for path in walk((), self.start, self.model.ell):
-            prob = 1.0
-            states = (self.start,) + path + (self.end,)
-            for a, b in zip(states[:-1], states[1:]):
-                prob *= k[a, b]
-            yield path, prob / norm
+            yield path, self.path_probability(path)
 
     def total_mass(self):
         return float(sum(p for _, p in self.enumerate_paths()))

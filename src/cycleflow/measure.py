@@ -8,11 +8,13 @@ checks here: each one is exposed as a residual that must vanish.
 
 Weights are either float64 or ``fractions.Fraction`` objects; in the
 rational case every residual is computed exactly and equality means
-equality, not closeness.  ``identity_suite`` runs one numpy code path for
-both: Fraction weights are scaled once to integer numerators over their
-common denominator L (int64, or Python ints where int64 could overflow),
-and residuals become ``Fraction(num, L)`` only at the end.  The per-pair
-functions keep plain Fraction arithmetic and so referee the suite.
+equality, not closeness.  Both run one numpy code path: Fraction weights
+are scaled once to integer numerators over their common denominator L
+(int64, or Python ints where int64 could overflow), and values become
+``Fraction(num, L)`` only at the end.  Each identity is defined once, in
+``_identity_terms``, as a signed vector whose sum over every set A must
+vanish; ``identity_suite`` reduces it over its plan of pairs and the
+per-pair functions sum it over the one A they are given.
 """
 
 import math
@@ -35,7 +37,6 @@ FORWARD = "forward"
 BACKWARD = "backward"
 RESTRICTION = "restriction"
 
-_DIRECTIONS = (FORWARD, BACKWARD)
 _KINDS = (FORWARD, BACKWARD, RESTRICTION)
 
 # mass defect tolerated before probability statements (Kac, pre-capacity)
@@ -192,23 +193,15 @@ class FiniteSystem:
         """The same system with total mass scaled to one (exactly, in
         rational mode)."""
         total = self.total_mass
-        if self.exact:
-            if total == 1:
-                return self
-            weights = np.array([w / total for w in self.weights], dtype=object)
-        else:
-            if total == 1.0:
-                return self
-            weights = self.weights / total
-        return FiniteSystem(self.mapping, weights, invertible=self.invertible,
+        if total == 1:
+            return self
+        return FiniteSystem(self.mapping, self.weights / total,
+                            invertible=self.invertible,
                             points=list(self.points))
 
     def mass(self, members):
         """Total weight of a point selection."""
-        mask = self.mask(members)
-        if self.exact:
-            return sum((w for w in self.weights[mask]), Fraction(0))
-        return float(self.weights[mask].sum())
+        return _mass(self.weights, members)
 
 
 class PreservationReport(NamedTuple):
@@ -223,12 +216,10 @@ def check_preserving(system, tol=1e-12):
     ``preserving`` is True when it does not exceed ``tol`` (exceed zero,
     in rational mode).
     """
-    pushed = _scatter(system.mapping, system.weights, system.size)
-    worst = np.abs(pushed - system.weights).max()
-    if system.exact:
-        return PreservationReport(worst == 0, worst)
-    worst = float(worst)
-    return PreservationReport(worst <= tol, worst)
+    w, den = _lattice(system.weights)
+    pushed = _scatter(system.mapping, w, system.size)
+    worst = _unlattice(np.abs(pushed - w).max(), den)
+    return PreservationReport(worst <= (tol if den is None else 0), worst)
 
 
 def _scatter(index, values, m):
@@ -237,6 +228,48 @@ def _scatter(index, values, m):
     out = np.zeros(m, dtype=values.dtype)
     np.add.at(out, index, values)
     return out
+
+
+def _lattice(weights):
+    """Weights as ``(values, den)`` for the one arithmetic path.
+
+    float64 weights pass through with den None.  Fraction weights become
+    integer numerators over their common denominator den: int64 while
+    max|num| * m < 2^62, Python ints in object arrays otherwise.  The
+    bound covers every value formed from them: excursion masses and Kac
+    integrals stay below max|num| * m on a permutation (the return times
+    of a cycle's base points sum to its length), hitting masses below
+    the total, and a subset sum of a difference of two nonnegative
+    vectors below the larger of their totals."""
+    if weights.dtype != object:
+        return weights, None
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    dtype = np.int64 if max(nums) * len(nums) < 2 ** 62 else object
+    return np.array(nums, dtype=dtype), den
+
+
+def _unlattice(value, den):
+    """A lattice value back in the weights' arithmetic: float for float
+    weights, ``Fraction(num, den)`` for exact ones; a ratio of two lattice
+    values is a Fraction already.  Vectors convert elementwise."""
+    if np.ndim(value):
+        if den is None:
+            return value
+        return np.array([_unlattice(v, den) for v in value], dtype=object)
+    if den is None:
+        return float(value)
+    return value if isinstance(value, Fraction) else Fraction(int(value), den)
+
+
+def _ratio(a, b, den):
+    return a / b if den is None else Fraction(int(a), int(b))
+
+
+def _mass(values, members):
+    """Total of float or Fraction ``values`` over a point selection."""
+    w, den = _lattice(values)
+    return _unlattice(w[event_mask(values.shape[0], members)].sum(), den)
 
 
 @dataclass
@@ -335,37 +368,11 @@ class CycleMeasure:
         return self.values.dtype == object
 
     def mass(self, members):
-        mask = event_mask(self.values.shape[0], members)
-        if self.exact:
-            return sum((v for v in self.values[mask]), Fraction(0))
-        return float(self.values[mask].sum())
+        return _mass(self.values, members)
 
     @property
     def total(self):
         return self.mass(np.ones(self.values.shape[0], dtype=bool))
-
-
-def _excursion_values(system, b_mask, direction):
-    """Excursion mass vector; exact loop for Fraction weights, kernel
-    otherwise.  Positive-weight points of the base set must return."""
-    step = _step_map(system, direction)
-    if system.exact:
-        m = system.size
-        values = np.array([Fraction(0)] * m, dtype=object)
-        for b in np.flatnonzero(b_mask):
-            w = system.weights[b]
-            if w == 0:
-                continue
-            x = int(b)
-            for _ in range(m + 1):
-                values[x] += w
-                x = int(step[x])
-                if b_mask[x]:
-                    break
-            else:
-                raise InternalInconsistencyError(_NO_RETURN)
-        return values
-    return _excursion_sweep(step, b_mask, system.weights)
 
 
 def _excursion_sweep(step, b_mask, weights):
@@ -389,23 +396,114 @@ def cycle_measure(system, members, kind=FORWARD):
         raise PreconditionError("unknown cycle measure kind %r" % (kind,),
                                 field="kind")
     b_mask = system.mask(members)
+    w, den = _lattice(system.weights)
     if kind == RESTRICTION:
-        finite = hitting_profile(system, b_mask, FORWARD).finite
-        if system.exact:
-            values = np.array(
-                [w if f else Fraction(0) for w, f in zip(system.weights, finite)],
-                dtype=object,
-            )
-        else:
-            values = np.where(finite, system.weights, 0.0)
-        return CycleMeasure(kind, _indices(b_mask), values)
-    values = _excursion_values(system, b_mask, kind)
-    return CycleMeasure(kind, _indices(b_mask), values)
+        values = np.where(hitting_profile(system, b_mask, FORWARD).finite,
+                          w, 0)
+    else:
+        values = _excursion_sweep(_step_map(system, kind), b_mask, w)
+    return CycleMeasure(kind, _indices(b_mask), _unlattice(values, den))
+
+
+class _IdentityTerms(NamedTuple):
+    """Every identity over one base set B, on lattice weights.
+
+    ``vectors`` maps each vector identity to the signed vector whose sum
+    over every set A must vanish; ``terms`` holds the recurrence,
+    positivity and Kac residuals under their check names, with the
+    masses and ratios they come from.  ``den`` is the lattice
+    denominator (None for float weights)."""
+
+    vectors: dict
+    terms: dict
+    den: object
+
+    def over(self, name, a_mask):
+        """Residual of a vector identity on the set A."""
+        return _unlattice(abs(self.vectors[name][a_mask].sum()), self.den)
+
+    def value(self, name):
+        return _unlattice(self.terms[name], self.den)
+
+
+def _identity_terms(system, w, den, b_mask):
+    """The identities of ``system`` over base set ``b_mask``, on weights
+    ``w`` (float64, or a lattice from ``_lattice`` over ``den``).
+
+    The two sides of each identity come from independent computations:
+    excursion sweeps against hitting times, entry points against the
+    base set, and OR-doubled backward hits (no hitting times) against the
+    forward excursion.  A non-invertible system gets the forward
+    recurrence and the preimage invariance of the restriction only.
+    """
+    m = system.size
+    b_sel = b_mask & (w > 0)
+    fwd = hitting_profile(system, b_mask, FORWARD)
+    mass_b = w[b_mask].sum()
+    terms = {"mass": mass_b,
+             "poincare_forward": abs(mass_b - w[b_mask & fwd.finite].sum())}
+    nu = np.where(fwd.finite, w, 0)
+    # restriction to the hitting set is preimage-invariant for any map;
+    # image invariance can fail on an endomorphism
+    restriction = _scatter(system.mapping, nu, m) - nu
+    if not system.invertible:
+        vectors = {"restriction_preimage_invariance": restriction}
+        return _IdentityTerms(vectors, terms, den)
+    bwd = hitting_profile(system, b_mask, BACKWARD)
+    terms["poincare_backward"] = abs(mass_b - w[b_mask & bwd.finite].sum())
+    mu_f = _excursion_sweep(system.mapping, b_mask, w)
+    mu_b = _excursion_sweep(system.inverse_mapping, b_mask, w)
+    wb = np.where(b_mask, w, 0)
+    reach = _kernels.backward_hits(system.inverse_mapping, b_mask)
+    vectors = {
+        "excursion_identity_forward": mu_f - np.where(bwd.finite, w, 0),
+        "excursion_identity_backward": mu_b - nu,
+        "entrance_invariance_forward":
+            _scatter(fwd.entry[b_sel], w[b_sel], m) - wb,
+        "entrance_invariance_backward":
+            _scatter(bwd.entry[b_sel], w[b_sel], m) - wb,
+        "shift_invariance_forward": _scatter(system.mapping, mu_f, m) - mu_f,
+        "shift_invariance_backward": _scatter(system.mapping, mu_b, m) - mu_b,
+        "shift_invariance_restriction": restriction,
+        "precapacity": mu_f - np.where(reach, w, 0),
+    }
+    hits_fwd = w[fwd.finite].sum()
+    hits_bwd = w[bwd.finite].sum()
+    terms.update(
+        forward_hit_mass=hits_fwd, backward_hit_mass=hits_bwd,
+        equivalent=bool((mass_b > 0) == (hits_fwd > 0) == (hits_bwd > 0)),
+        positivity_bound=max(0, mass_b - min(hits_fwd, hits_bwd)))
+    if mass_b > 0:
+        # cumsum adds left to right, the order of a plain loop over B
+        int_fwd = np.cumsum(w[b_sel] * fwd.times[b_sel])[-1]
+        int_bwd = np.cumsum(w[b_sel] * bwd.times[b_sel])[-1]
+        expected = _ratio(int_fwd, mass_b, den)
+        conditional = _ratio(w[b_mask & bwd.finite].sum(), hits_bwd, den)
+        terms.update(expected_return=expected, conditional_hit=conditional,
+                     kac_product=abs(expected * conditional - 1),
+                     kac_integral_forward=abs(int_fwd - hits_bwd),
+                     kac_integral_backward=abs(int_bwd - hits_fwd))
+    return _IdentityTerms(vectors, terms, den)
+
+
+def _base_set_terms(system, b_members, refusal=None, probability=False):
+    """``_identity_terms`` on the system's own weights.  ``refusal`` is
+    raised as UnsupportedOperationError on a non-invertible system;
+    ``probability`` refuses a system whose total mass is not one."""
+    if refusal is not None and not system.invertible:
+        raise UnsupportedOperationError(refusal)
+    if probability:
+        _require_probability(system)
+    w, den = _lattice(system.weights)
+    return _identity_terms(system, w, den, system.mask(b_members))
 
 
 class ResidualPair(NamedTuple):
     forward: object
     backward: object
+
+
+_BACKWARD_ORBITS = "backward iteration needs an invertible system"
 
 
 def excursion_identity_residual(system, a_members, b_members):
@@ -416,64 +514,38 @@ def excursion_identity_residual(system, a_members, b_members):
     Returns the forward and backward residuals; exact zeros in rational
     mode, tiny floats otherwise.  Needs an invertible system.
     """
+    t = _base_set_terms(system, b_members, _BACKWARD_ORBITS)
     a_mask = system.mask(a_members)
-    b_mask = system.mask(b_members)
-    fwd = cycle_measure(system, b_mask, FORWARD).mass(a_mask)
-    bwd = cycle_measure(system, b_mask, BACKWARD).mass(a_mask)
-    back_fin = hitting_profile(system, b_mask, BACKWARD).finite
-    fwd_fin = hitting_profile(system, b_mask, FORWARD).finite
-    lhs_f = system.mass(a_mask & back_fin)
-    lhs_b = system.mass(a_mask & fwd_fin)
-    return ResidualPair(abs(fwd - lhs_f), abs(bwd - lhs_b))
+    return ResidualPair(t.over("excursion_identity_forward", a_mask),
+                        t.over("excursion_identity_backward", a_mask))
 
 
 def entrance_invariance_residual(system, a_members, b_members):
     """Check that stopping the map at the first entry into B preserves
     the measure on B: mass of {omega in B : entry point in A} must equal
     the mass of A inside B.  Forward and backward versions."""
+    t = _base_set_terms(system, b_members, _BACKWARD_ORBITS)
     a_mask = system.mask(a_members)
-    b_mask = system.mask(b_members)
-    out = []
-    for direction in _DIRECTIONS:
-        prof = hitting_profile(system, b_mask, direction)
-        sel = b_mask & (system.weights > 0)
-        if not np.all(prof.finite[sel]):
-            raise InternalInconsistencyError(_NO_RETURN)
-        if system.exact:
-            lhs = sum((system.weights[i] for i in np.flatnonzero(sel)
-                       if a_mask[prof.entry[i]]), Fraction(0))
-        else:
-            lhs = float(system.weights[sel][a_mask[prof.entry[sel]]].sum())
-        rhs = system.mass(a_mask & b_mask)
-        out.append(abs(lhs - rhs))
-    return ResidualPair(*out)
+    return ResidualPair(t.over("entrance_invariance_forward", a_mask),
+                        t.over("entrance_invariance_backward", a_mask))
 
 
 def shift_invariance_residual(system, b_members, a_members, kind=FORWARD):
     """Invariance defect of an excursion measure under the map.
 
-    Excursion kinds check m(preimage of A) = m(A); the restriction kind
-    checks it on image sets, nu(map(A)) = nu(A), which is the form that
-    actually holds for it.  Invertible systems only: on a general
-    endomorphism the restriction measure is not image-invariant (see
-    ``image_invariance_residual`` for quantifying that), so the check
-    refuses rather than mislead."""
-    if not system.invertible:
-        raise UnsupportedOperationError(
-            "excursion measures of a non-invertible map need not be "
-            "shift-invariant; this check requires a permutation")
-    a_mask = system.mask(a_members)
-    cm = cycle_measure(system, b_members, kind)
-    if kind == RESTRICTION:
-        image = np.zeros(system.size, dtype=bool)
-        image[system.mapping[a_mask]] = True
-        return abs(cm.mass(image) - cm.mass(a_mask))
-    pushed = _scatter(system.mapping, cm.values, system.size)
-    if system.exact:
-        lhs = sum((pushed[i] for i in np.flatnonzero(a_mask)), Fraction(0))
-    else:
-        lhs = float(pushed[a_mask].sum())
-    return abs(lhs - cm.mass(a_mask))
+    Every kind checks the preimage form m(preimage of A) = m(A), the
+    form the identity suite reports.  On a permutation the image form
+    (``image_invariance_residual``) holds as well.  Invertible systems
+    only: excursion measures of a general endomorphism need not be
+    shift-invariant, so the check refuses rather than mislead."""
+    t = _base_set_terms(
+        system, b_members,
+        "excursion measures of a non-invertible map need not be "
+        "shift-invariant; this check requires a permutation")
+    if kind not in _KINDS:
+        raise PreconditionError("unknown cycle measure kind %r" % (kind,),
+                                field="kind")
+    return t.over("shift_invariance_" + kind, system.mask(a_members))
 
 
 def image_invariance_residual(system, b_members, a_members, kind=RESTRICTION):
@@ -523,39 +595,15 @@ def kac_check(system, members):
     mass of the backward hitting set, and conditionally
     E(return | B) * P(B | backward orbit hits B) = 1.
     """
-    if not system.invertible:
-        raise UnsupportedOperationError(
-            "the return-time identity pairs forward returns with backward "
-            "hitting; it requires a permutation")
-    _require_probability(system)
-    b_mask = system.mask(members)
-    mass_b = system.mass(b_mask)
-    if not mass_b > 0:
+    t = _base_set_terms(
+        system, members,
+        "the return-time identity pairs forward returns with backward "
+        "hitting; it requires a permutation", probability=True)
+    if not t.terms["mass"] > 0:
         raise PreconditionError("base set has zero mass", field="members")
-    fwd = hitting_profile(system, b_mask, FORWARD)
-    bwd = hitting_profile(system, b_mask, BACKWARD)
-    pos = system.weights > 0
-    for prof in (fwd, bwd):
-        if not np.all(prof.finite[b_mask & pos]):
-            raise InternalInconsistencyError(_NO_RETURN)
-    zero = Fraction(0) if system.exact else 0.0
-    int_fwd = zero
-    int_bwd = zero
-    for i in np.flatnonzero(b_mask & pos):
-        int_fwd = int_fwd + system.weights[i] * int(fwd.times[i])
-        int_bwd = int_bwd + system.weights[i] * int(bwd.times[i])
-    hits_bwd = system.mass(bwd.finite)
-    hits_fwd = system.mass(fwd.finite)
-    expected_return = int_fwd / mass_b
-    conditional_hit = system.mass(b_mask & bwd.finite) / hits_bwd
-    return KacReport(
-        mass=mass_b,
-        expected_return=expected_return,
-        conditional_hit=conditional_hit,
-        product_residual=abs(expected_return * conditional_hit - 1),
-        integral_residual_forward=abs(int_fwd - hits_bwd),
-        integral_residual_backward=abs(int_bwd - hits_fwd),
-    )
+    return KacReport(*map(t.value, (
+        "mass", "expected_return", "conditional_hit", "kac_product",
+        "kac_integral_forward", "kac_integral_backward")))
 
 
 class PositivityReport(NamedTuple):
@@ -571,33 +619,25 @@ def positivity_equivalence(system, members):
     are positive together or null together, and the set mass never
     exceeds either hitting mass.  Reports the three masses, whether the
     positivity flags agree, and the bound violation (zero when fine)."""
-    if not system.invertible:
-        raise UnsupportedOperationError(
-            "positivity equivalence compares both orbit directions; it "
-            "requires a permutation")
-    b_mask = system.mask(members)
-    mass_b = system.mass(b_mask)
-    fwd_mass = system.mass(hitting_profile(system, b_mask, FORWARD).finite)
-    bwd_mass = system.mass(hitting_profile(system, b_mask, BACKWARD).finite)
-    flags = (mass_b > 0, fwd_mass > 0, bwd_mass > 0)
-    zero = Fraction(0) if system.exact else 0.0
-    bound = max(zero, mass_b - min(fwd_mass, bwd_mass))
-    return PositivityReport(mass_b, fwd_mass, bwd_mass,
-                            flags[0] == flags[1] == flags[2], bound)
+    t = _base_set_terms(
+        system, members,
+        "positivity equivalence compares both orbit directions; it "
+        "requires a permutation")
+    return PositivityReport(t.value("mass"), t.value("forward_hit_mass"),
+                            t.value("backward_hit_mass"),
+                            t.terms["equivalent"],
+                            t.value("positivity_bound"))
 
 
 def poincare_residual(system, members):
     """Recurrence defect of the base set: mass of B minus mass of the
     points of B whose orbit comes back.  Forward works for any map;
     backward needs invertibility and is None otherwise."""
-    b_mask = system.mask(members)
-    fwd = hitting_profile(system, b_mask, FORWARD)
-    forward = abs(system.mass(b_mask) - system.mass(b_mask & fwd.finite))
+    t = _base_set_terms(system, members)
     backward = None
     if system.invertible:
-        bwd = hitting_profile(system, b_mask, BACKWARD)
-        backward = abs(system.mass(b_mask) - system.mass(b_mask & bwd.finite))
-    return ResidualPair(forward, backward)
+        backward = t.value("poincare_backward")
+    return ResidualPair(t.value("poincare_forward"), backward)
 
 
 def precapacity_residual(system, a_members, b_members):
@@ -605,16 +645,10 @@ def precapacity_residual(system, a_members, b_members):
     points of A whose strict backward orbit meets B.  The right side is
     enumerated directly from inverse iterates, not through hitting
     times, so the two sides are independent computations."""
-    if not system.invertible:
-        raise UnsupportedOperationError(
-            "the backward-orbit identity requires a permutation")
-    _require_probability(system)
-    a_mask = system.mask(a_members)
-    b_mask = system.mask(b_members)
-    lhs = cycle_measure(system, b_mask, FORWARD).mass(a_mask)
-    reach = _kernels.backward_hits(system.inverse_mapping, b_mask)
-    rhs = system.mass(a_mask & reach)
-    return abs(lhs - rhs)
+    t = _base_set_terms(system, b_members,
+                        "the backward-orbit identity requires a permutation",
+                        probability=True)
+    return t.over("precapacity", system.mask(a_members))
 
 
 def induced_map(system, members):
@@ -697,26 +731,25 @@ def _suite_masks(m, exhaustive_limit, sample_pairs, seed):
     return False, out
 
 
-def _lattice(weights):
-    """Fraction weights as integer numerators over their common denominator.
-
-    int64 while max|num| * m < 2^62, Python ints in object arrays
-    otherwise.  The bound covers every value the suite forms: excursion
-    masses and Kac integrals stay below max|num| * m on a permutation (the
-    return times of a cycle's base points sum to its length), hitting
-    masses below the total L, and a subset sum of a difference of two
-    nonnegative vectors below the larger of their totals."""
-    den = math.lcm(*(w.denominator for w in weights))
-    nums = [w.numerator * (den // w.denominator) for w in weights]
-    dtype = np.int64 if max(nums) * len(nums) < 2 ** 62 else object
-    return np.array(nums, dtype=dtype), den
-
-
 def _max_subset_sum(diff_cols, a_masks):
     """Largest |sum over A| per column, with the first A row attaining it."""
     stacked = np.column_stack(diff_cols)
     vals = np.abs(a_masks.astype(stacked.dtype) @ stacked)
     return vals.max(axis=0), vals.argmax(axis=0)
+
+
+# the suite's checks in report order, by invertibility of the system:
+# vector identities (reduced over A) first, then per-base-set residuals
+_SUITE_CHECKS = {
+    True: (("excursion_identity_forward", "excursion_identity_backward",
+            "entrance_invariance_forward", "entrance_invariance_backward",
+            "shift_invariance_forward", "shift_invariance_backward",
+            "shift_invariance_restriction", "precapacity"),
+           ("poincare_forward", "poincare_backward", "kac_product",
+            "kac_integral_forward", "kac_integral_backward",
+            "positivity_bound")),
+    False: (("restriction_preimage_invariance",), ("poincare_forward",)),
+}
 
 
 def identity_suite(system, exhaustive_limit=8, sample_pairs=50, seed=0):
@@ -736,26 +769,8 @@ def identity_suite(system, exhaustive_limit=8, sample_pairs=50, seed=0):
     exhaustive, plan = _suite_masks(system.size, exhaustive_limit,
                                     sample_pairs, seed)
     sysn = system.normalized()
-    m = sysn.size
-    den = None
-    w = sysn.weights
-    if sysn.exact:
-        w, den = _lattice(w)
-    pos = w > 0
-
-    vector_names = (
-        "excursion_identity_forward", "excursion_identity_backward",
-        "entrance_invariance_forward", "entrance_invariance_backward",
-        "shift_invariance_forward", "shift_invariance_backward",
-        "shift_invariance_restriction", "precapacity",
-    )
-    scalar_names = ("poincare_forward", "poincare_backward", "kac_product",
-                    "kac_integral_forward", "kac_integral_backward",
-                    "positivity_bound")
-    if not sysn.invertible:
-        vector_names = ("restriction_preimage_invariance",)
-        scalar_names = ("poincare_forward",)
-
+    w, den = _lattice(sysn.weights)
+    vector_names, scalar_names = _SUITE_CHECKS[sysn.invertible]
     residuals = {name: 0 for name in vector_names + scalar_names}
     worst = {name: (None, None) for name in residuals}
     violations = 0
@@ -767,74 +782,19 @@ def identity_suite(system, exhaustive_limit=8, sample_pairs=50, seed=0):
             worst[name] = (_indices(b_mask),
                            None if a_mask is None else _indices(a_mask))
 
-    def ratio(a, b):
-        return a / b if den is None else Fraction(int(a), int(b))
-
-    def bump_columns(names, cols, b_mask, a_masks):
-        maxima, argrows = _max_subset_sum(cols, a_masks)
-        for name, value, row in zip(names, maxima, argrows):
-            bump(name, value, b_mask, np.asarray(a_masks[row]))
-
     for b_mask, a_masks in plan:
-        b_sel = b_mask & pos
         n_pairs += len(a_masks)
-        fwd = hitting_profile(sysn, b_mask, FORWARD)
-        mass_b = w[b_mask].sum()
-        bump("poincare_forward", abs(mass_b - w[b_mask & fwd.finite].sum()),
-             b_mask)
-        nu = np.where(fwd.finite, w, 0)
-        if not sysn.invertible:
-            # restriction to the hitting set is still preimage-invariant
-            # for an endomorphism; image invariance would be false
-            bump_columns(vector_names,
-                         [_scatter(sysn.mapping, nu, m) - nu], b_mask, a_masks)
-            continue
-        bwd = hitting_profile(sysn, b_mask, BACKWARD)
-        bump("poincare_backward", abs(mass_b - w[b_mask & bwd.finite].sum()),
-             b_mask)
+        t = _identity_terms(sysn, w, den, b_mask)
+        maxima, argrows = _max_subset_sum(
+            [t.vectors[name] for name in vector_names], a_masks)
+        for name, value, row in zip(vector_names, maxima, argrows):
+            bump(name, value, b_mask, np.asarray(a_masks[row]))
+        for name in scalar_names:
+            if name in t.terms:
+                bump(name, t.terms[name], b_mask)
+        violations += not t.terms.get("equivalent", True)
 
-        mu_f = _excursion_sweep(sysn.mapping, b_mask, w)
-        mu_b = _excursion_sweep(sysn.inverse_mapping, b_mask, w)
-        hit_b = np.where(bwd.finite, w, 0)
-        wb = np.where(b_mask, w, 0)
-        ent_f = _scatter(fwd.entry[b_sel], w[b_sel], m)
-        ent_b = _scatter(bwd.entry[b_sel], w[b_sel], m)
-        reach = _kernels.backward_hits(sysn.inverse_mapping, b_mask)
-        bump_columns(vector_names, [
-            mu_f - hit_b,  # excursion_identity_forward
-            mu_b - nu,  # excursion_identity_backward
-            ent_f - wb,  # entrance_invariance_forward
-            ent_b - wb,  # entrance_invariance_backward
-            _scatter(sysn.mapping, mu_f, m) - mu_f,  # shift_invariance_forward
-            _scatter(sysn.mapping, mu_b, m) - mu_b,  # shift_invariance_backward
-            _scatter(sysn.mapping, nu, m) - nu,  # shift_invariance_restriction
-            mu_f - np.where(reach, w, 0),  # precapacity
-        ], b_mask, a_masks)
-
-        hits_fwd_mass = w[fwd.finite].sum()
-        hits_bwd_mass = w[bwd.finite].sum()
-        flags = (mass_b > 0, hits_fwd_mass > 0, hits_bwd_mass > 0)
-        if not flags[0] == flags[1] == flags[2]:
-            violations += 1
-        bump("positivity_bound",
-             max(0, mass_b - min(hits_fwd_mass, hits_bwd_mass)), b_mask)
-
-        if mass_b > 0:
-            # cumsum adds left to right, the order kac_check's loop uses
-            int_fwd = np.cumsum(w[b_sel] * fwd.times[b_sel])[-1]
-            int_bwd = np.cumsum(w[b_sel] * bwd.times[b_sel])[-1]
-            expected = ratio(int_fwd, mass_b)
-            conditional = ratio(w[b_mask & bwd.finite].sum(), hits_bwd_mass)
-            bump("kac_product", abs(expected * conditional - 1), b_mask)
-            bump("kac_integral_forward", abs(int_fwd - hits_bwd_mass), b_mask)
-            bump("kac_integral_backward", abs(int_bwd - hits_fwd_mass), b_mask)
-
-    if den is not None:
-        # lattice numerators become exact values; kac_product is a
-        # Fraction already
-        residuals = {name: v if isinstance(v, Fraction)
-                     else Fraction(int(v), den)
-                     for name, v in residuals.items()}
+    residuals = {name: _unlattice(v, den) for name, v in residuals.items()}
     return IdentitySuiteResult(
         exhaustive=exhaustive,
         exact=sysn.exact,

@@ -76,6 +76,16 @@ def test_verify_help_states_exhaustive_cap(capsys):
     assert "exit 7" in text
 
 
+def test_fit_minorization_help_states_power_rule(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit-minorization", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "each counted as at least 4096 bytes" in text
+    assert "over %d bytes in all" % cf.harris.MAX_POWER_BYTES in text
+    assert "exit 7" in text
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is imported on demand by the few functions that use it
     src = os.path.dirname(os.path.dirname(cf.__file__))

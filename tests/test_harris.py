@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 import cycleflow as cf
+from cycleflow._stats import RatioAccumulator
 from cycleflow.errors import (
     BudgetExceededError,
     InfeasibleMinorizationError,
@@ -276,16 +278,31 @@ def test_block_endpoint_law_when_lambda_is_proportional():
 
 
 def test_kernel_power_stack_is_capped(monkeypatch):
-    # three states, ell = 3: four 3x3 float64 matrices, 288 bytes
-    monkeypatch.setattr(cf.harris, "MAX_POWER_BYTES", 288)
+    # three states, ell = 3: four 3x3 float64 matrices, each counted as a
+    # 4096-byte page, 16384 bytes
+    monkeypatch.setattr(cf.harris, "MAX_POWER_BYTES", 16384)
     model = cf.HarrisModel(H3, [0], ell=3)
     assert model.kernel_powers.shape == (4, 3, 3)
     assert np.allclose(model.k_ell, np.linalg.matrix_power(H3, 3))
     with pytest.raises(PreconditionError) as err:
         cf.HarrisModel(H3, [0], ell=4)
     assert err.value.field == "ell"
-    assert "360 bytes" in str(err.value)
-    assert "cap of 288 bytes" in str(err.value)
+    assert "20480 bytes" in str(err.value)
+    assert "cap of 16384 bytes" in str(err.value)
+
+
+def test_kernel_power_count_is_capped_on_small_kernels():
+    # one state: ell = 65535 fills the cap with 65536 pages; longer
+    # blocks are refused before a single matmul, however cheap each is
+    model = cf.HarrisModel([[1.0]], [0], ell=65535)
+    assert model.kernel_powers.shape == (65536, 1, 1)
+    started = time.perf_counter()
+    for ell in (65536, 10 ** 6):
+        with pytest.raises(PreconditionError) as err:
+            cf.HarrisModel([[1.0]], [0], ell=ell)
+        assert err.value.field == "ell"
+        assert "at least 4096" in str(err.value)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_block_length_matches_ell():
@@ -402,6 +419,47 @@ def test_z_scores_on_zero_variance_states():
     assert list(z) == [0.0, 0.0]
     z = cf.z_scores(report, [0.4, 0.6])
     assert math.isinf(z[0]) and math.isinf(z[1])
+
+
+def _two_pass_standard_errors(occ, lengths):
+    occ = occ.astype(np.float64)
+    t = lengths.astype(np.float64)
+    resid = occ - occ.sum(axis=0) / t.sum() * t[:, None]
+    n = t.shape[0]
+    return np.sqrt((resid * resid).sum(axis=0) / (n - 1) / n) / t.mean()
+
+
+def test_standard_errors_on_long_nearly_equal_cycles():
+    # 1000 cycles of length 1e7 + {0, 1, 2}, each split in half: expanded
+    # raw moments cancel to nothing here, centred ones keep the two-pass
+    # value, in one chunk or merged from several
+    lengths = 10 ** 7 + np.arange(1000) % 3
+    occ = np.stack([lengths // 2, lengths - lengths // 2], axis=1)
+    expected = _two_pass_standard_errors(occ, lengths)
+    assert expected.min() > 7e-10
+    report = cf.regen_ratio_estimator(occ, lengths)
+    assert np.allclose(report.standard_errors, expected, rtol=1e-6, atol=0)
+    acc = RatioAccumulator(2)
+    for rows in np.array_split(np.arange(1000), 7):
+        acc.add(occ[rows], lengths[rows])
+    pi_hat, se, mean_len = acc.estimate()
+    assert np.array_equal(pi_hat, report.pi_hat)
+    assert mean_len == report.mean_cycle_length
+    assert np.allclose(se, expected, rtol=1e-6, atol=0)
+
+
+def test_merged_moments_match_two_pass_on_random_chunks():
+    rng = np.random.default_rng(12)
+    lengths = rng.geometric(1e-3, size=500)
+    occ = rng.binomial(lengths[:, None], [0.2, 0.5, 0.3])
+    acc = RatioAccumulator(3)
+    acc.add(occ[:0], lengths[:0])
+    for rows in np.array_split(rng.permutation(500), 9):
+        acc.add(occ[rows], lengths[rows])
+    assert acc.n_cycles == 500
+    _, se, _ = acc.estimate()
+    assert np.allclose(se, _two_pass_standard_errors(occ, lengths),
+                       rtol=1e-9, atol=0)
 
 
 def test_mean_cycle_length_is_one_plus_hit_time():

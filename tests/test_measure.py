@@ -455,19 +455,141 @@ def test_max_subset_sum_matches_fraction_loop(dens, dtype):
     assert list(rows) == arg
 
 
-def _per_pair_maxima(sys):
-    # every identity over every (A, B) from the per-pair functions, which
-    # keep plain Fraction arithmetic
-    subsets = [[i for i in range(sys.size) if k >> i & 1]
-               for k in range(2 ** sys.size)]
+# ---------------------------------------------------------------------------
+# referee: every identity of one pair (A, B) in plain Fraction arithmetic,
+# straight from the definitions (the interpreted excursion loop, preimages
+# and inverse iterates enumerated point by point); the restriction kind
+# takes the preimage form the suite reports
+
+
+def _ref_mass(values, mask):
+    return sum((v for v, s in zip(values, mask) if s), Fraction(0))
+
+
+def _ref_excursion(sys, b_mask, step):
+    # each positive-weight base point spreads its weight along its orbit
+    # until the orbit re-enters B
+    values = [Fraction(0)] * sys.size
+    for b in np.flatnonzero(b_mask):
+        w = sys.weights[b]
+        if w == 0:
+            continue
+        x = int(b)
+        for _ in range(sys.size + 1):
+            values[x] += w
+            x = int(step[x])
+            if b_mask[x]:
+                break
+        else:
+            raise AssertionError("a base point never returns")
+    return values
+
+
+def _ref_preimage_defect(sys, values, a_mask):
+    # |m(preimage of A) - m(A)|
+    pre = [values[x] for x in range(sys.size) if a_mask[sys.mapping[x]]]
+    return abs(sum(pre, Fraction(0)) - _ref_mass(values, a_mask))
+
+
+def _ref_backward_hits(sys, b_mask):
+    # points whose strict backward orbit meets B
+    inv = sys.inverse_mapping
+    out = np.zeros(sys.size, dtype=bool)
+    for x in range(sys.size):
+        y = x
+        for _ in range(sys.size):
+            y = inv[y]
+            if b_mask[y]:
+                out[x] = True
+                break
+    return out
+
+
+def _referee(sys, b_mask, a_masks):
+    """Per-base-set residuals, the positivity flag, and the per-pair
+    residuals of each A."""
+    w = sys.weights
+    fwd = cf.hitting_profile(sys, b_mask, cf.FORWARD)
+    bwd = cf.hitting_profile(sys, b_mask, cf.BACKWARD)
+    mu_f = _ref_excursion(sys, b_mask, sys.mapping)
+    mu_b = _ref_excursion(sys, b_mask, sys.inverse_mapping)
+    nu = [x if f else Fraction(0) for x, f in zip(w, fwd.finite)]
+    reach = _ref_backward_hits(sys, b_mask)
+    sel = np.flatnonzero(b_mask & (w > 0))
+    mass_b = _ref_mass(w, b_mask)
+    hits_f = _ref_mass(w, fwd.finite)
+    hits_b = _ref_mass(w, bwd.finite)
+    base = {
+        "poincare_forward": abs(mass_b - _ref_mass(w, b_mask & fwd.finite)),
+        "poincare_backward": abs(mass_b - _ref_mass(w, b_mask & bwd.finite)),
+        "positivity_bound": max(Fraction(0), mass_b - min(hits_f, hits_b)),
+    }
+    if mass_b > 0:
+        int_f = sum((w[i] * int(fwd.times[i]) for i in sel), Fraction(0))
+        int_b = sum((w[i] * int(bwd.times[i]) for i in sel), Fraction(0))
+        conditional = _ref_mass(w, b_mask & bwd.finite) / hits_b
+        base["kac_product"] = abs(int_f / mass_b * conditional - 1)
+        base["kac_integral_forward"] = abs(int_f - hits_b)
+        base["kac_integral_backward"] = abs(int_b - hits_f)
+
+    def entrance(prof, a):
+        entered = sum((w[i] for i in sel if a[prof.entry[i]]), Fraction(0))
+        return abs(entered - _ref_mass(w, a & b_mask))
+
+    pairs = [{
+        "excursion_identity_forward":
+            abs(_ref_mass(mu_f, a) - _ref_mass(w, a & bwd.finite)),
+        "excursion_identity_backward":
+            abs(_ref_mass(mu_b, a) - _ref_mass(w, a & fwd.finite)),
+        "entrance_invariance_forward": entrance(fwd, a),
+        "entrance_invariance_backward": entrance(bwd, a),
+        "shift_invariance_forward": _ref_preimage_defect(sys, mu_f, a),
+        "shift_invariance_backward": _ref_preimage_defect(sys, mu_b, a),
+        "shift_invariance_restriction": _ref_preimage_defect(sys, nu, a),
+        "precapacity": abs(_ref_mass(mu_f, a) - _ref_mass(w, a & reach)),
+    } for a in a_masks]
+    equivalent = (mass_b > 0) == (hits_f > 0) == (hits_b > 0)
+    return base, equivalent, pairs
+
+
+def _indices(mask):
+    return tuple(int(i) for i in np.flatnonzero(mask))
+
+
+def _referee_suite(sys, plan, names):
+    """Maxima over a plan with their first worst witnesses, the way the
+    suite keeps them, and the positivity violations."""
+    best = dict.fromkeys(names, Fraction(0))
+    worst = dict.fromkeys(names, (None, None))
+    violations = 0
+
+    def keep(name, value, b, a=None):
+        if value > best[name]:
+            best[name] = value
+            worst[name] = (_indices(b), None if a is None else _indices(a))
+
+    for b_mask, a_masks in plan:
+        base, equivalent, pairs = _referee(sys, b_mask, a_masks)
+        violations += not equivalent
+        for name, value in base.items():
+            keep(name, value, b_mask)
+        for a_mask, pair in zip(a_masks, pairs):
+            for name, value in pair.items():
+                keep(name, value, b_mask, a_mask)
+    return best, worst, violations
+
+
+def _per_pair_maxima(sys, plan):
+    # every identity over a plan from the per-pair functions
     best = {}
     violations = 0
 
     def keep(name, value):
+        assert isinstance(value, Fraction), name
         best[name] = max(best.get(name, Fraction(0)), value)
 
-    for b in subsets:
-        for a in subsets:
+    for b, a_masks in plan:
+        for a in a_masks:
             ex = cf.excursion_identity_residual(sys, a, b)
             keep("excursion_identity_forward", ex.forward)
             keep("excursion_identity_backward", ex.backward)
@@ -492,6 +614,19 @@ def _per_pair_maxima(sys):
     return best, violations
 
 
+def _assert_suite_matches_referee(sys, **plan_args):
+    res = cf.identity_suite(sys, **plan_args)
+    _, plan = measure._suite_masks(
+        sys.size, plan_args.get("exhaustive_limit", 8),
+        plan_args.get("sample_pairs", 50), plan_args.get("seed", 0))
+    best, worst, violations = _referee_suite(sys, plan, res.residuals)
+    assert res.residuals == best
+    assert res.worst == worst
+    assert res.positivity_violations == violations
+    assert _per_pair_maxima(sys, plan) == (best, violations)
+    return res
+
+
 def test_suite_on_python_int_lattice_matches_per_pair_functions():
     # a 3-cycle and a fixed point with unrelated weights: not preserving,
     # so every identity has a nonzero residual to get right
@@ -499,12 +634,27 @@ def test_suite_on_python_int_lattice_matches_per_pair_functions():
                                         _BIG_PRIMES).normalized()
     nums, den = measure._lattice(sys.weights)
     assert nums.dtype == object and den > 2 ** 64
-    res = cf.identity_suite(sys)
-    best, violations = _per_pair_maxima(sys)
-    assert res.residuals == best
-    assert res.positivity_violations == violations
+    res = _assert_suite_matches_referee(sys)
+    assert res.exhaustive
     assert all(isinstance(v, Fraction) for v in res.residuals.values())
     assert res.residuals["precapacity"] > 0
+
+
+def test_suite_and_per_pair_functions_agree_on_sampled_plans():
+    # above the exhaustive limit the sampled A sets are not closed under
+    # preimages, so the image and preimage forms of the restriction's
+    # invariance report different maxima; both sides must take the
+    # preimage form
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(9, 14))
+        sys = cf.FiniteSystem.from_rational(
+            rng.permutation(m), rng.integers(1, 9, m),
+            rng.integers(1, 9, m)).normalized()
+        res = _assert_suite_matches_referee(sys, exhaustive_limit=8,
+                                            sample_pairs=30, seed=seed)
+        assert not res.exhaustive
+        assert res.residuals["shift_invariance_restriction"] > 0
 
 
 # ---------------------------------------------------------------------------

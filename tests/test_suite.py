@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,43 @@ def test_finite_suite_fails_on_non_preserving():
     report = cf.run_suite(skew)
     assert not report.overall_pass
     assert not by_name(report, "measure_preserving").passed
+
+
+def _preserving_float_permutation(m, seed):
+    # cycle-constant weights, so the float residuals are rounding noise
+    # that any change of summation order shows
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(m)
+    labels = np.arange(m)
+    for _ in range(m):
+        labels = np.minimum(labels, labels[perm])
+    return cf.FiniteSystem(perm, rng.uniform(0.5, 2.0, m)[labels])
+
+
+def test_finite_report_bytes_are_fixed():
+    # digests of the canonical verify document of an exact exhaustive
+    # permutation and two float sampled ones; the two that are not
+    # preserving have every residual nonzero.  The suite's residual bits
+    # must never drift
+    exact = cf.FiniteSystem.from_rational(
+        [3, 0, 5, 1, 7, 2, 4, 6], [1, 2, 3, 4, 5, 6, 7, 8],
+        [3, 5, 7, 2, 9, 4, 11, 6])
+    rng = np.random.default_rng(40)
+    floats = cf.FiniteSystem(rng.permutation(40), rng.uniform(0.0, 2.0, 40))
+    sampled = cf.RunConfig(sample_pairs=200, seed=3)
+    cases = (
+        (exact, cf.RunConfig(),
+         "1b2f35cbbca2a7b5ccb6a57e778ac63ec4643d3ec9b5f9d90706c1ab819606f7"),
+        (floats, sampled,
+         "0dce358fa7dea35d33cab9a446d44bdc18dcfc7ab01e9f4c8685063fc7ae1f41"),
+        (_preserving_float_permutation(40, 41), sampled,
+         "85e01a74ae7ac42ae68f831ecb558ae51e9fcfb7e441f3f3cf979b20b845f5e2"),
+    )
+    for system, cfg, digest in cases:
+        report = cf.run_suite(system, cfg)
+        assert report.details["exhaustive"] == (system is exact)
+        doc = cf.canonical_json(report.to_document())
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
