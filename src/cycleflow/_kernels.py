@@ -9,12 +9,29 @@ falls within m steps, so stopping once 2^k >= m gives the answer of a
 step-by-step walk on any map, endomorphisms included.
 ``excursion_mass`` advances every start point one step at a time,
 accumulating in step-major order in the dtype of its weights (float64,
-int64 or Python ints).  The random-number kernels are scalar loops over
-a ``numpy.random.Generator``, so a seed fixes every draw.
+int64 or Python ints).
+
+The random-number kernels (``markov_cycle_batch``, ``split_chain_batch``)
+are scalar loops over a ``numpy.random.Generator``, so a seed fixes every
+draw.  Every draw uses exactly one uniform double, in a fixed order: the
+coin, then the block's states (a bridged block draws its endpoint before
+its interior).  The kernels
+read those doubles ``UNIFORM_BLOCK`` at a time with ``gen.random(k)``,
+which returns the same doubles as k calls of ``gen.random()``.  A state
+is drawn by bisecting its cumulative row, kept as a Python list, which
+gives the index ``np.searchsorted(row, u, side="right")`` would.  Reading
+ahead is safe because each caller gives a kernel call a fresh generator
+(one per chunk, and a new one for each status-2 replay) and discards it
+afterwards, so the unused doubles of the last block are never wanted.
+The scalar paths (``split_block``, ``BridgeLaw.sample``) take the
+caller's generator and call ``gen.random()`` once per draw.
 
 Status codes returned by kernels: 0 ok, 1 step budget exhausted,
 2 record buffer too small (caller grows it and reruns the chunk).
 """
+
+from bisect import bisect_left, bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -85,77 +102,147 @@ def backward_hits(inv_mapping, in_set):
 # ---------------------------------------------------------------------------
 # random-number kernels
 
+# uniforms are read from the generator in blocks of this many doubles
+UNIFORM_BLOCK = 1024
+# cumulative rows are bisected as Python lists up to this many entries per
+# matrix, and as arrays beyond it (a list of floats takes four times the
+# memory of the array)
+ROW_LIST_ENTRIES = 2 ** 20
+# at most this many bridge tables are kept per kernel call
+BRIDGE_TABLES = 4096
+
+
+def _uniform_stream(gen):
+    # the generator's doubles in order, read UNIFORM_BLOCK at a time
+    blocks = iter(lambda: gen.random(UNIFORM_BLOCK).tolist(), None)
+    return chain.from_iterable(blocks)
+
+
+class _Uniforms:
+    """Stands in for a generator inside a kernel: ``random()`` hands out
+    the generator's doubles in the order ``gen.random()`` would."""
+
+    def __init__(self, gen):
+        self.random = _uniform_stream(gen).__next__
+
+
+def _row_lists(cum):
+    # rows to bisect: lists while they fit, else the array's own rows
+    return cum.tolist() if cum.size <= ROW_LIST_ENTRIES else cum
+
 
 def _draw_index(gen, cum):
-    # cum is a cumulative row ending at ~1; clamp guards the float tail.
-    idx = np.searchsorted(cum, gen.random(), side="right")
-    if idx >= cum.shape[0]:
-        idx = cum.shape[0] - 1
+    # cum is a cumulative row (list or array) ending at ~1.  A uniform at
+    # or past its end, which rounding allows, falls back on the last entry
+    # whose cumulative value rises: that entry has positive probability.
+    idx = bisect_right(cum, gen.random())
+    if idx == len(cum):
+        idx = bisect_left(cum, cum[-1])
     return idx
 
 
 def markov_cycle_batch(gen, row_cum, base, occ, lengths, budget):
     # Generate len(lengths) independent return cycles from `base`.
     # occ[c, x] counts visits to x during cycle c, the start included and
-    # the closing return excluded; lengths[c] is the return time.
+    # the closing return excluded; lengths[c] is the return time.  Visits
+    # are counted in a list and written into occ[c] when the cycle closes
+    # (or when the budget runs out inside it).  The draw is _draw_index,
+    # inlined: this loop is the hottest in the package.
     c_total = lengths.shape[0]
+    if c_total == 0:
+        return 0, 0
+    rows = _row_lists(row_cum)
+    n = row_cum.shape[0]
+    c = 0
     steps = 0
-    for c in range(c_total):
-        occ[c, base] += 1
-        x = base
-        t = 0
-        while True:
-            x = _draw_index(gen, row_cum[x])
-            t += 1
-            steps += 1
-            if x == base:
-                lengths[c] = t
-                break
-            occ[c, x] += 1
+    t = 0
+    x = base
+    counts = [0] * n
+    counts[base] = 1
+    for u in _uniform_stream(gen):
+        row = rows[x]
+        x = bisect_right(row, u)
+        if x == n:
+            x = bisect_left(row, row[-1])
+        t += 1
+        steps += 1
+        if x == base:
+            occ[c] = counts
+            lengths[c] = t
+            c += 1
+            if c == c_total:
+                return steps, 0
+            counts = [0] * n
+            counts[base] = 1
+            t = 0
+        else:
+            counts[x] += 1
             if steps >= budget:
+                occ[c] = counts
                 return steps, 1
-    return steps, 0
 
 
-def _bridge_step(gen, k_raw, kpow, prev, target, steps_left):
-    # One interior state of a pinned block: with steps_left transitions
-    # remaining from prev to target, the next state s has law
-    # K(prev, s) * K^(steps_left-1)(s, target) / K^steps_left(prev, target).
-    total = kpow[steps_left, prev, target]
-    u = gen.random() * total
-    acc = 0.0
-    last = 0
-    n = k_raw.shape[0]
-    for s in range(n):
-        w = k_raw[prev, s] * kpow[steps_left - 1, s, target]
-        if w > 0.0:
-            acc += w
-            last = s
-            if u < acc:
-                return s
-    return last
+def bridge_table(k_raw, kpow, prev, target, steps_left):
+    """Law of one interior state of a pinned block: with steps_left
+    transitions remaining from prev to target, the next state s has
+    probability K(prev, s) * K^(steps_left-1)(s, target) /
+    K^steps_left(prev, target).
+
+    Returns (states, cumulative, total): the states of positive weight in
+    increasing order, the running sums of their weights, accumulated left
+    to right, and the normalising total."""
+    w = k_raw[prev] * kpow[steps_left - 1, :, target]
+    states = np.flatnonzero(w > 0.0)
+    return (states.tolist(), np.cumsum(w[states]).tolist(),
+            float(kpow[steps_left, prev, target]))
 
 
-def _block_states(gen, branch, x0, k_raw, k_cum, lam_cum, res_row_cum, kpow, ell, out):
-    # branch 0: ell plain one-step draws from x0.
+def _bridge_step(gen, table):
+    # one draw from a bridge_table; past the last running sum, the last
+    # positive-weight state (state 0 if there is none)
+    states, cum, total = table
+    idx = bisect_right(cum, gen.random() * total)
+    if idx < len(states):
+        return states[idx]
+    return states[-1] if states else 0
+
+
+def _block_states(gen, branch, x0, rows, lam_cum, res_row_cum, bridge, ell):
+    # The ell states of the block starting at x0, as a list.
+    # branch 0: ell plain one-step draws from x0 (rows[x] is the
+    #   cumulative row of x).
     # branch 1: endpoint from lam, interior pinned by the bridge law.
     # branch 2: endpoint from the residual row of x0, interior bridged.
+    # bridge(prev, end, steps_left) gives the bridge_table of one step.
+    out = []
+    prev = x0
     if branch == 0:
-        prev = x0
-        for j in range(ell):
-            prev = _draw_index(gen, k_cum[prev])
-            out[j] = prev
-    else:
-        if branch == 1:
-            xl = _draw_index(gen, lam_cum)
-        else:
-            xl = _draw_index(gen, res_row_cum)
-        prev = x0
-        for j in range(1, ell):
-            s = _bridge_step(gen, k_raw, kpow, prev, xl, ell - j + 1)
-            out[j - 1] = s
-            prev = s
-        out[ell - 1] = xl
+        for _ in range(ell):
+            prev = _draw_index(gen, rows[prev])
+            out.append(prev)
+        return out
+    xl = _draw_index(gen, lam_cum if branch == 1 else res_row_cum)
+    for steps_left in range(ell, 1, -1):
+        prev = _bridge_step(gen, bridge(prev, xl, steps_left))
+        out.append(prev)
+    out.append(xl)
+    return out
+
+
+def _bridge_tables(k_raw, kpow):
+    # bridge_table, remembering up to BRIDGE_TABLES tables
+    tables = {}
+
+    def table(prev, target, steps_left):
+        key = (prev, target, steps_left)
+        found = tables.get(key)
+        if found is None:
+            found = bridge_table(k_raw, kpow, prev, target, steps_left)
+            if len(tables) < BRIDGE_TABLES:
+                tables[key] = found
+        return found
+
+    return table
 
 
 def split_chain_batch(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
@@ -166,55 +253,58 @@ def split_chain_batch(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
     # tossed whenever a block starts inside the small set, and success
     # makes the block end a regeneration with endpoint drawn from lam.
     # Cycle c covers the half-open time window between regenerations;
-    # regen_states[c] is the endpoint that closed it.
+    # regen_states[c] is the endpoint that closed it.  Visits are counted
+    # in a list and written into occ[c] when the cycle closes or the
+    # kernel returns.
     c_total = lengths.shape[0]
-    block = np.empty(ell, dtype=np.int64)
-    x = _draw_index(gen, lam_cum)
+    n = k_raw.shape[0]
+    uniforms = _Uniforms(gen)
+    rows = _row_lists(k_cum)
+    res_rows = _row_lists(res_cum)
+    lam = lam_cum.tolist()
+    bridge = _bridge_tables(k_raw, kpow)
+    regen_set = in_regen.tolist()
+    x = _draw_index(uniforms, lam)
     pos = 0
     c = 0
     start = 0
     blocks = 0
-    occ[0, x] += 1
+    counts = [0] * n
+    counts[x] += 1
     if record:
         if traj.shape[0] < 1:
+            occ[c] = counts
             return 0, 0, 0, 2
         traj[0] = x
     while True:
         if record and (pos + ell >= traj.shape[0] or blocks >= marks.shape[0]):
+            occ[c] = counts
             return c, pos, blocks, 2
-        regen = False
-        if in_regen[x]:
-            zeta = 1 if gen.random() < eps else 0
-            if record:
-                marks[blocks] = zeta
-            if zeta == 1:
-                _block_states(gen, 1, x, k_raw, k_cum, lam_cum, res_cum[x],
-                              kpow, ell, block)
-                regen = True
-            else:
-                _block_states(gen, 2, x, k_raw, k_cum, lam_cum, res_cum[x],
-                              kpow, ell, block)
+        if regen_set[x]:
+            zeta = 1 if uniforms.random() < eps else 0
+            branch = 2 - zeta
         else:
-            if record:
-                marks[blocks] = -1
-            _block_states(gen, 0, x, k_raw, k_cum, lam_cum, res_cum[x],
-                          kpow, ell, block)
-        for j in range(ell):
-            s = block[j]
-            pos += 1
-            if record:
-                traj[pos] = s
-            if regen and j == ell - 1:
-                lengths[c] = pos - start
-                regen_states[c] = s
-                c += 1
-                if c == c_total:
-                    return c, pos, blocks + 1, 0
-                start = pos
-                occ[c, s] += 1
-            else:
-                occ[c, s] += 1
-        x = block[ell - 1]
+            zeta = branch = 0
+        block = _block_states(uniforms, branch, x, rows, lam, res_rows[x],
+                              bridge, ell)
+        if record:
+            marks[blocks] = zeta if branch else -1
+            traj[pos + 1:pos + ell + 1] = block
+        x = block[-1]
+        for s in block[:-1]:
+            counts[s] += 1
+        pos += ell
+        if zeta:
+            occ[c] = counts
+            lengths[c] = pos - start
+            regen_states[c] = x
+            c += 1
+            if c == c_total:
+                return c, pos, blocks + 1, 0
+            start = pos
+            counts = [0] * n
+        counts[x] += 1
         blocks += 1
         if pos >= budget:
+            occ[c] = counts
             return c, pos, blocks, 1

@@ -15,6 +15,7 @@ Blocks are scheduled back to back (starts at 0, ell, 2*ell, ...); visits
 to R strictly inside a block never toss the coin.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from ._stats import RatioAccumulator, chunk_plan, chunk_seeds
 from .errors import (
     BudgetExceededError,
     InfeasibleMinorizationError,
+    InternalInconsistencyError,
     InvariantError,
     PreconditionError,
 )
@@ -34,6 +36,8 @@ from .measure import event_mask
 _LAM_SUM_TOL = 1e-9
 _RESIDUAL_TOL = 1e-12
 _DEFAULT_STEP_BUDGET = 10 ** 7
+# relative gap allowed between observed and expected chi-square totals
+_CHI2_SUM_RTOL = float(np.finfo(np.float64).eps) ** 0.5
 # the stack of kernel powers I, K, ..., K^ell is refused beyond this size,
 # each power counting as at least one page: that also bounds the number
 # of matmuls a small kernel may ask for (ell <= 65535 at one state)
@@ -338,9 +342,10 @@ class BridgeLaw:
         out = np.empty(self.length, dtype=np.int64)
         prev = self.start
         for j in range(1, self.length + 1):
-            prev = _kernels._bridge_step(gen, self.model.kernel.matrix,
-                                         self.model.kernel_powers, prev,
-                                         self.end, self.model.ell - j + 1)
+            table = _kernels.bridge_table(
+                self.model.kernel.matrix, self.model.kernel_powers, prev,
+                self.end, self.model.ell - j + 1)
+            prev = _kernels._bridge_step(gen, table)
             out[j - 1] = prev
         return out
 
@@ -406,11 +411,11 @@ def split_block(model, x, zeta, gen, clip_residual=False):
     else:
         branch = 0
     res_cum = model.residual_cumulative(clip=clip_residual)
-    out = np.empty(model.ell, dtype=np.int64)
-    _kernels._block_states(gen, branch, x, model.kernel.matrix,
-                           model.kernel.row_cumulative, model.lam_cumulative,
-                           res_cum[x], model.kernel_powers, model.ell, out)
-    return out
+    bridge = functools.partial(_kernels.bridge_table, model.kernel.matrix,
+                               model.kernel_powers)
+    return np.array(_kernels._block_states(
+        gen, branch, x, model.kernel.row_cumulative, model.lam_cumulative,
+        res_cum[x], bridge, model.ell), dtype=np.int64)
 
 
 @dataclass
@@ -677,22 +682,51 @@ def _merge_small_bins(observed, expected, min_expected=5.0):
     return np.array(obs), np.array(exp)
 
 
+def _chisquare_test(tables):
+    """Pooled Pearson chi-square test over (observed, expected) bin tables.
+
+    Each table of two or more bins adds sum((o - e)**2 / e) to the
+    statistic and its bin count less one to the degrees of freedom;
+    tables of one bin add nothing.  Returns (statistic, dof, pvalue), the
+    p-value being the upper chi-square tail ``scipy.special.chdtrc(dof,
+    statistic)``, or (0.0, 0, 1.0) with no degrees of freedom.  Observed
+    and expected totals that differ by more than sqrt(eps) relative are
+    an internal inconsistency, refused as ``scipy.stats.chisquare``
+    refuses them.
+    """
+    stat = 0.0
+    dof = 0
+    for obs, exp in tables:
+        if obs.shape[0] < 2:
+            continue
+        total_obs = obs.sum()
+        total_exp = exp.sum()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = abs(total_obs - total_exp) / min(total_obs, total_exp)
+        if gap > _CHI2_SUM_RTOL:
+            raise InternalInconsistencyError(
+                "chi-square bins: observed total %r and expected total %r "
+                "differ by %g relative" % (float(total_obs),
+                                           float(total_exp), gap))
+        stat += float(np.sum((obs - exp) ** 2 / exp))
+        dof += obs.shape[0] - 1
+    if dof == 0:
+        return 0.0, 0, 1.0
+    # on demand: scipy.special costs a few tenths of a second to import
+    from scipy.special import chdtrc
+    return stat, dof, float(chdtrc(dof, stat))
+
+
 def regen_distribution_gof(run, model):
     """Chi-square test of the states observed at regenerations against
     lam.  Returns (statistic, dof, pvalue); mass observed outside the
     support of lam is an immediate failure (pvalue 0)."""
-    from scipy import stats  # on demand: scipy is slow to import
-
     counts = np.bincount(run.regen_states, minlength=model.n).astype(np.float64)
     support = model.lam > 0
     if counts[~support].sum() > 0:
         return math.inf, 0, 0.0
     expected = run.n_cycles * model.lam[support]
-    obs, exp = _merge_small_bins(counts[support], expected)
-    if obs.shape[0] < 2:
-        return 0.0, 0, 1.0
-    stat, pvalue = stats.chisquare(obs, exp)
-    return float(stat), obs.shape[0] - 1, float(pvalue)
+    return _chisquare_test([_merge_small_bins(counts[support], expected)])
 
 
 def block_marginal_gof(run, model, min_row_count=25):
@@ -707,16 +741,13 @@ def block_marginal_gof(run, model, min_row_count=25):
     if run.trajectory is None:
         raise PreconditionError("block test needs a recorded trajectory",
                                 field="run")
-    from scipy import stats  # on demand: scipy is slow to import
-
     starts = run.trajectory[::run.ell]
     if starts.shape[0] < 2:
         return 0.0, 0, 1.0
     pairs_from = starts[:-1]
     pairs_to = starts[1:]
     k_ell = model.kernel_powers[model.ell]
-    total_stat = 0.0
-    total_dof = 0
+    tables = []
     for s in range(model.n):
         sel = pairs_from == s
         count = int(sel.sum())
@@ -726,13 +757,6 @@ def block_marginal_gof(run, model, min_row_count=25):
         support = k_ell[s] > 0
         if observed[~support].sum() > 0:
             return math.inf, 0, 0.0
-        obs, exp = _merge_small_bins(observed[support], count * k_ell[s][support])
-        if obs.shape[0] < 2:
-            continue
-        stat, _ = stats.chisquare(obs, exp)
-        total_stat += float(stat)
-        total_dof += obs.shape[0] - 1
-    if total_dof == 0:
-        return 0.0, 0, 1.0
-    pvalue = float(stats.chi2.sf(total_stat, total_dof))
-    return total_stat, total_dof, pvalue
+        tables.append(_merge_small_bins(observed[support],
+                                        count * k_ell[s][support]))
+    return _chisquare_test(tables)

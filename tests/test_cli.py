@@ -99,6 +99,24 @@ def test_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def test_harris_verify_leaves_scipy_stats_unloaded(files):
+    # the chi-square gates take their tail from scipy.special alone
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys; from cycleflow.cli import main; "
+            "code = main(['verify', sys.argv[1], '--cycles', '500', "
+            "'--format', 'json', '--output', sys.argv[2]]); "
+            "print(code, 'scipy.special' in sys.modules, "
+            "sorted(k for k in sys.modules if k.startswith('scipy.stats')))")
+    out = subprocess.run(
+        [sys.executable, "-c", code, files["harris"],
+         files["harris"] + ".report"], env=env, check=True,
+        capture_output=True, text=True).stdout
+    assert out.strip() == "0 True []"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

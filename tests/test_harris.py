@@ -9,6 +9,7 @@ from cycleflow._stats import RatioAccumulator
 from cycleflow.errors import (
     BudgetExceededError,
     InfeasibleMinorizationError,
+    InternalInconsistencyError,
     InvariantError,
     PreconditionError,
 )
@@ -546,3 +547,74 @@ def test_bin_merging_respects_totals():
     assert merged_obs.sum() == obs.sum()
     assert merged_exp.sum() == exp.sum()
     assert merged_exp.min() >= 5.0 or len(merged_exp) == 1
+
+
+# ---------------------------------------------------------------------------
+# the chi-square helper against scipy.stats, used here only as a referee
+
+
+def _bin_tables(rng, count):
+    # (observed, expected) tables with equal totals; a third of them
+    # observed under another law, so large statistics and tiny p-values
+    # occur too
+    for _ in range(count):
+        k = int(rng.integers(2, 40))
+        p = rng.dirichlet(np.full(k, rng.uniform(0.2, 5.0))) + 1e-3
+        p /= p.sum()
+        total = int(rng.integers(k, 10 ** 6))
+        law = rng.dirichlet(np.ones(k)) if rng.random() < 0.3 else p
+        yield rng.multinomial(total, law).astype(np.float64), total * p
+
+
+def test_chisquare_test_matches_scipy_bit_for_bit():
+    from scipy import stats
+    rng = np.random.default_rng(83)
+    for obs, exp in _bin_tables(rng, 1200):
+        stat, dof, pvalue = cf.harris._chisquare_test([(obs, exp)])
+        ref = stats.chisquare(obs, exp)
+        assert dof == obs.shape[0] - 1
+        assert stat.hex() == float(ref.statistic).hex()
+        assert pvalue.hex() == float(ref.pvalue).hex()
+
+
+def test_pooled_chisquare_test_matches_scipy_bit_for_bit():
+    # the pooled form of block_marginal_gof: per-table statistics summed in
+    # order, one upper tail on the summed degrees of freedom
+    from scipy import stats
+    rng = np.random.default_rng(84)
+    for _ in range(300):
+        tables = list(_bin_tables(rng, int(rng.integers(1, 5))))
+        total_stat = 0.0
+        total_dof = 0
+        for obs, exp in tables:
+            total_stat += float(stats.chisquare(obs, exp).statistic)
+            total_dof += obs.shape[0] - 1
+        stat, dof, pvalue = cf.harris._chisquare_test(tables)
+        assert (stat.hex(), dof) == (total_stat.hex(), total_dof)
+        assert pvalue.hex() == \
+            float(stats.chi2.sf(total_stat, total_dof)).hex()
+
+
+def test_chisquare_test_refuses_mismatched_totals():
+    from scipy import stats
+    obs = np.array([30.0, 40.0, 30.0])
+    for gap, refused in ((1e-10, False), (1e-9, False), (1e-7, True),
+                         (1e-3, True), (-1e-7, True)):
+        exp = np.array([30.0, 40.0, 30.0 + 100.0 * gap])
+        if refused:
+            with pytest.raises(InternalInconsistencyError):
+                cf.harris._chisquare_test([(obs, exp)])
+            with pytest.raises(ValueError):
+                stats.chisquare(obs, exp)
+        else:
+            cf.harris._chisquare_test([(obs, exp)])
+            stats.chisquare(obs, exp)
+    # a mismatch in any pooled table is refused
+    with pytest.raises(InternalInconsistencyError):
+        cf.harris._chisquare_test([(obs, obs.copy()), (obs, obs * 1.001)])
+
+
+def test_chisquare_test_without_degrees_of_freedom():
+    assert cf.harris._chisquare_test([]) == (0.0, 0, 1.0)
+    one_bin = (np.array([7.0]), np.array([7.0]))
+    assert cf.harris._chisquare_test([one_bin, one_bin]) == (0.0, 0, 1.0)

@@ -1,5 +1,6 @@
 import numpy as np
 
+import cycleflow as cf
 from cycleflow import _kernels as kr
 
 
@@ -224,3 +225,431 @@ def test_backward_hits_at_doubling_depth():
     for mapping, in_set in _depth_cases():
         np.testing.assert_array_equal(kr.backward_hits(mapping, in_set),
                                       _backward_hits_walk(mapping, in_set))
+
+
+# ---------------------------------------------------------------------------
+# random kernels: the per-draw code they replaced, kept as referees.  Each
+# draw calls gen.random() once and searches an array row.  The referee's
+# _draw_index still clamps past-the-end uniforms to the last entry; random
+# rows here never reach that clamp (see the stub tests below for it).
+
+
+def _draw_index_ref(gen, cum):
+    idx = np.searchsorted(cum, gen.random(), side="right")
+    if idx >= cum.shape[0]:
+        idx = cum.shape[0] - 1
+    return idx
+
+
+def _markov_cycle_ref(gen, row_cum, base, occ, lengths, budget):
+    c_total = lengths.shape[0]
+    steps = 0
+    for c in range(c_total):
+        occ[c, base] += 1
+        x = base
+        t = 0
+        while True:
+            x = _draw_index_ref(gen, row_cum[x])
+            t += 1
+            steps += 1
+            if x == base:
+                lengths[c] = t
+                break
+            occ[c, x] += 1
+            if steps >= budget:
+                return steps, 1
+    return steps, 0
+
+
+def _bridge_step_ref(gen, k_raw, kpow, prev, target, steps_left):
+    total = kpow[steps_left, prev, target]
+    u = gen.random() * total
+    acc = 0.0
+    last = 0
+    n = k_raw.shape[0]
+    for s in range(n):
+        w = k_raw[prev, s] * kpow[steps_left - 1, s, target]
+        if w > 0.0:
+            acc += w
+            last = s
+            if u < acc:
+                return s
+    return last
+
+
+def _block_states_ref(gen, branch, x0, k_raw, k_cum, lam_cum, res_row_cum,
+                      kpow, ell, out):
+    if branch == 0:
+        prev = x0
+        for j in range(ell):
+            prev = _draw_index_ref(gen, k_cum[prev])
+            out[j] = prev
+    else:
+        if branch == 1:
+            xl = _draw_index_ref(gen, lam_cum)
+        else:
+            xl = _draw_index_ref(gen, res_row_cum)
+        prev = x0
+        for j in range(1, ell):
+            s = _bridge_step_ref(gen, k_raw, kpow, prev, xl, ell - j + 1)
+            out[j - 1] = s
+            prev = s
+        out[ell - 1] = xl
+
+
+def _split_chain_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
+                     eps, ell, occ, lengths, regen_states, record, traj,
+                     marks, budget):
+    c_total = lengths.shape[0]
+    block = np.empty(ell, dtype=np.int64)
+    x = _draw_index_ref(gen, lam_cum)
+    pos = 0
+    c = 0
+    start = 0
+    blocks = 0
+    occ[0, x] += 1
+    if record:
+        if traj.shape[0] < 1:
+            return 0, 0, 0, 2
+        traj[0] = x
+    while True:
+        if record and (pos + ell >= traj.shape[0] or blocks >= marks.shape[0]):
+            return c, pos, blocks, 2
+        regen = False
+        if in_regen[x]:
+            zeta = 1 if gen.random() < eps else 0
+            if record:
+                marks[blocks] = zeta
+            if zeta == 1:
+                _block_states_ref(gen, 1, x, k_raw, k_cum, lam_cum,
+                                  res_cum[x], kpow, ell, block)
+                regen = True
+            else:
+                _block_states_ref(gen, 2, x, k_raw, k_cum, lam_cum,
+                                  res_cum[x], kpow, ell, block)
+        else:
+            if record:
+                marks[blocks] = -1
+            _block_states_ref(gen, 0, x, k_raw, k_cum, lam_cum, res_cum[x],
+                              kpow, ell, block)
+        for j in range(ell):
+            s = block[j]
+            pos += 1
+            if record:
+                traj[pos] = s
+            if regen and j == ell - 1:
+                lengths[c] = pos - start
+                regen_states[c] = s
+                c += 1
+                if c == c_total:
+                    return c, pos, blocks + 1, 0
+                start = pos
+                occ[c, s] += 1
+            else:
+                occ[c, s] += 1
+        x = block[ell - 1]
+        blocks += 1
+        if pos >= budget:
+            return c, pos, blocks, 1
+
+
+def _random_rows(rng, n):
+    # Dirichlet rows with about a third of the off-diagonal entries zeroed,
+    # renormalised; the diagonal stays positive, so no row is empty
+    p = rng.dirichlet(np.full(n, rng.uniform(0.3, 2.0)), size=n)
+    p[rng.random((n, n)) < 0.3] = 0.0
+    p[np.arange(n), np.arange(n)] += 0.05
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def _markov_pair(row_cum, base, cycles, budget, seed):
+    # (kernel outputs, referee outputs) from equal generators
+    n = row_cum.shape[0]
+    outs = []
+    for fn in (kr.markov_cycle_batch, _markov_cycle_ref):
+        occ = np.zeros((cycles, n), dtype=np.int64)
+        lengths = np.zeros(cycles, dtype=np.int64)
+        result = fn(np.random.default_rng(seed), row_cum, base, occ, lengths,
+                    budget)
+        outs.append((tuple(int(v) for v in result), occ, lengths))
+    return outs
+
+
+def test_markov_cycle_batch_matches_referee():
+    rng = np.random.default_rng(61)
+    long_runs = 0
+    for case in range(40):
+        n = int(rng.integers(1, 30))
+        chain = cf.StochasticMatrix(_random_rows(rng, n))
+        base = int(rng.integers(0, n))
+        structure = cf.markov.class_structure(chain)
+        if not structure.recurrent[structure.labels[base]]:
+            continue
+        cycles = int(rng.integers(1, 400))
+        new, ref = _markov_pair(chain.row_cumulative, base, cycles, 10 ** 6,
+                                case)
+        assert new[0] == ref[0] and new[0][1] == 0
+        np.testing.assert_array_equal(new[1], ref[1])
+        np.testing.assert_array_equal(new[2], ref[2])
+        long_runs += new[0][0] > 3 * kr.UNIFORM_BLOCK
+    assert long_runs >= 5
+
+
+def test_markov_cycle_batch_budget_matches_referee():
+    # the budget runs out inside a cycle: same status, same step count,
+    # same partial occupation row
+    rng = np.random.default_rng(62)
+    chain = cf.StochasticMatrix(rng.dirichlet(np.ones(25), size=25))
+    for budget in (1, 2, 7, 1000, kr.UNIFORM_BLOCK + 1, 5000):
+        new, ref = _markov_pair(chain.row_cumulative, 3, 10 ** 4, budget,
+                                budget)
+        assert new[0] == ref[0] == (budget, 1)
+        np.testing.assert_array_equal(new[1], ref[1])
+        np.testing.assert_array_equal(new[2], ref[2])
+    assert kr.markov_cycle_batch(
+        np.random.default_rng(0), chain.row_cumulative, 0,
+        np.zeros((0, 25), dtype=np.int64), np.zeros(0, dtype=np.int64),
+        10) == (0, 0)
+
+
+def _harris_cases(seed):
+    # random kernels with R of one to three states, ell in {1, 2, 3}, and
+    # epsilon either fitted (1 on a single-state R) or shrunk below 1
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < 36:
+        n = int(rng.integers(2, 16))
+        k = _random_rows(rng, n)
+        ell = len(cases) % 3 + 1
+        regen = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)),
+                           replace=False).tolist()
+        try:
+            fit = cf.fit_minorization(k, regen, ell)
+        except cf.errors.InfeasibleMinorizationError:
+            continue
+        # a single-state fit can round to just above 1
+        epsilon = min(fit.epsilon, 1.0) * (0.7 if len(cases) % 2 else 1.0)
+        model = cf.HarrisModel(k, regen, ell=ell, epsilon=epsilon,
+                               lam=fit.lam)
+        # keep models whose cycles close quickly
+        conditions = cf.harris_conditions(model)
+        if conditions.recurrent and epsilon > 0.05 and \
+                conditions.expected_lambda_return < 50:
+            cases.append(model)
+    return cases
+
+
+def _split_args(model):
+    return (model.kernel.matrix, model.kernel.row_cumulative,
+            model.lam_cumulative, model.residual_cumulative(),
+            model.kernel_powers, model.regen_mask, model.epsilon, model.ell)
+
+
+def _split_pair(model, cycles, seed, budget=10 ** 6, cap=None):
+    # (kernel outputs, referee outputs) from equal generators; cap sizes
+    # the record buffers, None means no recording
+    outs = []
+    for fn in (kr.split_chain_batch, _split_chain_ref):
+        occ = np.zeros((cycles, model.n), dtype=np.int64)
+        lengths = np.zeros(cycles, dtype=np.int64)
+        regen = np.zeros(cycles, dtype=np.int64)
+        record = cap is not None
+        traj = np.zeros(cap if record else 1, dtype=np.int64)
+        marks = np.full(cap if record else 1, -1, dtype=np.int8)
+        result = fn(np.random.default_rng(seed), *_split_args(model), occ,
+                    lengths, regen, record, traj, marks, budget)
+        outs.append((tuple(int(v) for v in result), occ, lengths, regen,
+                     traj, marks))
+    return outs
+
+
+def _assert_same(new, ref):
+    assert new[0] == ref[0]
+    for a, b in zip(new[1:], ref[1:]):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_split_chain_batch_matches_referee():
+    long_runs = 0
+    seen = set()
+    for i, model in enumerate(_harris_cases(71)):
+        cycles = 1 + (i * 37) % 300
+        new, ref = _split_pair(model, cycles, 100 + i)
+        assert new[0][3] == 0
+        _assert_same(new, ref)
+        long_runs += new[0][1] > 3 * kr.UNIFORM_BLOCK
+        seen.add((model.ell, model.epsilon == 1.0))
+    assert seen == {(ell, one) for ell in (1, 2, 3) for one in (True, False)}
+    assert long_runs >= 5
+
+
+def test_split_chain_batch_recording_matches_referee():
+    # a buffer too small for the run returns status 2 at the same point;
+    # a large one records the same trajectory and coin marks
+    for i, model in enumerate(_harris_cases(72)[:18]):
+        cycles = 40 + 10 * i
+        for cap in (0, 1, 2, 5, 64, 10 ** 6):
+            new, ref = _split_pair(model, cycles, 200 + i, cap=cap)
+            _assert_same(new, ref)
+        assert new[0][3] == 0
+
+
+def test_split_chain_batch_budget_matches_referee():
+    for i, model in enumerate(_harris_cases(73)[:12]):
+        for budget in (1, 3, kr.UNIFORM_BLOCK + 2, 4000):
+            new, ref = _split_pair(model, 10 ** 4, 300 + i, budget=budget)
+            assert new[0][3] == 1
+            _assert_same(new, ref)
+            new, ref = _split_pair(model, 10 ** 4, 300 + i, budget=budget,
+                                   cap=10 ** 5)
+            _assert_same(new, ref)
+
+
+def test_kernels_on_array_rows_and_without_bridge_memo(monkeypatch):
+    # rows past the list budget are bisected as arrays, and bridge tables
+    # past the memo's size are rebuilt on each use; the draws are the same
+    monkeypatch.setattr(kr, "ROW_LIST_ENTRIES", 0)
+    monkeypatch.setattr(kr, "BRIDGE_TABLES", 1)
+    rng = np.random.default_rng(76)
+    chain = cf.StochasticMatrix(rng.dirichlet(np.ones(20), size=20))
+    new, ref = _markov_pair(chain.row_cumulative, 4, 300, 10 ** 6, 76)
+    _assert_same(new, ref)
+    for i, model in enumerate(_harris_cases(77)[:12]):
+        new, ref = _split_pair(model, 150, 400 + i, cap=10 ** 5)
+        _assert_same(new, ref)
+
+
+def test_scalar_block_and_bridge_paths_match_referee():
+    # split_block and BridgeLaw.sample draw one uniform per gen.random()
+    for i, model in enumerate(_harris_cases(74)):
+        args = _split_args(model)
+        gen = np.random.default_rng(i)
+        gen_ref = np.random.default_rng(i)
+        out = np.empty(model.ell, dtype=np.int64)
+        for _ in range(30):
+            x = int(gen.integers(0, model.n))
+            gen_ref.integers(0, model.n)
+            if model.regen_mask[x]:
+                zeta = int(model.epsilon >= 1.0 or gen.random() < 0.5)
+                if model.epsilon < 1.0:
+                    gen_ref.random()
+                branch = 1 if zeta else 2
+            else:
+                zeta, branch = None, 0
+            got = cf.split_block(model, x, zeta, gen)
+            _block_states_ref(gen_ref, branch, x, args[0], args[1], args[2],
+                              args[3][x], args[4], model.ell, out)
+            np.testing.assert_array_equal(got, out)
+            end = int(got[-1])
+            law = cf.BridgeLaw(model, x, end)
+            path = law.sample(gen)
+            prev = x
+            for j in range(1, model.ell):
+                prev = _bridge_step_ref(gen_ref, args[0], args[4], prev, end,
+                                        model.ell - j + 1)
+                assert path[j - 1] == prev
+        assert gen.random() == gen_ref.random()
+
+
+def _near(value):
+    # value and its floating neighbours two ulps either side
+    out = [value]
+    up = down = value
+    for _ in range(2):
+        up = np.nextafter(up, np.inf)
+        down = np.nextafter(down, -np.inf)
+        out += [up, down]
+    return [float(v) for v in out]
+
+
+def test_draws_match_referee_at_running_sum_boundaries():
+    # uniforms placed on and around every running sum, where any change
+    # in the order or rounding of the sums would pick a neighbour
+    for model in _harris_cases(75)[:12]:
+        k_raw, k_cum, _, _, kpow, _, _, ell = _split_args(model)
+        for x in range(model.n):
+            for u in {v for c in k_cum[x] for v in _near(c)}:
+                if 0.0 <= u < k_cum[x, -1]:
+                    assert kr._draw_index(_StubGen(u), k_cum[x].tolist()) \
+                        == _draw_index_ref(_StubGen(u), k_cum[x])
+            for end in range(model.n):
+                for steps_left in range(2, ell + 1):
+                    if kpow[steps_left, x, end] == 0.0:
+                        continue
+                    table = kr.bridge_table(k_raw, kpow, x, end, steps_left)
+                    total = table[2]
+                    for u in {v for c in table[1] for v in _near(c / total)}:
+                        if 0.0 <= u < 1.0:
+                            assert kr._bridge_step(_StubGen(u), table) == \
+                                _bridge_step_ref(_StubGen(u), k_raw, kpow, x,
+                                                 end, steps_left)
+
+
+# ---------------------------------------------------------------------------
+# the clamp: a uniform past a row's rounded total
+
+
+class _StubGen:
+    """Returns the same uniform every time, singly or in blocks."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+_SHORT_ROW = [0.1] * 10 + [0.0]
+_TOP = 1.0 - 2.0 ** -53
+
+
+def test_short_row_reaches_the_clamp():
+    cum = np.cumsum(_SHORT_ROW)
+    assert cum[-1] == 0.9999999999999999 and _TOP >= cum[-1]
+    # the old clamp lands on the zero-probability last state
+    assert _draw_index_ref(_StubGen(_TOP), cum) == 10
+
+
+def test_draw_index_clamps_to_last_positive_entry():
+    cum = np.cumsum(_SHORT_ROW)
+    for row in (cum, cum.tolist()):
+        assert kr._draw_index(_StubGen(_TOP), row) == 9
+        assert kr._draw_index(_StubGen(0.95), row) == 9
+        assert kr._draw_index(_StubGen(0.05), row) == 0
+    # zeros before the last rise are skipped as well
+    cum = np.cumsum([0.0, 0.5, 0.0, 0.4999999999999998, 0.0, 0.0])
+    assert cum[-1] < _TOP
+    assert kr._draw_index(_StubGen(_TOP), cum) == 3
+
+
+def test_kernels_clamp_to_last_positive_entry():
+    # Markov: from 0 the short row must go to 9, never to 10, and 9
+    # returns to 0; each cycle is 0 -> 9 -> 0
+    p = np.zeros((11, 11))
+    p[0] = _SHORT_ROW
+    p[1:, 0] = 1.0
+    row_cum = np.cumsum(p, axis=1)
+    occ = np.zeros((3, 11), dtype=np.int64)
+    lengths = np.zeros(3, dtype=np.int64)
+    assert kr.markov_cycle_batch(_StubGen(_TOP), row_cum, 0, occ, lengths,
+                                 100) == (6, 0)
+    np.testing.assert_array_equal(lengths, [2, 2, 2])
+    assert occ[:, 9].tolist() == [1, 1, 1] and occ[:, 10].sum() == 0
+    # split chain: every row is the short row, every block starts in R
+    # with epsilon = 1, so every endpoint is drawn from the short lam
+    k = np.tile(_SHORT_ROW, (11, 1))
+    lam_cum = np.cumsum(_SHORT_ROW)
+    occ = np.zeros((4, 11), dtype=np.int64)
+    lengths = np.zeros(4, dtype=np.int64)
+    regen = np.zeros(4, dtype=np.int64)
+    traj = np.zeros(64, dtype=np.int64)
+    marks = np.full(64, -1, dtype=np.int8)
+    kpow = np.stack([np.eye(11), k])
+    result = kr.split_chain_batch(
+        _StubGen(_TOP), k, np.cumsum(k, axis=1), lam_cum,
+        np.zeros((11, 11)), kpow, np.ones(11, dtype=bool), 1.0, 1, occ,
+        lengths, regen, True, traj, marks, 100)
+    assert result == (4, 4, 4, 0)
+    assert regen.tolist() == [9] * 4
+    assert traj[:5].tolist() == [9] * 5
+    assert occ[:, 10].sum() == 0

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -229,3 +230,60 @@ def test_suite_reports_are_deterministic(h3):
     b = cf.run_suite(model, cf.RunConfig(cycles=300, seed=9))
     assert cf.canonical_json(a.to_document()) == \
         cf.canonical_json(b.to_document())
+
+
+# ---------------------------------------------------------------------------
+# simulated report bytes
+
+
+def _dirichlet_harris40():
+    rng = np.random.default_rng(40)
+    return cf.HarrisModel(rng.dirichlet(np.ones(40), size=40), [0, 1, 2],
+                          ell=2)
+
+
+def _digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_simulation_report_bytes_are_fixed(tmp_path):
+    # digests of canonical documents whose estimates, standard errors,
+    # gof statistics and p-values all come from the random kernels; each
+    # run draws several blocks of uniforms, so read-ahead is exercised
+    from cycleflow import _kernels
+    from cycleflow.cli import main
+
+    block = _kernels.UNIFORM_BLOCK
+    cases = (
+        (cf.HarrisModel(H3, [0], ell=2, epsilon=0.5),
+         cf.RunConfig(cycles=600, seed=5),
+         "7545aeda729ec9a6d39eae731e453c39d9689ba608c0ac0ee26f065636d4d120"),
+        (_dirichlet_harris40(), cf.RunConfig(cycles=400, seed=6),
+         "c6e2d6085fc3977a6d3991686678128db102237e84aef5fe7012dd21591a85e8"),
+    )
+    for model, cfg, digest in cases:
+        report = cf.run_suite(model, cfg)
+        assert report.overall_pass
+        doc = cf.canonical_json(report.to_document())
+        assert _digest(doc.encode()) == digest
+        assert cf.simulate_split_chain(model, cfg.cycles,
+                                       cfg.seed).steps > 2 * block
+
+    rng = np.random.default_rng(12)
+    chain = {"kind": "markov_chain",
+             "P": rng.dirichlet(np.full(12, 0.5), size=12).tolist()}
+    path = tmp_path / "mc12.json"
+    path.write_text(json.dumps(chain))
+    out = tmp_path / "mc12-cycles.json"
+    assert main(["stationary", str(path), "--method", "cycles",
+                 "--cycles", "500", "--seed", "7", "--format", "json",
+                 "--output", str(out)]) == 0
+    assert _digest(out.read_bytes()) == \
+        "8c98058f0719d9a4fe71eaff64c00fa596766f6aab14cac3af5d90572ae9833d"
+    assert json.loads(out.read_text())["details"]["steps"] > 2 * block
+
+    model = cf.HarrisModel(H3, [0, 1], ell=3)
+    run = cf.simulate_split_chain(model, 500, seed=11, record_trajectory=True)
+    assert _digest(run.trajectory.tobytes() + run.marks.tobytes()) == \
+        "301fd7936eb6759d34f1efb895fd41364e3f5752b95bee1f0620fce210d7f7af"
+    assert run.steps > 2 * block
