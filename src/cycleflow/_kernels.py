@@ -11,23 +11,26 @@ step-by-step walk on any map, endomorphisms included.
 accumulating in step-major order in the dtype of its weights (float64,
 int64 or Python ints).
 
-The random-number kernels (``markov_cycle_batch``, ``split_chain_batch``)
-are scalar loops over a ``numpy.random.Generator``, so a seed fixes every
-draw.  Every draw uses exactly one uniform double, in a fixed order: the
-coin, then the block's states (a bridged block draws its endpoint before
-its interior).  The kernels
-read those doubles ``UNIFORM_BLOCK`` at a time with ``gen.random(k)``,
-which returns the same doubles as k calls of ``gen.random()``.  A state
-is drawn by bisecting its cumulative row, kept as a Python list, which
-gives the index ``np.searchsorted(row, u, side="right")`` would.  Reading
-ahead is safe because each caller gives a kernel call a fresh generator
-(one per chunk, and a new one for each status-2 replay) and discards it
-afterwards, so the unused doubles of the last block are never wanted.
-The scalar paths (``split_block``, ``BridgeLaw.sample``) take the
-caller's generator and call ``gen.random()`` once per draw.
+The random-number kernel ``split_chain_batch`` is a scalar loop over a
+``numpy.random.Generator``, so a seed fixes every draw.  It serves both
+cycle settings: the return cycles of a Markov chain from a base state
+are the split chain with R = {base}, ell = 1, epsilon = 1 and
+lam = P[base] (Nummelin 1978).  Every draw uses exactly one uniform
+double, in a fixed order: the coin, then the block's states (a bridged
+block draws its endpoint before its interior).  The coin is tossed only
+when epsilon < 1; a coin that lands heads with probability 1 is not a
+draw.  The kernel reads those doubles ``UNIFORM_BLOCK`` at a time with
+``gen.random(k)``, which returns the same doubles as k calls of
+``gen.random()``.  A state is drawn by bisecting its cumulative row,
+kept as a Python list, which gives the index
+``np.searchsorted(row, u, side="right")`` would.  Reading ahead is safe
+because each caller gives a kernel call a fresh generator, one per
+chunk, and discards it afterwards, so the unused doubles of the last
+block are never wanted.  The scalar paths (``split_block``,
+``BridgeLaw.sample``) take the caller's generator and call
+``gen.random()`` once per draw.
 
-Status codes returned by kernels: 0 ok, 1 step budget exhausted,
-2 record buffer too small (caller grows it and reruns the chunk).
+Status codes returned by kernels: 0 ok, 1 step budget exhausted.
 """
 
 from bisect import bisect_left, bisect_right
@@ -112,18 +115,18 @@ ROW_LIST_ENTRIES = 2 ** 20
 BRIDGE_TABLES = 4096
 
 
-def _uniform_stream(gen):
-    # the generator's doubles in order, read UNIFORM_BLOCK at a time
-    blocks = iter(lambda: gen.random(UNIFORM_BLOCK).tolist(), None)
-    return chain.from_iterable(blocks)
-
-
 class _Uniforms:
-    """Stands in for a generator inside a kernel: ``random()`` hands out
-    the generator's doubles in the order ``gen.random()`` would."""
+    """Stands in for a generator inside a kernel: iterating over it, or
+    calling ``random()``, hands out the generator's doubles in the order
+    ``gen.random()`` would."""
 
     def __init__(self, gen):
-        self.random = _uniform_stream(gen).__next__
+        blocks = iter(lambda: gen.random(UNIFORM_BLOCK).tolist(), None)
+        self._stream = chain.from_iterable(blocks)
+        self.random = self._stream.__next__
+
+    def __iter__(self):
+        return self._stream
 
 
 def _row_lists(cum):
@@ -139,47 +142,6 @@ def _draw_index(gen, cum):
     if idx == len(cum):
         idx = bisect_left(cum, cum[-1])
     return idx
-
-
-def markov_cycle_batch(gen, row_cum, base, occ, lengths, budget):
-    # Generate len(lengths) independent return cycles from `base`.
-    # occ[c, x] counts visits to x during cycle c, the start included and
-    # the closing return excluded; lengths[c] is the return time.  Visits
-    # are counted in a list and written into occ[c] when the cycle closes
-    # (or when the budget runs out inside it).  The draw is _draw_index,
-    # inlined: this loop is the hottest in the package.
-    c_total = lengths.shape[0]
-    if c_total == 0:
-        return 0, 0
-    rows = _row_lists(row_cum)
-    n = row_cum.shape[0]
-    c = 0
-    steps = 0
-    t = 0
-    x = base
-    counts = [0] * n
-    counts[base] = 1
-    for u in _uniform_stream(gen):
-        row = rows[x]
-        x = bisect_right(row, u)
-        if x == n:
-            x = bisect_left(row, row[-1])
-        t += 1
-        steps += 1
-        if x == base:
-            occ[c] = counts
-            lengths[c] = t
-            c += 1
-            if c == c_total:
-                return steps, 0
-            counts = [0] * n
-            counts[base] = 1
-            t = 0
-        else:
-            counts[x] += 1
-            if steps >= budget:
-                occ[c] = counts
-                return steps, 1
 
 
 def bridge_table(k_raw, kpow, prev, target, steps_left):
@@ -246,65 +208,83 @@ def _bridge_tables(k_raw, kpow):
 
 
 def split_chain_batch(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
-                      eps, ell, occ, lengths, regen_states, record, traj,
-                      marks, budget):
-    # Run the split chain until len(lengths) regenerations occur.  Blocks
-    # start at multiples of ell; a coin with success probability eps is
-    # tossed whenever a block starts inside the small set, and success
-    # makes the block end a regeneration with endpoint drawn from lam.
-    # Cycle c covers the half-open time window between regenerations;
-    # regen_states[c] is the endpoint that closed it.  Visits are counted
-    # in a list and written into occ[c] when the cycle closes or the
-    # kernel returns.
+                      eps, ell, occ, lengths, regen_states, traj, marks,
+                      budget):
+    # Run the split chain from X_0 ~ lam until len(lengths) regenerations
+    # occur.  Blocks start at multiples of ell.  A block that starts in the
+    # small set tosses a coin with success probability eps; success makes
+    # the block end a regeneration with endpoint drawn from lam, failure
+    # draws the endpoint from the residual row, and the interior is
+    # bridged.  A block that starts outside the set is ell plain draws,
+    # made inline.  res_cum is read only when eps < 1 and kpow only when
+    # ell > 1.  Cycle c covers the half-open time window between
+    # regenerations; regen_states[c] is the endpoint that closed it.
+    # Visits are counted in a list and written into occ[c] when the cycle
+    # closes or the kernel returns.  traj and marks, unless None, are
+    # lists that receive X_0 and every later state, and the coin of each
+    # block (-1 where none was tossed).
     c_total = lengths.shape[0]
-    n = k_raw.shape[0]
+    n = k_cum.shape[0]
     uniforms = _Uniforms(gen)
     rows = _row_lists(k_cum)
-    res_rows = _row_lists(res_cum)
+    res_rows = _row_lists(res_cum) if eps < 1.0 else None
     lam = lam_cum.tolist()
     bridge = _bridge_tables(k_raw, kpow)
     regen_set = in_regen.tolist()
+    record = traj is not None
     x = _draw_index(uniforms, lam)
     pos = 0
     c = 0
     start = 0
-    blocks = 0
     counts = [0] * n
     counts[x] += 1
     if record:
-        if traj.shape[0] < 1:
-            occ[c] = counts
-            return 0, 0, 0, 2
-        traj[0] = x
+        traj.append(x)
     while True:
-        if record and (pos + ell >= traj.shape[0] or blocks >= marks.shape[0]):
-            occ[c] = counts
-            return c, pos, blocks, 2
         if regen_set[x]:
-            zeta = 1 if uniforms.random() < eps else 0
-            branch = 2 - zeta
+            zeta = 1 if eps >= 1.0 or uniforms.random() < eps else 0
+            block = _block_states(uniforms, 2 - zeta, x, rows, lam,
+                                  None if zeta else res_rows[x], bridge, ell)
+            if record:
+                marks.append(zeta)
+                traj.extend(block)
+            x = block[-1]
+            for s in block[:-1]:
+                counts[s] += 1
+            pos += ell
+            if zeta:
+                occ[c] = counts
+                lengths[c] = pos - start
+                regen_states[c] = x
+                c += 1
+                if c == c_total:
+                    return c, pos, pos // ell, 0
+                start = pos
+                counts = [0] * n
+            counts[x] += 1
+            if pos >= budget:
+                occ[c] = counts
+                return c, pos, pos // ell, 1
         else:
-            zeta = branch = 0
-        block = _block_states(uniforms, branch, x, rows, lam, res_rows[x],
-                              bridge, ell)
-        if record:
-            marks[blocks] = zeta if branch else -1
-            traj[pos + 1:pos + ell + 1] = block
-        x = block[-1]
-        for s in block[:-1]:
-            counts[s] += 1
-        pos += ell
-        if zeta:
-            occ[c] = counts
-            lengths[c] = pos - start
-            regen_states[c] = x
-            c += 1
-            if c == c_total:
-                return c, pos, blocks + 1, 0
-            start = pos
-            counts = [0] * n
-        counts[x] += 1
-        blocks += 1
-        if pos >= budget:
-            occ[c] = counts
-            return c, pos, blocks, 1
+            # plain blocks until one ends inside the set; the draw is
+            # _draw_index, inlined: this loop is the hottest in the package
+            block_end = pos + ell
+            for u in uniforms:
+                row = rows[x]
+                x = bisect_right(row, u)
+                if x == n:
+                    x = bisect_left(row, row[-1])
+                counts[x] += 1
+                pos += 1
+                if record:
+                    traj.append(x)
+                    if pos == block_end:
+                        marks.append(-1)
+                if pos < block_end:
+                    continue
+                if pos >= budget:
+                    occ[c] = counts
+                    return c, pos, pos // ell, 1
+                if regen_set[x]:
+                    break
+                block_end = pos + ell

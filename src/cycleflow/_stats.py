@@ -17,19 +17,15 @@ def chunk_plan(n_cycles, chunk_size):
     return [chunk_size] * full + ([rest] if rest else [])
 
 
-def chunk_seeds(seed, n_chunks):
-    """One spawned ``SeedSequence`` per chunk.  ``seed`` may be an int or
-    an already-built SeedSequence (nested spawning)."""
+def chunk_generators(seed, n_chunks):
+    """One independent ``Generator`` per chunk, each on its own spawned
+    ``SeedSequence``.  ``seed`` may be an int or an already-built
+    SeedSequence (nested spawning)."""
     if isinstance(seed, np.random.SeedSequence):
         root = seed
     else:
         root = np.random.SeedSequence(seed)
-    return root.spawn(n_chunks)
-
-
-def chunk_generators(seed, n_chunks):
-    """One independent ``Generator`` per chunk, derived from ``seed``."""
-    return [np.random.default_rng(child) for child in chunk_seeds(seed, n_chunks)]
+    return [np.random.default_rng(child) for child in root.spawn(n_chunks)]
 
 
 class RatioAccumulator:

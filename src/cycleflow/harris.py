@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._stats import RatioAccumulator, chunk_plan, chunk_seeds
+from ._stats import RatioAccumulator, chunk_generators, chunk_plan
 from .errors import (
     BudgetExceededError,
     InfeasibleMinorizationError,
@@ -61,10 +61,10 @@ def fit_minorization(kernel, regen_members, ell):
     """Largest componentwise minorization of K^ell over the set.
 
     lam is proportional to the columnwise minimum of the K^ell rows of
-    the set and epsilon is the total of those minima, which is the
-    maximal feasible constant for that lam.  A zero total means the set
-    rows share no common support and no splitting is possible at this
-    block length.
+    the set and epsilon is the total of those minima, capped at 1, which
+    is the maximal feasible constant for that lam.  A zero total means
+    the set rows share no common support and no splitting is possible at
+    this block length.
     """
     kernel = _as_kernel(kernel)
     mask = event_mask(kernel.n, regen_members)
@@ -76,12 +76,13 @@ def fit_minorization(kernel, regen_members, ell):
         raise PreconditionError("block length must be at least 1", field="ell")
     k_ell = np.linalg.matrix_power(kernel.matrix, ell)
     mins = k_ell[idx].min(axis=0)
-    epsilon = float(mins.sum())
-    if epsilon <= 0.0:
+    total = float(mins.sum())
+    if total <= 0.0:
         raise InfeasibleMinorizationError(
             "rows of K^%d share no common support over the set; no "
             "minorization exists" % ell)
-    return MinorizationFit(epsilon, mins / epsilon)
+    # one K^ell row of a one-state set can sum to just above 1
+    return MinorizationFit(min(total, 1.0), mins / total)
 
 
 class HarrisModel:
@@ -426,8 +427,9 @@ class SplitChainRun:
     included, closing regeneration excluded); lengths[c] is the cycle
     duration; regen_states[c] is the state drawn from lam at the
     regeneration closing cycle c.  trajectory and marks are kept only
-    when recording was requested; marks[k] is the coin tossed at the
-    k-th block start, -1 where no coin was tossed.
+    when recording was requested; marks[k] is the coin of the k-th
+    block (1 when epsilon = 1 makes it sure), -1 for a block that starts
+    outside the regeneration set.
     """
 
     n_cycles: int
@@ -450,7 +452,8 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     seed stream per chunk; chunk k always owns cycles [k*size, (k+1)*size)
     and the output is identical however chunks are scheduled.  Recording
     the trajectory forces a single chunk so the sample path is one
-    unbroken run.
+    unbroken run; the kernel appends the path and the coins to lists as
+    it goes.  A block that starts in R draws no coin when epsilon = 1.
     """
     if n_regens < 1:
         raise PreconditionError("need at least one regeneration",
@@ -459,57 +462,37 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     if record_trajectory:
         chunk_size = n_regens
     plan = chunk_plan(n_regens, chunk_size)
-    streams = chunk_seeds(seed, len(plan))
 
     n = model.n
     occ_all = []
     len_all = []
     regen_all = []
-    trajectory = None
-    marks = None
+    traj = [] if record_trajectory else None
+    marks = [] if record_trajectory else None
     used = 0
     done = 0
-    for chunk_index, count in enumerate(plan):
+    for gen, count in zip(chunk_generators(seed, len(plan)), plan):
         occ = np.zeros((count, n), dtype=np.int64)
         lengths = np.zeros(count, dtype=np.int64)
         regen_states = np.zeros(count, dtype=np.int64)
-        cap = 1024 + 8 * model.ell * count
-        while True:
-            # a fresh generator per attempt: a rerun with grown buffers
-            # replays the chunk's stream from the start
-            gen = np.random.default_rng(streams[chunk_index])
-            if record_trajectory:
-                traj = np.zeros(cap, dtype=np.int64)
-                mk = np.full(cap, -1, dtype=np.int8)
-            else:
-                traj = np.zeros(1, dtype=np.int64)
-                mk = np.zeros(1, dtype=np.int8)
-            cycles, steps, blocks, status = _kernels.split_chain_batch(
-                gen, model.kernel.matrix, model.kernel.row_cumulative,
-                model.lam_cumulative, res_cum, model.kernel_powers,
-                model.regen_mask, model.epsilon, model.ell, occ, lengths,
-                regen_states, record_trajectory, traj, mk,
-                step_budget - used)
-            if status == 2:
-                cap *= 2
-                occ[:] = 0
-                lengths[:] = 0
-                regen_states[:] = 0
-                continue
-            if status == 1:
-                raise BudgetExceededError(
-                    "no %d-th regeneration within the %d-step budget; the "
-                    "regeneration set may be effectively unreachable"
-                    % (n_regens, step_budget))
-            break
+        cycles, steps, _, status = _kernels.split_chain_batch(
+            gen, model.kernel.matrix, model.kernel.row_cumulative,
+            model.lam_cumulative, res_cum, model.kernel_powers,
+            model.regen_mask, model.epsilon, model.ell, occ, lengths,
+            regen_states, traj, marks, step_budget - used)
+        if status == 1:
+            raise BudgetExceededError(
+                "no %d-th regeneration within the %d-step budget; the "
+                "regeneration set may be effectively unreachable"
+                % (n_regens, step_budget))
         used += int(steps)
         done += int(cycles)
         occ_all.append(occ)
         len_all.append(lengths)
         regen_all.append(regen_states)
-        if record_trajectory:
-            trajectory = traj[:steps + 1].copy()
-            marks = mk[:blocks].copy()
+    if record_trajectory:
+        traj = np.array(traj, dtype=np.int64)
+        marks = np.array(marks, dtype=np.int8)
     return SplitChainRun(
         n_cycles=done,
         seed=seed,
@@ -518,7 +501,7 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
         regen_states=np.concatenate(regen_all),
         steps=used,
         ell=model.ell,
-        trajectory=trajectory,
+        trajectory=traj,
         marks=marks,
     )
 

@@ -350,7 +350,11 @@ def simulate_cycle_estimator(chain, base, n_cycles, seed, chunk_size=4096,
     if step_budget is None:
         mean_return = cycle_occupation(chain, base).mean_return
         step_budget = int(max(10 ** 6, 50.0 * n_cycles * mean_return))
+    # the split chain with R = {base}, ell = 1, epsilon = 1 and
+    # lam = P[base]: each step from base closes a cycle, so its cycles are
+    # the return cycles of base, each rotated to end at base
     row_cum = chain.row_cumulative
+    in_regen = np.arange(chain.n) == base
     acc = RatioAccumulator(chain.n)
     plan = chunk_plan(n_cycles, chunk_size)
     gens = chunk_generators(seed, len(plan))
@@ -358,8 +362,10 @@ def simulate_cycle_estimator(chain, base, n_cycles, seed, chunk_size=4096,
     for gen, count in zip(gens, plan):
         occ = np.zeros((count, chain.n), dtype=np.int64)
         lengths = np.zeros(count, dtype=np.int64)
-        steps, status = _kernels.markov_cycle_batch(
-            gen, row_cum, base, occ, lengths, step_budget - used)
+        _, steps, _, status = _kernels.split_chain_batch(
+            gen, chain.matrix, row_cum, row_cum[base], None, None, in_regen,
+            1.0, 1, occ, lengths, np.zeros(count, dtype=np.int64), None,
+            None, step_budget - used)
         used += int(steps)
         if status != 0:
             raise BudgetExceededError(

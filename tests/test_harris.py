@@ -52,6 +52,25 @@ def test_fit_two_step_blocks(h3):
     assert np.abs(fit.lam - [0.35, 0.5, 0.15]).max() <= 1e-12
 
 
+def test_fit_on_one_state_caps_epsilon_at_one():
+    # one K^ell row can sum to just above 1; the fit caps epsilon at 1,
+    # leaves lam as the row over its own sum, and HarrisModel takes it
+    rng = np.random.default_rng(0)
+    above = 0
+    for _ in range(40):
+        k = rng.dirichlet(np.ones(7), size=7)
+        for ell in (1, 2, 3):
+            row = np.linalg.matrix_power(k, ell)[0]
+            above += row.sum() > 1.0
+            fit = cf.fit_minorization(k, [0], ell)
+            assert fit.epsilon == min(row.sum(), 1.0)
+            assert fit.lam.tobytes() == (row / row.sum()).tobytes()
+            model = cf.HarrisModel(k, [0], ell=ell)
+            assert model.epsilon == fit.epsilon
+            assert model.lam.tobytes() == fit.lam.tobytes()
+    assert above > 0
+
+
 def test_fit_rejects_disjoint_row_supports():
     with pytest.raises(InfeasibleMinorizationError):
         cf.fit_minorization(np.eye(2), [0, 1], 1)

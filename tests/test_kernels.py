@@ -228,7 +228,7 @@ def test_backward_hits_at_doubling_depth():
 
 
 # ---------------------------------------------------------------------------
-# random kernels: the per-draw code they replaced, kept as referees.  Each
+# random kernel: the per-draw code it replaced, kept as referees.  Each
 # draw calls gen.random() once and searches an array row.  The referee's
 # _draw_index still clamps past-the-end uniforms to the last entry; random
 # rows here never reach that clamp (see the stub tests below for it).
@@ -298,8 +298,8 @@ def _block_states_ref(gen, branch, x0, k_raw, k_cum, lam_cum, res_row_cum,
 
 
 def _split_chain_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
-                     eps, ell, occ, lengths, regen_states, record, traj,
-                     marks, budget):
+                     eps, ell, occ, lengths, regen_states, traj, marks,
+                     budget):
     c_total = lengths.shape[0]
     block = np.empty(ell, dtype=np.int64)
     x = _draw_index_ref(gen, lam_cum)
@@ -308,35 +308,33 @@ def _split_chain_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
     start = 0
     blocks = 0
     occ[0, x] += 1
+    record = traj is not None
     if record:
-        if traj.shape[0] < 1:
-            return 0, 0, 0, 2
-        traj[0] = x
+        traj.append(x)
     while True:
-        if record and (pos + ell >= traj.shape[0] or blocks >= marks.shape[0]):
-            return c, pos, blocks, 2
         regen = False
         if in_regen[x]:
-            zeta = 1 if gen.random() < eps else 0
+            # a coin that lands heads with probability 1 is not a draw
+            zeta = 1 if eps >= 1.0 or gen.random() < eps else 0
             if record:
-                marks[blocks] = zeta
+                marks.append(zeta)
             if zeta == 1:
                 _block_states_ref(gen, 1, x, k_raw, k_cum, lam_cum,
-                                  res_cum[x], kpow, ell, block)
+                                  None, kpow, ell, block)
                 regen = True
             else:
                 _block_states_ref(gen, 2, x, k_raw, k_cum, lam_cum,
                                   res_cum[x], kpow, ell, block)
         else:
             if record:
-                marks[blocks] = -1
-            _block_states_ref(gen, 0, x, k_raw, k_cum, lam_cum, res_cum[x],
+                marks.append(-1)
+            _block_states_ref(gen, 0, x, k_raw, k_cum, lam_cum, None,
                               kpow, ell, block)
         for j in range(ell):
             s = block[j]
             pos += 1
             if record:
-                traj[pos] = s
+                traj.append(s)
             if regen and j == ell - 1:
                 lengths[c] = pos - start
                 regen_states[c] = s
@@ -362,20 +360,35 @@ def _random_rows(rng, n):
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _markov_pair(row_cum, base, cycles, budget, seed):
+def _markov_kernel(gen, chain, base, occ, lengths, budget):
+    # the split-kernel call simulate_cycle_estimator makes: R = {base},
+    # ell = 1, epsilon = 1, lam = P[base]; returns (steps, status) as the
+    # referee does
+    in_regen = np.arange(chain.n) == base
+    row_cum = chain.row_cumulative
+    result = kr.split_chain_batch(
+        gen, chain.matrix, row_cum, row_cum[base], None, None, in_regen, 1.0,
+        1, occ, lengths, np.zeros(lengths.shape[0], dtype=np.int64), None,
+        None, budget)
+    return result[1], result[3]
+
+
+def _markov_pair(chain, base, cycles, budget, seed):
     # (kernel outputs, referee outputs) from equal generators
-    n = row_cum.shape[0]
     outs = []
-    for fn in (kr.markov_cycle_batch, _markov_cycle_ref):
-        occ = np.zeros((cycles, n), dtype=np.int64)
+    for fn, rows in ((_markov_kernel, chain), (_markov_cycle_ref,
+                                               chain.row_cumulative)):
+        occ = np.zeros((cycles, chain.n), dtype=np.int64)
         lengths = np.zeros(cycles, dtype=np.int64)
-        result = fn(np.random.default_rng(seed), row_cum, base, occ, lengths,
+        result = fn(np.random.default_rng(seed), rows, base, occ, lengths,
                     budget)
         outs.append((tuple(int(v) for v in result), occ, lengths))
     return outs
 
 
-def test_markov_cycle_batch_matches_referee():
+def test_markov_cycles_on_split_kernel_match_referee():
+    # a full run gives the referee's steps, occupations and lengths; each
+    # cycle is rotated to end at base, which leaves its row unchanged
     rng = np.random.default_rng(61)
     long_runs = 0
     for case in range(40):
@@ -386,8 +399,7 @@ def test_markov_cycle_batch_matches_referee():
         if not structure.recurrent[structure.labels[base]]:
             continue
         cycles = int(rng.integers(1, 400))
-        new, ref = _markov_pair(chain.row_cumulative, base, cycles, 10 ** 6,
-                                case)
+        new, ref = _markov_pair(chain, base, cycles, 10 ** 6, case)
         assert new[0] == ref[0] and new[0][1] == 0
         np.testing.assert_array_equal(new[1], ref[1])
         np.testing.assert_array_equal(new[2], ref[2])
@@ -395,21 +407,21 @@ def test_markov_cycle_batch_matches_referee():
     assert long_runs >= 5
 
 
-def test_markov_cycle_batch_budget_matches_referee():
-    # the budget runs out inside a cycle: same status, same step count,
-    # same partial occupation row
+def test_markov_cycles_on_split_kernel_budget_match_referee():
+    # the budget runs out inside a cycle: both report status 1, and the
+    # kernel stops after exactly `budget` steps with the referee's cycles
+    # that closed within them.  The referee checks its budget only on
+    # steps that do not return, so it may run on past it.
     rng = np.random.default_rng(62)
     chain = cf.StochasticMatrix(rng.dirichlet(np.ones(25), size=25))
     for budget in (1, 2, 7, 1000, kr.UNIFORM_BLOCK + 1, 5000):
-        new, ref = _markov_pair(chain.row_cumulative, 3, 10 ** 4, budget,
-                                budget)
-        assert new[0] == ref[0] == (budget, 1)
-        np.testing.assert_array_equal(new[1], ref[1])
-        np.testing.assert_array_equal(new[2], ref[2])
-    assert kr.markov_cycle_batch(
-        np.random.default_rng(0), chain.row_cumulative, 0,
-        np.zeros((0, 25), dtype=np.int64), np.zeros(0, dtype=np.int64),
-        10) == (0, 0)
+        new, ref = _markov_pair(chain, 3, 10 ** 4, budget, budget)
+        assert new[0] == (budget, 1) and ref[0][1] == 1
+        ref_lengths = ref[2][ref[2] > 0]
+        done = int((np.cumsum(ref_lengths) <= budget).sum())
+        np.testing.assert_array_equal(new[2][:done], ref_lengths[:done])
+        assert not new[2][done:].any()
+        np.testing.assert_array_equal(new[1][:done], ref[1][:done])
 
 
 def _harris_cases(seed):
@@ -427,8 +439,7 @@ def _harris_cases(seed):
             fit = cf.fit_minorization(k, regen, ell)
         except cf.errors.InfeasibleMinorizationError:
             continue
-        # a single-state fit can round to just above 1
-        epsilon = min(fit.epsilon, 1.0) * (0.7 if len(cases) % 2 else 1.0)
+        epsilon = fit.epsilon * (0.7 if len(cases) % 2 else 1.0)
         model = cf.HarrisModel(k, regen, ell=ell, epsilon=epsilon,
                                lam=fit.lam)
         # keep models whose cycles close quickly
@@ -445,19 +456,17 @@ def _split_args(model):
             model.kernel_powers, model.regen_mask, model.epsilon, model.ell)
 
 
-def _split_pair(model, cycles, seed, budget=10 ** 6, cap=None):
-    # (kernel outputs, referee outputs) from equal generators; cap sizes
-    # the record buffers, None means no recording
+def _split_pair(model, cycles, seed, budget=10 ** 6, record=False):
+    # (kernel outputs, referee outputs) from equal generators
     outs = []
     for fn in (kr.split_chain_batch, _split_chain_ref):
         occ = np.zeros((cycles, model.n), dtype=np.int64)
         lengths = np.zeros(cycles, dtype=np.int64)
         regen = np.zeros(cycles, dtype=np.int64)
-        record = cap is not None
-        traj = np.zeros(cap if record else 1, dtype=np.int64)
-        marks = np.full(cap if record else 1, -1, dtype=np.int8)
+        traj = [] if record else None
+        marks = [] if record else None
         result = fn(np.random.default_rng(seed), *_split_args(model), occ,
-                    lengths, regen, record, traj, marks, budget)
+                    lengths, regen, traj, marks, budget)
         outs.append((tuple(int(v) for v in result), occ, lengths, regen,
                      traj, marks))
     return outs
@@ -484,14 +493,13 @@ def test_split_chain_batch_matches_referee():
 
 
 def test_split_chain_batch_recording_matches_referee():
-    # a buffer too small for the run returns status 2 at the same point;
-    # a large one records the same trajectory and coin marks
+    # the same trajectory (X_0 and every later state) and coin marks
     for i, model in enumerate(_harris_cases(72)[:18]):
         cycles = 40 + 10 * i
-        for cap in (0, 1, 2, 5, 64, 10 ** 6):
-            new, ref = _split_pair(model, cycles, 200 + i, cap=cap)
-            _assert_same(new, ref)
+        new, ref = _split_pair(model, cycles, 200 + i, record=True)
+        _assert_same(new, ref)
         assert new[0][3] == 0
+        assert len(new[4]) == new[0][1] + 1 and len(new[5]) == new[0][2]
 
 
 def test_split_chain_batch_budget_matches_referee():
@@ -501,7 +509,7 @@ def test_split_chain_batch_budget_matches_referee():
             assert new[0][3] == 1
             _assert_same(new, ref)
             new, ref = _split_pair(model, 10 ** 4, 300 + i, budget=budget,
-                                   cap=10 ** 5)
+                                   record=True)
             _assert_same(new, ref)
 
 
@@ -512,10 +520,10 @@ def test_kernels_on_array_rows_and_without_bridge_memo(monkeypatch):
     monkeypatch.setattr(kr, "BRIDGE_TABLES", 1)
     rng = np.random.default_rng(76)
     chain = cf.StochasticMatrix(rng.dirichlet(np.ones(20), size=20))
-    new, ref = _markov_pair(chain.row_cumulative, 4, 300, 10 ** 6, 76)
+    new, ref = _markov_pair(chain, 4, 300, 10 ** 6, 76)
     _assert_same(new, ref)
     for i, model in enumerate(_harris_cases(77)[:12]):
-        new, ref = _split_pair(model, 150, 400 + i, cap=10 ** 5)
+        new, ref = _split_pair(model, 150, 400 + i, record=True)
         _assert_same(new, ref)
 
 
@@ -628,11 +636,10 @@ def test_kernels_clamp_to_last_positive_entry():
     p = np.zeros((11, 11))
     p[0] = _SHORT_ROW
     p[1:, 0] = 1.0
-    row_cum = np.cumsum(p, axis=1)
     occ = np.zeros((3, 11), dtype=np.int64)
     lengths = np.zeros(3, dtype=np.int64)
-    assert kr.markov_cycle_batch(_StubGen(_TOP), row_cum, 0, occ, lengths,
-                                 100) == (6, 0)
+    assert _markov_kernel(_StubGen(_TOP), cf.StochasticMatrix(p), 0, occ,
+                          lengths, 100) == (6, 0)
     np.testing.assert_array_equal(lengths, [2, 2, 2])
     assert occ[:, 9].tolist() == [1, 1, 1] and occ[:, 10].sum() == 0
     # split chain: every row is the short row, every block starts in R
@@ -642,14 +649,13 @@ def test_kernels_clamp_to_last_positive_entry():
     occ = np.zeros((4, 11), dtype=np.int64)
     lengths = np.zeros(4, dtype=np.int64)
     regen = np.zeros(4, dtype=np.int64)
-    traj = np.zeros(64, dtype=np.int64)
-    marks = np.full(64, -1, dtype=np.int8)
+    traj = []
     kpow = np.stack([np.eye(11), k])
     result = kr.split_chain_batch(
         _StubGen(_TOP), k, np.cumsum(k, axis=1), lam_cum,
         np.zeros((11, 11)), kpow, np.ones(11, dtype=bool), 1.0, 1, occ,
-        lengths, regen, True, traj, marks, 100)
+        lengths, regen, traj, [], 100)
     assert result == (4, 4, 4, 0)
     assert regen.tolist() == [9] * 4
-    assert traj[:5].tolist() == [9] * 5
+    assert traj == [9] * 5
     assert occ[:, 10].sum() == 0

@@ -459,6 +459,26 @@ def test_estimator_chunking_does_not_change_totals(mc2):
     assert np.array_equal(a.standard_errors, b.standard_errors)
 
 
+def test_estimator_is_the_split_chain_of_one_state(mc2, flip2):
+    # the estimator runs the split chain with R = {base}, ell = 1,
+    # epsilon = 1 and lam = P[base]; built as a HarrisModel, that split
+    # chain gives the same estimate and step count from the same seed
+    rng = np.random.default_rng(81)
+    chains = [mc2, flip2] + [random_dense_chain(int(rng.integers(1, 12)), rng)
+                             for _ in range(20)]
+    for case, chain in enumerate(chains):
+        base = int(rng.integers(0, chain.n))
+        cycles = int(rng.integers(1, 300))
+        est = cf.simulate_cycle_estimator(chain, base, cycles, seed=case,
+                                          chunk_size=64)
+        model = cf.HarrisModel(chain, [base], ell=1, epsilon=1.0,
+                               lam=chain.matrix[base])
+        run = cf.simulate_split_chain(model, cycles, case, chunk_size=64)
+        report = cf.regen_ratio_estimator(run.occupations, run.lengths)
+        assert est.pi_hat.tobytes() == report.pi_hat.tobytes()
+        assert est.steps == run.steps
+
+
 def test_estimator_near_truth(mc2):
     est = cf.simulate_cycle_estimator(mc2, 0, 4000, seed=5)
     z = np.abs(est.pi_hat - MC2_PI) / est.standard_errors
