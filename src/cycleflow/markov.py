@@ -9,6 +9,7 @@ must agree to solver precision, and tests hold them to that.
 """
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -118,16 +119,67 @@ def class_structure(chain):
     return _per_matrix(chain, "_structure", _class_structure)
 
 
-def _class_structure(p):
-    # scipy is imported on demand: it costs about a second of start-up
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
+def _strong_components(n, rows, cols):
+    """Strongly connected components of the graph whose edges are
+    ``rows[k] -> cols[k]``, sorted by source (CSR order).  Returns
+    (count, raw labels) with arbitrary label numbers.
 
+    Tarjan (SIAM J. Comput. 1(2), 1972) with an explicit call stack, so
+    no recursion however long the paths.  A resumed vertex finds its
+    next unvisited successor with one scan of the rest of its edge
+    segment; a finished vertex takes its low link from all successors at
+    once, those already in a component having had theirs raised to n,
+    above every index.  Taking the low links of the successors still on
+    the stack rather than their indices leaves the roots, and so the
+    components, unchanged.  That is O(n) numpy calls over at most 2n
+    edge segments, so no more element work than reading a dense n x n
+    support once or twice.
+    """
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    index = np.full(n, -1, dtype=np.int64)
+    low = np.empty(n, dtype=np.int64)
+    raw = np.empty(n, dtype=np.int64)
+    stack = []               # visited vertices not yet in a component
+    depth = [0] * n          # where each vertex sits on ``stack``
+    call = []                # the search path: [vertex, next edge to scan]
+    ticket = itertools.count()
+    n_comp = 0
+
+    def visit(v):
+        index[v] = low[v] = next(ticket)
+        depth[v] = len(stack)
+        stack.append(v)
+        call.append([v, starts[v]])
+
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        visit(root)
+        while call:
+            frame = call[-1]
+            v, at = frame
+            end = starts[v + 1]
+            seg = cols[at:end]
+            fresh = np.flatnonzero(index[seg] < 0)
+            if fresh.size:
+                frame[1] = at + int(fresh[0]) + 1
+                visit(int(seg[fresh[0]]))
+                continue
+            call.pop()
+            low[v] = low[cols[starts[v]:end]].min(initial=index[v])
+            if low[v] == index[v]:
+                members = stack[depth[v]:]
+                del stack[depth[v]:]
+                raw[members] = n_comp
+                low[members] = n
+                n_comp += 1
+    return n_comp, raw
+
+
+def _class_structure(p):
     n = p.shape[0]
     rows, cols = np.nonzero(p > 0)
-    graph = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
-                          shape=(n, n))
-    n_comp, raw = connected_components(graph, directed=True, connection="strong")
+    n_comp, raw = _strong_components(n, rows, cols)
     # renumber components by smallest member state
     first = np.full(n_comp, n, dtype=np.int64)
     np.minimum.at(first, raw, np.arange(n))

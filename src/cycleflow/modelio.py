@@ -53,17 +53,21 @@ def _require(doc, key, types, kind):
     return value
 
 
+def _only_types(value, allowed):
+    # one check per distinct element type, not per element; bool is an
+    # int subclass and is refused
+    return all(issubclass(t, allowed) and not issubclass(t, bool)
+               for t in set(map(type, value)))
+
+
 def _number_list(value, field):
-    if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in value):
+    if not isinstance(value, list) or not _only_types(value, (int, float)):
         raise InvariantError("expected a list of numbers", field=field)
     return value
 
 
 def _int_list(value, field):
-    if not isinstance(value, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value):
+    if not isinstance(value, list) or not _only_types(value, int):
         raise InvariantError("expected a list of integers", field=field)
     return value
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -86,35 +87,44 @@ def test_fit_minorization_help_states_power_rule(capsys):
     assert "exit 7" in text
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported on demand by the few functions that use it
+def test_runs_leave_scipy_unloaded(files):
+    # every command path runs on numpy and the standard library alone
     src = os.path.dirname(os.path.dirname(cf.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, cycleflow, cycleflow.cli; "
-            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    finite, markov, harris = files["finite"], files["markov"], files["harris"]
+    out = finite + ".report"
+    runs = [["verify", finite], ["verify", markov],
+            ["verify", harris, "--cycles", "500"],
+            ["stationary", markov, "--method", "cycles", "--cycles", "500"],
+            ["harris", harris, "--cycles", "500"]]
+    code = ("import json, sys; from cycleflow.cli import main; "
+            "print([main(args + ['--format', 'json', '--output', sys.argv[2]]) "
+            "for args in json.loads(sys.argv[1])], "
+            "sorted(k for k in sys.modules if k.startswith('scipy')))")
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs), out], env=env,
+        check=True, capture_output=True, text=True).stdout
+    assert result.strip() == "[0, 0, 0, 0, 0] []"
 
 
-def test_harris_verify_leaves_scipy_stats_unloaded(files):
-    # the chi-square gates take their tail from scipy.special alone
-    src = os.path.dirname(os.path.dirname(cf.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys; from cycleflow.cli import main; "
-            "code = main(['verify', sys.argv[1], '--cycles', '500', "
-            "'--format', 'json', '--output', sys.argv[2]]); "
-            "print(code, 'scipy.special' in sys.modules, "
-            "sorted(k for k in sys.modules if k.startswith('scipy.stats')))")
-    out = subprocess.run(
-        [sys.executable, "-c", code, files["harris"],
-         files["harris"] + ".report"], env=env, check=True,
-        capture_output=True, text=True).stdout
-    assert out.strip() == "0 True []"
+def test_no_source_module_imports_scipy():
+    package = os.path.dirname(cf.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), \
+                (name, node.lineno)
 
 
 def test_version(capsys):

@@ -1,4 +1,5 @@
 import heapq
+import zlib
 
 import numpy as np
 import pytest
@@ -214,6 +215,84 @@ def test_class_structure_matches_loop_when_every_state_is_a_class():
     assert s.recurrent_classes == [n - 1]
     # the identity: n closed singletons, no arrows
     _assert_matches_loop(cf.StochasticMatrix(np.eye(n)))
+
+
+def _support_chain(n, src, dst):
+    """Uniform rows on the given arrows; a state with none keeps a loop."""
+    p = np.zeros((n, n))
+    p[src, dst] = 1.0
+    lone = np.flatnonzero(p.sum(axis=1) == 0)
+    p[lone, lone] = 1.0
+    return cf.StochasticMatrix(p / p.sum(axis=1, keepdims=True))
+
+
+def _same_partition(a, b):
+    # the pairs (a[i], b[i]) pair the labels of a and b one to one
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+def test_strong_components_on_long_graphs_need_no_recursion():
+    # 2000 states is twice the default recursion limit: a recursive
+    # search would fail on every one of these
+    n = 2000
+    i = np.arange(n)
+    even = i[::2]
+    cases = {
+        "path": (i[:-1], i[1:], n),
+        "reversed path": (i[1:], i[:-1], n),
+        "upper triangular": (*np.nonzero(np.triu(np.ones((n, n)))), n),
+        "line of 2-cycles": (np.concatenate([even, even + 1, even[1:] - 1]),
+                             np.concatenate([even + 1, even, even[1:]]),
+                             n // 2),
+        "single cycle": (i, np.roll(i, -1), 1),
+    }
+    for name, (src, dst, n_classes) in cases.items():
+        order = np.lexsort((dst, src))
+        rows, cols = src[order], dst[order]
+        count, raw = cf.markov._strong_components(n, rows, cols)
+        graph = sp.csr_matrix((np.ones(rows.size, dtype=np.int8),
+                               (rows, cols)), shape=(n, n))
+        ref_count, ref = connected_components(graph, directed=True,
+                                              connection="strong")
+        assert count == ref_count == n_classes, name
+        assert _same_partition(raw, ref), name
+        # the full structure too, where the loop reference is quick
+        if name != "upper triangular":
+            chain = _support_chain(n, src, dst)
+            _assert_matches_loop(chain)
+            assert len(cf.class_structure(chain).recurrent_classes) == 1
+
+
+def test_class_structure_matches_loop_on_random_graphs():
+    # arbitrary supports, from a few arrows per state to nearly complete
+    rng = np.random.default_rng(8)
+    for n in range(1, 61):
+        for density in (0.5 / n, 2.0 / n, 0.3):
+            support = rng.random((n, n)) < density
+            _assert_matches_loop(_support_chain(n, *np.nonzero(support)))
+
+
+def _perfbench_rng(name):
+    # the benchmark's stream for model ``name`` at seed 1
+    return np.random.default_rng([1, zlib.crc32(name.encode())])
+
+
+def test_class_structure_matches_loop_on_benchmark_chains():
+    rng = _perfbench_rng("mc1000")
+    _assert_matches_loop(cf.StochasticMatrix(
+        rng.dirichlet(np.full(1000, 0.2), size=1000)))
+    # four closed classes of 100 states and 100 transient states whose
+    # rows spread over every state
+    rng = _perfbench_rng("mcr500")
+    p = np.zeros((500, 500))
+    for c in range(4):
+        block = slice(100 * c, 100 * (c + 1))
+        p[block, block] = rng.dirichlet(np.full(100, 0.2), size=100)
+    p[400:] = rng.dirichlet(np.full(500, 0.2), size=100)
+    chain = cf.StochasticMatrix(p / p.sum(axis=1, keepdims=True))
+    _assert_matches_loop(chain)
+    assert cf.class_structure(chain).recurrent_classes == [0, 1, 2, 3]
 
 
 def test_class_structure_is_computed_once_per_matrix():

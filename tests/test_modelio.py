@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cycleflow as cf
+from cycleflow import modelio
 from cycleflow.errors import (
     FileAccessError,
     InvariantError,
@@ -156,6 +157,30 @@ def test_bool_is_not_a_number(tmp_path):
     with pytest.raises(InvariantError) as err:
         cf.load_model(write(tmp_path, doc))
     assert err.value.field == "weights"
+
+
+def test_list_checks_keep_the_per_item_verdicts():
+    # the per-item rules the type-set checks replace
+    def numbers(value):
+        return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in value)
+
+    def integers(value):
+        return all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in value)
+
+    cases = [[], [0.5, 1], [1, 2], [True], [0.5, False], [1, None],
+             ["1"], [np.float64(0.5), 0.5], [np.int64(1)], [2 ** 70, -1],
+             [1.0, np.float32(1.0)], [[1.0]]]
+    for value in cases:
+        for check, rule in ((modelio._number_list, numbers),
+                            (modelio._int_list, integers)):
+            if rule(value):
+                assert check(value, "f") is value
+            else:
+                with pytest.raises(InvariantError) as err:
+                    check(value, "f")
+                assert err.value.field == "f"
 
 
 def test_rational_weights_validated(tmp_path):

@@ -257,9 +257,9 @@ def test_simulation_report_bytes_are_fixed(tmp_path):
     cases = (
         (cf.HarrisModel(H3, [0], ell=2, epsilon=0.5),
          cf.RunConfig(cycles=600, seed=5),
-         "7545aeda729ec9a6d39eae731e453c39d9689ba608c0ac0ee26f065636d4d120"),
+         "20dae5142cebf318c3d84bc6b7da8dd78b8a7e77d1c37c2db4f699c7ce86b03f"),
         (_dirichlet_harris40(), cf.RunConfig(cycles=400, seed=6),
-         "c6e2d6085fc3977a6d3991686678128db102237e84aef5fe7012dd21591a85e8"),
+         "d004610fe956ad4f15562b18b1cb3a5d6f4bece292e016cc0408cbcb8e287500"),
     )
     for model, cfg, digest in cases:
         report = cf.run_suite(model, cfg)
