@@ -87,14 +87,38 @@ def test_fit_minorization_help_states_power_rule(capsys):
     assert "exit 7" in text
 
 
-def test_runs_leave_scipy_unloaded(files):
-    # every command path runs on numpy and the standard library alone
+def run_fresh(code, *args):
+    # run `code` in a new interpreter that imports this checkout's package
     src = os.path.dirname(os.path.dirname(cf.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code] + list(args), env=env,
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, cycleflow, cycleflow.cli; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))")
+    assert run_fresh(code) == "[]"
+
+
+def test_harris_verify_leaves_scipy_stats_unloaded(files):
+    # the chi-square gates take their tail from the closed form, so neither
+    # scipy.stats nor scipy.special is loaded
+    code = ("import sys; from cycleflow.cli import main; "
+            "code = main(['verify', sys.argv[1], '--cycles', '500', "
+            "'--format', 'json', '--output', sys.argv[2]]); "
+            "print(code, 'scipy.special' in sys.modules, "
+            "sorted(k for k in sys.modules if k.startswith('scipy.stats')))")
+    assert run_fresh(code, files["harris"],
+                     files["harris"] + ".report") == "0 False []"
+
+
+def test_runs_leave_scipy_unloaded(files):
+    # every command path runs on numpy and the standard library alone
     finite, markov, harris = files["finite"], files["markov"], files["harris"]
-    out = finite + ".report"
     runs = [["verify", finite], ["verify", markov],
             ["verify", harris, "--cycles", "500"],
             ["stationary", markov, "--method", "cycles", "--cycles", "500"],
@@ -103,10 +127,8 @@ def test_runs_leave_scipy_unloaded(files):
             "print([main(args + ['--format', 'json', '--output', sys.argv[2]]) "
             "for args in json.loads(sys.argv[1])], "
             "sorted(k for k in sys.modules if k.startswith('scipy')))")
-    result = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(runs), out], env=env,
-        check=True, capture_output=True, text=True).stdout
-    assert result.strip() == "[0, 0, 0, 0, 0] []"
+    assert run_fresh(code, json.dumps(runs),
+                     finite + ".report") == "[0, 0, 0, 0, 0] []"
 
 
 def test_no_source_module_imports_scipy():
