@@ -11,30 +11,26 @@ step-by-step walk on any map, endomorphisms included.
 accumulating in step-major order in the dtype of its weights (float64,
 int64 or Python ints).
 
-The random-number kernel ``split_chain_batch`` is a scalar loop over a
-``numpy.random.Generator``, so a seed fixes every draw.  It serves both
-cycle settings: the return cycles of a Markov chain from a base state
-are the split chain with R = {base}, ell = 1, epsilon = 1 and
-lam = P[base] (Nummelin 1978).  Every draw uses exactly one uniform
-double, in a fixed order: the coin, then the block's states (a bridged
-block draws its endpoint before its interior).  The coin is tossed only
-when epsilon < 1; a coin that lands heads with probability 1 is not a
-draw.  The kernel reads those doubles ``UNIFORM_BLOCK`` at a time with
-``gen.random(k)``, which returns the same doubles as k calls of
-``gen.random()``.  A state is drawn by bisecting its cumulative row,
-kept as a Python list, which gives the index
-``np.searchsorted(row, u, side="right")`` would.  Reading ahead is safe
-because each caller gives a kernel call a fresh generator, one per
-chunk, and discards it afterwards, so the unused doubles of the last
-block are never wanted.  The scalar paths (``split_block``,
-``BridgeLaw.sample``) take the caller's generator and call
+The random-number kernel ``split_chain_batch`` runs the split chain
+(Nummelin 1978) on lanes: numpy advances a chunk's cycles side by side,
+one lane per cycle, or one lane in all when the path is recorded.  The
+return cycles of a Markov chain from a base state are the split chain
+with R = {base}, ell = 1, epsilon = 1 and lam = P[base].  The first
+iteration draws each lane's X_0 from lam; each later one reads
+``gen.random(live)``, one double per live lane in lane order, for the
+lane's next draw: a plain step outside R; in R the coin (only when
+epsilon < 1), then the endpoint from lam or the residual row, then the
+ell - 1 interior states from the bridge law.  So a seed fixes every
+draw.  A table draw (guide table, Chen & Asau 1974) gives the index
+``_draw_index`` gives on the same double, and a bridge draw that of
+``_bridge_step``.  ``split_block`` and ``BridgeLaw.sample`` call
 ``gen.random()`` once per draw.
 
-Status codes returned by kernels: 0 ok, 1 step budget exhausted.
+Status codes returned by kernels: 0 ok, 1 step budget exhausted (the
+split chain stops before an iteration would take it past its budget).
 """
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
 
 import numpy as np
 
@@ -105,39 +101,51 @@ def backward_hits(inv_mapping, in_set):
 # ---------------------------------------------------------------------------
 # random-number kernels
 
-# uniforms are read from the generator in blocks of this many doubles
-UNIFORM_BLOCK = 1024
-# cumulative rows are bisected as Python lists up to this many entries per
-# matrix, and as arrays beyond it (a list of floats takes four times the
-# memory of the array)
-ROW_LIST_ENTRIES = 2 ** 20
-# at most this many bridge tables are kept per kernel call
-BRIDGE_TABLES = 4096
+
+def guide_table(cum):
+    # (running sums then +inf, guide, clamp) for _lane_draw.  guide[x, k]
+    # counts the entries of row x whose bucket floor(c * n) is below k:
+    # each lies below every u of bucket k.  The clamp is _draw_index's.
+    r, n = cum.shape
+    bucket = np.minimum((cum * n).astype(np.intp), n)
+    bucket += (n + 1) * np.arange(r)[:, None]
+    hist = np.bincount(bucket.ravel(), minlength=r * (n + 1)).reshape(r, -1)
+    return (np.hstack((cum, np.full((r, 1), np.inf))),
+            np.cumsum(hist, axis=1) - hist, (cum < cum[:, -1:]).sum(axis=1))
 
 
-class _Uniforms:
-    """Stands in for a generator inside a kernel: iterating over it, or
-    calling ``random()``, hands out the generator's doubles in the order
-    ``gen.random()`` would."""
+def _lane_draw(table, base, u):
+    # Per lane, _draw_index's index for u on the row starting at base in
+    # the flat table: walk on from the guide entry while the sum is <= u.
+    cum, guide, last = table
+    n = guide.shape[1] - 1
+    flat = base + guide.ravel()[base + (u * n).astype(np.intp)]
+    cum = cum.ravel()
+    step = (cum[flat] <= u).nonzero()[0]
+    while step.size:
+        flat[step] += 1
+        step = step[cum[flat[step]] <= u[step]]
+    flat -= base
+    over = (flat == n).nonzero()[0]
+    if over.size:
+        flat[over] = last[base[over] // (n + 1)]
+    return flat
 
-    def __init__(self, gen):
-        blocks = iter(lambda: gen.random(UNIFORM_BLOCK).tolist(), None)
-        self._stream = chain.from_iterable(blocks)
-        self.random = self._stream.__next__
 
-    def __iter__(self):
-        return self._stream
-
-
-def _row_lists(cum):
-    # rows to bisect: lists while they fit, else the array's own rows
-    return cum.tolist() if cum.size <= ROW_LIST_ENTRIES else cum
+def _lane_bridge(k_raw, kpow, prev, end, steps_left, u):
+    # Per lane, _bridge_step's draw: zero weights leave the running sums
+    # as they are, so the full rows give the same first sum above u*total.
+    w = k_raw[prev] * kpow[steps_left - 1, :, end]
+    run = np.cumsum(w, axis=1)
+    idx = (run <= (u * kpow[steps_left, prev, end])[:, None]).sum(axis=1)
+    over = np.flatnonzero(idx == w.shape[1])  # the last positive state, or 0
+    idx[over] = ((w[over] > 0.0) * np.arange(w.shape[1])).max(axis=1)
+    return idx
 
 
 def _draw_index(gen, cum):
-    # cum is a cumulative row (list or array) ending at ~1.  A uniform at
-    # or past its end, which rounding allows, falls back on the last entry
-    # whose cumulative value rises: that entry has positive probability.
+    # cum is a cumulative row ending at ~1.  A uniform at or past its end
+    # takes the last entry whose running sum rises (the clamp).
     idx = bisect_right(cum, gen.random())
     if idx == len(cum):
         idx = bisect_left(cum, cum[-1])
@@ -145,14 +153,10 @@ def _draw_index(gen, cum):
 
 
 def bridge_table(k_raw, kpow, prev, target, steps_left):
-    """Law of one interior state of a pinned block: with steps_left
-    transitions remaining from prev to target, the next state s has
-    probability K(prev, s) * K^(steps_left-1)(s, target) /
-    K^steps_left(prev, target).
-
-    Returns (states, cumulative, total): the states of positive weight in
-    increasing order, the running sums of their weights, accumulated left
-    to right, and the normalising total."""
+    """Law of the next interior state s of a pinned block, steps_left
+    steps from target: K(prev, s) K^(steps_left-1)(s, target) /
+    K^steps_left(prev, target), as (states of positive weight in
+    increasing order, running sums of their weights, total)."""
     w = k_raw[prev] * kpow[steps_left - 1, :, target]
     states = np.flatnonzero(w > 0.0)
     return (states.tolist(), np.cumsum(w[states]).tolist(),
@@ -160,8 +164,7 @@ def bridge_table(k_raw, kpow, prev, target, steps_left):
 
 
 def _bridge_step(gen, table):
-    # one draw from a bridge_table; past the last running sum, the last
-    # positive-weight state (state 0 if there is none)
+    # one draw from a bridge_table; past its last sum, its last state
     states, cum, total = table
     idx = bisect_right(cum, gen.random() * total)
     if idx < len(states):
@@ -170,121 +173,117 @@ def _bridge_step(gen, table):
 
 
 def _block_states(gen, branch, x0, rows, lam_cum, res_row_cum, bridge, ell):
-    # The ell states of the block starting at x0, as a list.
-    # branch 0: ell plain one-step draws from x0 (rows[x] is the
-    #   cumulative row of x).
-    # branch 1: endpoint from lam, interior pinned by the bridge law.
-    # branch 2: endpoint from the residual row of x0, interior bridged.
-    # bridge(prev, end, steps_left) gives the bridge_table of one step.
-    out = []
-    prev = x0
+    # The ell states of the block starting at x0: ell draws from the rows
+    # (branch 0), or the endpoint from lam (1) or the residual row (2) and
+    # the interior from bridge(prev, end, steps_left), a bridge_table.
+    out = [x0]
     if branch == 0:
         for _ in range(ell):
-            prev = _draw_index(gen, rows[prev])
-            out.append(prev)
-        return out
+            out.append(_draw_index(gen, rows[out[-1]]))
+        return out[1:]
     xl = _draw_index(gen, lam_cum if branch == 1 else res_row_cum)
     for steps_left in range(ell, 1, -1):
-        prev = _bridge_step(gen, bridge(prev, xl, steps_left))
-        out.append(prev)
-    out.append(xl)
-    return out
+        out.append(_bridge_step(gen, bridge(out[-1], xl, steps_left)))
+    return out[1:] + [xl]
 
 
-def _bridge_tables(k_raw, kpow):
-    # bridge_table, remembering up to BRIDGE_TABLES tables
-    tables = {}
-
-    def table(prev, target, steps_left):
-        key = (prev, target, steps_left)
-        found = tables.get(key)
-        if found is None:
-            found = bridge_table(k_raw, kpow, prev, target, steps_left)
-            if len(tables) < BRIDGE_TABLES:
-                tables[key] = found
-        return found
-
-    return table
+PLAIN, END, COIN, BRIDGE, DONE = range(5)  # a lane's next draw
 
 
-def split_chain_batch(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
+def split_chain_batch(gen, k_raw, table, lam_row, res_rows, kpow, in_regen,
                       eps, ell, occ, lengths, regen_states, traj, marks,
                       budget):
-    # Run the split chain from X_0 ~ lam until len(lengths) regenerations
-    # occur.  Blocks start at multiples of ell.  A block that starts in the
-    # small set tosses a coin with success probability eps; success makes
-    # the block end a regeneration with endpoint drawn from lam, failure
-    # draws the endpoint from the residual row, and the interior is
-    # bridged.  A block that starts outside the set is ell plain draws,
-    # made inline.  res_cum is read only when eps < 1 and kpow only when
-    # ell > 1.  Cycle c covers the half-open time window between
-    # regenerations; regen_states[c] is the endpoint that closed it.
-    # Visits are counted in a list and written into occ[c] when the cycle
-    # closes or the kernel returns.  traj and marks, unless None, are
-    # lists that receive X_0 and every later state, and the coin of each
-    # block (-1 where none was tossed).
-    c_total = lengths.shape[0]
-    n = k_cum.shape[0]
-    uniforms = _Uniforms(gen)
-    rows = _row_lists(k_cum)
-    res_rows = _row_lists(res_cum) if eps < 1.0 else None
-    lam = lam_cum.tolist()
-    bridge = _bridge_tables(k_raw, kpow)
-    regen_set = in_regen.tolist()
-    record = traj is not None
-    x = _draw_index(uniforms, lam)
-    pos = 0
-    c = 0
-    start = 0
-    counts = [0] * n
-    counts[x] += 1
-    if record:
-        traj.append(x)
-    while True:
-        if regen_set[x]:
-            zeta = 1 if eps >= 1.0 or uniforms.random() < eps else 0
-            block = _block_states(uniforms, 2 - zeta, x, rows, lam,
-                                  None if zeta else res_rows[x], bridge, ell)
-            if record:
-                marks.append(zeta)
-                traj.extend(block)
-            x = block[-1]
-            for s in block[:-1]:
-                counts[s] += 1
-            pos += ell
-            if zeta:
-                occ[c] = counts
-                lengths[c] = pos - start
-                regen_states[c] = x
-                c += 1
-                if c == c_total:
-                    return c, pos, pos // ell, 0
-                start = pos
-                counts = [0] * n
-            counts[x] += 1
-            if pos >= budget:
-                occ[c] = counts
-                return c, pos, pos // ell, 1
-        else:
-            # plain blocks until one ends inside the set; the draw is
-            # _draw_index, inlined: this loop is the hottest in the package
-            block_end = pos + ell
-            for u in uniforms:
-                row = rows[x]
-                x = bisect_right(row, u)
-                if x == n:
-                    x = bisect_left(row, row[-1])
-                counts[x] += 1
-                pos += 1
-                if record:
-                    traj.append(x)
-                    if pos == block_end:
-                        marks.append(-1)
-                if pos < block_end:
-                    continue
-                if pos >= budget:
-                    occ[c] = counts
-                    return c, pos, pos // ell, 1
-                if regen_set[x]:
-                    break
-                block_end = pos + ell
+    # table rows: the kernel's, lam (lam_row), x's residual (res_rows[x]).
+    # occ[c], lengths[c], regen_states[c]: cycle c's visits (start
+    # included), steps and closing lam draw; traj, marks: path and coins.
+    count, n = occ.shape
+    width = count if traj is None else 1
+    occ = occ.reshape(-1)
+    sure = eps >= 1.0
+    # per lane: phase, occ offset of its cycle, state, table offset of its
+    # next draw, block endpoint, steps left in the block, cycle length, coin
+    lanes = np.zeros((8, width), dtype=np.intp)
+    phase, row, x, src, end, left, length, heads = lanes
+    row[:], heads[:] = np.arange(width) * n, sure
+    done = [0, 0, 0]  # steps, blocks, closed cycles
+
+    def step(idx, s):
+        # lanes idx step from x, which their cycles visit, to s
+        length[idx] += 1
+        np.add.at(occ, row[idx] + x[idx], 1)
+        x[idx] = s
+        if traj is not None:
+            traj.extend(s.tolist())
+
+    def begin(idx):
+        # a block starts at x: a coin block in the set, plain draws outside
+        at = x[idx]
+        inside = in_regen[at]
+        phase[idx] = np.where(inside, END if sure else COIN, PLAIN)
+        src[idx] = np.where(inside, lam_row, at) * (n + 1)
+        left[idx] = ell
+
+    def finish(idx, e):
+        # coin blocks step to their endpoints e; heads close the cycle
+        step(idx, e)
+        done[1] += idx.size
+        if marks is not None:
+            marks.extend(heads[idx].tolist())
+        won = heads[idx] == 1
+        closing = idx[won]
+        lengths[row[closing] // n] = length[closing]
+        regen_states[row[closing] // n] = e[won]
+        done[2] += closing.size
+        row[closing] += width * n
+        length[closing] = 0
+        stop = won & (row[idx] >= count * n)
+        phase[idx[stop]] = DONE
+        begin(idx[~stop])
+
+    x[:] = _lane_draw(table, src + lam_row * (n + 1), gen.random(width))
+    if traj is not None:
+        traj.extend(x.tolist())
+    begin(np.arange(width))
+    while phase.size:
+        counts = np.bincount(phase, minlength=DONE).tolist()
+        plain, ends, coin, bridge = [
+            (phase == k).nonzero()[0] if counts[k] else x[:0]
+            for k in range(DONE)]
+        take = counts[PLAIN] + counts[BRIDGE] + (ell == 1) * counts[END]
+        if bridge.size:
+            take += int(np.count_nonzero(left[bridge] == 2))
+        if done[0] + take > budget:
+            return done[2], done[0], done[1], 1
+        done[0] += take
+        u = gen.random(phase.size)
+        s = _lane_draw(table, src, u)  # coin and bridge lanes ignore theirs
+        if plain.size:
+            step(plain, s[plain])
+            if ell > 1:
+                src[plain] = s[plain] * (n + 1)
+                left[plain] -= 1
+                plain = plain[left[plain] == 0]
+            done[1] += plain.size
+            if marks is not None:
+                marks.extend([-1] * plain.size)
+            begin(plain)
+        if ends.size and ell == 1:
+            finish(ends, s[ends])
+        elif ends.size:
+            end[ends] = s[ends]
+            phase[ends] = BRIDGE
+        if coin.size:
+            heads[coin] = u[coin] < eps
+            phase[coin] = END
+            src[coin] = np.where(heads[coin], lam_row,
+                                 res_rows[x[coin]]) * (n + 1)
+        if bridge.size:
+            step(bridge, _lane_bridge(k_raw, kpow, x[bridge], end[bridge],
+                                      left[bridge], u[bridge]))
+            left[bridge] -= 1
+            bridge = bridge[left[bridge] == 1]
+            finish(bridge, end[bridge])
+        if (ell == 1) * ends.size + bridge.size:  # lanes may have closed
+            lanes = lanes.take((phase != DONE).nonzero()[0], axis=1)
+            phase, row, x, src, end, left, length, heads = lanes
+    return done[2], done[0], done[1], 0

@@ -17,6 +17,14 @@ def chunk_plan(n_cycles, chunk_size):
     return [chunk_size] * full + ([rest] if rest else [])
 
 
+def lane_chunk(n_states):
+    """Default chunk size.  A chunk's cycles run side by side as lanes and
+    take as many lockstep iterations as the longest of them, so wide
+    chunks cost less; the width is capped so that a chunk's (cycles x
+    states) visit counts stay near 8 MB."""
+    return max(4096, 2 ** 20 // n_states)
+
+
 def chunk_generators(seed, n_chunks):
     """One independent ``Generator`` per chunk, each on its own spawned
     ``SeedSequence``.  ``seed`` may be an int or an already-built

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._stats import RatioAccumulator, chunk_generators, chunk_plan
+from ._stats import (RatioAccumulator, chunk_generators, chunk_plan,
+                     lane_chunk)
 from .errors import (
     BudgetExceededError,
     InfeasibleMinorizationError,
@@ -169,6 +170,7 @@ class HarrisModel:
         self.lam = lam
         self.fitted_fields = tuple(fitted)
         self._residual_cum = {}
+        self._lane_tables = {}
 
     @property
     def n(self):
@@ -220,6 +222,25 @@ class HarrisModel:
             cum = np.cumsum(self.residual_rows(clip=clip), axis=1)
             self._residual_cum[clip] = cum
         return cum
+
+    def lane_table(self, clip=False):
+        """(table, res_rows) for the lane kernel: one guide table whose
+        rows are the kernel rows, lam at row n, then the residual rows
+        of the regeneration set when epsilon < 1, the one of state x at
+        row res_rows[x]."""
+        found = self._lane_tables.get(clip)
+        if found is None:
+            n = self.n
+            cum = [np.cumsum(self.kernel.matrix, axis=1),
+                   self.lam_cumulative[None, :]]
+            res_rows = np.zeros(n, dtype=np.intp)
+            if self.epsilon < 1.0:
+                regen = list(self.regen_indices)
+                cum.append(self.residual_cumulative(clip)[regen])
+                res_rows[regen] = np.arange(n + 1, n + 1 + len(regen))
+            found = (_kernels.guide_table(np.concatenate(cum)), res_rows)
+            self._lane_tables[clip] = found
+        return found
 
 
 def minorization_residual(model):
@@ -423,13 +444,16 @@ def split_block(model, x, zeta, gen, clip_residual=False):
 class SplitChainRun:
     """Cycles produced by a split-chain simulation.
 
+    Each cycle runs from a lam draw to the regeneration that closes it.
     occupations[c, x] counts visits to x during cycle c (cycle start
     included, closing regeneration excluded); lengths[c] is the cycle
     duration; regen_states[c] is the state drawn from lam at the
-    regeneration closing cycle c.  trajectory and marks are kept only
-    when recording was requested; marks[k] is the coin of the k-th
-    block (1 when epsilon = 1 makes it sure), -1 for a block that starts
-    outside the regeneration set.
+    regeneration closing cycle c.  Cycles simulated on separate lanes
+    start from their own lam draws, so regen_states[c] starts cycle
+    c + 1 only on a recorded run, which is one unbroken path.
+    trajectory and marks are kept only when recording was requested;
+    marks[k] is the coin of the k-th block (1 when epsilon = 1 makes it
+    sure), -1 for a block that starts outside the regeneration set.
     """
 
     n_cycles: int
@@ -444,24 +468,29 @@ class SplitChainRun:
 
 
 def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
-                         step_budget=_DEFAULT_STEP_BUDGET, chunk_size=4096,
+                         step_budget=_DEFAULT_STEP_BUDGET, chunk_size=None,
                          clip_residual=False):
-    """Run the split chain from X_0 ~ lam until ``n_regens`` cycles close.
+    """Run the split chain until ``n_regens`` cycles close.
 
     Cycles are i.i.d., so they are produced in fixed chunks, one spawned
     seed stream per chunk; chunk k always owns cycles [k*size, (k+1)*size)
-    and the output is identical however chunks are scheduled.  Recording
-    the trajectory forces a single chunk so the sample path is one
-    unbroken run; the kernel appends the path and the coins to lists as
-    it goes.  A block that starts in R draws no coin when epsilon = 1.
+    and the output is identical however chunks are scheduled.  The
+    default size is ``_stats.lane_chunk``.  A chunk's cycles run side by
+    side as lanes of ``_kernels.split_chain_batch``, each from its own
+    X_0 ~ lam, one cycle per lane.  Recording the trajectory forces a
+    single chunk on a single lane, so the sample path is one unbroken
+    run whose cycles follow each other; the kernel appends the path and
+    the coins to lists as it goes.  A block that starts in R draws no
+    coin when epsilon = 1.  No run takes more than ``step_budget``
+    steps; one that would raises ``BudgetExceededError``.
     """
     if n_regens < 1:
         raise PreconditionError("need at least one regeneration",
                                 field="n_regens")
-    res_cum = model.residual_cumulative(clip=clip_residual)
+    table, res_rows = model.lane_table(clip_residual)
     if record_trajectory:
         chunk_size = n_regens
-    plan = chunk_plan(n_regens, chunk_size)
+    plan = chunk_plan(n_regens, chunk_size or lane_chunk(model.n))
 
     n = model.n
     occ_all = []
@@ -476,8 +505,8 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
         lengths = np.zeros(count, dtype=np.int64)
         regen_states = np.zeros(count, dtype=np.int64)
         cycles, steps, _, status = _kernels.split_chain_batch(
-            gen, model.kernel.matrix, model.kernel.row_cumulative,
-            model.lam_cumulative, res_cum, model.kernel_powers,
+            gen, model.kernel.matrix, table, model.n, res_rows,
+            model.kernel_powers,
             model.regen_mask, model.epsilon, model.ell, occ, lengths,
             regen_states, traj, marks, step_budget - used)
         if status == 1:

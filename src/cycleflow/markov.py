@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._stats import RatioAccumulator, chunk_generators, chunk_plan
+from ._stats import (RatioAccumulator, chunk_generators, chunk_plan,
+                     lane_chunk)
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 
 # dense linear algebra everywhere; refuse sizes where that stops being sane
@@ -70,8 +71,14 @@ class StochasticMatrix:
 
     @property
     def row_cumulative(self):
-        return _per_matrix(self, "_row_cum",
-                           lambda p: np.cumsum(p, axis=1))
+        return self.row_guide[0][:, :-1]
+
+    @property
+    def row_guide(self):
+        """Guide table of the cumulative rows, for the lane kernel; its
+        first array holds the running sums of each row."""
+        return _per_matrix(self, "_row_guide", lambda p: _kernels.guide_table(
+            np.cumsum(p, axis=1)))
 
     def _check_state(self, i, name):
         if not 0 <= i < self.n:
@@ -193,23 +200,27 @@ def _class_structure(p):
     # do leave give the condensation, sorted by (source, target)
     src, dst = labels[rows], labels[cols]
     cross = src != dst
-    edges = np.unique(src[cross] * n_comp + dst[cross])
+    edges = np.sort(src[cross] * n_comp + dst[cross])
+    first = np.ones(edges.size, dtype=bool)
+    first[1:] = edges[1:] != edges[:-1]
+    edges = edges[first]
     src, dst = edges // n_comp, edges % n_comp
     recurrent = np.ones(n_comp, dtype=bool)
     recurrent[src] = False
-    # Kahn with a heap frontier: deterministic topological order
-    indeg = np.bincount(dst, minlength=n_comp).tolist()
+    # Kahn with a heap frontier: deterministic topological order.  A
+    # popped class's arrows go to distinct classes, so one numpy
+    # decrement of its slice of dst takes them all.
+    indeg = np.bincount(dst, minlength=n_comp)
     starts = np.searchsorted(src, np.arange(n_comp + 1)).tolist()
-    dst = dst.tolist()
-    frontier = [c for c in range(n_comp) if indeg[c] == 0]
-    heapq.heapify(frontier)
+    frontier = np.flatnonzero(indeg == 0).tolist()  # sorted, so a heap
     order = []
     while frontier:
         c = heapq.heappop(frontier)
         order.append(c)
-        for d in dst[starts[c]:starts[c + 1]]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
+        out = dst[starts[c]:starts[c + 1]]
+        if out.size:
+            indeg[out] -= 1
+            for d in out[indeg[out] == 0].tolist():
                 heapq.heappush(frontier, d)
     return ClassStructure(labels, classes, recurrent,
                           np.array(order, dtype=np.int64))
@@ -240,12 +251,20 @@ def cycle_occupation(chain, base):
 
     counts[base] is exactly 1; counts vanish off the class of ``base``;
     the sum of counts is the expected return time.  ``base`` must be
-    recurrent.
+    recurrent.  The result is computed once per transition matrix and
+    base and kept on the chain, so its counts are read-only.
     """
     _require_dense(chain)
     base = chain._check_state(base, "base")
     structure = class_structure(chain)
     _require_recurrent(chain, structure, base)
+    kept = _per_matrix(chain, "_occupations", lambda p: {})
+    if base not in kept:
+        kept[base] = _cycle_occupation(chain, structure, base)
+    return kept[base]
+
+
+def _cycle_occupation(chain, structure, base):
     members = structure.classes[structure.labels[base]]
     rest = members[members != base]
     q = chain.matrix[np.ix_(rest, rest)]
@@ -257,6 +276,7 @@ def cycle_occupation(chain, base):
         a = -q.T
         a[np.diag_indices(rest.size)] += 1.0
         counts[rest] = np.linalg.solve(a, r)
+    counts.flags.writeable = False
     return CycleOccupation(base, counts, float(counts.sum()))
 
 
@@ -384,15 +404,16 @@ class CycleEstimate:
     steps: int
 
 
-def simulate_cycle_estimator(chain, base, n_cycles, seed, chunk_size=4096,
+def simulate_cycle_estimator(chain, base, n_cycles, seed, chunk_size=None,
                              step_budget=None):
     """Monte Carlo stationary estimate from independent return cycles.
 
-    Cycles are simulated in fixed chunks, each on its own spawned seed
-    stream, so results are reproducible and independent of how chunks
-    are scheduled.  The ratio estimate and its per-state delta-method
-    standard error come from accumulated moments; with a single cycle
-    the standard errors are reported as unavailable (None).
+    Cycles are simulated in fixed chunks (``_stats.lane_chunk`` cycles
+    by default), each on its own spawned seed stream, so results are
+    reproducible and independent of how chunks are scheduled.  The
+    ratio estimate and its per-state delta-method standard error come
+    from accumulated moments; with a single cycle the standard errors
+    are reported as unavailable (None).
     """
     base = chain._check_state(base, "base")
     if n_cycles < 1:
@@ -405,17 +426,16 @@ def simulate_cycle_estimator(chain, base, n_cycles, seed, chunk_size=4096,
     # the split chain with R = {base}, ell = 1, epsilon = 1 and
     # lam = P[base]: each step from base closes a cycle, so its cycles are
     # the return cycles of base, each rotated to end at base
-    row_cum = chain.row_cumulative
     in_regen = np.arange(chain.n) == base
     acc = RatioAccumulator(chain.n)
-    plan = chunk_plan(n_cycles, chunk_size)
+    plan = chunk_plan(n_cycles, chunk_size or lane_chunk(chain.n))
     gens = chunk_generators(seed, len(plan))
     used = 0
     for gen, count in zip(gens, plan):
         occ = np.zeros((count, chain.n), dtype=np.int64)
         lengths = np.zeros(count, dtype=np.int64)
         _, steps, _, status = _kernels.split_chain_batch(
-            gen, chain.matrix, row_cum, row_cum[base], None, None, in_regen,
+            gen, chain.matrix, chain.row_guide, base, None, None, in_regen,
             1.0, 1, occ, lengths, np.zeros(count, dtype=np.int64), None,
             None, step_budget - used)
         used += int(steps)

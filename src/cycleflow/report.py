@@ -73,8 +73,8 @@ def _canon(value, out):
 
 
 def _finite_floats(seq):
-    return (all(type(x) is float for x in seq)
-            and all(map(math.isfinite, seq)))
+    # one type check per distinct element type, as modelio._only_types
+    return set(map(type, seq)) <= {float} and all(map(math.isfinite, seq))
 
 
 def _json_string(s):

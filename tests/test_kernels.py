@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 
 import cycleflow as cf
@@ -228,10 +230,11 @@ def test_backward_hits_at_doubling_depth():
 
 
 # ---------------------------------------------------------------------------
-# random kernel: the per-draw code it replaced, kept as referees.  Each
-# draw calls gen.random() once and searches an array row.  The referee's
-# _draw_index still clamps past-the-end uniforms to the last entry; random
-# rows here never reach that clamp (see the stub tests below for it).
+# random kernel.  The scalar single-chain code the lane kernel replaced is
+# kept as a law oracle: the kernel's cycles must follow its law.  Each of
+# its draws calls gen.random() once and searches an array row; it clamps
+# past-the-end uniforms to the last entry, which random rows here never
+# reach (see the stub tests below for the clamp).
 
 
 def _draw_index_ref(gen, cum):
@@ -360,21 +363,137 @@ def _random_rows(rng, n):
     return p / p.sum(axis=1, keepdims=True)
 
 
+# ---------------------------------------------------------------------------
+# the lane referee: a scalar replay of the lane kernel.  Lanes advance one
+# at a time in lane order, each on the double the kernel hands it, with
+# the scalar _draw_index and _bridge_step.
+
+
+class _Lane:
+    def __init__(self, cycle):
+        self.cycle = cycle
+        self.phase = "plain"
+        self.x = self.end = None
+        self.left = self.length = 0
+        self.heads = 1
+
+
+def _lane_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps, ell,
+              occ, lengths, regen_states, traj, marks, budget):
+    # returns (cycles closed, steps, blocks, status) as the kernel does
+    count = lengths.shape[0]
+    width = count if traj is None else 1
+    tally = {"steps": 0, "blocks": 0, "closed": 0}
+
+    def draw(cum, u):
+        return kr._draw_index(_StubGen(float(u)), cum)
+
+    def begin(lane):
+        if in_regen[lane.x]:
+            lane.phase = "endpoint" if eps >= 1.0 else "coin"
+            lane.heads = 1
+        else:
+            lane.phase = "plain"
+            lane.left = ell
+
+    def step(lane, s):
+        # the cycle visits the state it leaves
+        occ[lane.cycle, lane.x] += 1
+        lane.length += 1
+        tally["steps"] += 1
+        lane.x = s
+        if traj is not None:
+            traj.append(s)
+
+    def end_block(lane, mark):
+        tally["blocks"] += 1
+        if marks is not None:
+            marks.append(mark)
+
+    def close(lane, e):
+        step(lane, e)
+        end_block(lane, lane.heads)
+        if lane.heads:
+            lengths[lane.cycle] = lane.length
+            regen_states[lane.cycle] = e
+            tally["closed"] += 1
+            lane.cycle += width
+            lane.length = 0
+            if lane.cycle >= count:
+                lane.phase = "done"
+                return
+        begin(lane)
+
+    def advance(lane, u):
+        if lane.phase == "plain":
+            step(lane, draw(k_cum[lane.x], u))
+            lane.left -= 1
+            if lane.left == 0:
+                end_block(lane, -1)
+                begin(lane)
+        elif lane.phase == "coin":
+            lane.heads = int(u < eps)
+            lane.phase = "endpoint"
+        elif lane.phase == "endpoint":
+            e = draw(lam_cum if lane.heads else res_cum[lane.x], u)
+            if ell == 1:
+                close(lane, e)
+            else:
+                lane.end, lane.left, lane.phase = e, ell, "bridge"
+        else:
+            table = kr.bridge_table(k_raw, kpow, lane.x, lane.end, lane.left)
+            step(lane, kr._bridge_step(_StubGen(float(u)), table))
+            lane.left -= 1
+            if lane.left == 1:
+                close(lane, lane.end)
+
+    def takes(lane):
+        if lane.phase == "plain":
+            return 1
+        if lane.phase == "endpoint":
+            return int(ell == 1)
+        if lane.phase == "bridge":
+            return 2 if lane.left == 2 else 1
+        return 0
+
+    lanes = [_Lane(j) for j in range(width)]
+    for lane, u in zip(lanes, gen.random(width)):
+        lane.x = draw(lam_cum, u)
+        if traj is not None:
+            traj.append(lane.x)
+        begin(lane)
+    while lanes:
+        take = sum(map(takes, lanes))
+        if tally["steps"] + take > budget:
+            return tally["closed"], tally["steps"], tally["blocks"], 1
+        before = tally["steps"]
+        for lane, u in zip(lanes, gen.random(len(lanes))):
+            advance(lane, u)
+        assert tally["steps"] - before == take
+        lanes = [lane for lane in lanes if lane.phase != "done"]
+    return tally["closed"], tally["steps"], tally["blocks"], 0
+
+
 def _markov_kernel(gen, chain, base, occ, lengths, budget):
     # the split-kernel call simulate_cycle_estimator makes: R = {base},
     # ell = 1, epsilon = 1, lam = P[base]; returns (steps, status) as the
     # referee does
     in_regen = np.arange(chain.n) == base
-    row_cum = chain.row_cumulative
     result = kr.split_chain_batch(
-        gen, chain.matrix, row_cum, row_cum[base], None, None, in_regen, 1.0,
+        gen, chain.matrix, chain.row_guide, base, None, None, in_regen, 1.0,
         1, occ, lengths, np.zeros(lengths.shape[0], dtype=np.int64), None,
         None, budget)
     return result[1], result[3]
 
 
+def _markov_model(chain, base):
+    # the same call as a Harris model, for the lane referee
+    return cf.HarrisModel(chain.matrix, [base], ell=1, epsilon=1.0,
+                          lam=chain.matrix[base])
+
+
 def _markov_pair(chain, base, cycles, budget, seed):
-    # (kernel outputs, referee outputs) from equal generators
+    # (kernel outputs, law oracle outputs) on generators of the same seed
     outs = []
     for fn, rows in ((_markov_kernel, chain), (_markov_cycle_ref,
                                                chain.row_cumulative)):
@@ -386,9 +505,25 @@ def _markov_pair(chain, base, cycles, budget, seed):
     return outs
 
 
+def _same_law(a, b, bound=5.0):
+    # Two-sample z of every column mean (per-state visits, lengths, ...)
+    # between the row samples a and b; a column that never varies must
+    # agree exactly.  Returns the largest |z|.
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    gap = a.mean(axis=0) - b.mean(axis=0)
+    se = np.sqrt(a.var(axis=0, ddof=1) / a.shape[0]
+                 + b.var(axis=0, ddof=1) / b.shape[0])
+    assert np.all(gap[se == 0] == 0)
+    z = np.abs(gap[se > 0] / se[se > 0])
+    assert z.size == 0 or z.max() <= bound
+    return z.max() if z.size else 0.0
+
+
 def test_markov_cycles_on_split_kernel_match_referee():
-    # a full run gives the referee's steps, occupations and lengths; each
-    # cycle is rotated to end at base, which leaves its row unchanged
+    # Law: the kernel's return cycles and the scalar walk's have the same
+    # mean visits and lengths (two-sample z <= 5), and each cycle visits
+    # base once and as many states as it takes steps
     rng = np.random.default_rng(61)
     long_runs = 0
     for case in range(40):
@@ -400,28 +535,31 @@ def test_markov_cycles_on_split_kernel_match_referee():
             continue
         cycles = int(rng.integers(1, 400))
         new, ref = _markov_pair(chain, base, cycles, 10 ** 6, case)
-        assert new[0] == ref[0] and new[0][1] == 0
-        np.testing.assert_array_equal(new[1], ref[1])
-        np.testing.assert_array_equal(new[2], ref[2])
-        long_runs += new[0][0] > 3 * kr.UNIFORM_BLOCK
+        assert new[0][1] == ref[0][1] == 0
+        assert new[0][0] == new[2].sum()
+        np.testing.assert_array_equal(new[1].sum(axis=1), new[2])
+        assert np.all(new[1][:, base] == 1)
+        if cycles > 1:
+            _same_law(np.column_stack((new[1], new[2])),
+                      np.column_stack((ref[1], ref[2])))
+        long_runs += new[0][0] > 3 * 1024
     assert long_runs >= 5
 
 
 def test_markov_cycles_on_split_kernel_budget_match_referee():
-    # the budget runs out inside a cycle: both report status 1, and the
-    # kernel stops after exactly `budget` steps with the referee's cycles
-    # that closed within them.  The referee checks its budget only on
-    # steps that do not return, so it may run on past it.
+    # the budget runs out inside the run: both report status 1, and the
+    # kernel stops before the iteration that would pass the budget, which
+    # takes at most one step per cycle
     rng = np.random.default_rng(62)
     chain = cf.StochasticMatrix(rng.dirichlet(np.ones(25), size=25))
-    for budget in (1, 2, 7, 1000, kr.UNIFORM_BLOCK + 1, 5000):
-        new, ref = _markov_pair(chain, 3, 10 ** 4, budget, budget)
-        assert new[0] == (budget, 1) and ref[0][1] == 1
-        ref_lengths = ref[2][ref[2] > 0]
-        done = int((np.cumsum(ref_lengths) <= budget).sum())
-        np.testing.assert_array_equal(new[2][:done], ref_lengths[:done])
-        assert not new[2][done:].any()
-        np.testing.assert_array_equal(new[1][:done], ref[1][:done])
+    cycles = 10 ** 4
+    for budget in (1, 2, 7, 1000, 1025, 5000, 4 * 10 ** 4):
+        new, ref = _markov_pair(chain, 3, cycles, budget, budget)
+        assert new[0][1] == ref[0][1] == 1
+        assert budget - cycles < new[0][0] <= budget
+        closed = new[2] > 0
+        np.testing.assert_array_equal(new[1][closed].sum(axis=1),
+                                      new[2][closed])
 
 
 def _harris_cases(seed):
@@ -451,25 +589,37 @@ def _harris_cases(seed):
 
 
 def _split_args(model):
+    # the law oracle's and the lane referee's arguments: cumulative rows
     return (model.kernel.matrix, model.kernel.row_cumulative,
             model.lam_cumulative, model.residual_cumulative(),
             model.kernel_powers, model.regen_mask, model.epsilon, model.ell)
 
 
-def _split_pair(model, cycles, seed, budget=10 ** 6, record=False):
-    # (kernel outputs, referee outputs) from equal generators
-    outs = []
-    for fn in (kr.split_chain_batch, _split_chain_ref):
-        occ = np.zeros((cycles, model.n), dtype=np.int64)
-        lengths = np.zeros(cycles, dtype=np.int64)
-        regen = np.zeros(cycles, dtype=np.int64)
-        traj = [] if record else None
-        marks = [] if record else None
-        result = fn(np.random.default_rng(seed), *_split_args(model), occ,
-                    lengths, regen, traj, marks, budget)
-        outs.append((tuple(int(v) for v in result), occ, lengths, regen,
-                     traj, marks))
-    return outs
+def _split_kernel(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps,
+                  ell, *rest, model):
+    # the kernel call simulate_split_chain makes
+    table, res_rows = model.lane_table()
+    return kr.split_chain_batch(gen, k_raw, table, model.n, res_rows, kpow,
+                                in_regen, eps, ell, *rest)
+
+
+def _split_run(fn, model, cycles, seed, budget=10 ** 6, record=False):
+    occ = np.zeros((cycles, model.n), dtype=np.int64)
+    lengths = np.zeros(cycles, dtype=np.int64)
+    regen = np.zeros(cycles, dtype=np.int64)
+    traj = [] if record else None
+    marks = [] if record else None
+    result = fn(np.random.default_rng(seed), *_split_args(model), occ,
+                lengths, regen, traj, marks, budget)
+    return (tuple(int(v) for v in result), occ, lengths, regen, traj, marks)
+
+
+def _split_pair(model, cycles, seed, budget=10 ** 6, record=False,
+                other=_split_chain_ref):
+    # (kernel outputs, other outputs) from generators of the same seed
+    kernel = functools.partial(_split_kernel, model=model)
+    return [_split_run(fn, model, cycles, seed, budget, record)
+            for fn in (kernel, other)]
 
 
 def _assert_same(new, ref):
@@ -478,22 +628,39 @@ def _assert_same(new, ref):
         np.testing.assert_array_equal(a, b)
 
 
+def _one_hot(states, n):
+    return np.eye(n, dtype=np.int64)[states]
+
+
 def test_split_chain_batch_matches_referee():
+    # Law: the kernel's cycles and the scalar single chain's have the same
+    # mean visits, lengths and regeneration states (two-sample z <= 5);
+    # visits add up to lengths, and regeneration states lie in lam's
+    # support
     long_runs = 0
     seen = set()
     for i, model in enumerate(_harris_cases(71)):
         cycles = 1 + (i * 37) % 300
         new, ref = _split_pair(model, cycles, 100 + i)
-        assert new[0][3] == 0
-        _assert_same(new, ref)
-        long_runs += new[0][1] > 3 * kr.UNIFORM_BLOCK
+        assert new[0][3] == ref[0][3] == 0 and new[0][0] == cycles
+        assert new[0][1] == new[2].sum()
+        np.testing.assert_array_equal(new[1].sum(axis=1), new[2])
+        assert np.all(model.lam[new[3]] > 0)
+        if cycles > 1:
+            _same_law(np.column_stack((new[1], new[2],
+                                       _one_hot(new[3], model.n))),
+                      np.column_stack((ref[1], ref[2],
+                                       _one_hot(ref[3], model.n))))
+        long_runs += new[0][1] > 3 * 1024
         seen.add((model.ell, model.epsilon == 1.0))
     assert seen == {(ell, one) for ell in (1, 2, 3) for one in (True, False)}
     assert long_runs >= 5
 
 
 def test_split_chain_batch_recording_matches_referee():
-    # the same trajectory (X_0 and every later state) and coin marks
+    # A recorded run is one lane, which draws in the single chain's
+    # order: the same trajectory (X_0 and every later state), coin marks
+    # and cycles as the scalar single chain
     for i, model in enumerate(_harris_cases(72)[:18]):
         cycles = 40 + 10 * i
         new, ref = _split_pair(model, cycles, 200 + i, record=True)
@@ -503,28 +670,68 @@ def test_split_chain_batch_recording_matches_referee():
 
 
 def test_split_chain_batch_budget_matches_referee():
+    # Both stop with status 1.  The kernel never passes its budget; a
+    # recorded run stops at a prefix of the single chain's path, no more
+    # than one block short of the budget.
     for i, model in enumerate(_harris_cases(73)[:12]):
-        for budget in (1, 3, kr.UNIFORM_BLOCK + 2, 4000):
+        for budget in (1, 3, 1026, 4000):
             new, ref = _split_pair(model, 10 ** 4, 300 + i, budget=budget)
-            assert new[0][3] == 1
-            _assert_same(new, ref)
+            assert new[0][3] == ref[0][3] == 1
+            assert new[0][1] <= budget
             new, ref = _split_pair(model, 10 ** 4, 300 + i, budget=budget,
                                    record=True)
-            _assert_same(new, ref)
+            assert new[0][3] == ref[0][3] == 1
+            assert budget - 2 * model.ell < new[0][1] <= budget
+            assert new[4] == ref[4][:len(new[4])]
+            assert len(new[4]) == new[0][1] + 1
 
 
-def test_kernels_on_array_rows_and_without_bridge_memo(monkeypatch):
-    # rows past the list budget are bisected as arrays, and bridge tables
-    # past the memo's size are rebuilt on each use; the draws are the same
-    monkeypatch.setattr(kr, "ROW_LIST_ENTRIES", 0)
-    monkeypatch.setattr(kr, "BRIDGE_TABLES", 1)
-    rng = np.random.default_rng(76)
-    chain = cf.StochasticMatrix(rng.dirichlet(np.ones(20), size=20))
-    new, ref = _markov_pair(chain, 4, 300, 10 ** 6, 76)
-    _assert_same(new, ref)
-    for i, model in enumerate(_harris_cases(77)[:12]):
-        new, ref = _split_pair(model, 150, 400 + i, record=True)
-        _assert_same(new, ref)
+def test_lane_kernel_matches_lane_referee():
+    # bit for bit on visits, lengths, regeneration states, steps, blocks,
+    # status, path and coins: full runs, budget exits and recording, on
+    # ell 1-3 with epsilon = 1 and < 1, and on Markov return cycles
+    models = _harris_cases(78)[:24]
+    rng = np.random.default_rng(79)
+    for _ in range(6):
+        n = int(rng.integers(2, 20))
+        chain = cf.StochasticMatrix(_random_rows(rng, n))
+        if cf.markov.class_structure(chain).recurrent.all():
+            models.append(_markov_model(chain, int(rng.integers(0, n))))
+    exits = full = 0
+    for i, model in enumerate(models):
+        for budget in (10 ** 6, 1, 2, 5, 57, 400):
+            for record in (False, True):
+                cycles = 1 + (7 * i + budget) % 120
+                new, ref = _split_pair(model, cycles, 500 + i, budget,
+                                       record, other=_lane_ref)
+                _assert_same(new, ref)
+                assert new[0][1] <= budget
+                exits += new[0][3]
+                full += 1 - new[0][3]
+                if record and not new[0][3]:
+                    assert len(new[4]) == new[0][1] + 1
+                    assert len(new[5]) == new[0][2]
+    assert exits > 50 and full > 50
+
+
+def test_markov_lanes_match_lane_referee():
+    # the kernel call simulate_cycle_estimator makes replays as the Harris
+    # model with R = {base}, ell = 1, epsilon = 1 and lam = P[base]
+    rng = np.random.default_rng(80)
+    for case in range(12):
+        n = int(rng.integers(2, 25))
+        chain = cf.StochasticMatrix(rng.dirichlet(np.full(n, 0.3), size=n))
+        base = int(rng.integers(0, n))
+        for budget in (10 ** 6, 100):
+            occ = np.zeros((150, n), dtype=np.int64)
+            lengths = np.zeros(150, dtype=np.int64)
+            got = _markov_kernel(np.random.default_rng(case), chain, base,
+                                 occ, lengths, budget)
+            ref = _split_run(_lane_ref, _markov_model(chain, base), 150,
+                             case, budget)
+            assert got == ref[0][1::2]
+            np.testing.assert_array_equal(occ, ref[1])
+            np.testing.assert_array_equal(lengths, ref[2])
 
 
 def test_scalar_block_and_bridge_paths_match_referee():
@@ -570,27 +777,104 @@ def _near(value):
     return [float(v) for v in out]
 
 
+def _lane_draws(table, row, us):
+    # the lane kernel's draws of the uniforms us from one table row
+    us = np.array(us, dtype=np.float64)
+    base = np.full(us.size, row * table[0].shape[1], dtype=np.intp)
+    return kr._lane_draw(table, base, us).tolist()
+
+
 def test_draws_match_referee_at_running_sum_boundaries():
     # uniforms placed on and around every running sum, where any change
-    # in the order or rounding of the sums would pick a neighbour
+    # in the order or rounding of the sums would pick a neighbour; the
+    # lane draws of every row of the kernel's table (kernel rows, lam,
+    # residual rows) and its bridge draws agree with the scalar ones
     for model in _harris_cases(75)[:12]:
         k_raw, k_cum, _, _, kpow, _, _, ell = _split_args(model)
+        table = model.lane_table()[0]
         for x in range(model.n):
-            for u in {v for c in k_cum[x] for v in _near(c)}:
-                if 0.0 <= u < k_cum[x, -1]:
-                    assert kr._draw_index(_StubGen(u), k_cum[x].tolist()) \
-                        == _draw_index_ref(_StubGen(u), k_cum[x])
+            us = sorted(u for u in {v for c in k_cum[x] for v in _near(c)}
+                        if 0.0 <= u < k_cum[x, -1])
+            assert [kr._draw_index(_StubGen(u), k_cum[x].tolist())
+                    for u in us] == \
+                [_draw_index_ref(_StubGen(u), k_cum[x]) for u in us]
             for end in range(model.n):
                 for steps_left in range(2, ell + 1):
                     if kpow[steps_left, x, end] == 0.0:
                         continue
-                    table = kr.bridge_table(k_raw, kpow, x, end, steps_left)
-                    total = table[2]
-                    for u in {v for c in table[1] for v in _near(c / total)}:
-                        if 0.0 <= u < 1.0:
-                            assert kr._bridge_step(_StubGen(u), table) == \
-                                _bridge_step_ref(_StubGen(u), k_raw, kpow, x,
-                                                 end, steps_left)
+                    bridge = kr.bridge_table(k_raw, kpow, x, end, steps_left)
+                    total = bridge[2]
+                    us = [u for u in {v for c in bridge[1]
+                                      for v in _near(c / total)}
+                          if 0.0 <= u < 1.0]
+                    want = [_bridge_step_ref(_StubGen(u), k_raw, kpow, x,
+                                             end, steps_left) for u in us]
+                    assert [kr._bridge_step(_StubGen(u), bridge)
+                            for u in us] == want
+                    k = len(us)
+                    assert kr._lane_bridge(
+                        k_raw, kpow, np.full(k, x), np.full(k, end),
+                        np.full(k, steps_left), np.array(us)).tolist() == want
+        for row in range(table[0].shape[0]):
+            cum = table[0][row, :-1]
+            us = [u for c in cum for u in _near(c) if 0.0 <= u < 1.0]
+            us += [0.0, _TOP, 0.5]
+            assert _lane_draws(table, row, us) == \
+                [kr._draw_index(_StubGen(u), cum) for u in us]
+
+
+def test_lane_draws_match_draw_index_on_edge_rows():
+    # guide-table edges: a row whose last entry has no mass (its running
+    # sum falls short of 1, so the clamp is reached), a single certain
+    # state, subnormal and zero entries, and rows stacked in one table;
+    # uniforms on and two ulps around every running sum, 0 and the top
+    tiny = 5e-324
+    rows = [
+        _SHORT_ROW,
+        [1.0],
+        [tiny, 0.5, tiny, 0.0, 0.5 - 2 * tiny, 0.0],
+        [0.0, 0.0, 1e-310, 1.0 - 1e-310, 0.0],
+        [0.25, 0.0, 0.25, 0.0, 0.5],
+        [1e-3] * 7 + [0.993],
+        [0.0] * 5 + [1.0],
+    ]
+    for row in rows:
+        cum = np.cumsum(row)
+        table = kr.guide_table(cum[None, :])
+        us = [u for c in cum for u in _near(c) if 0.0 <= u < 1.0]
+        us += [0.0, tiny, _TOP, 0.95, 0.05]
+        got = _lane_draws(table, 0, us)
+        assert got == [kr._draw_index(_StubGen(u), cum) for u in us]
+        assert all(row[i] > 0 for i in got)
+    width = max(len(r) for r in rows)
+    stacked = np.array([np.cumsum(r + [0.0] * (width - len(r)))
+                        for r in rows])
+    table = kr.guide_table(stacked)
+    for i, cum in enumerate(stacked):
+        us = [u for c in cum for u in _near(c) if 0.0 <= u < 1.0] + [_TOP]
+        assert _lane_draws(table, i, us) == \
+            [kr._draw_index(_StubGen(u), cum) for u in us]
+
+
+def test_lane_bridge_falls_back_as_bridge_step():
+    # a total above the weights' sum sends large uniforms past the last
+    # running sum: the last positive state takes them, state 0 when no
+    # weight is positive
+    k_raw = np.array([[0.2, 0.0, 0.3, 0.0],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.4, 0.0, 0.0],
+                      [0.5, 0.5, 0.0, 0.0]])
+    kpow = np.stack([np.eye(4), np.full((4, 4), 0.5), np.ones((4, 4))])
+    us = [0.0, 0.1, 0.25, 0.3, 0.99, _TOP]
+    for prev in range(4):
+        for end in range(4):
+            table = kr.bridge_table(k_raw, kpow, prev, end, 2)
+            k = len(us)
+            got = kr._lane_bridge(k_raw, kpow, np.full(k, prev),
+                                  np.full(k, end), np.full(k, 2),
+                                  np.array(us))
+            assert got.tolist() == [kr._bridge_step(_StubGen(u), table)
+                                    for u in us]
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +935,10 @@ def test_kernels_clamp_to_last_positive_entry():
     regen = np.zeros(4, dtype=np.int64)
     traj = []
     kpow = np.stack([np.eye(11), k])
+    table = kr.guide_table(np.vstack((np.cumsum(k, axis=1), lam_cum)))
     result = kr.split_chain_batch(
-        _StubGen(_TOP), k, np.cumsum(k, axis=1), lam_cum,
-        np.zeros((11, 11)), kpow, np.ones(11, dtype=bool), 1.0, 1, occ,
-        lengths, regen, traj, [], 100)
+        _StubGen(_TOP), k, table, 11, None, kpow, np.ones(11, dtype=bool),
+        1.0, 1, occ, lengths, regen, traj, [], 100)
     assert result == (4, 4, 4, 0)
     assert regen.tolist() == [9] * 4
     assert traj == [9] * 5

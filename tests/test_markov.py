@@ -257,11 +257,11 @@ def test_strong_components_on_long_graphs_need_no_recursion():
                                               connection="strong")
         assert count == ref_count == n_classes, name
         assert _same_partition(raw, ref), name
-        # the full structure too, where the loop reference is quick
-        if name != "upper triangular":
-            chain = _support_chain(n, src, dst)
-            _assert_matches_loop(chain)
-            assert len(cf.class_structure(chain).recurrent_classes) == 1
+        # the full structure too: labels, classes, flags and the whole
+        # topological order of the condensation
+        chain = _support_chain(n, src, dst)
+        _assert_matches_loop(chain)
+        assert len(cf.class_structure(chain).recurrent_classes) == 1
 
 
 def test_class_structure_matches_loop_on_random_graphs():
@@ -307,6 +307,22 @@ def test_class_structure_is_computed_once_per_matrix():
     assert again is not s
     assert list(again.labels) == [0, 0, 0, 0]
     assert cf.class_structure(chain) is again
+
+
+def test_cycle_occupation_is_computed_once_per_matrix_and_base(mc2):
+    # the cycle estimator sizes its budget from the exact occupation the
+    # stationary report needs too; the second call solves nothing
+    occ = cf.cycle_occupation(mc2, 0)
+    assert cf.cycle_occupation(mc2, 0) is occ
+    assert cf.cycle_occupation(mc2, 1) is not occ
+    assert not occ.counts.flags.writeable
+    with pytest.raises(ValueError):
+        occ.counts[0] = 2.0
+    with pytest.raises(cf.errors.PreconditionError):
+        cf.cycle_occupation(mc2, 2)
+    mc2.matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
+    again = cf.cycle_occupation(mc2, 0)
+    assert again is not occ and again.mean_return == 2.0
 
 
 def test_row_cumulative_follows_the_bound_matrix(flip2):

@@ -246,28 +246,51 @@ def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def test_simulation_report_bytes_are_fixed(tmp_path):
+class _CountingGen:
+    """Counts the calls a kernel makes to its generator: one per lockstep
+    iteration of the lanes."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.calls = 0
+
+    def random(self, size=None):
+        self.calls += 1
+        return self.gen.random(size)
+
+
+def test_simulation_report_bytes_are_fixed(tmp_path, monkeypatch):
     # digests of canonical documents whose estimates, standard errors,
-    # gof statistics and p-values all come from the random kernels; each
-    # run draws several blocks of uniforms, so read-ahead is exercised
+    # gof statistics and p-values all come from the random kernel; each
+    # run takes many lockstep iterations of its lanes
     from cycleflow import _kernels
     from cycleflow.cli import main
 
-    block = _kernels.UNIFORM_BLOCK
+    iterations = []
+    kernel = _kernels.split_chain_batch
+
+    def counted(gen, *args):
+        gen = _CountingGen(gen)
+        result = kernel(gen, *args)
+        iterations.append(gen.calls)
+        return result
+
+    monkeypatch.setattr(_kernels, "split_chain_batch", counted)
     cases = (
         (cf.HarrisModel(H3, [0], ell=2, epsilon=0.5),
          cf.RunConfig(cycles=600, seed=5),
-         "20dae5142cebf318c3d84bc6b7da8dd78b8a7e77d1c37c2db4f699c7ce86b03f"),
+         "84f1ed74a3ea39735fdf6f456a5eae6dea2126600a3645681cfa65f0f3f90a62"),
         (_dirichlet_harris40(), cf.RunConfig(cycles=400, seed=6),
-         "d004610fe956ad4f15562b18b1cb3a5d6f4bece292e016cc0408cbcb8e287500"),
+         "f7ad1f45b948eecde2f93e1f88ab6b78951788c24f1d46fbb62b8e071fe17bd6"),
     )
     for model, cfg, digest in cases:
         report = cf.run_suite(model, cfg)
         assert report.overall_pass
         doc = cf.canonical_json(report.to_document())
         assert _digest(doc.encode()) == digest
-        assert cf.simulate_split_chain(model, cfg.cycles,
-                                       cfg.seed).steps > 2 * block
+        iterations.clear()
+        cf.simulate_split_chain(model, cfg.cycles, cfg.seed)
+        assert sum(iterations) > 50
 
     rng = np.random.default_rng(12)
     chain = {"kind": "markov_chain",
@@ -275,15 +298,17 @@ def test_simulation_report_bytes_are_fixed(tmp_path):
     path = tmp_path / "mc12.json"
     path.write_text(json.dumps(chain))
     out = tmp_path / "mc12-cycles.json"
+    iterations.clear()
     assert main(["stationary", str(path), "--method", "cycles",
                  "--cycles", "500", "--seed", "7", "--format", "json",
                  "--output", str(out)]) == 0
     assert _digest(out.read_bytes()) == \
-        "8c98058f0719d9a4fe71eaff64c00fa596766f6aab14cac3af5d90572ae9833d"
-    assert json.loads(out.read_text())["details"]["steps"] > 2 * block
+        "24937555c0644938317a88edf6404799907a0488f87d21b167218d978fc18da6"
+    assert sum(iterations) > 50
 
     model = cf.HarrisModel(H3, [0, 1], ell=3)
+    iterations.clear()
     run = cf.simulate_split_chain(model, 500, seed=11, record_trajectory=True)
     assert _digest(run.trajectory.tobytes() + run.marks.tobytes()) == \
         "301fd7936eb6759d34f1efb895fd41364e3f5752b95bee1f0620fce210d7f7af"
-    assert run.steps > 2 * block
+    assert sum(iterations) > 50
