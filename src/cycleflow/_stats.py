@@ -20,9 +20,10 @@ def chunk_plan(n_cycles, chunk_size):
 def lane_chunk(n_states):
     """Default chunk size.  A chunk's cycles run side by side as lanes and
     take as many lockstep iterations as the longest of them, so wide
-    chunks cost less; the width is capped so that a chunk's (cycles x
-    states) visit counts stay near 8 MB."""
-    return max(4096, 2 ** 20 // n_states)
+    chunks cost less; the width is capped so that a chunk's lane state
+    (64 bytes a lane) stays within 4 MB and its (cycles x states) visit
+    counts near 8 MB."""
+    return max(4096, min(2 ** 16, 2 ** 20 // n_states))
 
 
 def chunk_generators(seed, n_chunks):
