@@ -21,16 +21,14 @@ iteration draws each lane's X_0 from lam; each later one reads
 lane's next draw: a plain step outside R; in R the coin (only when
 epsilon < 1), then the endpoint from lam or the residual row, then the
 ell - 1 interior states from the bridge law.  So a seed fixes every
-draw.  A table draw (guide table, Chen & Asau 1974) gives the index
-``_draw_index`` gives on the same double, and a bridge draw that of
-``_bridge_step``.  ``split_block`` and ``BridgeLaw.sample`` call
-``gen.random()`` once per draw.
+draw.  One draw rule serves all: the first running sum above u, or past
+a row's rounded total its last positive entry, on a guide table (Chen &
+Asau 1974, ``_lane_draw``) or a bridge row (``_lane_bridge``).
+``harris.split_block`` and ``BridgeLaw.sample`` draw on one lane.
 
 Status codes returned by kernels: 0 ok, 1 step budget exhausted (the
 split chain stops before an iteration would take it past its budget).
 """
-
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -105,7 +103,7 @@ def backward_hits(inv_mapping, in_set):
 def guide_table(cum):
     # (running sums then +inf, guide, clamp) for _lane_draw.  guide[x, k]
     # counts the entries of row x whose bucket floor(c * n) is below k:
-    # each lies below every u of bucket k.  The clamp is _draw_index's.
+    # each lies below every u of bucket k; the clamp is row x's last rise.
     r, n = cum.shape
     bucket = np.minimum((cum * n).astype(np.intp), n)
     bucket += (n + 1) * np.arange(r)[:, None]
@@ -115,8 +113,8 @@ def guide_table(cum):
 
 
 def _lane_draw(table, base, u):
-    # Per lane, _draw_index's index for u on the row starting at base in
-    # the flat table: walk on from the guide entry while the sum is <= u.
+    # Per lane, the first running sum above u on the row at base of the flat
+    # table (its clamp past the end): walk on from the guide while <= u.
     cum, guide, last = table
     n = guide.shape[1] - 1
     flat = base + guide.ravel()[base + (u * n).astype(np.intp)]
@@ -133,58 +131,14 @@ def _lane_draw(table, base, u):
 
 
 def _lane_bridge(k_raw, kpow, prev, end, steps_left, u):
-    # Per lane, _bridge_step's draw: zero weights leave the running sums
-    # as they are, so the full rows give the same first sum above u*total.
+    # Per lane, the interior s of weight K(prev, s) K^(steps_left-1)(s, end)
+    # whose running sum is first above u * total, past it the last positive.
     w = k_raw[prev] * kpow[steps_left - 1, :, end]
     run = np.cumsum(w, axis=1)
     idx = (run <= (u * kpow[steps_left, prev, end])[:, None]).sum(axis=1)
     over = np.flatnonzero(idx == w.shape[1])  # the last positive state, or 0
     idx[over] = ((w[over] > 0.0) * np.arange(w.shape[1])).max(axis=1)
     return idx
-
-
-def _draw_index(gen, cum):
-    # cum is a cumulative row ending at ~1.  A uniform at or past its end
-    # takes the last entry whose running sum rises (the clamp).
-    idx = bisect_right(cum, gen.random())
-    if idx == len(cum):
-        idx = bisect_left(cum, cum[-1])
-    return idx
-
-
-def bridge_table(k_raw, kpow, prev, target, steps_left):
-    """Law of the next interior state s of a pinned block, steps_left
-    steps from target: K(prev, s) K^(steps_left-1)(s, target) /
-    K^steps_left(prev, target), as (states of positive weight in
-    increasing order, running sums of their weights, total)."""
-    w = k_raw[prev] * kpow[steps_left - 1, :, target]
-    states = np.flatnonzero(w > 0.0)
-    return (states.tolist(), np.cumsum(w[states]).tolist(),
-            float(kpow[steps_left, prev, target]))
-
-
-def _bridge_step(gen, table):
-    # one draw from a bridge_table; past its last sum, its last state
-    states, cum, total = table
-    idx = bisect_right(cum, gen.random() * total)
-    if idx < len(states):
-        return states[idx]
-    return states[-1] if states else 0
-
-
-def _block_states(gen, branch, x0, rows, lam_cum, res_row_cum, bridge, ell):
-    # The ell states of the block starting at x0: ell draws from the rows
-    # (branch 0), or the endpoint from lam (1) or the residual row (2) and
-    # the interior from bridge(prev, end, steps_left), a bridge_table.
-    out = [x0]
-    if branch == 0:
-        for _ in range(ell):
-            out.append(_draw_index(gen, rows[out[-1]]))
-        return out[1:]
-    xl = _draw_index(gen, lam_cum if branch == 1 else res_row_cum)
-    for steps_left in range(ell, 1, -1):
-        out.append(_bridge_step(gen, bridge(out[-1], xl, steps_left)))
-    return out[1:] + [xl]
 
 
 PLAIN, END, COIN, BRIDGE, DONE = range(5)  # a lane's next draw

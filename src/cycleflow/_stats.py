@@ -1,12 +1,16 @@
-"""Shared simulation plumbing: chunked seed streams and the ratio estimator.
+"""Shared simulation plumbing: the chunk driver and the ratio estimator.
 
 Cycles are independent by construction, so a run of n cycles can be split
 into fixed-size chunks with one spawned ``SeedSequence`` child per chunk.
 Chunk k always owns cycles [k*size, (k+1)*size), whatever order chunks are
-executed in, so a parallel run merges to exactly the serial output.
+executed in, so a parallel run merges to exactly the serial output.  Both
+simulators take their chunks from ``split_chain_chunks``.
 """
 
 import numpy as np
+
+from . import _kernels
+from .errors import BudgetExceededError, PreconditionError
 
 
 def chunk_plan(n_cycles, chunk_size):
@@ -35,6 +39,38 @@ def chunk_generators(seed, n_chunks):
     else:
         root = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in root.spawn(n_chunks)]
+
+
+def split_chain_chunks(seed, n_cycles, chunk_size, budget, args, traj=None,
+                       marks=None):
+    """Yield (occupations, lengths, regen_states, steps so far) of each
+    chunk of ``_kernels.split_chain_batch`` on ``args`` (its arguments
+    from ``k_raw`` to ``ell``).  ``chunk_size`` is None (``lane_chunk``)
+    or a positive integer; a run recorded into ``traj`` and ``marks`` is
+    one chunk.  A run past ``budget`` steps raises BudgetExceededError."""
+    n = args[0].shape[0]
+    if chunk_size is None:
+        chunk_size = lane_chunk(n)
+    elif not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
+        raise PreconditionError("chunk size must be a positive integer, "
+                                "got %r" % (chunk_size,), field="chunk_size")
+    plan = chunk_plan(n_cycles, n_cycles if traj is not None else chunk_size)
+    used = closed = 0
+    for gen, count in zip(chunk_generators(seed, len(plan)), plan):
+        occ = np.zeros((count, n), dtype=np.int64)
+        lengths = np.zeros(count, dtype=np.int64)
+        regen_states = np.zeros(count, dtype=np.int64)
+        cycles, steps, _, status = _kernels.split_chain_batch(
+            gen, *args, occ, lengths, regen_states, traj, marks,
+            budget - used)
+        used += int(steps)
+        closed += int(cycles)
+        if status:
+            raise BudgetExceededError(
+                "step budget %d exhausted after %d steps and %d of %d "
+                "cycles; the regeneration set may be reached too slowly"
+                % (budget, used, closed, n_cycles))
+        yield occ, lengths, regen_states, used
 
 
 class RatioAccumulator:

@@ -15,17 +15,14 @@ Blocks are scheduled back to back (starts at 0, ell, 2*ell, ...); visits
 to R strictly inside a block never toss the coin.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from ._stats import (RatioAccumulator, chunk_generators, chunk_plan,
-                     lane_chunk)
+from ._stats import RatioAccumulator, split_chain_chunks
 from .errors import (
-    BudgetExceededError,
     InfeasibleMinorizationError,
     InternalInconsistencyError,
     InvariantError,
@@ -169,7 +166,6 @@ class HarrisModel:
         self.epsilon = epsilon
         self.lam = lam
         self.fitted_fields = tuple(fitted)
-        self._residual_cum = {}
         self._lane_tables = {}
 
     @property
@@ -179,14 +175,6 @@ class HarrisModel:
     @property
     def k_ell(self):
         return self.kernel_powers[self.ell]
-
-    @property
-    def lam_cumulative(self):
-        cum = getattr(self, "_lam_cum", None)
-        if cum is None:
-            cum = np.cumsum(self.lam)
-            self._lam_cum = cum
-        return cum
 
     def residual_rows(self, clip=False):
         """Residual endpoint kernel (K^ell - epsilon*lam) / (1-epsilon) on
@@ -216,13 +204,6 @@ class HarrisModel:
                 rows[i, i] = 1.0
         return rows
 
-    def residual_cumulative(self, clip=False):
-        cum = self._residual_cum.get(clip)
-        if cum is None:
-            cum = np.cumsum(self.residual_rows(clip=clip), axis=1)
-            self._residual_cum[clip] = cum
-        return cum
-
     def lane_table(self, clip=False):
         """(table, res_rows) for the lane kernel: one guide table whose
         rows are the kernel rows, lam at row n, then the residual rows
@@ -232,11 +213,11 @@ class HarrisModel:
         if found is None:
             n = self.n
             cum = [np.cumsum(self.kernel.matrix, axis=1),
-                   self.lam_cumulative[None, :]]
+                   np.cumsum(self.lam)[None, :]]
             res_rows = np.zeros(n, dtype=np.intp)
             if self.epsilon < 1.0:
                 regen = list(self.regen_indices)
-                cum.append(self.residual_cumulative(clip)[regen])
+                cum.append(np.cumsum(self.residual_rows(clip)[regen], axis=1))
                 res_rows[regen] = np.arange(n + 1, n + 1 + len(regen))
             found = (_kernels.guide_table(np.concatenate(cum)), res_rows)
             self._lane_tables[clip] = found
@@ -360,16 +341,10 @@ class BridgeLaw:
         return w / kpow[steps_left][prev, self.end]
 
     def sample(self, gen):
-        """Draw the interior states; an empty array when ell = 1."""
-        out = np.empty(self.length, dtype=np.int64)
-        prev = self.start
-        for j in range(1, self.length + 1):
-            table = _kernels.bridge_table(
-                self.model.kernel.matrix, self.model.kernel_powers, prev,
-                self.end, self.model.ell - j + 1)
-            prev = _kernels._bridge_step(gen, table)
-            out[j - 1] = prev
-        return out
+        """Draw the interior states as the simulator's bridge lanes do; an
+        empty array when ell = 1."""
+        return np.array(_bridge_path(self.model, self.start, self.end, gen),
+                        dtype=np.int64)
 
     def path_probability(self, path):
         """Exact probability of one interior path."""
@@ -405,6 +380,18 @@ class BridgeLaw:
         return float(sum(p for _, p in self.enumerate_paths()))
 
 
+def _bridge_path(model, prev, end, gen):
+    # the ell - 1 interior states of a block from prev pinned at end, each
+    # drawn on one lane of _kernels._lane_bridge
+    out = []
+    for steps_left in range(model.ell, 1, -1):
+        prev = int(_kernels._lane_bridge(
+            model.kernel.matrix, model.kernel_powers, np.array([prev]),
+            np.array([end]), np.array([steps_left]), gen.random(1))[0])
+        out.append(prev)
+    return out
+
+
 def bridge_distribution(model, x, y):
     """Conditional law of the block interior given endpoints; see
     BridgeLaw."""
@@ -418,7 +405,8 @@ def split_block(model, x, zeta, gen, clip_residual=False):
     endpoint law (1: lam, making the block end a regeneration; 0: the
     residual kernel, which requires epsilon < 1) and the interior is
     bridged; outside the set the block is ell ordinary draws and the
-    coin is not consulted.  Exactly the branch the simulator uses.
+    coin is not consulted.  The simulator's branch and draws, each on one
+    lane with its own ``gen.random(1)``.
     """
     x = model.kernel._check_state(x, "x")
     if model.regen_mask[x]:
@@ -429,15 +417,20 @@ def split_block(model, x, zeta, gen, clip_residual=False):
             raise PreconditionError(
                 "epsilon = 1 leaves no residual branch; zeta = 0 cannot "
                 "occur", field="zeta")
-        branch = 1 if zeta == 1 else 2
+    table, res_rows = model.lane_table(clip_residual)
+
+    def draw(row):
+        base = np.array([row * (model.n + 1)])
+        return int(_kernels._lane_draw(table, base, gen.random(1))[0])
+
+    out = [x]
+    if model.regen_mask[x]:
+        end = draw(model.n if zeta == 1 else res_rows[x])
+        out += _bridge_path(model, x, end, gen) + [end]
     else:
-        branch = 0
-    res_cum = model.residual_cumulative(clip=clip_residual)
-    bridge = functools.partial(_kernels.bridge_table, model.kernel.matrix,
-                               model.kernel_powers)
-    return np.array(_kernels._block_states(
-        gen, branch, x, model.kernel.row_cumulative, model.lam_cumulative,
-        res_cum[x], bridge, model.ell), dtype=np.int64)
+        for _ in range(model.ell):
+            out.append(draw(out[-1]))
+    return np.array(out[1:], dtype=np.int64)
 
 
 @dataclass
@@ -472,63 +465,37 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
                          clip_residual=False):
     """Run the split chain until ``n_regens`` cycles close.
 
-    Cycles are i.i.d., so they are produced in fixed chunks, one spawned
-    seed stream per chunk; chunk k always owns cycles [k*size, (k+1)*size)
-    and the output is identical however chunks are scheduled.  The
-    default size is ``_stats.lane_chunk``.  A chunk's cycles run side by
-    side as lanes of ``_kernels.split_chain_batch``, each from its own
-    X_0 ~ lam, one cycle per lane.  Recording the trajectory forces a
-    single chunk on a single lane, so the sample path is one unbroken
-    run whose cycles follow each other; the kernel appends the path and
-    the coins to lists as it goes.  A block that starts in R draws no
-    coin when epsilon = 1.  No run takes more than ``step_budget``
-    steps; one that would raises ``BudgetExceededError``.
+    Cycles come from ``_stats.split_chain_chunks`` in fixed chunks of
+    ``chunk_size`` (a positive integer; ``_stats.lane_chunk`` by default),
+    one spawned seed stream per chunk; chunk k always owns cycles
+    [k*size, (k+1)*size), so the output is identical however chunks are
+    scheduled.  A chunk's cycles run side by side as lanes of
+    ``_kernels.split_chain_batch``, each from its own X_0 ~ lam.  A
+    recorded run is a single chunk on a single lane, so the sample path is
+    one unbroken run whose cycles follow each other.  A block that starts
+    in R draws no coin when epsilon = 1.  No run takes more than
+    ``step_budget`` steps; one that would raises ``BudgetExceededError``.
     """
     if n_regens < 1:
         raise PreconditionError("need at least one regeneration",
                                 field="n_regens")
     table, res_rows = model.lane_table(clip_residual)
-    if record_trajectory:
-        chunk_size = n_regens
-    plan = chunk_plan(n_regens, chunk_size or lane_chunk(model.n))
-
-    n = model.n
-    occ_all = []
-    len_all = []
-    regen_all = []
     traj = [] if record_trajectory else None
     marks = [] if record_trajectory else None
-    used = 0
-    done = 0
-    for gen, count in zip(chunk_generators(seed, len(plan)), plan):
-        occ = np.zeros((count, n), dtype=np.int64)
-        lengths = np.zeros(count, dtype=np.int64)
-        regen_states = np.zeros(count, dtype=np.int64)
-        cycles, steps, _, status = _kernels.split_chain_batch(
-            gen, model.kernel.matrix, table, model.n, res_rows,
-            model.kernel_powers,
-            model.regen_mask, model.epsilon, model.ell, occ, lengths,
-            regen_states, traj, marks, step_budget - used)
-        if status == 1:
-            raise BudgetExceededError(
-                "no %d-th regeneration within the %d-step budget; the "
-                "regeneration set may be effectively unreachable"
-                % (n_regens, step_budget))
-        used += int(steps)
-        done += int(cycles)
-        occ_all.append(occ)
-        len_all.append(lengths)
-        regen_all.append(regen_states)
+    occ, lengths, regen_states, used = zip(*split_chain_chunks(
+        seed, n_regens, chunk_size, step_budget,
+        (model.kernel.matrix, table, model.n, res_rows, model.kernel_powers,
+         model.regen_mask, model.epsilon, model.ell), traj, marks))
     if record_trajectory:
         traj = np.array(traj, dtype=np.int64)
         marks = np.array(marks, dtype=np.int8)
     return SplitChainRun(
-        n_cycles=done,
+        n_cycles=int(n_regens),
         seed=seed,
-        occupations=np.concatenate(occ_all),
-        lengths=np.concatenate(len_all),
-        regen_states=np.concatenate(regen_all),
-        steps=used,
+        occupations=np.concatenate(occ),
+        lengths=np.concatenate(lengths),
+        regen_states=np.concatenate(regen_states),
+        steps=used[-1],
         ell=model.ell,
         trajectory=traj,
         marks=marks,

@@ -16,9 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._stats import (RatioAccumulator, chunk_generators, chunk_plan,
-                     lane_chunk)
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from ._stats import RatioAccumulator, split_chain_chunks
+from .errors import InvariantError, PreconditionError
 
 # dense linear algebra everywhere; refuse sizes where that stops being sane
 _MAX_DENSE = 2000
@@ -68,10 +67,6 @@ class StochasticMatrix:
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    @property
-    def row_cumulative(self):
-        return self.row_guide[0][:, :-1]
 
     @property
     def row_guide(self):
@@ -408,12 +403,14 @@ def simulate_cycle_estimator(chain, base, n_cycles, seed, chunk_size=None,
                              step_budget=None):
     """Monte Carlo stationary estimate from independent return cycles.
 
-    Cycles are simulated in fixed chunks (``_stats.lane_chunk`` cycles
-    by default), each on its own spawned seed stream, so results are
-    reproducible and independent of how chunks are scheduled.  The
-    ratio estimate and its per-state delta-method standard error come
-    from accumulated moments; with a single cycle the standard errors
-    are reported as unavailable (None).
+    Cycles come from ``_stats.split_chain_chunks`` in fixed chunks of
+    ``chunk_size`` (a positive integer; ``_stats.lane_chunk`` by default),
+    each on its own spawned seed stream, so results are reproducible and
+    independent of how chunks are scheduled.  Each chunk feeds a
+    ``RatioAccumulator``: the ratio estimate and its per-state
+    delta-method standard error come from accumulated moments; with a
+    single cycle the standard errors are unavailable (None).  A run past
+    ``step_budget`` steps raises ``BudgetExceededError``.
     """
     base = chain._check_state(base, "base")
     if n_cycles < 1:
@@ -428,21 +425,10 @@ def simulate_cycle_estimator(chain, base, n_cycles, seed, chunk_size=None,
     # the return cycles of base, each rotated to end at base
     in_regen = np.arange(chain.n) == base
     acc = RatioAccumulator(chain.n)
-    plan = chunk_plan(n_cycles, chunk_size or lane_chunk(chain.n))
-    gens = chunk_generators(seed, len(plan))
-    used = 0
-    for gen, count in zip(gens, plan):
-        occ = np.zeros((count, chain.n), dtype=np.int64)
-        lengths = np.zeros(count, dtype=np.int64)
-        _, steps, _, status = _kernels.split_chain_batch(
-            gen, chain.matrix, chain.row_guide, base, None, None, in_regen,
-            1.0, 1, occ, lengths, np.zeros(count, dtype=np.int64), None,
-            None, step_budget - used)
-        used += int(steps)
-        if status != 0:
-            raise BudgetExceededError(
-                "step budget %d exhausted after %d steps; the base state "
-                "may return too slowly" % (step_budget, used))
+    for occ, lengths, _, used in split_chain_chunks(
+            seed, n_cycles, chunk_size, step_budget,
+            (chain.matrix, chain.row_guide, base, None, None, in_regen, 1.0,
+             1)):
         acc.add(occ, lengths)
     pi_hat, se, mean_len = acc.estimate()
     return CycleEstimate(

@@ -415,6 +415,29 @@ def test_split_chain_needs_a_cycle():
         cf.simulate_split_chain(variant_a(), 0, seed=0)
 
 
+def test_chunk_size_is_none_or_a_positive_integer():
+    # both simulators, recorded runs included; 0 is not the default
+    model = variant_a()
+    chain = cf.StochasticMatrix(H3)
+    runs = (
+        lambda size: cf.simulate_split_chain(model, 10, 0, chunk_size=size),
+        lambda size: cf.simulate_split_chain(model, 10, 0, chunk_size=size,
+                                             record_trajectory=True),
+        lambda size: cf.simulate_cycle_estimator(chain, 0, 10, 0,
+                                                 chunk_size=size),
+    )
+    for run in runs:
+        for bad in (0, -3, 2.5, "8", 4.0):
+            with pytest.raises(PreconditionError) as exc:
+                run(bad)
+            assert exc.value.field == "chunk_size"
+        for good in (None, 1, 3, np.int64(7)):
+            run(good)
+    # a recorded run is one chunk, one unbroken path, whatever the size
+    paths = [runs[1](size).trajectory.tobytes() for size in (None, 1, 3)]
+    assert paths[0] == paths[1] == paths[2]
+
+
 # ---------------------------------------------------------------------------
 # ratio estimation
 

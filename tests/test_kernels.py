@@ -1,4 +1,5 @@
 import functools
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -364,6 +365,40 @@ def _random_rows(rng, n):
 
 
 # ---------------------------------------------------------------------------
+# scalar draws with the kernel's draw rule, one gen.random() each: the
+# referees of _lane_draw and _lane_bridge
+
+
+def _draw_index(gen, cum):
+    # cum is a cumulative row ending at ~1.  A uniform at or past its end
+    # takes the last entry whose running sum rises (the clamp).
+    idx = bisect_right(cum, gen.random())
+    if idx == len(cum):
+        idx = bisect_left(cum, cum[-1])
+    return idx
+
+
+def _bridge_table(k_raw, kpow, prev, target, steps_left):
+    # law of the next interior state s of a pinned block, steps_left steps
+    # from target, K(prev, s) K^(steps_left-1)(s, target) /
+    # K^steps_left(prev, target), as (states of positive weight in
+    # increasing order, running sums of their weights, total)
+    w = k_raw[prev] * kpow[steps_left - 1, :, target]
+    states = np.flatnonzero(w > 0.0)
+    return (states.tolist(), np.cumsum(w[states]).tolist(),
+            float(kpow[steps_left, prev, target]))
+
+
+def _bridge_step(gen, table):
+    # one draw from a _bridge_table; past its last sum, its last state
+    states, cum, total = table
+    idx = bisect_right(cum, gen.random() * total)
+    if idx < len(states):
+        return states[idx]
+    return states[-1] if states else 0
+
+
+# ---------------------------------------------------------------------------
 # the lane referee: a scalar replay of the lane kernel.  Lanes advance one
 # at a time in lane order, each on the double the kernel hands it, with
 # the scalar _draw_index and _bridge_step.
@@ -386,7 +421,7 @@ def _lane_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps, ell,
     tally = {"steps": 0, "blocks": 0, "closed": 0}
 
     def draw(cum, u):
-        return kr._draw_index(_StubGen(float(u)), cum)
+        return _draw_index(_StubGen(float(u)), cum)
 
     def begin(lane):
         if in_regen[lane.x]:
@@ -441,8 +476,8 @@ def _lane_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps, ell,
             else:
                 lane.end, lane.left, lane.phase = e, ell, "bridge"
         else:
-            table = kr.bridge_table(k_raw, kpow, lane.x, lane.end, lane.left)
-            step(lane, kr._bridge_step(_StubGen(float(u)), table))
+            table = _bridge_table(k_raw, kpow, lane.x, lane.end, lane.left)
+            step(lane, _bridge_step(_StubGen(float(u)), table))
             lane.left -= 1
             if lane.left == 1:
                 close(lane, lane.end)
@@ -495,8 +530,8 @@ def _markov_model(chain, base):
 def _markov_pair(chain, base, cycles, budget, seed):
     # (kernel outputs, law oracle outputs) on generators of the same seed
     outs = []
-    for fn, rows in ((_markov_kernel, chain), (_markov_cycle_ref,
-                                               chain.row_cumulative)):
+    row_cum = np.cumsum(chain.matrix, axis=1)
+    for fn, rows in ((_markov_kernel, chain), (_markov_cycle_ref, row_cum)):
         occ = np.zeros((cycles, chain.n), dtype=np.int64)
         lengths = np.zeros(cycles, dtype=np.int64)
         result = fn(np.random.default_rng(seed), rows, base, occ, lengths,
@@ -590,8 +625,8 @@ def _harris_cases(seed):
 
 def _split_args(model):
     # the law oracle's and the lane referee's arguments: cumulative rows
-    return (model.kernel.matrix, model.kernel.row_cumulative,
-            model.lam_cumulative, model.residual_cumulative(),
+    return (model.kernel.matrix, np.cumsum(model.kernel.matrix, axis=1),
+            np.cumsum(model.lam), np.cumsum(model.residual_rows(), axis=1),
             model.kernel_powers, model.regen_mask, model.epsilon, model.ell)
 
 
@@ -795,21 +830,21 @@ def test_draws_match_referee_at_running_sum_boundaries():
         for x in range(model.n):
             us = sorted(u for u in {v for c in k_cum[x] for v in _near(c)}
                         if 0.0 <= u < k_cum[x, -1])
-            assert [kr._draw_index(_StubGen(u), k_cum[x].tolist())
+            assert [_draw_index(_StubGen(u), k_cum[x].tolist())
                     for u in us] == \
                 [_draw_index_ref(_StubGen(u), k_cum[x]) for u in us]
             for end in range(model.n):
                 for steps_left in range(2, ell + 1):
                     if kpow[steps_left, x, end] == 0.0:
                         continue
-                    bridge = kr.bridge_table(k_raw, kpow, x, end, steps_left)
+                    bridge = _bridge_table(k_raw, kpow, x, end, steps_left)
                     total = bridge[2]
                     us = [u for u in {v for c in bridge[1]
                                       for v in _near(c / total)}
                           if 0.0 <= u < 1.0]
                     want = [_bridge_step_ref(_StubGen(u), k_raw, kpow, x,
                                              end, steps_left) for u in us]
-                    assert [kr._bridge_step(_StubGen(u), bridge)
+                    assert [_bridge_step(_StubGen(u), bridge)
                             for u in us] == want
                     k = len(us)
                     assert kr._lane_bridge(
@@ -820,7 +855,7 @@ def test_draws_match_referee_at_running_sum_boundaries():
             us = [u for c in cum for u in _near(c) if 0.0 <= u < 1.0]
             us += [0.0, _TOP, 0.5]
             assert _lane_draws(table, row, us) == \
-                [kr._draw_index(_StubGen(u), cum) for u in us]
+                [_draw_index(_StubGen(u), cum) for u in us]
 
 
 def test_lane_draws_match_draw_index_on_edge_rows():
@@ -844,7 +879,7 @@ def test_lane_draws_match_draw_index_on_edge_rows():
         us = [u for c in cum for u in _near(c) if 0.0 <= u < 1.0]
         us += [0.0, tiny, _TOP, 0.95, 0.05]
         got = _lane_draws(table, 0, us)
-        assert got == [kr._draw_index(_StubGen(u), cum) for u in us]
+        assert got == [_draw_index(_StubGen(u), cum) for u in us]
         assert all(row[i] > 0 for i in got)
     width = max(len(r) for r in rows)
     stacked = np.array([np.cumsum(r + [0.0] * (width - len(r)))
@@ -853,7 +888,7 @@ def test_lane_draws_match_draw_index_on_edge_rows():
     for i, cum in enumerate(stacked):
         us = [u for c in cum for u in _near(c) if 0.0 <= u < 1.0] + [_TOP]
         assert _lane_draws(table, i, us) == \
-            [kr._draw_index(_StubGen(u), cum) for u in us]
+            [_draw_index(_StubGen(u), cum) for u in us]
 
 
 def test_lane_bridge_falls_back_as_bridge_step():
@@ -868,12 +903,12 @@ def test_lane_bridge_falls_back_as_bridge_step():
     us = [0.0, 0.1, 0.25, 0.3, 0.99, _TOP]
     for prev in range(4):
         for end in range(4):
-            table = kr.bridge_table(k_raw, kpow, prev, end, 2)
+            table = _bridge_table(k_raw, kpow, prev, end, 2)
             k = len(us)
             got = kr._lane_bridge(k_raw, kpow, np.full(k, prev),
                                   np.full(k, end), np.full(k, 2),
                                   np.array(us))
-            assert got.tolist() == [kr._bridge_step(_StubGen(u), table)
+            assert got.tolist() == [_bridge_step(_StubGen(u), table)
                                     for u in us]
 
 
@@ -905,13 +940,13 @@ def test_short_row_reaches_the_clamp():
 def test_draw_index_clamps_to_last_positive_entry():
     cum = np.cumsum(_SHORT_ROW)
     for row in (cum, cum.tolist()):
-        assert kr._draw_index(_StubGen(_TOP), row) == 9
-        assert kr._draw_index(_StubGen(0.95), row) == 9
-        assert kr._draw_index(_StubGen(0.05), row) == 0
+        assert _draw_index(_StubGen(_TOP), row) == 9
+        assert _draw_index(_StubGen(0.95), row) == 9
+        assert _draw_index(_StubGen(0.05), row) == 0
     # zeros before the last rise are skipped as well
     cum = np.cumsum([0.0, 0.5, 0.0, 0.4999999999999998, 0.0, 0.0])
     assert cum[-1] < _TOP
-    assert kr._draw_index(_StubGen(_TOP), cum) == 3
+    assert _draw_index(_StubGen(_TOP), cum) == 3
 
 
 def test_kernels_clamp_to_last_positive_entry():
@@ -943,3 +978,10 @@ def test_kernels_clamp_to_last_positive_entry():
     assert regen.tolist() == [9] * 4
     assert traj == [9] * 5
     assert occ[:, 10].sum() == 0
+    # split_block and BridgeLaw.sample on the same rows with lam the short
+    # row: a plain block from 1, a lam-endpoint block from 0 and a bridge
+    # from 0 to 9 each stay on 9
+    model = cf.HarrisModel(k, [0], ell=3, lam=_SHORT_ROW)
+    assert cf.split_block(model, 1, None, _StubGen(_TOP)).tolist() == [9] * 3
+    assert cf.split_block(model, 0, 1, _StubGen(_TOP)).tolist() == [9] * 3
+    assert cf.BridgeLaw(model, 0, 9).sample(_StubGen(_TOP)).tolist() == [9] * 2

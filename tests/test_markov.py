@@ -325,11 +325,11 @@ def test_cycle_occupation_is_computed_once_per_matrix_and_base(mc2):
     assert again is not occ and again.mean_return == 2.0
 
 
-def test_row_cumulative_follows_the_bound_matrix(flip2):
+def test_row_guide_follows_the_bound_matrix(flip2):
     chain = cf.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-    assert chain.row_cumulative.tolist() == [[0.5, 1.0], [0.5, 1.0]]
+    assert chain.row_guide[0][:, :-1].tolist() == [[0.5, 1.0], [0.5, 1.0]]
     chain.matrix = flip2.matrix
-    assert chain.row_cumulative.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+    assert chain.row_guide[0][:, :-1].tolist() == [[0.0, 1.0], [1.0, 1.0]]
     # the flip returns to its base in exactly two steps
     est = cf.simulate_cycle_estimator(chain, 0, 200, seed=1)
     assert est.mean_return == 2.0
@@ -571,7 +571,21 @@ def test_estimator_is_the_split_chain_of_one_state(mc2, flip2):
         run = cf.simulate_split_chain(model, cycles, case, chunk_size=64)
         report = cf.regen_ratio_estimator(run.occupations, run.lengths)
         assert est.pi_hat.tobytes() == report.pi_hat.tobytes()
-        assert est.steps == run.steps
+        assert np.float64(est.mean_return).tobytes() == \
+            np.float64(report.mean_cycle_length).tobytes()
+        assert est.steps == run.steps == run.lengths.sum()
+        # one step short of the run, both stop with the same message
+        errors = []
+        for route in (
+                lambda b: cf.simulate_cycle_estimator(
+                    chain, base, cycles, seed=case, chunk_size=64,
+                    step_budget=b),
+                lambda b: cf.simulate_split_chain(
+                    model, cycles, case, step_budget=b, chunk_size=64)):
+            with pytest.raises(BudgetExceededError) as exc:
+                route(est.steps - 1)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 def test_estimator_near_truth(mc2):
