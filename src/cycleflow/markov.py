@@ -8,8 +8,11 @@ of the transition matrix) is provided purely as a cross-check; the two
 must agree to solver precision, and tests hold them to that.
 """
 
+import contextlib
+import functools
 import heapq
 import itertools
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -253,26 +256,118 @@ def cycle_occupation(chain, base):
     base = chain._check_state(base, "base")
     structure = class_structure(chain)
     _require_recurrent(chain, structure, base)
+    return _fill_occupations(chain, structure, [base])[0]
+
+
+def _fill_occupations(chain, structure, bases):
+    """``cycle_occupation`` of each of ``bases``, recurrent states of the
+    chain's class ``structure``, in order.
+
+    Each distinct base not yet kept on the chain gets its own solve, so
+    no two bases share a factorisation.  The solves run side by side,
+    one per core, with BLAS pinned to one thread: a base's counts have
+    the same bits however many run at once.
+    """
+    _require_dense(chain)
     kept = _per_matrix(chain, "_occupations", lambda p: {})
-    if base not in kept:
-        kept[base] = _cycle_occupation(chain, structure, base)
-    return kept[base]
+    missing = sorted(set(bases) - kept.keys())
+    if missing:
+        systems = {c: _cycle_system(chain.matrix, structure.classes[c])
+                   for c in {int(structure.labels[b]) for b in missing}}
+        with _one_blas_thread() as width:
+            jobs = min(width, len(missing))
+            # one system buffer per worker, taken on this thread: its heap
+            # has room the load left free, where memory a worker takes
+            # would grow the process in the worker's own malloc arena
+            side = max(a.shape[0] for a in systems.values()) - 1
+            buffers = [np.empty(side * side) for _ in range(jobs)]
+
+            def solve_share(j):
+                # worker j solves every jobs-th missing base in its buffer
+                out = []
+                for b in missing[j::jobs]:
+                    c = int(structure.labels[b])
+                    out.append(_cycle_occupation(
+                        chain, structure.classes[c], systems[c], b,
+                        buffers[j]))
+                return out
+
+            if jobs > 1:
+                from concurrent.futures import ThreadPoolExecutor
+                with ThreadPoolExecutor(jobs) as pool:
+                    shares = list(pool.map(solve_share, range(jobs)))
+            else:
+                shares = [solve_share(0)]
+        for j, share in enumerate(shares):
+            kept.update(zip(missing[j::jobs], share))
+    return [kept[b] for b in bases]
 
 
-def _cycle_occupation(chain, structure, base):
-    members = structure.classes[structure.labels[base]]
-    rest = members[members != base]
-    q = chain.matrix[np.ix_(rest, rest)]
-    r = chain.matrix[base, rest]
+def _cycle_system(p, members):
+    # (I - Q)^T over the whole class without an identity matrix, (-q) + 1
+    # rounding as 1 - q
+    a = -p[np.ix_(members, members)].T
+    a[np.diag_indices(members.size)] += 1.0
+    return a
+
+
+def _cycle_occupation(chain, members, system, base, buf):
+    # the base's system is its class's without the base's row and column,
+    # copied block by block into ``buf``; members are sorted
+    i = int(np.searchsorted(members, base))
+    rest = np.delete(members, i)
+    m = rest.size
     counts = np.zeros(chain.n)
     counts[base] = 1.0
-    if rest.size:
-        # (I - Q)^T without an identity matrix: (-q) + 1 rounds as 1 - q
-        a = -q.T
-        a[np.diag_indices(rest.size)] += 1.0
-        counts[rest] = np.linalg.solve(a, r)
+    if m:
+        a = buf[:m * m].reshape(m, m)
+        a[:i, :i] = system[:i, :i]
+        a[:i, i:] = system[:i, i + 1:]
+        a[i:, :i] = system[i + 1:, :i]
+        a[i:, i:] = system[i + 1:, i + 1:]
+        counts[rest] = np.linalg.solve(a, chain.matrix[base, rest])
     counts.flags.writeable = False
     return CycleOccupation(base, counts, float(counts.sum()))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin the OpenBLAS numpy loaded to one thread for the block, and
+    restore its thread count on the way out.  Yields how many solves may
+    run side by side: the cores this process may use, or 1 when numpy's
+    BLAS has no thread control to pin."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield 1
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield (len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else 1)
+    finally:
+        put(before)
+
+
+@functools.cache
+def _openblas_threads():
+    # the thread count getter and setter of the OpenBLAS bundled with
+    # numpy's wheels, looked up once
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                        "numpy.libs", "*openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
 def cycle_stationary(chain, base):
@@ -299,7 +394,8 @@ def stationary_leftnull(chain, base):
     b = np.zeros(k)
     b[-1] = 1.0
     pi = np.zeros(chain.n)
-    pi[members] = np.linalg.solve(a, b)
+    with _one_blas_thread():
+        pi[members] = np.linalg.solve(a, b)
     return pi
 
 

@@ -59,8 +59,9 @@ def _canon(value, out):
     elif isinstance(value, (list, tuple, np.ndarray)):
         seq = value.tolist() if isinstance(value, np.ndarray) else value
         if _finite_floats(seq):
-            # the bytes _format_float gives item by item, in one join
-            out.write("[" + ",".join(map("%.17g".__mod__, seq)) + "]")
+            # the bytes _format_float gives item by item, in one format
+            out.write(("[" + ",".join(["%.17g"] * len(seq)) + "]")
+                      % tuple(seq))
             return
         out.write("[")
         for i, item in enumerate(seq):

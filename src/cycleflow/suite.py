@@ -118,30 +118,34 @@ def _markov_suite(chain, cfg):
     recurrent = structure.recurrent_classes
     rng = np.random.default_rng(cfg.seed)
 
-    invariance_worst = 0.0
-    eigen_worst = 0.0
-    exchange_worst = 0.0
-    n_exchange = 0
-    bases = []
-    class_pis = {}
+    # every seeded pair first, class by class, so that all cycle systems
+    # are solved in one batch; the mixture weights are drawn after them
+    quota = max(1, cfg.sample_pairs // len(recurrent))
+    pairs = []
     for c in recurrent:
         members = structure.classes[c]
-        base = int(members.min())
-        bases.append(base)
+        if members.size >= 2:
+            for _ in range(quota):
+                first, second = rng.choice(members, size=2, replace=False)
+                pairs.append((int(first), int(second)))
+    bases = [int(structure.classes[c].min()) for c in recurrent]
+    _markov._fill_occupations(chain, structure,
+                              bases + [s for pair in pairs for s in pair])
+
+    invariance_worst = 0.0
+    eigen_worst = 0.0
+    class_pis = {}
+    for c, base in zip(recurrent, bases):
         pi = _markov.cycle_stationary(chain, base)
         class_pis[c] = pi
         invariance_worst = max(
             invariance_worst, _markov.invariance_residual(chain, pi))
         eigen = _markov.stationary_leftnull(chain, base)
         eigen_worst = max(eigen_worst, float(np.abs(pi - eigen).max()))
-        if members.size >= 2:
-            quota = max(1, cfg.sample_pairs // len(recurrent))
-            for _ in range(quota):
-                first, second = rng.choice(members, size=2, replace=False)
-                exchange_worst = max(
-                    exchange_worst,
-                    _markov.exchange_residual(chain, int(first), int(second)))
-                n_exchange += 1
+    exchange_worst = 0.0
+    for first, second in pairs:
+        exchange_worst = max(exchange_worst,
+                             _markov.exchange_residual(chain, first, second))
 
     cross_tol = max(cfg.tolerance, _CROSS_FLOOR)
     checks = [
@@ -156,7 +160,7 @@ def _markov_suite(chain, cfg):
         "transient_states": int(chain.n - sum(
             structure.classes[c].size for c in recurrent)),
         "bases": bases,
-        "exchange_pairs": n_exchange,
+        "exchange_pairs": len(pairs),
     }
     if len(recurrent) == 1 and details["transient_states"] == 0:
         details["stationary"] = class_pis[recurrent[0]]
@@ -289,6 +293,9 @@ def run_suite(model, cfg=None):
     if cfg is None:
         cfg = RunConfig()
     kind = model_kind(model)
+    # hashed before the suite: what the solve threads free stays in their
+    # own malloc arenas, where the model document could not reuse it
+    identity = model_identity(model, kind)
     started = time.perf_counter()
     if kind == "finite_system":
         checks, details = _finite_system_suite(model, cfg)
@@ -297,6 +304,6 @@ def run_suite(model, cfg=None):
     else:
         checks, details = _harris_suite(model, cfg)
     elapsed = time.perf_counter() - started
-    return SuiteReport(kind=kind, model=model_identity(model, kind),
+    return SuiteReport(kind=kind, model=identity,
                        config=asdict(cfg), checks=checks, details=details,
                        timing_s=elapsed)

@@ -87,10 +87,11 @@ def test_fit_minorization_help_states_power_rule(capsys):
     assert "exit 7" in text
 
 
-def run_fresh(code, *args):
-    # run `code` in a new interpreter that imports this checkout's package
+def run_fresh(code, *args, **environ):
+    # run `code` in a new interpreter that imports this checkout's package,
+    # with `environ` added to its environment
     src = os.path.dirname(os.path.dirname(cf.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", code] + list(args), env=env,
@@ -478,6 +479,33 @@ def test_default_seed_is_zero(files, capsys, clean_env):
 
 # ---------------------------------------------------------------------------
 # reproducibility
+
+
+def test_chain_report_bytes_do_not_depend_on_threads(tmp_path):
+    # four closed classes of 100 states and 100 transient states whose rows
+    # spread over every state.  Two BLAS threads give a class's left-null
+    # solve other bits than one does, so every solve runs on one BLAS
+    # thread, however many run side by side
+    rng = np.random.default_rng(1)
+    p = np.zeros((500, 500))
+    for c in range(4):
+        block = slice(100 * c, 100 * (c + 1))
+        p[block, block] = rng.dirichlet(np.full(100, 0.2), size=100)
+    p[400:] = rng.dirichlet(np.full(500, 0.2), size=100)
+    path = tmp_path / "mcr500.json"
+    path.write_text(json.dumps({"kind": "markov_chain", "P": p.tolist()}))
+    code = ("import os, sys\n"
+            "if sys.argv[2] == 'one core':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from cycleflow.cli import main\n"
+            "sys.exit(main(['verify', sys.argv[1], '--format', 'json']))\n")
+    one = run_fresh(code, str(path), "all cores", OPENBLAS_NUM_THREADS="1")
+    two = run_fresh(code, str(path), "all cores", OPENBLAS_NUM_THREADS="2")
+    assert json.loads(one)["overall_pass"]
+    assert two == one
+    if hasattr(os, "sched_setaffinity"):
+        assert run_fresh(code, str(path), "one core",
+                         OPENBLAS_NUM_THREADS="2") == one
 
 
 def test_json_reports_are_byte_identical(files, tmp_path, clean_env):

@@ -1,4 +1,5 @@
 import heapq
+import os
 import zlib
 
 import numpy as np
@@ -309,7 +310,8 @@ def test_class_structure_is_computed_once_per_matrix():
     assert cf.class_structure(chain) is again
 
 
-def test_cycle_occupation_is_computed_once_per_matrix_and_base(mc2):
+def test_cycle_occupation_is_computed_once_per_matrix_and_base(
+        mc2, monkeypatch):
     # the cycle estimator sizes its budget from the exact occupation the
     # stationary report needs too; the second call solves nothing
     occ = cf.cycle_occupation(mc2, 0)
@@ -323,6 +325,89 @@ def test_cycle_occupation_is_computed_once_per_matrix_and_base(mc2):
     mc2.matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
     again = cf.cycle_occupation(mc2, 0)
     assert again is not occ and again.mean_return == 2.0
+
+    # three closed classes of 12 states and 4 transient states: the suite
+    # solves one cycle system per distinct base it draws, each on its own,
+    # and one left-null system per class
+    rng = np.random.default_rng(8)
+    p = np.zeros((40, 40))
+    for c in range(3):
+        block = slice(12 * c, 12 * (c + 1))
+        p[block, block] = rng.dirichlet(np.ones(12), size=12)
+    p[36:] = rng.dirichlet(np.ones(40), size=4)
+    chain = cf.StochasticMatrix(p)
+    solves, bases = [], []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solves.append(a.shape) or solve(a, b))
+    occupation = cf.markov._cycle_occupation
+    monkeypatch.setattr(
+        cf.markov, "_cycle_occupation",
+        lambda chain, members, system, base, buf: bases.append(base)
+        or occupation(chain, members, system, base, buf))
+    report = cf.run_suite(chain, cf.RunConfig(sample_pairs=9, seed=2))
+    assert report.overall_pass and report.details["exchange_pairs"] == 9
+    assert len(bases) == len(set(bases)) and 3 < len(bases) < 36
+    assert set(report.details["bases"]) <= set(bases)
+    assert solves.count((11, 11)) == len(bases)
+    assert solves.count((12, 12)) == 3 and len(solves) == len(bases) + 3
+    # a second run finds every cycle system kept on the chain
+    cf.run_suite(chain, cf.RunConfig(sample_pairs=9, seed=2))
+    assert len(bases) == len(solves) - 6
+
+
+def test_occupations_are_filled_once_per_missing_base():
+    chain = block_chain()
+    structure = cf.class_structure(chain)
+    first = cf.markov._fill_occupations(chain, structure, [3, 0, 3])
+    assert first[0] is first[2]
+    assert [o.base for o in first] == [3, 0, 3]
+    again = cf.markov._fill_occupations(chain, structure, [0, 1, 2, 3])
+    assert again[0] is first[1] and again[3] is first[0]
+    assert cf.cycle_occupation(chain, 1) is again[1]
+    # the class {0, 1} has stationary law (3/7, 4/7)
+    assert again[1].mean_return == pytest.approx(7 / 4)
+
+
+def _openblas_thread_count():
+    get, _ = cf.markov._openblas_threads()
+    return get()
+
+
+def test_blas_pin_finds_numpys_openblas():
+    # numpy's wheels ship scipy-openblas; when they do, the pin must find
+    # its thread control, or every solve would run one at a time
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas["name"] != "scipy-openblas":
+        pytest.skip("numpy is not built on scipy-openblas")
+    assert cf.markov._openblas_threads() is not None
+    with cf.markov._one_blas_thread() as width:
+        assert _openblas_thread_count() == 1
+        assert width == len(os.sched_getaffinity(0))
+
+
+def test_blas_pin_restores_the_prior_thread_count():
+    if cf.markov._openblas_threads() is None:
+        with cf.markov._one_blas_thread() as width:
+            assert width == 1
+        return
+    _, put = cf.markov._openblas_threads()
+    prior = _openblas_thread_count()
+    try:
+        put(2)
+        with cf.markov._one_blas_thread():
+            assert _openblas_thread_count() == 1
+            with cf.markov._one_blas_thread():
+                pass
+            assert _openblas_thread_count() == 1
+        assert _openblas_thread_count() == 2
+        with pytest.raises(RuntimeError):
+            with cf.markov._one_blas_thread():
+                assert _openblas_thread_count() == 1
+                raise RuntimeError("inside the pin")
+        assert _openblas_thread_count() == 2
+    finally:
+        put(prior)
 
 
 def test_row_guide_follows_the_bound_matrix(flip2):

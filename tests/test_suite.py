@@ -170,6 +170,30 @@ def test_markov_suite_seed_changes_exchange_pairs():
     assert a.details["exchange_pairs"] == 50
 
 
+def test_reducible_chain_draws_are_fixed():
+    # classes of 5, 7 and 9 states and 3 transient states.  The exchange
+    # pairs are drawn class by class from the seeded stream, then the
+    # mixture weights; these digests pin the pairs (through the exchange
+    # residual) and the weights, whatever order the solves run in
+    rng = np.random.default_rng(23)
+    p = np.zeros((24, 24))
+    start = 0
+    for k in (5, 7, 9):
+        p[start:start + k, start:start + k] = rng.dirichlet(np.ones(k),
+                                                            size=k)
+        start += k
+    p[21:] = rng.dirichlet(np.ones(24), size=3)
+    report = cf.run_suite(cf.StochasticMatrix(p),
+                          cf.RunConfig(sample_pairs=20, seed=6))
+    drawn = cf.canonical_json({k: report.details[k] for k in (
+        "bases", "exchange_pairs", "mixture_weights")})
+    assert hashlib.sha256(drawn.encode()).hexdigest() == \
+        "0c0171e5511974a7829192570ae7d990df6c81dce029dc7d9ce87bfef6c1c4b4"
+    doc = cf.canonical_json(report.to_document())
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
+        "43e29f178de44c933185cc4315ff39d01f492330fe483bd561dbbb45c6ed3c34"
+
+
 # ---------------------------------------------------------------------------
 # regeneration models
 
