@@ -73,6 +73,14 @@ def split_chain_chunks(seed, n_cycles, chunk_size, budget, args, traj=None,
         yield occ, lengths, regen_states, used
 
 
+def _as_counts(values):
+    # integer arrays as they are, anything else as float64
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values
+    return values.astype(np.float64, copy=False)
+
+
 class RatioAccumulator:
     """Running moments for the regenerative ratio estimate.
 
@@ -88,6 +96,10 @@ class RatioAccumulator:
     sums; the spread comes from moments centred on each chunk's means and
     merged pairwise (Chan, Golub & LeVeque 1979), which keeps it accurate
     when cycles are long and nearly alike.
+
+    A chunk's centred terms go through one float64 buffer of its shape;
+    integer counts are read as they are, never copied to float64, so
+    ``add`` takes about one more chunk of memory whatever it computes.
     """
 
     def __init__(self, n_states):
@@ -103,27 +115,33 @@ class RatioAccumulator:
         self.cross = np.zeros(n_states)
 
     def add(self, occ, lengths):
-        occ = np.asarray(occ, dtype=np.float64)
-        lengths = np.asarray(lengths, dtype=np.float64)
+        # integer counts are taken as they come: their sums are exact in
+        # float64, and one float64 buffer holds each chunk-sized term
+        occ = _as_counts(occ)
+        lengths = _as_counts(lengths)
         k = lengths.shape[0]
         if k == 0:
             return
-        self.sum_occ += occ.sum(axis=0)
-        self.sum_len += lengths.sum()
-        mean_occ = occ.mean(axis=0)
-        mean_len = lengths.mean()
-        d_occ = occ - mean_occ
+        self.sum_occ += occ.sum(axis=0, dtype=np.float64)
+        self.sum_len += lengths.sum(dtype=np.float64)
+        mean_occ = occ.mean(axis=0, dtype=np.float64)
+        mean_len = lengths.mean(dtype=np.float64)
         d_len = lengths - mean_len
+        buf = np.subtract(occ, mean_occ, dtype=np.float64)
+        buf *= d_len[:, None]
+        cross = buf.sum(axis=0)
+        np.subtract(occ, mean_occ, out=buf, dtype=np.float64)
+        buf *= buf
+        m2_occ = buf.sum(axis=0)
         n = self.n_cycles
         total = n + k
         # merge the chunk's centred moments into the running ones
         delta_occ = mean_occ - self.mean_occ
         delta_len = mean_len - self.mean_len
         weight = n * k / total
-        self.m2_occ += (d_occ * d_occ).sum(axis=0) + delta_occ ** 2 * weight
+        self.m2_occ += m2_occ + delta_occ ** 2 * weight
         self.m2_len += (d_len * d_len).sum() + delta_len ** 2 * weight
-        self.cross += ((d_occ * d_len[:, None]).sum(axis=0)
-                       + delta_occ * delta_len * weight)
+        self.cross += cross + delta_occ * delta_len * weight
         self.mean_occ += delta_occ * (k / total)
         self.mean_len += delta_len * (k / total)
         self.n_cycles = total

@@ -304,9 +304,10 @@ def _fill_occupations(chain, structure, bases):
 
 
 def _cycle_system(p, members):
-    # (I - Q)^T over the whole class without an identity matrix, (-q) + 1
-    # rounding as 1 - q
-    a = -p[np.ix_(members, members)].T
+    # (I - Q)^T over the whole class, negated in place of its copy and
+    # without an identity matrix, (-q) + 1 rounding as 1 - q
+    a = p[np.ix_(members, members)].T
+    np.negative(a, out=a)
     a[np.diag_indices(members.size)] += 1.0
     return a
 
@@ -389,7 +390,10 @@ def stationary_leftnull(chain, base):
     _require_recurrent(chain, structure, base)
     members = structure.classes[structure.labels[base]]
     k = members.size
-    a = (chain.matrix[np.ix_(members, members)] - np.eye(k)).T
+    # P - I on the class, in place of its copy: x - 0.0 is x
+    a = chain.matrix[np.ix_(members, members)]
+    a[np.diag_indices(k)] -= 1.0
+    a = a.T
     a[-1, :] = 1.0
     b = np.zeros(k)
     b[-1] = 1.0

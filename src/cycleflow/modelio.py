@@ -21,7 +21,6 @@ failure class (unreadable file, bad JSON, unknown kind, violated
 invariant).
 """
 
-import hashlib
 import json
 import os
 
@@ -199,13 +198,13 @@ def load_model(path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelParseError("%s: %s" % (path, exc)) from exc
+    # the text goes before parse_model builds the arrays
+    del text
     return parse_model(doc, source=os.path.basename(path))
 
 
-def model_document(model):
-    """Canonical JSON-ready document for a model, inverse of parsing up
-    to row renormalisation; used for hashing and report identity."""
-    kind = getattr(model, "kind", None)
+def _document(model):
+    # the canonical document with a model's matrix left as its own array
     if isinstance(model, FiniteSystem):
         if model.exact:
             weights = {"num": [int(w.numerator) for w in model.weights],
@@ -223,19 +222,27 @@ def model_document(model):
         return {
             "kind": "markov_chain",
             "states": list(model.states),
-            "P": model.matrix.tolist(),
+            "P": model.matrix,
         }
     if isinstance(model, HarrisModel):
         return {
             "kind": "harris_discrete",
             "states": list(model.kernel.states),
-            "K": model.kernel.matrix.tolist(),
+            "K": model.kernel.matrix,
             "R": list(model.regen_indices),
             "ell": model.ell,
             "epsilon": float(model.epsilon),
             "lambda": [float(x) for x in model.lam],
         }
     raise UnknownKindError("cannot serialise %r" % type(model).__name__)
+
+
+def model_document(model):
+    """Canonical JSON-ready document for a model, inverse of parsing up
+    to row renormalisation, in plain lists; ``model_hash`` hashes its
+    canonical JSON."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in _document(model).items()}
 
 
 def model_size(model):
@@ -247,7 +254,11 @@ def model_size(model):
 
 
 def model_hash(model):
-    """sha256 over the canonical model document."""
-    from .report import canonical_json
-    return hashlib.sha256(
-        canonical_json(model_document(model)).encode("utf-8")).hexdigest()
+    """sha256 over the canonical JSON of ``model_document(model)``.
+
+    The text is streamed into the hash and the matrix written one row at
+    a time, so neither the text nor the matrix as Python floats is ever
+    held whole: the hash takes memory of the order of one row.
+    """
+    from .report import canonical_sha256
+    return canonical_sha256(_document(model))

@@ -9,6 +9,7 @@ only in the text rendering; it is the one field honest reruns cannot
 reproduce.
 """
 
+import hashlib
 import io
 import math
 from dataclasses import dataclass, field
@@ -57,7 +58,10 @@ def _canon(value, out):
             _canon(value[key], out)
         out.write("}")
     elif isinstance(value, (list, tuple, np.ndarray)):
-        seq = value.tolist() if isinstance(value, np.ndarray) else value
+        # an array of two or more dimensions goes one row at a time, so
+        # it never exists whole as Python objects
+        seq = (value.tolist()
+               if isinstance(value, np.ndarray) and value.ndim < 2 else value)
         if _finite_floats(seq):
             # the bytes _format_float gives item by item, in one format
             out.write(("[" + ",".join(["%.17g"] * len(seq)) + "]")
@@ -98,6 +102,23 @@ def canonical_json(doc):
     out = io.StringIO()
     _canon(doc, out)
     return out.getvalue()
+
+
+class _Sha256Writer:
+    # a text sink that hashes the UTF-8 bytes of each piece as it comes
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+
+
+def canonical_sha256(doc):
+    """sha256 hex digest of ``canonical_json(doc)`` in UTF-8, written
+    piece by piece into the hash: the text never exists whole."""
+    out = _Sha256Writer()
+    _canon(doc, out)
+    return out.digest.hexdigest()
 
 
 @dataclass

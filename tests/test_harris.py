@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -515,6 +516,78 @@ def test_merged_moments_match_two_pass_on_random_chunks():
     _, se, _ = acc.estimate()
     assert np.allclose(se, _two_pass_standard_errors(occ, lengths),
                        rtol=1e-9, atol=0)
+
+
+def _add_with_float_copies(acc, occ, lengths):
+    # RatioAccumulator.add as it was before one chunk buffer: a float64
+    # copy of the counts and a fresh array for each centred term
+    occ = np.asarray(occ, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.float64)
+    k = lengths.shape[0]
+    if k == 0:
+        return
+    acc.sum_occ += occ.sum(axis=0)
+    acc.sum_len += lengths.sum()
+    mean_occ = occ.mean(axis=0)
+    mean_len = lengths.mean()
+    d_occ = occ - mean_occ
+    d_len = lengths - mean_len
+    n = acc.n_cycles
+    total = n + k
+    delta_occ = mean_occ - acc.mean_occ
+    delta_len = mean_len - acc.mean_len
+    weight = n * k / total
+    acc.m2_occ += (d_occ * d_occ).sum(axis=0) + delta_occ ** 2 * weight
+    acc.m2_len += (d_len * d_len).sum() + delta_len ** 2 * weight
+    acc.cross += ((d_occ * d_len[:, None]).sum(axis=0)
+                  + delta_occ * delta_len * weight)
+    acc.mean_occ += delta_occ * (k / total)
+    acc.mean_len += delta_len * (k / total)
+    acc.n_cycles = total
+
+
+_MOMENTS = ("n_cycles", "sum_occ", "sum_len", "mean_occ", "mean_len",
+            "m2_occ", "m2_len", "cross")
+
+
+def test_one_buffer_add_matches_the_float_copy_add_bit_for_bit():
+    rng = np.random.default_rng(3000)
+    for k in (1, 2, 3000):
+        for n in (1, 3, 300):
+            for top in (2, 10 ** 4, 10 ** 7):
+                got, want = RatioAccumulator(n), RatioAccumulator(n)
+                for _ in range(3):
+                    occ = rng.integers(0, top, size=(k, n))
+                    lengths = occ.sum(axis=1) + rng.integers(1, top, size=k)
+                    got.add(occ, lengths)
+                    _add_with_float_copies(want, occ, lengths)
+                    for name in _MOMENTS:
+                        assert np.asarray(getattr(got, name)).tobytes() == \
+                            np.asarray(getattr(want, name)).tobytes(), \
+                            (k, n, top, name)
+    # non-integer occupations take the float64 path, with the same bits
+    occ = rng.random((50, 4)) * 10
+    lengths = occ.sum(axis=1) + 1.0
+    got, want = RatioAccumulator(4), RatioAccumulator(4)
+    got.add(occ.astype(np.float32), lengths)
+    _add_with_float_copies(want, occ.astype(np.float32), lengths)
+    for name in _MOMENTS:
+        assert np.asarray(getattr(got, name)).tobytes() == \
+            np.asarray(getattr(want, name)).tobytes(), name
+
+
+def test_add_holds_about_one_chunk_beyond_its_input():
+    rng = np.random.default_rng(300)
+    occ = rng.integers(0, 10 ** 7, size=(3000, 300))
+    lengths = occ.sum(axis=1)
+    acc = RatioAccumulator(300)
+    tracemalloc.start()
+    try:
+        acc.add(occ, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * occ.nbytes
 
 
 def test_mean_cycle_length_is_one_plus_hit_time():

@@ -369,6 +369,36 @@ def test_occupations_are_filled_once_per_missing_base():
     assert again[1].mean_return == pytest.approx(7 / 4)
 
 
+def test_class_systems_in_place_match_the_copying_expressions():
+    # _cycle_system negates its np.ix_ copy in place and
+    # stationary_leftnull subtracts 1 on the diagonal of its copy; both
+    # must give the bits (and memory layout) of the expressions that built
+    # a second class-sized array
+    rng = np.random.default_rng(1729)
+    for n in (1, 2, 7, 40, 120):
+        chain = cf.StochasticMatrix(_random_reducible(rng, n))
+        structure = cf.class_structure(chain)
+        for c, members in enumerate(structure.classes):
+            old = -chain.matrix[np.ix_(members, members)].T
+            old[np.diag_indices(members.size)] += 1.0
+            new = cf.markov._cycle_system(chain.matrix, members)
+            assert new.tobytes(order="A") == old.tobytes(order="A")
+            assert new.strides == old.strides
+            if not structure.recurrent[c]:
+                continue
+            base = int(members[0])
+            k = members.size
+            a = (chain.matrix[np.ix_(members, members)] - np.eye(k)).T
+            a[-1, :] = 1.0
+            b = np.zeros(k)
+            b[-1] = 1.0
+            pi = np.zeros(chain.n)
+            with cf.markov._one_blas_thread():
+                pi[members] = np.linalg.solve(a, b)
+            assert cf.stationary_leftnull(chain, base).tobytes() == \
+                pi.tobytes()
+
+
 def _openblas_thread_count():
     get, _ = cf.markov._openblas_threads()
     return get()

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -271,6 +273,38 @@ def test_hash_literals_are_fixed():
     harris = cf.parse_model(HARRIS_DOC)
     assert cf.model_hash(harris) == \
         "464e171ecd346c4a7bdf5413e3bf180f3ca9b896aadd508e388b1d7011c8650a"
+
+
+def _text_digest(model):
+    text = cf.canonical_json(cf.model_document(model))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_streamed_hash_is_the_digest_of_the_canonical_text():
+    rational = dict(FINITE_DOC, weights={"num": [1, 2, 3, 4],
+                                         "den": [10, 10, 10, 10]})
+    labelled = dict(MARKOV_DOC, states=["\u03b1", 'q"\n'])
+    for doc in (FINITE_DOC, rational, MARKOV_DOC, labelled, HARRIS_DOC):
+        model = cf.parse_model(doc)
+        assert cf.model_hash(model) == _text_digest(model)
+
+
+def test_hash_memory_stays_far_below_the_canonical_text():
+    # the hash streams the text and writes the matrix row by row, so its
+    # working memory is about one row, not the text or the matrix as
+    # Python floats (several times the text)
+    rows = np.random.default_rng(400).dirichlet(np.full(400, 0.2), size=400)
+    chain = cf.parse_model({"kind": "markov_chain", "P": rows.tolist()})
+    text_length = len(cf.canonical_json(cf.model_document(chain)))
+    expected = _text_digest(chain)
+    tracemalloc.start()
+    try:
+        digest = cf.model_hash(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == expected
+    assert peak < text_length / 4
 
 
 def test_document_rows_are_plain_lists(tmp_path):

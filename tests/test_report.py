@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -72,6 +73,32 @@ def test_non_finite_floats_keep_their_strings_in_a_run():
     assert cf.canonical_json([0.5, math.nan, 1.0]) == '[0.5,"NaN",1]'
     assert cf.canonical_json([math.inf, 0.25]) == '["Infinity",0.25]'
     assert cf.canonical_json(np.array([1.0, -math.inf])) == '[1,"-Infinity"]'
+
+
+def test_arrays_are_written_as_their_nested_lists():
+    # an array of two or more dimensions goes row by row; the text is the
+    # one its nested lists give
+    arrays = [
+        np.arange(12.0).reshape(3, 4) / 7,
+        np.array([[0.5, math.nan], [-math.inf, -0.0]]),
+        np.arange(6).reshape(2, 3),
+        np.arange(24.0).reshape(2, 3, 4),
+        np.zeros((0, 3)),
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    ]
+    for a in arrays:
+        assert cf.canonical_json(a) == cf.canonical_json(a.tolist())
+        assert cf.canonical_json({"m": a}) == \
+            cf.canonical_json({"m": a.tolist()})
+
+
+def test_canonical_sha256_hashes_the_canonical_text():
+    from cycleflow.report import canonical_sha256
+    doc = {"m": np.arange(6.0).reshape(2, 3), "s": "\u00e9\n",
+           "x": [1, 0.5, None, True, Fraction(2, 3), math.nan]}
+    text = cf.canonical_json(doc)
+    assert canonical_sha256(doc) == \
+        hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_fractions_serialise_exactly():
