@@ -115,8 +115,8 @@ class RatioAccumulator:
         self.cross = np.zeros(n_states)
 
     def add(self, occ, lengths):
-        # integer counts are taken as they come: their sums are exact in
-        # float64, and one float64 buffer holds each chunk-sized term
+        # integer counts sum exactly in float64, so they are read as they
+        # are; one float64 buffer holds each chunk-sized term in turn
         occ = _as_counts(occ)
         lengths = _as_counts(lengths)
         k = lengths.shape[0]
