@@ -153,6 +153,7 @@ def split_chain_batch(gen, k_raw, table, lam_row, res_rows, kpow, in_regen,
     count, n = occ.shape
     width = count if traj is None else 1
     occ = occ.reshape(-1)
+    one = occ.dtype.type(1)  # a Python 1 takes add.at off its fast path
     sure = eps >= 1.0
     # per lane: phase, occ offset of its cycle, state, table offset of its
     # next draw, block endpoint, steps left in the block, cycle length, coin
@@ -164,7 +165,7 @@ def split_chain_batch(gen, k_raw, table, lam_row, res_rows, kpow, in_regen,
     def step(idx, s):
         # lanes idx step from x, which their cycles visit, to s
         length[idx] += 1
-        np.add.at(occ, row[idx] + x[idx], 1)
+        np.add.at(occ, row[idx] + x[idx], one)
         x[idx] = s
         if traj is not None:
             traj.extend(s.tolist())

@@ -25,9 +25,16 @@ def lane_chunk(n_states):
     """Default chunk size.  A chunk's cycles run side by side as lanes and
     take as many lockstep iterations as the longest of them, so wide
     chunks cost less; the width is capped so that a chunk's lane state
-    (64 bytes a lane) stays within 4 MB and its (cycles x states) visit
-    counts near 8 MB."""
+    (64 bytes a lane) stays within 4 MB and its (cycles x states) int32
+    visit counts near 4 MB."""
     return max(4096, min(2 ** 16, 2 ** 20 // n_states))
+
+
+def count_dtype(budget):
+    """dtype of the visit counts of a run of at most ``budget`` steps.  A
+    count never exceeds its cycle's length, which never exceeds the steps
+    taken, so int32 holds every count below 2**31 steps; int64 beyond."""
+    return np.int32 if budget < 2 ** 31 else np.int64
 
 
 def chunk_generators(seed, n_chunks):
@@ -45,9 +52,10 @@ def split_chain_chunks(seed, n_cycles, chunk_size, budget, args, traj=None,
                        marks=None):
     """Yield (occupations, lengths, regen_states, steps so far) of each
     chunk of ``_kernels.split_chain_batch`` on ``args`` (its arguments
-    from ``k_raw`` to ``ell``).  ``chunk_size`` is None (``lane_chunk``)
-    or a positive integer; a run recorded into ``traj`` and ``marks`` is
-    one chunk.  A run past ``budget`` steps raises BudgetExceededError."""
+    from ``k_raw`` to ``ell``), occupations in ``count_dtype(budget)``.
+    ``chunk_size`` is None (``lane_chunk``) or a positive integer; a run
+    recorded into ``traj`` and ``marks`` is one chunk.  A run past
+    ``budget`` steps raises BudgetExceededError."""
     n = args[0].shape[0]
     if chunk_size is None:
         chunk_size = lane_chunk(n)
@@ -55,9 +63,10 @@ def split_chain_chunks(seed, n_cycles, chunk_size, budget, args, traj=None,
         raise PreconditionError("chunk size must be a positive integer, "
                                 "got %r" % (chunk_size,), field="chunk_size")
     plan = chunk_plan(n_cycles, n_cycles if traj is not None else chunk_size)
+    dtype = count_dtype(budget)
     used = closed = 0
     for gen, count in zip(chunk_generators(seed, len(plan)), plan):
-        occ = np.zeros((count, n), dtype=np.int64)
+        occ = np.zeros((count, n), dtype=dtype)
         lengths = np.zeros(count, dtype=np.int64)
         regen_states = np.zeros(count, dtype=np.int64)
         cycles, steps, _, status = _kernels.split_chain_batch(
@@ -81,6 +90,36 @@ def _as_counts(values):
     return values.astype(np.float64, copy=False)
 
 
+# float64 elements of the buffer that holds a block of centred terms
+_BLOCK_ELEMENTS = 2 ** 15
+
+
+def _centred_sums(occ, mean_occ, d_len):
+    # column sums of (occ - mean_occ) * d_len and of (occ - mean_occ) ** 2,
+    # a block of rows at a time in one float64 buffer.  sum(axis=0) adds
+    # rows in order, so adding the running sum into a block's first row
+    # first gives the bits of one sum over all rows.  A single column is
+    # summed pairwise instead, so it stays one block
+    k, n = occ.shape
+    rows = k if n <= 1 else max(1, _BLOCK_ELEMENTS // n)
+    buf = np.empty(min(rows, k) * n)
+    cross = m2 = None
+    for start in range(0, k, rows):
+        part = occ[start:start + rows]
+        block = buf[:part.size].reshape(part.shape)
+        np.subtract(part, mean_occ, out=block, dtype=np.float64)
+        block *= d_len[start:start + rows, None]
+        if start:
+            block[0] += cross
+        cross = block.sum(axis=0)
+        np.subtract(part, mean_occ, out=block, dtype=np.float64)
+        block *= block
+        if start:
+            block[0] += m2
+        m2 = block.sum(axis=0)
+    return cross, m2
+
+
 class RatioAccumulator:
     """Running moments for the regenerative ratio estimate.
 
@@ -97,9 +136,12 @@ class RatioAccumulator:
     merged pairwise (Chan, Golub & LeVeque 1979), which keeps it accurate
     when cycles are long and nearly alike.
 
-    A chunk's centred terms go through one float64 buffer of its shape;
-    integer counts are read as they are, never copied to float64, so
-    ``add`` takes about one more chunk of memory whatever it computes.
+    A chunk's centred terms go through one float64 buffer of a fixed size
+    (``_BLOCK_ELEMENTS``, 256 KB), a block of rows at a time; integer
+    counts are read as they are, never copied to float64, so ``add`` holds
+    a small fixed amount of memory beyond its input whatever the chunk's
+    size.  On row-major chunks, the kernels' layout, the moments have the
+    bits of one pass over the whole chunk (see ``_centred_sums``).
     """
 
     def __init__(self, n_states):
@@ -116,7 +158,7 @@ class RatioAccumulator:
 
     def add(self, occ, lengths):
         # integer counts sum exactly in float64, so they are read as they
-        # are; one float64 buffer holds each chunk-sized term in turn
+        # are
         occ = _as_counts(occ)
         lengths = _as_counts(lengths)
         k = lengths.shape[0]
@@ -127,12 +169,7 @@ class RatioAccumulator:
         mean_occ = occ.mean(axis=0, dtype=np.float64)
         mean_len = lengths.mean(dtype=np.float64)
         d_len = lengths - mean_len
-        buf = np.subtract(occ, mean_occ, dtype=np.float64)
-        buf *= d_len[:, None]
-        cross = buf.sum(axis=0)
-        np.subtract(occ, mean_occ, out=buf, dtype=np.float64)
-        buf *= buf
-        m2_occ = buf.sum(axis=0)
+        cross, m2_occ = _centred_sums(occ, mean_occ, d_len)
         n = self.n_cycles
         total = n + k
         # merge the chunk's centred moments into the running ones

@@ -54,7 +54,12 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
 
-    def common(p, cycles=False):
+    split_cycles = ("number of simulated cycles; a split-chain run whose "
+                    "visit counts (cycles x states, 4 bytes each) take over "
+                    "%d bytes is refused with exit 7"
+                    % harris.MAX_OCCUPATION_BYTES)
+
+    def common(p, cycles=None):
         p.add_argument("file", help="model file (JSON)")
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default=None, help="report format (default text)")
@@ -66,12 +71,11 @@ def build_parser():
                        help="simulation seed; falls back to CYCLEFLOW_SEED, "
                             "then 0")
         if cycles:
-            p.add_argument("--cycles", type=int, default=None,
-                           help="number of simulated cycles")
+            p.add_argument("--cycles", type=int, default=None, help=cycles)
 
     p = sub.add_parser("verify", help="run the full check suite for the "
                                       "file's model kind")
-    common(p, cycles=True)
+    common(p, cycles=split_cycles)
     p.add_argument("--exhaustive-limit", type=int, default=None,
                    dest="exhaustive_limit", metavar="M",
                    help="enumerate all subset pairs up to M points "
@@ -85,7 +89,7 @@ def build_parser():
 
     p = sub.add_parser("stationary", help="stationary distribution from "
                                           "return cycles of a base state")
-    common(p, cycles=True)
+    common(p, cycles="number of simulated cycles")
     p.add_argument("--base", type=int, default=0,
                    help="recurrent base state (default 0)")
     p.add_argument("--method", choices=("exact", "cycles"), default="exact",
@@ -93,7 +97,7 @@ def build_parser():
 
     p = sub.add_parser("harris", help="simulate the split chain and report "
                                       "the regenerative estimate")
-    common(p, cycles=True)
+    common(p, cycles=split_cycles)
 
     p = sub.add_parser("exchange", help="compare stationary laws built "
                                         "from two base states")

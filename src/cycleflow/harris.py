@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._stats import RatioAccumulator, split_chain_chunks
+from ._stats import RatioAccumulator, count_dtype, split_chain_chunks
 from .errors import (
     InfeasibleMinorizationError,
     InternalInconsistencyError,
@@ -41,6 +41,9 @@ _CHI2_SUM_RTOL = float(np.finfo(np.float64).eps) ** 0.5
 # of matmuls a small kernel may ask for (ell <= 65535 at one state)
 MAX_POWER_BYTES = 2 ** 28
 MIN_POWER_BYTES = 4096
+# a split-chain run's (cycles x states) visit counts are refused beyond this
+# size, before anything is drawn
+MAX_OCCUPATION_BYTES = 2 ** 30
 
 
 @dataclass
@@ -444,6 +447,10 @@ class SplitChainRun:
     regeneration closing cycle c.  Cycles simulated on separate lanes
     start from their own lam draws, so regen_states[c] starts cycle
     c + 1 only on a recorded run, which is one unbroken path.
+    occupations are int32 when the step budget is below 2**31 (a count
+    never exceeds the steps taken) and int64 otherwise
+    (``_stats.count_dtype``); lengths and regen_states are int64.  A run
+    of one chunk holds that chunk's arrays as they are, with no copy.
     trajectory and marks are kept only when recording was requested;
     marks[k] is the coin of the k-th block (1 when epsilon = 1 makes it
     sure), -1 for a block that starts outside the regeneration set.
@@ -458,6 +465,11 @@ class SplitChainRun:
     ell: int
     trajectory: np.ndarray = None
     marks: np.ndarray = None
+
+
+def _joined(chunks):
+    # one chunk as it is, several concatenated
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
@@ -475,10 +487,19 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     one unbroken run whose cycles follow each other.  A block that starts
     in R draws no coin when epsilon = 1.  No run takes more than
     ``step_budget`` steps; one that would raises ``BudgetExceededError``.
+    A run whose visit counts would take more than ``MAX_OCCUPATION_BYTES``
+    is refused with ``PreconditionError`` before anything is drawn.
     """
     if n_regens < 1:
         raise PreconditionError("need at least one regeneration",
                                 field="n_regens")
+    size = int(n_regens) * model.n * np.dtype(count_dtype(step_budget)).itemsize
+    if size > MAX_OCCUPATION_BYTES:
+        raise PreconditionError(
+            "the visit counts of %d cycles over %d states take %d bytes, "
+            "over the cap of %d bytes" % (n_regens, model.n, size,
+                                          MAX_OCCUPATION_BYTES),
+            field="n_regens")
     table, res_rows = model.lane_table(clip_residual)
     traj = [] if record_trajectory else None
     marks = [] if record_trajectory else None
@@ -492,9 +513,9 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     return SplitChainRun(
         n_cycles=int(n_regens),
         seed=seed,
-        occupations=np.concatenate(occ),
-        lengths=np.concatenate(lengths),
-        regen_states=np.concatenate(regen_states),
+        occupations=_joined(occ),
+        lengths=_joined(lengths),
+        regen_states=_joined(regen_states),
         steps=used[-1],
         ell=model.ell,
         trajectory=traj,

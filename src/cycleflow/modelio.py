@@ -194,6 +194,11 @@ def load_model(path):
             text = fh.read()
     except OSError as exc:
         raise FileAccessError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        # the whole file is decoded in one call, so start is its offset
+        raise ModelParseError("%s: not UTF-8: byte 0x%02x at offset %d"
+                              % (path, exc.object[exc.start], exc.start)
+                              ) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

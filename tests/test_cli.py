@@ -431,6 +431,45 @@ def test_huge_ell_is_refused_up_front(tmp_path, capsys, clean_env):
     assert "bytes" in err and "cap" in err
 
 
+def test_oversized_split_chain_run_is_refused_up_front(tmp_path, capsys,
+                                                      clean_env):
+    # 10^6 cycles over 1000 states: 4e9 bytes of visit counts
+    n = 1000
+    rows = np.zeros((n, n))
+    rows[np.arange(n), np.arange(n)] = 0.5
+    rows[np.arange(n), (np.arange(n) + 1) % n] = 0.5
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(dict(HARRIS, K=rows.tolist(), ell=1,
+                                    epsilon=1.0)))
+    started = time.perf_counter()
+    assert main(["harris", str(path), "--cycles", "1000000"]) == 7
+    assert time.perf_counter() - started < 5.0
+    err = capsys.readouterr().err
+    assert "take 4000000000 bytes" in err
+    assert "cap of %d bytes" % cf.harris.MAX_OCCUPATION_BYTES in err
+
+
+def test_cycles_help_states_the_count_cap(capsys):
+    for command in ("harris", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "over %d bytes is refused with exit 7" \
+            % cf.harris.MAX_OCCUPATION_BYTES in text
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, clean_env):
+    # a chain whose one state label is the byte 0xff
+    path = tmp_path / "latin.json"
+    head = b'{"kind": "markov_chain", "states": ["'
+    path.write_bytes(head + b'\xff"], "P": [[1.0]]}')
+    assert main(["verify", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "byte 0xff at offset %d" % len(head) in err
+
+
 def test_unclassified_error_exit(files, capsys, clean_env, monkeypatch):
     def broken(model, cfg):
         raise np.linalg.LinAlgError("Singular matrix")

@@ -590,6 +590,177 @@ def test_add_holds_about_one_chunk_beyond_its_input():
     assert peak <= 1.25 * occ.nbytes
 
 
+def _add_with_one_chunk_buffer(acc, occ, lengths):
+    # RatioAccumulator.add as it was before the fixed block buffer: integer
+    # counts read as they are, each centred term in one float64 buffer of
+    # the chunk's shape
+    occ = np.asarray(occ)
+    if occ.dtype.kind not in "iu":
+        occ = occ.astype(np.float64, copy=False)
+    lengths = np.asarray(lengths)
+    if lengths.dtype.kind not in "iu":
+        lengths = lengths.astype(np.float64, copy=False)
+    k = lengths.shape[0]
+    if k == 0:
+        return
+    acc.sum_occ += occ.sum(axis=0, dtype=np.float64)
+    acc.sum_len += lengths.sum(dtype=np.float64)
+    mean_occ = occ.mean(axis=0, dtype=np.float64)
+    mean_len = lengths.mean(dtype=np.float64)
+    d_len = lengths - mean_len
+    buf = np.subtract(occ, mean_occ, dtype=np.float64)
+    buf *= d_len[:, None]
+    cross = buf.sum(axis=0)
+    np.subtract(occ, mean_occ, out=buf, dtype=np.float64)
+    buf *= buf
+    m2_occ = buf.sum(axis=0)
+    n = acc.n_cycles
+    total = n + k
+    delta_occ = mean_occ - acc.mean_occ
+    delta_len = mean_len - acc.mean_len
+    weight = n * k / total
+    acc.m2_occ += m2_occ + delta_occ ** 2 * weight
+    acc.m2_len += (d_len * d_len).sum() + delta_len ** 2 * weight
+    acc.cross += cross + delta_occ * delta_len * weight
+    acc.mean_occ += delta_occ * (k / total)
+    acc.mean_len += delta_len * (k / total)
+    acc.n_cycles = total
+
+
+def _same_moments(got, want, case):
+    for name in _MOMENTS:
+        assert np.asarray(getattr(got, name)).tobytes() == \
+            np.asarray(getattr(want, name)).tobytes(), (case, name)
+
+
+def _chunk(rng, dtype, k, n):
+    # counts up to 1e7 (the default split-chain budget), or float weights
+    if dtype is np.float64:
+        occ = rng.random((k, n)) * 1e4
+        return occ, occ.sum(axis=1) + rng.random(k) + 1.0
+    occ = rng.integers(0, 10 ** 7 // n, size=(k, n), dtype=dtype)
+    return occ, occ.sum(axis=1, dtype=np.int64) + rng.integers(1, 100, k)
+
+
+def test_block_add_matches_the_one_buffer_add_bit_for_bit():
+    # 2^15-element blocks: 3000 x 40 and 3000 x 300 cross them (819 and
+    # 109 rows a block), 70 000 x {2, 3, 40} cross them with a short last
+    # block, and a single column stays one pairwise-summed block at 70 000
+    # rows.  70 000 x 300 (21e6 counts a chunk) is left out for its size;
+    # the patched-block test below covers every shape at small sizes.
+    rng = np.random.default_rng(1400)
+    for k in (1, 2, 3000, 70000):
+        for n in (1, 2, 3, 40, 300):
+            if k * n > 70000 * 40:
+                continue
+            for dtype in (np.int32, np.int64, np.float64):
+                got, want = RatioAccumulator(n), RatioAccumulator(n)
+                for _ in range(3):
+                    occ, lengths = _chunk(rng, dtype, k, n)
+                    got.add(occ, lengths)
+                    _add_with_one_chunk_buffer(want, occ, lengths)
+                    _same_moments(got, want, (k, n, dtype))
+
+
+def test_block_add_keeps_its_bits_at_every_block_size(monkeypatch):
+    # blocks of one row (a row longer than the buffer), a few rows with a
+    # ragged last block, and exact multiples of the chunk
+    rng = np.random.default_rng(1401)
+    for elements in (1, 7, 64, 600):
+        monkeypatch.setattr(cf._stats, "_BLOCK_ELEMENTS", elements)
+        for k in (1, 2, 5, 97, 600):
+            for n in (1, 2, 3, 40):
+                for dtype in (np.int32, np.int64, np.float64):
+                    got, want = RatioAccumulator(n), RatioAccumulator(n)
+                    for _ in range(3):
+                        occ, lengths = _chunk(rng, dtype, k, n)
+                        got.add(occ, lengths)
+                        _add_with_one_chunk_buffer(want, occ, lengths)
+                        _same_moments(got, want, (elements, k, n, dtype))
+
+
+def test_add_holds_a_fixed_buffer_beyond_its_input():
+    # the block buffer is 256 KB whatever the chunk; a chunk-sized float64
+    # buffer would be twice the int32 counts
+    rng = np.random.default_rng(301)
+    occ = rng.integers(0, 10 ** 5, size=(3000, 300), dtype=np.int32)
+    lengths = occ.sum(axis=1, dtype=np.int64)
+    acc = RatioAccumulator(300)
+    tracemalloc.start()
+    try:
+        acc.add(occ, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * occ.nbytes
+
+
+# ---------------------------------------------------------------------------
+# visit-count storage
+
+
+def test_counts_are_int32_below_a_budget_of_2_31():
+    model = variant_c()
+    run = cf.simulate_split_chain(model, 50, seed=4)
+    assert run.occupations.dtype == np.int32
+    wide = cf.simulate_split_chain(model, 50, seed=4, step_budget=2 ** 31)
+    assert wide.occupations.dtype == np.int64
+    np.testing.assert_array_equal(wide.occupations, run.occupations)
+    np.testing.assert_array_equal(wide.lengths, run.lengths)
+    np.testing.assert_array_equal(wide.regen_states, run.regen_states)
+    table, res_rows = model.lane_table()
+    args = (model.kernel.matrix, table, model.n, res_rows,
+            model.kernel_powers, model.regen_mask, model.epsilon, model.ell)
+    for budget, dtype in ((2 ** 31 - 1, np.int32), (2 ** 31, np.int64)):
+        chunks = list(cf._stats.split_chain_chunks(5, 10, 4, budget, args))
+        assert [c[0].dtype for c in chunks] == [dtype] * 3
+
+
+def _shared_kernel(n, seed):
+    # half of every row is one law, so every state regenerates with
+    # epsilon >= 1/2 and cycles close in about two steps
+    rng = np.random.default_rng(seed)
+    common = rng.dirichlet(np.ones(n))
+    return 0.5 * common + 0.5 * rng.dirichlet(np.ones(n), size=n)
+
+
+def test_one_chunk_run_keeps_its_counts_without_a_copy():
+    model = cf.HarrisModel(_shared_kernel(300, 6), range(300), ell=1)
+    model.lane_table()  # built once per model; not part of the run
+    tracemalloc.start()
+    try:
+        run = cf.simulate_split_chain(model, 3000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.occupations.shape == (3000, 300)
+    assert run.occupations.dtype == np.int32
+    # the counts themselves plus lane state; a concatenated copy would
+    # make it at least twice the counts
+    assert peak <= 1.5 * run.occupations.nbytes
+
+
+def test_runs_over_the_count_cap_are_refused_before_drawing(monkeypatch):
+    # three states at 4 bytes a count: 100 cycles take 1200 bytes
+    monkeypatch.setattr(cf.harris, "MAX_OCCUPATION_BYTES", 1200)
+    model = variant_a()
+    assert cf.simulate_split_chain(model, 100, seed=1).occupations.nbytes \
+        == 1200
+
+    def no_draws(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(cf._kernels, "split_chain_batch", no_draws)
+    for cycles, budget, size in ((101, 10 ** 7, 1212),
+                                 (100, 2 ** 31, 2400)):
+        with pytest.raises(PreconditionError) as err:
+            cf.simulate_split_chain(model, cycles, seed=1,
+                                    step_budget=budget)
+        assert err.value.field == "n_regens"
+        assert "take %d bytes" % size in str(err.value)
+        assert "cap of 1200 bytes" in str(err.value)
+
+
 def test_mean_cycle_length_is_one_plus_hit_time():
     # a cycle spans the lam draw through the block that closes the next
     # regeneration: 1 + E_lam[first entry into R counted from time zero]

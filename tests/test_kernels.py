@@ -721,6 +721,35 @@ def test_split_chain_batch_budget_matches_referee():
             assert len(new[4]) == new[0][1] + 1
 
 
+def test_split_chain_batch_counts_alike_in_int32_and_int64():
+    # an h40-like model (40 Dirichlet(1) rows, R = {0, 1, 2}, ell = 2,
+    # fitted minorization) and Markov return cycles of a 60-state
+    # Dirichlet(0.2) chain: the same steps, blocks, counts, lengths and
+    # regeneration states whatever the count dtype, recorded runs too
+    rng = np.random.default_rng(1402)
+    harris = cf.HarrisModel(rng.dirichlet(np.ones(40), size=40), [0, 1, 2],
+                            ell=2)
+    chain = cf.StochasticMatrix(rng.dirichlet(np.full(60, 0.2), size=60))
+    for model in (harris, _markov_model(chain, 0)):
+        kernel = functools.partial(_split_kernel, model=model)
+        for seed in range(3):
+            for record, cycles in ((False, 2000), (True, 20)):
+                got = []
+                for dtype in (np.int32, np.int64):
+                    occ = np.zeros((cycles, model.n), dtype=dtype)
+                    lengths = np.zeros(cycles, dtype=np.int64)
+                    regen = np.zeros(cycles, dtype=np.int64)
+                    traj = [] if record else None
+                    result = kernel(np.random.default_rng(seed),
+                                    *_split_args(model), occ, lengths, regen,
+                                    traj, None, 10 ** 6)
+                    got.append((tuple(int(v) for v in result), occ, lengths,
+                                regen, traj))
+                assert got[0][1].dtype == np.int32
+                assert got[0][0][3] == 0
+                _assert_same(*got)
+
+
 def test_lane_kernel_matches_lane_referee():
     # bit for bit on visits, lengths, regeneration states, steps, blocks,
     # status, path and coins: full runs, budget exits and recording, on
