@@ -13,7 +13,10 @@ int64 or Python ints).
 
 The random-number kernel ``split_chain_batch`` runs the split chain
 (Nummelin 1978) on lanes: numpy advances a chunk's cycles side by side,
-one lane per cycle, or one lane in all when the path is recorded.  The
+one lane per cycle, and a lane is done when its cycle closes.  Recording
+observes those lanes: each step appends the (cycle, state) pairs of the
+visits it counts, and each finished block its (cycle, coin) pairs, as
+arrays, so a recorded run draws exactly what an unrecorded one does.  The
 return cycles of a Markov chain from a base state are the split chain
 with R = {base}, ell = 1, epsilon = 1 and lam = P[base].  The first
 iteration draws each lane's X_0 from lam; each later one reads
@@ -149,26 +152,27 @@ def split_chain_batch(gen, k_raw, table, lam_row, res_rows, kpow, in_regen,
                       budget):
     # table rows: the kernel's, lam (lam_row), x's residual (res_rows[x]).
     # occ[c], lengths[c], regen_states[c]: cycle c's visits (start
-    # included), steps and closing lam draw; traj, marks: path and coins.
+    # included), steps and closing lam draw.  traj and marks, when lists,
+    # receive (cycles, states) and (cycles, coins) array pairs in the order
+    # the lanes step; a stable sort by cycle puts each cycle's in order.
     count, n = occ.shape
-    width = count if traj is None else 1
     occ = occ.reshape(-1)
     one = occ.dtype.type(1)  # a Python 1 takes add.at off its fast path
     sure = eps >= 1.0
     # per lane: phase, occ offset of its cycle, state, table offset of its
     # next draw, block endpoint, steps left in the block, cycle length, coin
-    lanes = np.zeros((8, width), dtype=np.intp)
+    lanes = np.zeros((8, count), dtype=np.intp)
     phase, row, x, src, end, left, length, heads = lanes
-    row[:], heads[:] = np.arange(width) * n, sure
+    row[:], heads[:] = np.arange(count) * n, sure
     done = [0, 0, 0]  # steps, blocks, closed cycles
 
     def step(idx, s):
         # lanes idx step from x, which their cycles visit, to s
         length[idx] += 1
         np.add.at(occ, row[idx] + x[idx], one)
-        x[idx] = s
         if traj is not None:
-            traj.extend(s.tolist())
+            traj.append((row[idx] // n, x[idx]))
+        x[idx] = s
 
     def begin(idx):
         # a block starts at x: a coin block in the set, plain draws outside
@@ -179,26 +183,21 @@ def split_chain_batch(gen, k_raw, table, lam_row, res_rows, kpow, in_regen,
         left[idx] = ell
 
     def finish(idx, e):
-        # coin blocks step to their endpoints e; heads close the cycle
+        # coin blocks step to their endpoints e; heads close their cycles
         step(idx, e)
         done[1] += idx.size
         if marks is not None:
-            marks.extend(heads[idx].tolist())
+            marks.append((row[idx] // n, heads[idx]))
         won = heads[idx] == 1
         closing = idx[won]
         lengths[row[closing] // n] = length[closing]
         regen_states[row[closing] // n] = e[won]
         done[2] += closing.size
-        row[closing] += width * n
-        length[closing] = 0
-        stop = won & (row[idx] >= count * n)
-        phase[idx[stop]] = DONE
-        begin(idx[~stop])
+        phase[closing] = DONE
+        begin(idx[~won])
 
-    x[:] = _lane_draw(table, src + lam_row * (n + 1), gen.random(width))
-    if traj is not None:
-        traj.extend(x.tolist())
-    begin(np.arange(width))
+    x[:] = _lane_draw(table, src + lam_row * (n + 1), gen.random(count))
+    begin(np.arange(count))
     while phase.size:
         counts = np.bincount(phase, minlength=DONE).tolist()
         plain, ends, coin, bridge = [
@@ -220,7 +219,7 @@ def split_chain_batch(gen, k_raw, table, lam_row, res_rows, kpow, in_regen,
                 plain = plain[left[plain] == 0]
             done[1] += plain.size
             if marks is not None:
-                marks.extend([-1] * plain.size)
+                marks.append((row[plain] // n, np.full(plain.size, -1)))
             begin(plain)
         if ends.size and ell == 1:
             finish(ends, s[ends])

@@ -53,16 +53,17 @@ def split_chain_chunks(seed, n_cycles, chunk_size, budget, args, traj=None,
     """Yield (occupations, lengths, regen_states, steps so far) of each
     chunk of ``_kernels.split_chain_batch`` on ``args`` (its arguments
     from ``k_raw`` to ``ell``), occupations in ``count_dtype(budget)``.
-    ``chunk_size`` is None (``lane_chunk``) or a positive integer; a run
-    recorded into ``traj`` and ``marks`` is one chunk.  A run past
-    ``budget`` steps raises BudgetExceededError."""
+    ``chunk_size`` is None (``lane_chunk``) or a positive integer.  Lists
+    ``traj`` and ``marks`` receive each chunk's records as the kernel makes
+    them, with cycles numbered within the chunk.  A run past ``budget``
+    steps raises BudgetExceededError."""
     n = args[0].shape[0]
     if chunk_size is None:
         chunk_size = lane_chunk(n)
     elif not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
         raise PreconditionError("chunk size must be a positive integer, "
                                 "got %r" % (chunk_size,), field="chunk_size")
-    plan = chunk_plan(n_cycles, n_cycles if traj is not None else chunk_size)
+    plan = chunk_plan(n_cycles, chunk_size)
     dtype = count_dtype(budget)
     used = closed = 0
     for gen, count in zip(chunk_generators(seed, len(plan)), plan):

@@ -103,7 +103,7 @@ def build_parser():
                                         "from two base states")
     common(p)
     p.add_argument("--states", required=True, metavar="B,C",
-                   help="comma-separated pair of states")
+                   help="comma-separated pair of distinct states")
 
     p = sub.add_parser("fit-minorization",
                        help="fit the largest minorization of K^ell over a "

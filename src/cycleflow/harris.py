@@ -169,7 +169,7 @@ class HarrisModel:
         self.epsilon = epsilon
         self.lam = lam
         self.fitted_fields = tuple(fitted)
-        self._lane_tables = {}
+        self._lane_table = None
 
     @property
     def n(self):
@@ -207,24 +207,23 @@ class HarrisModel:
                 rows[i, i] = 1.0
         return rows
 
-    def lane_table(self, clip=False):
+    def lane_table(self):
         """(table, res_rows) for the lane kernel: one guide table whose
         rows are the kernel rows, lam at row n, then the residual rows
         of the regeneration set when epsilon < 1, the one of state x at
-        row res_rows[x]."""
-        found = self._lane_tables.get(clip)
-        if found is None:
+        row res_rows[x].  Built once per model."""
+        if self._lane_table is None:
             n = self.n
             cum = [np.cumsum(self.kernel.matrix, axis=1),
                    np.cumsum(self.lam)[None, :]]
             res_rows = np.zeros(n, dtype=np.intp)
             if self.epsilon < 1.0:
                 regen = list(self.regen_indices)
-                cum.append(np.cumsum(self.residual_rows(clip)[regen], axis=1))
+                cum.append(np.cumsum(self.residual_rows()[regen], axis=1))
                 res_rows[regen] = np.arange(n + 1, n + 1 + len(regen))
-            found = (_kernels.guide_table(np.concatenate(cum)), res_rows)
-            self._lane_tables[clip] = found
-        return found
+            self._lane_table = (_kernels.guide_table(np.concatenate(cum)),
+                                res_rows)
+        return self._lane_table
 
 
 def minorization_residual(model):
@@ -401,7 +400,7 @@ def bridge_distribution(model, x, y):
     return BridgeLaw(model, x, y)
 
 
-def split_block(model, x, zeta, gen, clip_residual=False):
+def split_block(model, x, zeta, gen):
     """One ell-step block from state ``x``.
 
     Inside the regeneration set the coin value ``zeta`` picks the
@@ -420,7 +419,7 @@ def split_block(model, x, zeta, gen, clip_residual=False):
             raise PreconditionError(
                 "epsilon = 1 leaves no residual branch; zeta = 0 cannot "
                 "occur", field="zeta")
-    table, res_rows = model.lane_table(clip_residual)
+    table, res_rows = model.lane_table()
 
     def draw(row):
         base = np.array([row * (model.n + 1)])
@@ -440,20 +439,24 @@ def split_block(model, x, zeta, gen, clip_residual=False):
 class SplitChainRun:
     """Cycles produced by a split-chain simulation.
 
-    Each cycle runs from a lam draw to the regeneration that closes it.
-    occupations[c, x] counts visits to x during cycle c (cycle start
+    Each cycle runs from its own lam draw to the regeneration that closes
+    it.  occupations[c, x] counts visits to x during cycle c (cycle start
     included, closing regeneration excluded); lengths[c] is the cycle
     duration; regen_states[c] is the state drawn from lam at the
-    regeneration closing cycle c.  Cycles simulated on separate lanes
-    start from their own lam draws, so regen_states[c] starts cycle
-    c + 1 only on a recorded run, which is one unbroken path.
+    regeneration closing cycle c, which no other cycle visits.
     occupations are int32 when the step budget is below 2**31 (a count
     never exceeds the steps taken) and int64 otherwise
     (``_stats.count_dtype``); lengths and regen_states are int64.  A run
     of one chunk holds that chunk's arrays as they are, with no copy.
-    trajectory and marks are kept only when recording was requested;
-    marks[k] is the coin of the k-th block (1 when epsilon = 1 makes it
-    sure), -1 for a block that starts outside the regeneration set.
+
+    trajectory and marks are kept only when recording was requested, and
+    recording changes no draw.  trajectory holds each cycle's visited
+    states in order, cycle after cycle, ``steps`` entries in all: with
+    ends = cumsum(lengths), cycle c is trajectory[ends[c] - lengths[c]:
+    ends[c]], and its endpoint is regen_states[c].  marks holds each
+    cycle's lengths[c] // ell block coins in order: 1 for heads (always
+    when epsilon = 1), 0 for tails, -1 for a block that starts outside
+    the regeneration set.
     """
 
     n_cycles: int
@@ -472,9 +475,15 @@ def _joined(chunks):
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
+def _by_cycle(records):
+    # the values of a chunk's (cycles, values) records, stably sorted by
+    # cycle: the kernel appends each lane's records in the order it steps
+    cycles, values = (np.concatenate(part) for part in zip(*records))
+    return values[np.argsort(cycles, kind="stable")]
+
+
 def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
-                         step_budget=_DEFAULT_STEP_BUDGET, chunk_size=None,
-                         clip_residual=False):
+                         step_budget=_DEFAULT_STEP_BUDGET, chunk_size=None):
     """Run the split chain until ``n_regens`` cycles close.
 
     Cycles come from ``_stats.split_chain_chunks`` in fixed chunks of
@@ -482,13 +491,15 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     one spawned seed stream per chunk; chunk k always owns cycles
     [k*size, (k+1)*size), so the output is identical however chunks are
     scheduled.  A chunk's cycles run side by side as lanes of
-    ``_kernels.split_chain_batch``, each from its own X_0 ~ lam.  A
-    recorded run is a single chunk on a single lane, so the sample path is
-    one unbroken run whose cycles follow each other.  A block that starts
-    in R draws no coin when epsilon = 1.  No run takes more than
-    ``step_budget`` steps; one that would raises ``BudgetExceededError``.
-    A run whose visit counts would take more than ``MAX_OCCUPATION_BYTES``
-    is refused with ``PreconditionError`` before anything is drawn.
+    ``_kernels.split_chain_batch``, each from its own X_0 ~ lam.
+    Recording observes those lanes: a recorded run has the cycles, steps
+    and draws of the unrecorded run of the same seed, and its trajectory
+    and marks are the lanes' records sorted by cycle (see
+    ``SplitChainRun``).  A block that starts in R draws no coin when
+    epsilon = 1.  No run takes more than ``step_budget`` steps; one that
+    would raises ``BudgetExceededError``.  A run whose visit counts would
+    take more than ``MAX_OCCUPATION_BYTES`` is refused with
+    ``PreconditionError`` before anything is drawn.
     """
     if n_regens < 1:
         raise PreconditionError("need at least one regeneration",
@@ -500,16 +511,24 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
             "over the cap of %d bytes" % (n_regens, model.n, size,
                                           MAX_OCCUPATION_BYTES),
             field="n_regens")
-    table, res_rows = model.lane_table(clip_residual)
+    table, res_rows = model.lane_table()
     traj = [] if record_trajectory else None
     marks = [] if record_trajectory else None
-    occ, lengths, regen_states, used = zip(*split_chain_chunks(
-        seed, n_regens, chunk_size, step_budget,
-        (model.kernel.matrix, table, model.n, res_rows, model.kernel_powers,
-         model.regen_mask, model.epsilon, model.ell), traj, marks))
+    chunks, path, coins = [], [], []
+    for chunk in split_chain_chunks(
+            seed, n_regens, chunk_size, step_budget,
+            (model.kernel.matrix, table, model.n, res_rows,
+             model.kernel_powers, model.regen_mask, model.epsilon,
+             model.ell), traj, marks):
+        chunks.append(chunk)
+        if record_trajectory:  # each chunk numbers its cycles from 0
+            path.append(_by_cycle(traj))
+            coins.append(_by_cycle(marks))
+            del traj[:], marks[:]
+    occ, lengths, regen_states, used = zip(*chunks)
     if record_trajectory:
-        traj = np.array(traj, dtype=np.int64)
-        marks = np.array(marks, dtype=np.int8)
+        traj = np.concatenate(path).astype(np.int64, copy=False)
+        marks = np.concatenate(coins).astype(np.int8)
     return SplitChainRun(
         n_cycles=int(n_regens),
         seed=seed,
@@ -759,18 +778,21 @@ def block_marginal_gof(run, model, min_row_count=25):
 
     The split must be invisible at the X level: looking only at states
     sampled every ell steps, transition frequencies from each start
-    state match the corresponding K^ell row.  Rows with fewer than
-    ``min_row_count`` starts are skipped; per-row Pearson statistics are
-    pooled.  Needs a recorded trajectory.
+    state match the corresponding K^ell row.  Each block is paired with
+    the next start of its cycle, and the last block of cycle c with
+    regen_states[c].  Rows with fewer than ``min_row_count`` starts are
+    skipped; per-row Pearson statistics are pooled.  Needs a recorded
+    trajectory.
     """
     if run.trajectory is None:
         raise PreconditionError("block test needs a recorded trajectory",
                                 field="run")
-    starts = run.trajectory[::run.ell]
-    if starts.shape[0] < 2:
-        return 0.0, 0, 1.0
-    pairs_from = starts[:-1]
-    pairs_to = starts[1:]
+    # cycle lengths are block multiples, so the blocks start every ell
+    # steps and cycle c's last one is block cumsum(lengths)[c] / ell - 1
+    pairs_from = run.trajectory[::run.ell]
+    pairs_to = np.empty_like(pairs_from)
+    pairs_to[:-1] = pairs_from[1:]
+    pairs_to[np.cumsum(run.lengths) // run.ell - 1] = run.regen_states
     k_ell = model.kernel_powers[model.ell]
     tables = []
     for s in range(model.n):

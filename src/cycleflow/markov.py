@@ -416,7 +416,8 @@ def invariance_residual(chain, pi):
 def exchange_residual(chain, first, second):
     """Largest difference between the stationary distributions built from
     the return cycles of two bases of the same recurrent class; the base
-    point must not matter."""
+    point must not matter.  One base compared with itself checks nothing,
+    so it is refused."""
     first = chain._check_state(first, "first")
     second = chain._check_state(second, "second")
     structure = class_structure(chain)
@@ -425,6 +426,10 @@ def exchange_residual(chain, first, second):
             "states %r and %r do not communicate"
             % (chain.states[first], chain.states[second]))
     _require_recurrent(chain, structure, first, "first")
+    if first == second:
+        raise PreconditionError(
+            "the exchange identity needs two distinct bases, got %r twice"
+            % (chain.states[first],), field="second")
     pi_a = cycle_stationary(chain, first)
     pi_b = cycle_stationary(chain, second)
     return float(np.abs(pi_a - pi_b).max())

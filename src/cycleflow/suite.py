@@ -25,6 +25,11 @@ from .report import CheckResult, SuiteReport
 # floors for checks whose inputs pass through linear solves or sampling;
 # the base tolerance still wins when the user loosens it past these
 _CROSS_FLOOR = 1e-10
+# bound on the largest |z| over n states: under the normal approximation
+# one state passes it with probability 6.3e-5, so a correct estimator
+# fails the gate with probability 1 - (1 - 6.3e-5)**n, the family-wise
+# level: 0.02% at n = 3, 0.25% at n = 40, 1.9% at n = 300, 6.1% at
+# n = 1000
 _Z_MAX = 4.0
 _GOF_LEVEL = 0.01
 _BRIDGE_PATH_CAP = 4096

@@ -345,6 +345,13 @@ def test_exchange_needs_exactly_two(files, capsys, clean_env):
     assert main(["exchange", files["markov"], "--states", "a,b"]) == 7
 
 
+def test_exchange_refuses_one_state_twice(files, capsys, clean_env):
+    # comparing a base's cycle law with itself would PASS at 0
+    for states in ("0,0", "1,1"):
+        assert main(["exchange", files["markov"], "--states", states]) == 7
+        assert "two distinct bases" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # fit-minorization
 

@@ -361,31 +361,53 @@ def test_run_is_reproducible():
     assert not np.array_equal(a.occupations, c.occupations)
 
 
+def _same_cycles(a, b):
+    # byte for byte: counts (and their dtype), lengths, endpoints, steps
+    for field in ("occupations", "lengths", "regen_states"):
+        assert getattr(a, field).dtype == getattr(b, field).dtype
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert a.steps == b.steps
+
+
 def test_recording_does_not_change_the_cycles():
-    # A recorded run is one unbroken path on a single lane, so its stream
-    # differs from the unrecorded run's lanes; its cycles are exactly the
-    # ones its own path and coins show
-    model = variant_a()
-    plain = cf.simulate_split_chain(model, 60, seed=3)
-    taped = cf.simulate_split_chain(model, 60, seed=3, record_trajectory=True)
-    assert plain.n_cycles == taped.n_cycles == 60
-    assert plain.lengths.sum() == plain.steps
-    assert taped.trajectory.shape == (taped.steps + 1,)
-    assert plain.trajectory is None
-    path, ell = taped.trajectory, model.ell
-    ends = (np.flatnonzero(taped.marks == 1) + 1) * ell
-    starts = np.concatenate(([0], ends[:-1]))
-    np.testing.assert_array_equal(taped.lengths, ends - starts)
-    np.testing.assert_array_equal(taped.regen_states, path[ends])
-    for c, (a, b) in enumerate(zip(starts, ends)):
-        np.testing.assert_array_equal(
-            taped.occupations[c], np.bincount(path[a:b], minlength=model.n))
+    # Recording observes the lanes: the recorded run has the unrecorded
+    # run's cycles byte for byte, and its path and coins show them, each
+    # cycle's slice reproducing its counts and ending in a heads block
+    rng = np.random.default_rng(1402)
+    chain = cf.StochasticMatrix(rng.dirichlet(np.full(12, 0.3), size=12))
+    markov = cf.HarrisModel(chain.matrix, [0], ell=1, epsilon=1.0,
+                            lam=chain.matrix[0])
+    h40 = cf.HarrisModel(rng.dirichlet(np.ones(40), size=40), [0, 1, 2],
+                         ell=2)
+    for model in (variant_a(), variant_c(),
+                  cf.HarrisModel(H3, [0, 1], ell=3), h40, markov):
+        for size in (None, 1, 7):
+            plain = cf.simulate_split_chain(model, 60, seed=3,
+                                            chunk_size=size)
+            taped = cf.simulate_split_chain(model, 60, seed=3,
+                                            chunk_size=size,
+                                            record_trajectory=True)
+            assert plain.trajectory is None and plain.marks is None
+            _same_cycles(plain, taped)
+            path, ell = taped.trajectory, model.ell
+            assert path.shape == (taped.steps,)
+            ends = np.cumsum(taped.lengths)
+            for c in range(60):
+                np.testing.assert_array_equal(
+                    taped.occupations[c],
+                    np.bincount(path[ends[c] - taped.lengths[c]:ends[c]],
+                                minlength=model.n))
+            last = ends // ell - 1
+            assert taped.marks.shape == (ends[-1] // ell,)
+            assert np.all(taped.marks[last] == 1)
+            assert np.all(np.delete(taped.marks, last) != 1)
 
 
 def test_trajectory_marks_coins_only_inside_set():
     model = variant_a()
     run = cf.simulate_split_chain(model, 60, seed=3, record_trajectory=True)
-    starts = run.trajectory[::model.ell][:len(run.marks)]
+    starts = run.trajectory[::model.ell]
+    assert starts.shape == run.marks.shape
     inside = run.marks[model.regen_mask[starts]]
     outside = run.marks[~model.regen_mask[starts]]
     assert np.all(inside == 1)  # epsilon 1: the coin always lands on 1
@@ -417,7 +439,8 @@ def test_split_chain_needs_a_cycle():
 
 
 def test_chunk_size_is_none_or_a_positive_integer():
-    # both simulators, recorded runs included; 0 is not the default
+    # both simulators, recorded runs included; 0 is not the default, and
+    # a recorded run has the unrecorded run's cycles at every size
     model = variant_a()
     chain = cf.StochasticMatrix(H3)
     runs = (
@@ -434,9 +457,8 @@ def test_chunk_size_is_none_or_a_positive_integer():
             assert exc.value.field == "chunk_size"
         for good in (None, 1, 3, np.int64(7)):
             run(good)
-    # a recorded run is one chunk, one unbroken path, whatever the size
-    paths = [runs[1](size).trajectory.tobytes() for size in (None, 1, 3)]
-    assert paths[0] == paths[1] == paths[2]
+    for size in (None, 1, 3, np.int64(7)):
+        _same_cycles(runs[0](size), runs[1](size))
 
 
 # ---------------------------------------------------------------------------

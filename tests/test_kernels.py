@@ -304,6 +304,7 @@ def _block_states_ref(gen, branch, x0, k_raw, k_cum, lam_cum, res_row_cum,
 def _split_chain_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
                      eps, ell, occ, lengths, regen_states, traj, marks,
                      budget):
+    # the single chain the lanes must match in law; it records nothing
     c_total = lengths.shape[0]
     block = np.empty(ell, dtype=np.int64)
     x = _draw_index_ref(gen, lam_cum)
@@ -312,16 +313,11 @@ def _split_chain_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
     start = 0
     blocks = 0
     occ[0, x] += 1
-    record = traj is not None
-    if record:
-        traj.append(x)
     while True:
         regen = False
         if in_regen[x]:
             # a coin that lands heads with probability 1 is not a draw
             zeta = 1 if eps >= 1.0 or gen.random() < eps else 0
-            if record:
-                marks.append(zeta)
             if zeta == 1:
                 _block_states_ref(gen, 1, x, k_raw, k_cum, lam_cum,
                                   None, kpow, ell, block)
@@ -330,15 +326,11 @@ def _split_chain_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen,
                 _block_states_ref(gen, 2, x, k_raw, k_cum, lam_cum,
                                   res_cum[x], kpow, ell, block)
         else:
-            if record:
-                marks.append(-1)
             _block_states_ref(gen, 0, x, k_raw, k_cum, lam_cum, None,
                               kpow, ell, block)
         for j in range(ell):
             s = block[j]
             pos += 1
-            if record:
-                traj.append(s)
             if regen and j == ell - 1:
                 lengths[c] = pos - start
                 regen_states[c] = s
@@ -401,7 +393,9 @@ def _bridge_step(gen, table):
 # ---------------------------------------------------------------------------
 # the lane referee: a scalar replay of the lane kernel.  Lanes advance one
 # at a time in lane order, each on the double the kernel hands it, with
-# the scalar _draw_index and _bridge_step.
+# the scalar _draw_index and _bridge_step.  Lane c runs cycle c and is
+# done when it closes; recording appends (cycle, state) per counted visit
+# and (cycle, coin) per block.
 
 
 class _Lane:
@@ -417,7 +411,6 @@ def _lane_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps, ell,
               occ, lengths, regen_states, traj, marks, budget):
     # returns (cycles closed, steps, blocks, status) as the kernel does
     count = lengths.shape[0]
-    width = count if traj is None else 1
     tally = {"steps": 0, "blocks": 0, "closed": 0}
 
     def draw(cum, u):
@@ -436,14 +429,14 @@ def _lane_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps, ell,
         occ[lane.cycle, lane.x] += 1
         lane.length += 1
         tally["steps"] += 1
-        lane.x = s
         if traj is not None:
-            traj.append(s)
+            traj.append((lane.cycle, lane.x))
+        lane.x = s
 
     def end_block(lane, mark):
         tally["blocks"] += 1
         if marks is not None:
-            marks.append(mark)
+            marks.append((lane.cycle, mark))
 
     def close(lane, e):
         step(lane, e)
@@ -452,11 +445,8 @@ def _lane_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps, ell,
             lengths[lane.cycle] = lane.length
             regen_states[lane.cycle] = e
             tally["closed"] += 1
-            lane.cycle += width
-            lane.length = 0
-            if lane.cycle >= count:
-                lane.phase = "done"
-                return
+            lane.phase = "done"
+            return
         begin(lane)
 
     def advance(lane, u):
@@ -491,11 +481,9 @@ def _lane_ref(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps, ell,
             return 2 if lane.left == 2 else 1
         return 0
 
-    lanes = [_Lane(j) for j in range(width)]
-    for lane, u in zip(lanes, gen.random(width)):
+    lanes = [_Lane(j) for j in range(count)]
+    for lane, u in zip(lanes, gen.random(count)):
         lane.x = draw(lam_cum, u)
-        if traj is not None:
-            traj.append(lane.x)
         begin(lane)
     while lanes:
         take = sum(map(takes, lanes))
@@ -638,7 +626,20 @@ def _split_kernel(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps,
                                 in_regen, eps, ell, *rest)
 
 
+def _by_cycle(records):
+    # (cycle, value) records, the kernel's array pairs or the referee's
+    # scalars, as the list of values in cycle order; list.sort is stable,
+    # so each cycle's values keep their record order
+    pairs = [pair for cycles, values in records
+             for pair in zip(np.ravel(cycles).tolist(),
+                             np.ravel(values).tolist())]
+    pairs.sort(key=lambda pair: pair[0])
+    return [value for _, value in pairs]
+
+
 def _split_run(fn, model, cycles, seed, budget=10 ** 6, record=False):
+    # (steps, blocks, ... as ints), counts, lengths, regeneration states,
+    # and the recorded path and coins in cycle order (None unrecorded)
     occ = np.zeros((cycles, model.n), dtype=np.int64)
     lengths = np.zeros(cycles, dtype=np.int64)
     regen = np.zeros(cycles, dtype=np.int64)
@@ -646,6 +647,8 @@ def _split_run(fn, model, cycles, seed, budget=10 ** 6, record=False):
     marks = [] if record else None
     result = fn(np.random.default_rng(seed), *_split_args(model), occ,
                 lengths, regen, traj, marks, budget)
+    if record:
+        traj, marks = _by_cycle(traj), _by_cycle(marks)
     return (tuple(int(v) for v in result), occ, lengths, regen, traj, marks)
 
 
@@ -693,32 +696,49 @@ def test_split_chain_batch_matches_referee():
 
 
 def test_split_chain_batch_recording_matches_referee():
-    # A recorded run is one lane, which draws in the single chain's
-    # order: the same trajectory (X_0 and every later state), coin marks
-    # and cycles as the scalar single chain
+    # Recording observes the lanes: a recorded run has the unrecorded
+    # run's cycles, steps and blocks, and the lane referee's path and
+    # coins; each cycle's path reproduces its counts and ends in heads
     for i, model in enumerate(_harris_cases(72)[:18]):
         cycles = 40 + 10 * i
-        new, ref = _split_pair(model, cycles, 200 + i, record=True)
+        new, ref = _split_pair(model, cycles, 200 + i, record=True,
+                               other=_lane_ref)
         _assert_same(new, ref)
+        plain = _split_run(functools.partial(_split_kernel, model=model),
+                           model, cycles, 200 + i)
+        _assert_same(new[:4], plain[:4])
         assert new[0][3] == 0
-        assert len(new[4]) == new[0][1] + 1 and len(new[5]) == new[0][2]
+        assert len(new[4]) == new[0][1] and len(new[5]) == new[0][2]
+        path, coins = np.array(new[4]), np.array(new[5])
+        ends = np.cumsum(new[2])
+        for c in range(cycles):
+            np.testing.assert_array_equal(
+                np.bincount(path[ends[c] - new[2][c]:ends[c]],
+                            minlength=model.n), new[1][c])
+        last = np.cumsum(new[2] // model.ell) - 1
+        assert np.all(coins[last] == 1)
+        assert np.all(np.delete(coins, last) != 1)
 
 
 def test_split_chain_batch_budget_matches_referee():
-    # Both stop with status 1.  The kernel never passes its budget; a
-    # recorded run stops at a prefix of the single chain's path, no more
-    # than one block short of the budget.
+    # Both stop with status 1, and the kernel never passes its budget.  A
+    # recorded run stops where the unrecorded one does, with the lane
+    # referee's path and coins so far.
+    exits = 0
     for i, model in enumerate(_harris_cases(73)[:12]):
         for budget in (1, 3, 1026, 4000):
             new, ref = _split_pair(model, 10 ** 4, 300 + i, budget=budget)
             assert new[0][3] == ref[0][3] == 1
             assert new[0][1] <= budget
-            new, ref = _split_pair(model, 10 ** 4, 300 + i, budget=budget,
-                                   record=True)
-            assert new[0][3] == ref[0][3] == 1
-            assert budget - 2 * model.ell < new[0][1] <= budget
-            assert new[4] == ref[4][:len(new[4])]
-            assert len(new[4]) == new[0][1] + 1
+            taped, lane = _split_pair(model, 300, 300 + i, budget=budget,
+                                      record=True, other=_lane_ref)
+            _assert_same(taped, lane)
+            plain = _split_run(functools.partial(_split_kernel, model=model),
+                               model, 300, 300 + i, budget)
+            _assert_same(taped[:4], plain[:4])
+            assert len(taped[4]) == taped[0][1] <= budget
+            exits += taped[0][3]
+    assert exits >= 30
 
 
 def test_split_chain_batch_counts_alike_in_int32_and_int64():
@@ -744,7 +764,7 @@ def test_split_chain_batch_counts_alike_in_int32_and_int64():
                                     *_split_args(model), occ, lengths, regen,
                                     traj, None, 10 ** 6)
                     got.append((tuple(int(v) for v in result), occ, lengths,
-                                regen, traj))
+                                regen, traj and _by_cycle(traj)))
                 assert got[0][1].dtype == np.int32
                 assert got[0][0][3] == 0
                 _assert_same(*got)
@@ -772,8 +792,8 @@ def test_lane_kernel_matches_lane_referee():
                 assert new[0][1] <= budget
                 exits += new[0][3]
                 full += 1 - new[0][3]
-                if record and not new[0][3]:
-                    assert len(new[4]) == new[0][1] + 1
+                if record:
+                    assert len(new[4]) == new[0][1]
                     assert len(new[5]) == new[0][2]
     assert exits > 50 and full > 50
 
@@ -1005,7 +1025,7 @@ def test_kernels_clamp_to_last_positive_entry():
         1.0, 1, occ, lengths, regen, traj, [], 100)
     assert result == (4, 4, 4, 0)
     assert regen.tolist() == [9] * 4
-    assert traj == [9] * 5
+    assert _by_cycle(traj) == [9] * 4
     assert occ[:, 10].sum() == 0
     # split_block and BridgeLaw.sample on the same rows with lam the short
     # row: a plain block from 1, a lam-endpoint block from 0 and a bridge

@@ -541,8 +541,20 @@ def test_exchange_refuses_non_communicating():
 
 def test_exchange_refuses_transient():
     chain = cf.StochasticMatrix([[0.5, 0.5], [0.0, 1.0]])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as err:
         cf.exchange_residual(chain, 0, 0)
+    assert "transient" in str(err.value)
+
+
+def test_exchange_refuses_one_base_twice(mc2):
+    # a base's cycle law compared with itself would pass at 0, checking
+    # nothing; the refusal comes after the communication and recurrence
+    # checks
+    for b in (0, 1):
+        with pytest.raises(PreconditionError) as err:
+            cf.exchange_residual(mc2, b, b)
+        assert err.value.field == "second"
+        assert "two distinct bases" in str(err.value)
 
 
 def test_invariance_residual_flags_non_invariant(mc2):
@@ -747,6 +759,7 @@ def test_property_cycle_formula_invariant(n, seed):
 @settings(max_examples=40, deadline=None)
 def test_property_base_point_immaterial(n, seed, data):
     chain = random_dense_chain(n, np.random.default_rng(seed))
+    # two distinct bases; one base twice is refused
     first = data.draw(st.integers(0, n - 1))
-    second = data.draw(st.integers(0, n - 1))
+    second = data.draw(st.integers(0, n - 1).filter(lambda s: s != first))
     assert cf.exchange_residual(chain, first, second) <= 1e-10
