@@ -27,6 +27,9 @@ _MAX_DENSE = 2000
 
 # type-level strictness; file loaders accept 1e-9 and renormalise first
 _ROW_SUM_TOL = 1e-12
+# bytes the side-by-side occupation solves may take: each worker holds a
+# system buffer of side**2 float64 and numpy's copy of it
+SOLVE_POOL_BYTES = 512 * 2 ** 20
 
 
 @dataclass(eq=False)
@@ -266,7 +269,8 @@ def _fill_occupations(chain, structure, bases):
     Each distinct base not yet kept on the chain gets its own solve, so
     no two bases share a factorisation.  The solves run side by side,
     one per core, with BLAS pinned to one thread: a base's counts have
-    the same bits however many run at once.
+    the same bits however many run at once, and no more at once than
+    ``SOLVE_POOL_BYTES`` holds.
     """
     _require_dense(chain)
     kept = _per_matrix(chain, "_occupations", lambda p: {})
@@ -274,12 +278,13 @@ def _fill_occupations(chain, structure, bases):
     if missing:
         systems = {c: _cycle_system(chain.matrix, structure.classes[c])
                    for c in {int(structure.labels[b]) for b in missing}}
+        side = max(a.shape[0] for a in systems.values()) - 1
         with _one_blas_thread() as width:
-            jobs = min(width, len(missing))
+            jobs = min(width, len(missing),
+                       max(1, SOLVE_POOL_BYTES // max(1, 16 * side * side)))
             # one system buffer per worker, taken on this thread: its heap
             # has room the load left free, where memory a worker takes
             # would grow the process in the worker's own malloc arena
-            side = max(a.shape[0] for a in systems.values()) - 1
             buffers = [np.empty(side * side) for _ in range(jobs)]
 
             def solve_share(j):

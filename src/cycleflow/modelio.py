@@ -19,8 +19,20 @@ in which case the minorization is fitted and reports say so.
 Errors carry the offending field path and a distinct exit code per
 failure class (unreadable file, bad JSON, unknown kind, violated
 invariant).
+
+``model_hash`` is sha256 over a binary form: the format tag
+"cycleflow-model/2", versioned, then the kind, the labels and the
+remaining fields in the order of the document above ("map", weights,
+"invertible"; "P"; "K", "R", "ell", "epsilon", "lambda").  An array of
+floats or integers is the byte f or i, its rank and shape, then its
+values in C order as little-endian float64 or int64.  Any other field,
+exact weights as [numerator, denominator] pairs among them, is the byte
+j, its length and its canonical JSON text in UTF-8.  Lengths, ranks and
+shapes are little-endian int64.  Floats are kept to the bit, so -0.0
+and 0.0 hash apart; memory order and byte order do not enter.
 """
 
+import hashlib
 import json
 import os
 
@@ -35,6 +47,7 @@ from .errors import (
 from .harris import HarrisModel
 from .markov import StochasticMatrix
 from .measure import FiniteSystem
+from .report import canonical_json
 
 KINDS = ("finite_system", "markov_chain", "harris_discrete")
 
@@ -208,14 +221,15 @@ def load_model(path):
     return parse_model(doc, source=os.path.basename(path))
 
 
-def _document(model):
-    # the canonical document with a model's matrix left as its own array
+def model_document(model):
+    """JSON-ready document for a model, in plain lists: the inverse of
+    ``parse_model`` up to row renormalisation.  ``model_hash`` hashes the
+    versioned binary form in the module docstring, not this document."""
     if isinstance(model, FiniteSystem):
+        weights = model.weights.tolist()
         if model.exact:
-            weights = {"num": [int(w.numerator) for w in model.weights],
-                       "den": [int(w.denominator) for w in model.weights]}
-        else:
-            weights = [float(w) for w in model.weights]
+            weights = {"num": [w.numerator for w in weights],
+                       "den": [w.denominator for w in weights]}
         return {
             "kind": "finite_system",
             "points": list(model.points),
@@ -227,13 +241,13 @@ def _document(model):
         return {
             "kind": "markov_chain",
             "states": list(model.states),
-            "P": model.matrix,
+            "P": model.matrix.tolist(),
         }
     if isinstance(model, HarrisModel):
         return {
             "kind": "harris_discrete",
             "states": list(model.kernel.states),
-            "K": model.kernel.matrix,
+            "K": model.kernel.matrix.tolist(),
             "R": list(model.regen_indices),
             "ell": model.ell,
             "epsilon": float(model.epsilon),
@@ -242,28 +256,40 @@ def _document(model):
     raise UnknownKindError("cannot serialise %r" % type(model).__name__)
 
 
-def model_document(model):
-    """Canonical JSON-ready document for a model, inverse of parsing up
-    to row renormalisation, in plain lists; ``model_hash`` hashes its
-    canonical JSON."""
-    return {key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in _document(model).items()}
-
-
 def model_size(model):
-    if isinstance(model, FiniteSystem):
-        return model.size
-    if isinstance(model, StochasticMatrix):
-        return model.n
-    return model.n
+    return model.size if isinstance(model, FiniteSystem) else model.n
+
+
+def _put(digest, value):
+    # one field of the binary form; an array not contiguous native is copied
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        dtype = "<f8" if value.dtype.kind == "f" else "<i8"
+        a = np.ascontiguousarray(value, dtype=dtype)
+        shape = np.array((a.ndim,) + a.shape, dtype="<i8")
+        digest.update(dtype[1].encode() + shape.tobytes())
+        digest.update(memoryview(a))
+    else:
+        text = canonical_json(value).encode("utf-8")
+        digest.update(b"j" + len(text).to_bytes(8, "little") + text)
 
 
 def model_hash(model):
-    """sha256 over the canonical JSON of ``model_document(model)``.
-
-    The text is streamed into the hash and the matrix written one row at
-    a time, so neither the text nor the matrix as Python floats is ever
-    held whole: the hash takes memory of the order of one row.
-    """
-    from .report import canonical_sha256
-    return canonical_sha256(_document(model))
+    """sha256 of the model's binary form (module docstring), tag versioned;
+    -0.0 and 0.0 hash apart, and the matrix is hashed in place."""
+    if isinstance(model, FiniteSystem):
+        weights = ([[w.numerator, w.denominator] for w in model.weights]
+                   if model.exact else model.weights)
+        fields = ("finite_system", list(model.points), model.mapping,
+                  weights, bool(model.invertible))
+    elif isinstance(model, StochasticMatrix):
+        fields = ("markov_chain", list(model.states), model.matrix)
+    elif isinstance(model, HarrisModel):
+        fields = ("harris_discrete", list(model.kernel.states),
+                  model.kernel.matrix, np.array(model.regen_indices),
+                  model.ell, model.epsilon, model.lam)
+    else:
+        raise UnknownKindError("cannot hash %r" % type(model).__name__)
+    digest = hashlib.sha256()
+    for value in ("cycleflow-model/2",) + fields:
+        _put(digest, value)
+    return digest.hexdigest()

@@ -9,9 +9,7 @@ only in the text rendering; it is the one field honest reruns cannot
 reproduce.
 """
 
-import hashlib
 import io
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,15 +56,7 @@ def _canon(value, out):
             _canon(value[key], out)
         out.write("}")
     elif isinstance(value, (list, tuple, np.ndarray)):
-        # an array of two or more dimensions goes one row at a time, so
-        # it never exists whole as Python objects
-        seq = (value.tolist()
-               if isinstance(value, np.ndarray) and value.ndim < 2 else value)
-        if _finite_floats(seq):
-            # the bytes _format_float gives item by item, in one format
-            out.write(("[" + ",".join(["%.17g"] * len(seq)) + "]")
-                      % tuple(seq))
-            return
+        seq = value.tolist() if isinstance(value, np.ndarray) else value
         out.write("[")
         for i, item in enumerate(seq):
             if i:
@@ -77,24 +67,13 @@ def _canon(value, out):
         raise TypeError("cannot canonically serialise %r" % type(value).__name__)
 
 
-def _finite_floats(seq):
-    # one type check per distinct element type, as modelio._only_types
-    return set(map(type, seq)) <= {float} and all(map(math.isfinite, seq))
+# a quote, a backslash and each control character, escaped; nothing else
+_STRING_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\",
+                   **{c: "\\u%04x" % c for c in range(0x20)}}
 
 
 def _json_string(s):
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_STRING_ESCAPES) + '"'
 
 
 def canonical_json(doc):
@@ -102,23 +81,6 @@ def canonical_json(doc):
     out = io.StringIO()
     _canon(doc, out)
     return out.getvalue()
-
-
-class _Sha256Writer:
-    # a text sink that hashes the UTF-8 bytes of each piece as it comes
-    def __init__(self):
-        self.digest = hashlib.sha256()
-
-    def write(self, text):
-        self.digest.update(text.encode("utf-8"))
-
-
-def canonical_sha256(doc):
-    """sha256 hex digest of ``canonical_json(doc)`` in UTF-8, written
-    piece by piece into the hash: the text never exists whole."""
-    out = _Sha256Writer()
-    _canon(doc, out)
-    return out.digest.hexdigest()
 
 
 @dataclass

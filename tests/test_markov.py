@@ -1,3 +1,4 @@
+import contextlib
 import heapq
 import os
 import zlib
@@ -367,6 +368,41 @@ def test_occupations_are_filled_once_per_missing_base():
     assert cf.cycle_occupation(chain, 1) is again[1]
     # the class {0, 1} has stationary law (3/7, 4/7)
     assert again[1].mean_return == pytest.approx(7 / 4)
+
+
+def test_solve_pool_width_is_bounded_by_memory(monkeypatch):
+    # each worker solves in its own buffer, so the buffers the solves see
+    # count the workers.  The pool is offered four cores; a budget of two
+    # workers' system buffers and numpy's copies runs two, one byte less
+    # runs one, and every base's counts keep their bits
+    real = cf.markov._one_blas_thread
+
+    @contextlib.contextmanager
+    def four_cores():
+        with real():
+            yield 4
+
+    buffers = set()
+    solve = cf.markov._cycle_occupation
+
+    def counted(chain, members, system, base, buf):
+        buffers.add(buf.ctypes.data)
+        return solve(chain, members, system, base, buf)
+
+    monkeypatch.setattr(cf.markov, "_one_blas_thread", four_cores)
+    monkeypatch.setattr(cf.markov, "_cycle_occupation", counted)
+    p = np.random.default_rng(31).dirichlet(np.ones(30), size=30)
+    two_workers = 2 * 2 * 8 * 29 ** 2
+    runs = {}
+    for budget in (cf.markov.SOLVE_POOL_BYTES, two_workers, two_workers - 1):
+        monkeypatch.setattr(cf.markov, "SOLVE_POOL_BYTES", budget)
+        chain = cf.StochasticMatrix(p.copy())
+        buffers.clear()
+        occupations = cf.markov._fill_occupations(
+            chain, cf.class_structure(chain), list(range(30)))
+        runs[len(buffers)] = b"".join(o.counts.tobytes() for o in occupations)
+    assert sorted(runs) == [1, 2, 4]
+    assert len(set(runs.values())) == 1
 
 
 def test_class_systems_in_place_match_the_copying_expressions():

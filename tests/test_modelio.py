@@ -265,46 +265,131 @@ def test_hash_is_stable_across_runs(tmp_path):
 
 
 def test_hash_literals_are_fixed():
-    # digests of the serialisation before float rows were written in one
-    # join; the hash must never drift, reports quote it
+    # digests of the binary form cycleflow-model/2; the hash must never
+    # drift, reports quote it
     chain = cf.parse_model(MARKOV_DOC)
     assert cf.model_hash(chain) == \
-        "be221e9f88dea8d51378711d72084096c95256dec90b368964b22e8696de04a5"
+        "e12f3a6e1d6e686986c6e6c7bea5ea3cd3b639ee57725248d9bc3961d159e469"
     harris = cf.parse_model(HARRIS_DOC)
     assert cf.model_hash(harris) == \
-        "464e171ecd346c4a7bdf5413e3bf180f3ca9b896aadd508e388b1d7011c8650a"
+        "870dfc482354c207bb0b90379c38f9809fc18f76e984df0b6a5cf97598596905"
 
 
-def _text_digest(model):
-    text = cf.canonical_json(cf.model_document(model))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def test_hash_is_the_digest_of_the_documented_form():
+    # the form written out by hand from the module docstring
+    def text(json_text):
+        return b"j" + len(json_text).to_bytes(8, "little") + json_text
+
+    def words(*values):
+        return b"".join(v.to_bytes(8, "little") for v in values)
+
+    chain = cf.parse_model(dict(MARKOV_DOC, states=["\u03b1", 7]))
+    form = (text(b'"cycleflow-model/2"') + text(b'"markov_chain"')
+            + text('["\u03b1",7]'.encode("utf-8")) + b"f" + words(2, 2, 2)
+            + chain.matrix.astype("<f8").tobytes())
+    assert cf.model_hash(chain) == hashlib.sha256(form).hexdigest()
+
+    system = cf.parse_model(dict(FINITE_DOC, map=[1, 0],
+                                 weights={"num": [1, 10], "den": [3, 3]},
+                                 invertible=False))
+    form = (text(b'"cycleflow-model/2"') + text(b'"finite_system"')
+            + text(b"[0,1]") + b"i" + words(1, 2, 1, 0)
+            + text(b"[[1,3],[10,3]]") + text(b"false"))
+    assert cf.model_hash(system) == hashlib.sha256(form).hexdigest()
 
 
-def test_streamed_hash_is_the_digest_of_the_canonical_text():
-    rational = dict(FINITE_DOC, weights={"num": [1, 2, 3, 4],
-                                         "den": [10, 10, 10, 10]})
-    labelled = dict(MARKOV_DOC, states=["\u03b1", 'q"\n'])
-    for doc in (FINITE_DOC, rational, MARKOV_DOC, labelled, HARRIS_DOC):
-        model = cf.parse_model(doc)
-        assert cf.model_hash(model) == _text_digest(model)
+def _variants():
+    # a base model of each kind and models that differ from it in one field
+    finite = dict(FINITE_DOC, points=["p", "q", "r", "s"])
+    exact = dict(FINITE_DOC, weights={"num": [3, 3, 2, 2],
+                                      "den": [10, 10, 10, 10]})
+    harris = dict(HARRIS_DOC, epsilon=0.7, **{"lambda": [2 / 7, 5 / 7, 0.0]})
+    chain = dict(MARKOV_DOC, states=["x", "y"])
+    return [
+        (finite, [
+            dict(finite, kind="markov_chain", P=[[0.5] * 2] * 2),
+            dict(finite, points=["p", "q", "r", "t"]),
+            dict(finite, map=[1, 0, 2, 3]),
+            dict(finite, weights=[0.3, 0.3, 0.1, 0.3]),
+            dict(finite, invertible=False),
+        ]),
+        (exact, [
+            dict(exact, weights={"num": [3, 3, 2, 2],
+                                 "den": [10, 10, 10, 11]}),
+            dict(exact, weights=[0.3, 0.3, 0.2, 0.2]),
+        ]),
+        (chain, [
+            dict(chain, states=["x", "z"]),
+            dict(chain, P=[[2 / 3, 1 / 3], [0.25 + 1e-15, 0.75 - 1e-15]]),
+        ]),
+        (harris, [
+            dict(harris, K=[[0.5, 0.5, 0.0], [0.2, 0.5, 0.3],
+                            [0.1, 0.5, 0.4]]),
+            dict(harris, R=[0]),
+            dict(harris, ell=2),
+            dict(harris, epsilon=0.6),
+            dict(harris, **{"lambda": [3 / 7, 4 / 7, 0.0]}),
+        ]),
+    ]
 
 
-def test_hash_memory_stays_far_below_the_canonical_text():
-    # the hash streams the text and writes the matrix row by row, so its
-    # working memory is about one row, not the text or the matrix as
-    # Python floats (several times the text)
+def test_hash_is_injective_on_fields():
+    for base, others in _variants():
+        model = cf.parse_model(base)
+        digest = cf.model_hash(model)
+        assert cf.model_hash(cf.parse_model(base)) == digest
+        again = cf.parse_model(cf.model_document(model))
+        assert cf.model_hash(again) == digest
+        for other in others:
+            assert cf.model_hash(cf.parse_model(other)) != digest, other
+    # labels are delimited, and a string label is not a number
+    split = [cf.parse_model(dict(MARKOV_DOC, states=s))
+             for s in (["ab", "c"], ["a", "bc"], [0, 1], ["0", "1"])]
+    assert len({cf.model_hash(m) for m in split}) == 4
+    # float weights of the same values as exact ones hash apart
+    halves = [cf.parse_model(dict(FINITE_DOC, map=[1, 0], weights=w))
+              for w in ([0.5, 0.5], {"num": [1, 1], "den": [2, 2]})]
+    assert cf.model_hash(halves[0]) != cf.model_hash(halves[1])
+    # floats enter by their bits
+    signed = [cf.FiniteSystem([1, 0], [1.0, z]) for z in (0.0, -0.0)]
+    assert cf.model_hash(signed[0]) != cf.model_hash(signed[1])
+
+
+def test_hash_depends_on_values_not_layout():
+    rows = np.random.default_rng(7).dirichlet(np.ones(6), size=6)
+    native = cf.model_hash(cf.StochasticMatrix(rows))
+    wide = np.zeros((6, 12))
+    wide[:, ::2] = rows
+    for layout in (np.asfortranarray(rows), wide[:, ::2]):
+        chain = cf.StochasticMatrix(layout)
+        # the constructor keeps the layout, so the hash reads it as given
+        assert not chain.matrix.flags.c_contiguous
+        assert cf.model_hash(chain) == native
+    # the constructor makes a big-endian matrix native, so its bytes go
+    # through the field encoder directly
+    digests = []
+    for layout in (rows, rows.astype(">f8"), np.asfortranarray(rows),
+                   wide[:, ::2]):
+        digest = hashlib.sha256()
+        modelio._put(digest, layout)
+        digests.append(digest.hexdigest())
+    assert len(set(digests)) == 1
+
+
+def test_hash_memory_stays_far_below_the_matrix():
+    # a contiguous native matrix is hashed in place: no copy of it and no
+    # Python float per entry
     rows = np.random.default_rng(400).dirichlet(np.full(400, 0.2), size=400)
-    chain = cf.parse_model({"kind": "markov_chain", "P": rows.tolist()})
-    text_length = len(cf.canonical_json(cf.model_document(chain)))
-    expected = _text_digest(chain)
+    chain = cf.StochasticMatrix(rows)
+    assert chain.matrix.flags.c_contiguous
+    cf.model_hash(chain)
     tracemalloc.start()
     try:
-        digest = cf.model_hash(chain)
+        cf.model_hash(chain)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert digest == expected
-    assert peak < text_length / 4
+    assert peak < chain.matrix.nbytes / 8
 
 
 def test_document_rows_are_plain_lists(tmp_path):

@@ -118,11 +118,11 @@ def test_finite_report_bytes_are_fixed():
     sampled = cf.RunConfig(sample_pairs=200, seed=3)
     cases = (
         (exact, cf.RunConfig(),
-         "1b2f35cbbca2a7b5ccb6a57e778ac63ec4643d3ec9b5f9d90706c1ab819606f7"),
+         "14f11811fd9a5909a1fa374b280fbfddaa3a1d0db0d9c58d22fb5e908a2e514b"),
         (floats, sampled,
-         "0dce358fa7dea35d33cab9a446d44bdc18dcfc7ab01e9f4c8685063fc7ae1f41"),
+         "b555692d6098ef7862037bbc42eed10c93e042e5aa23cc5e5d1f52e0104d19b0"),
         (_preserving_float_permutation(40, 41), sampled,
-         "85e01a74ae7ac42ae68f831ecb558ae51e9fcfb7e441f3f3cf979b20b845f5e2"),
+         "b1c6e73909327da44aa51f16959bb6dc567bac194fbdf67412e322ec5a8b72cc"),
     )
     for system, cfg, digest in cases:
         report = cf.run_suite(system, cfg)
@@ -191,7 +191,7 @@ def test_reducible_chain_draws_are_fixed():
         "0c0171e5511974a7829192570ae7d990df6c81dce029dc7d9ce87bfef6c1c4b4"
     doc = cf.canonical_json(report.to_document())
     assert hashlib.sha256(doc.encode()).hexdigest() == \
-        "43e29f178de44c933185cc4315ff39d01f492330fe483bd561dbbb45c6ed3c34"
+        "650a6e57be4b249d55ccdc9b4edff817e968bd12e21132d2652095375032db85"
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +303,9 @@ def test_simulation_report_bytes_are_fixed(tmp_path, monkeypatch):
     cases = (
         (cf.HarrisModel(H3, [0], ell=2, epsilon=0.5),
          cf.RunConfig(cycles=600, seed=5),
-         "84f1ed74a3ea39735fdf6f456a5eae6dea2126600a3645681cfa65f0f3f90a62"),
+         "5df8f50c5fe230f971d6c4af881993ba42c3f1a3810e7758d0c41287a0cd0b6d"),
         (_dirichlet_harris40(), cf.RunConfig(cycles=400, seed=6),
-         "f7ad1f45b948eecde2f93e1f88ab6b78951788c24f1d46fbb62b8e071fe17bd6"),
+         "83e1fad17c5f329c171340021c1ff1d8cc4ed7303174fb9947621266d957e42c"),
     )
     for model, cfg, digest in cases:
         report = cf.run_suite(model, cfg)
@@ -327,7 +327,7 @@ def test_simulation_report_bytes_are_fixed(tmp_path, monkeypatch):
                  "--cycles", "500", "--seed", "7", "--format", "json",
                  "--output", str(out)]) == 0
     assert _digest(out.read_bytes()) == \
-        "24937555c0644938317a88edf6404799907a0488f87d21b167218d978fc18da6"
+        "7ac6bbc76751e238b798e5863a5d37b0306c700951a461e384364cc4c14ab270"
     assert sum(iterations) > 50
 
     # a recorded run draws exactly what the unrecorded run does
