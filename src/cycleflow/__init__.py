@@ -90,6 +90,7 @@ from .harris import (
     regen_ratio_estimator,
     simulate_split_chain,
     split_block,
+    split_cycle_measure,
     uniqueness_crosscheck,
     z_scores,
 )

@@ -228,7 +228,7 @@ def _exchange_report(model, cfg, args):
     first, second = _int_pair_list(args.states, "states", exactly=2)
     residual = markov.exchange_residual(chain, first, second)
     checks = [CheckResult("exchange_identity", residual,
-                          max(cfg.tolerance, 1e-10))]
+                          max(cfg.tolerance, markov.CROSS_FLOOR))]
     details = {"states": [first, second]}
     return _command_report("exchange", model, cfg, checks, details)
 

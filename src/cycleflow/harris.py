@@ -13,6 +13,16 @@ standard error honest.
 
 Blocks are scheduled back to back (starts at 0, ell, 2*ell, ...); visits
 to R strictly inside a block never toss the coin.
+
+The cycle measure mu(x), the expected visits to x per cycle, is exact
+(Nummelin 1978; Meyn & Tweedie, ch. 10).  Block starts that do not
+regenerate move by Q = K^ell - epsilon * 1_R (x) lam, and every block,
+the closing one too, is a K path over its coin, so
+mu = lam (I - Q)^-1 (K^0 + ... + K^(ell-1)), and |mu| is the mean cycle
+length.  I - Q is singular on a closed set of Q that misses R, so it is
+solved on the states Q reaches from supp(lam), once each can reach R.
+Kernel products and solves run on one BLAS thread, so their bits do not
+depend on the core count.
 """
 
 import math
@@ -28,7 +38,8 @@ from .errors import (
     InvariantError,
     PreconditionError,
 )
-from .markov import StochasticMatrix
+from .markov import (CROSS_FLOOR, StochasticMatrix, _cycle_system,
+                     _one_blas_thread)
 from .measure import event_mask
 
 _LAM_SUM_TOL = 1e-9
@@ -75,7 +86,10 @@ def fit_minorization(kernel, regen_members, ell):
                                 field="regen_members")
     if ell < 1:
         raise PreconditionError("block length must be at least 1", field="ell")
-    k_ell = np.linalg.matrix_power(kernel.matrix, ell)
+    return _fit(_kernel_powers(kernel.matrix, ell)[ell], idx, ell)
+
+
+def _fit(k_ell, idx, ell):
     mins = k_ell[idx].min(axis=0)
     total = float(mins.sum())
     if total <= 0.0:
@@ -84,6 +98,24 @@ def fit_minorization(kernel, regen_members, ell):
             "minorization exists" % ell)
     # one K^ell row of a one-state set can sum to just above 1
     return MinorizationFit(min(total, 1.0), mins / total)
+
+
+def _kernel_powers(matrix, ell):
+    # I, K, ..., K^ell by sequential products on one BLAS thread; the
+    # bridge needs every intermediate power
+    n = matrix.shape[0]
+    size = (ell + 1) * max(n * n * 8, MIN_POWER_BYTES)
+    if size > MAX_POWER_BYTES:
+        raise PreconditionError(
+            "the kernel powers K^0..K^%d of %d states count as %d bytes "
+            "(at least %d per power), over the cap of %d bytes"
+            % (ell, n, size, MIN_POWER_BYTES, MAX_POWER_BYTES), field="ell")
+    powers = np.empty((ell + 1, n, n))
+    powers[0] = np.eye(n)
+    with _one_blas_thread():
+        for s in range(1, ell + 1):
+            np.matmul(powers[s - 1], matrix, out=powers[s])
+    return powers
 
 
 class HarrisModel:
@@ -117,24 +149,11 @@ class HarrisModel:
             raise InvariantError("block length must be a positive integer",
                                  field="ell")
         self.ell = int(ell)
-
-        # powers I, K, ..., K^ell; the bridge needs every intermediate one
-        size = (self.ell + 1) * max(n * n * 8, MIN_POWER_BYTES)
-        if size > MAX_POWER_BYTES:
-            raise PreconditionError(
-                "the kernel powers K^0..K^%d of %d states count as %d bytes "
-                "(at least %d per power), over the cap of %d bytes"
-                % (self.ell, n, size, MIN_POWER_BYTES, MAX_POWER_BYTES),
-                field="ell")
-        powers = np.empty((self.ell + 1, n, n))
-        powers[0] = np.eye(n)
-        for s in range(1, self.ell + 1):
-            np.matmul(powers[s - 1], self.kernel.matrix, out=powers[s])
-        self.kernel_powers = powers
+        self.kernel_powers = _kernel_powers(self.kernel.matrix, self.ell)
 
         fitted = []
         if lam is None:
-            fit = fit_minorization(self.kernel, self.regen_mask, self.ell)
+            fit = _fit(self.k_ell, list(self.regen_indices), self.ell)
             lam = fit.lam
             fitted.append("lambda")
             if epsilon is None:
@@ -260,6 +279,7 @@ def _forward_closure(matrix, start_mask):
         reach = grown
 
 
+@_one_blas_thread()
 def harris_conditions(model, tol=1e-10):
     """Reachability and integrability of the regeneration set.
 
@@ -600,81 +620,62 @@ def z_scores(report, pi_exact):
     return out
 
 
-@dataclass
-class VariantResult:
-    index: int
-    regen_indices: tuple
-    ell: int
-    epsilon: float
-    pi_hat: np.ndarray
-    standard_errors: np.ndarray
-    z: np.ndarray
-    max_abs_z: float
-    low_sample: bool
-    passed: bool  # None when the sample is too small to judge
+@_one_blas_thread()
+def split_cycle_measure(model):
+    """Expected visits to each state during one split-chain cycle, as
+    ``SplitChainRun.occupations`` counts them, from one solve (see the
+    module docstring); its total is the mean cycle length.  Refused with
+    ``PreconditionError`` when a state the block chain reaches from lam
+    cannot reach R, so that a cycle need not close."""
+    q = model.k_ell - model.epsilon * np.outer(model.regen_mask, model.lam)
+    reach = _forward_closure(q, model.lam > 0)
+    if np.any(reach & ~_forward_closure(q.T, model.regen_mask)):
+        raise PreconditionError(
+            "a block chain started from lambda can stay out of R forever, "
+            "so the split chain need not regenerate", field="R")
+    idx = np.flatnonzero(reach)
+    nu = np.zeros(model.n)
+    nu[idx] = np.linalg.solve(_cycle_system(q, idx), model.lam[idx])
+    return (nu @ model.kernel_powers[:model.ell]).sum(axis=0)
 
 
 @dataclass
 class CrosscheckReport:
-    n_cycles: int
-    seed: int
-    z_max: float
-    results: list
-    all_passed: bool  # None when any variant was too small to judge
+    """Per variant, in order: the largest gap between its normalised
+    cycle measure and the exact law, and its exact mean cycle length."""
+
+    deviations: list
+    mean_cycle_lengths: list
+    tolerance: float
+    all_passed: bool
 
 
-def uniqueness_crosscheck(variants, pi_exact, n_cycles, seed, z_max=4.0,
-                          low_sample_threshold=100):
-    """Every regeneration structure over one kernel must estimate the
-    same stationary law.
-
-    Each variant is simulated on its own spawned stream and scored
-    against ``pi_exact``; a variant passes when all its z-scores stay
-    within ``z_max``.  Runs with fewer than ``low_sample_threshold``
-    cycles are flagged and left unjudged rather than given a
-    meaningless verdict.
-    """
+def uniqueness_crosscheck(variants, pi_exact):
+    """Every regeneration structure over one kernel must generate the
+    same stationary law: each variant's ``split_cycle_measure``,
+    normalised, must lie within ``markov.CROSS_FLOOR`` of ``pi_exact``,
+    a law computed another way (say ``markov.stationary_leftnull``)."""
     variants = list(variants)
     if not variants:
         raise PreconditionError("no variants given", field="variants")
     base = variants[0].kernel.matrix
-    for v in variants[1:]:
-        if not np.array_equal(v.kernel.matrix, base):
-            raise PreconditionError(
-                "variants must share one kernel; uniqueness across "
-                "constructions is only defined for a single chain")
+    if any(not np.array_equal(v.kernel.matrix, base) for v in variants):
+        raise PreconditionError(
+            "variants must share one kernel; uniqueness across "
+            "constructions is only defined for a single chain")
     pi_exact = np.asarray(pi_exact, dtype=np.float64)
-    low = n_cycles < low_sample_threshold
-    streams = np.random.SeedSequence(seed).spawn(len(variants))
-    results = []
-    for i, (model, stream) in enumerate(zip(variants, streams)):
-        run = simulate_split_chain(model, n_cycles, stream)
-        report = regen_ratio_estimator(run.occupations, run.lengths)
-        if report.standard_errors is None:
-            z = np.full(model.n, np.nan)
-            max_abs = math.nan
-        else:
-            z = z_scores(report, pi_exact)
-            max_abs = float(np.abs(z).max())
-        results.append(VariantResult(
-            index=i,
-            regen_indices=model.regen_indices,
-            ell=model.ell,
-            epsilon=model.epsilon,
-            pi_hat=report.pi_hat,
-            standard_errors=report.standard_errors,
-            z=z,
-            max_abs_z=max_abs,
-            low_sample=low,
-            passed=None if low else bool(max_abs <= z_max),
-        ))
-    all_passed = None if low else bool(all(r.passed for r in results))
+    if pi_exact.shape != (base.shape[0],):
+        raise PreconditionError("pi_exact length does not match the kernel",
+                                field="pi_exact")
+    measures = [split_cycle_measure(model) for model in variants]
+    lengths = [float(mu.sum()) for mu in measures]
+    deviations = [float(np.abs(mu / total - pi_exact).max())
+                  for mu, total in zip(measures, lengths)]
     return CrosscheckReport(
-        n_cycles=n_cycles,
-        seed=seed,
-        z_max=z_max,
-        results=results,
-        all_passed=all_passed,
+        deviations=deviations,
+        mean_cycle_lengths=lengths,
+        tolerance=CROSS_FLOOR,
+        all_passed=all(d <= CROSS_FLOOR for d in deviations),
     )
 
 

@@ -27,6 +27,9 @@ _MAX_DENSE = 2000
 
 # type-level strictness; file loaders accept 1e-9 and renormalise first
 _ROW_SUM_TOL = 1e-12
+# floor of the tolerance for a check whose two sides come from separate
+# linear solves; a tolerance looser than it still wins
+CROSS_FLOOR = 1e-10
 # bytes the side-by-side occupation solves may take: each worker holds a
 # system buffer of side**2 float64 and numpy's copy of it
 SOLVE_POOL_BYTES = 512 * 2 ** 20
@@ -318,15 +321,15 @@ def _cycle_system(p, members):
 
 
 def _cycle_occupation(chain, members, system, base, buf):
-    # the base's system is its class's without the base's row and column,
-    # copied block by block into ``buf``; members are sorted
+    # the class system less the base's row and column, copied by blocks
+    # into ``buf`` column-major, as LAPACK takes it; members are sorted
     i = int(np.searchsorted(members, base))
     rest = np.delete(members, i)
     m = rest.size
     counts = np.zeros(chain.n)
     counts[base] = 1.0
     if m:
-        a = buf[:m * m].reshape(m, m)
+        a = buf[:m * m].reshape((m, m), order="F")
         a[:i, :i] = system[:i, :i]
         a[:i, i:] = system[:i, i + 1:]
         a[i:, :i] = system[i + 1:, :i]

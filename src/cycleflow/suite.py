@@ -22,9 +22,6 @@ from .errors import PreconditionError, UnknownKindError
 from .modelio import model_hash, model_size
 from .report import CheckResult, SuiteReport
 
-# floors for checks whose inputs pass through linear solves or sampling;
-# the base tolerance still wins when the user loosens it past these
-_CROSS_FLOOR = 1e-10
 # bound on the largest |z| over n states: under the normal approximation
 # one state passes it with probability 6.3e-5, so a correct estimator
 # fails the gate with probability 1 - (1 - 6.3e-5)**n, the family-wise
@@ -152,7 +149,7 @@ def _markov_suite(chain, cfg):
         exchange_worst = max(exchange_worst,
                              _markov.exchange_residual(chain, first, second))
 
-    cross_tol = max(cfg.tolerance, _CROSS_FLOOR)
+    cross_tol = max(cfg.tolerance, _markov.CROSS_FLOOR)
     checks = [
         CheckResult("cycle_invariance", invariance_worst, cfg.tolerance),
         CheckResult("exchange_identity", exchange_worst, cross_tol),
@@ -223,8 +220,8 @@ def _harris_suite(model, cfg):
 
     cond = _harris.harris_conditions(model)
     checks.append(CheckResult("regeneration_reachability",
-                              cond.hit_probability_min, 1.0 - _CROSS_FLOOR,
-                              comparator=">="))
+                              cond.hit_probability_min,
+                              1.0 - _markov.CROSS_FLOOR, comparator=">="))
     checks.append(CheckResult("lambda_return_finite",
                               1.0 if cond.integrable else 0.0, 1.0,
                               comparator=">="))

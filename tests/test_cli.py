@@ -323,6 +323,26 @@ def test_harris_and_verify_share_the_regeneration_details(files, capsys,
     assert "states" not in harris_doc["details"]
 
 
+def test_harris_skips_the_z_gate_when_the_law_is_not_unique(
+        tmp_path, capsys, clean_env):
+    # two closed classes, R in the first: the split chain never leaves it,
+    # and the kernel has no unique law to score the estimate against
+    path = tmp_path / "two_classes.json"
+    path.write_text(json.dumps({
+        "kind": "harris_discrete",
+        "K": [[0.5, 0.5, 0.0, 0.0], [0.3, 0.7, 0.0, 0.0],
+              [0.0, 0.0, 0.4, 0.6], [0.0, 0.0, 0.9, 0.1]],
+        "R": [0], "ell": 1}))
+    code, doc = run_json(["harris", str(path), "--cycles", "300"], capsys)
+    assert code == 0
+    details = doc["details"]
+    assert details["simulation_note"] == \
+        "stationary law not unique; z gate skipped"
+    assert "stationary" not in details
+    assert [c["name"] for c in doc["checks"]] == ["regeneration_draw_gof"]
+    assert details["pi_hat"][2:] == [0.0, 0.0]
+
+
 def test_harris_rejects_markov_files(files, capsys, clean_env):
     assert main(["harris", files["markov"]]) == 7
 
@@ -552,6 +572,27 @@ def test_chain_report_bytes_do_not_depend_on_threads(tmp_path):
     if hasattr(os, "sched_setaffinity"):
         assert run_fresh(code, str(path), "one core",
                          OPENBLAS_NUM_THREADS="2") == one
+
+
+def test_harris_report_bytes_do_not_depend_on_threads(tmp_path):
+    # a fitted 120-state kernel: two BLAS threads give its first-passage
+    # solves other bits than one does, which moved
+    # regeneration_reachability; the kernel powers, the fit and the solves
+    # all run on one BLAS thread
+    rng = np.random.default_rng(1)
+    k = rng.dirichlet(np.ones(120), size=120)
+    path = tmp_path / "h120.json"
+    path.write_text(json.dumps({"kind": "harris_discrete", "K": k.tolist(),
+                                "R": [0, 1, 2], "ell": 2}))
+    code = ("import sys\n"
+            "from cycleflow.cli import main\n"
+            "sys.exit(main(['verify', sys.argv[1], '--format', 'json', "
+            "'--cycles', '200']))\n")
+    one = run_fresh(code, str(path), OPENBLAS_NUM_THREADS="1")
+    two = run_fresh(code, str(path), OPENBLAS_NUM_THREADS="2")
+    assert json.loads(one)["details"]["fitted"] == ["lambda", "epsilon"]
+    assert json.loads(one)["overall_pass"]
+    assert two == one
 
 
 def test_json_reports_are_byte_identical(files, tmp_path, clean_env):

@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 import tracemalloc
@@ -112,6 +113,12 @@ def test_lambda_validation(h3):
         cf.HarrisModel(h3, [0], lam=[0.7, 0.5, 0.0])
     with pytest.raises(InvariantError):
         cf.HarrisModel(h3, [0], lam=[1.5, -0.5, 0.0])
+
+
+def test_zero_block_length_rejected(h3):
+    with pytest.raises(InvariantError) as err:
+        cf.HarrisModel(h3, [0], ell=0)
+    assert err.value.field == "ell"
 
 
 def test_epsilon_range_checked(h3):
@@ -796,34 +803,123 @@ def test_mean_cycle_length_is_one_plus_hit_time():
 # one law, many regeneration structures
 
 
+def _cycle_measure_cases():
+    # (name, model): the three variants (c is the README's h3), a
+    # 40-state kernel of Dirichlet(1) rows with R = {0, 1, 2} and ell = 2,
+    # and periodic kernels whose skeleton K^ell has more than one class
+    h40 = np.random.default_rng(1).dirichlet(np.ones(40), size=40)
+    cycle4 = np.roll(np.eye(4), 1, axis=1)
+    return [
+        ("a", variant_a()), ("b", variant_b()), ("c", variant_c()),
+        ("h40", cf.HarrisModel(h40, [0, 1, 2], ell=2)),
+        ("flip ell 2", cf.HarrisModel(FLIP2, [0], ell=2)),
+        ("4-cycle ell 2", cf.HarrisModel(cycle4, [0], ell=2)),
+        ("4-cycle ell 4", cf.HarrisModel(cycle4, [0], ell=4)),
+    ]
+
+
+def test_split_cycle_measure_normalises_to_the_left_null_law():
+    for name, model in _cycle_measure_cases():
+        mu = cf.split_cycle_measure(model)
+        law = cf.stationary_leftnull(model.kernel, 0)
+        gap = np.abs(mu / mu.sum() - law).max()
+        assert gap <= 1e-12, name
+
+
+def test_split_cycle_measure_total_is_the_mean_cycle_length():
+    lengths = {name: cf.split_cycle_measure(model).sum()
+               for name, model in _cycle_measure_cases()}
+    # 1 + E_lam[first entry into R], as in
+    # test_mean_cycle_length_is_one_plus_hit_time
+    assert lengths["a"] == pytest.approx(53 / 13, rel=1e-14)
+    # an aperiodic skeleton meets Kac's identity ell / (epsilon * pi(R))
+    assert lengths["b"] == pytest.approx(1 / (0.7 * 38 / 53), rel=1e-14)
+    assert lengths["c"] == pytest.approx(2 / (0.5 * 13 / 53), rel=1e-14)
+    # a cycle of a periodic kernel is one lap, every state visited once;
+    # Kac's ell / (epsilon * pi(R)) would say 4 for the flip, and 8 and
+    # 16 for the 4-cycle at ell 2 and 4
+    assert lengths["flip ell 2"] == 2.0
+    assert lengths["4-cycle ell 2"] == 4.0
+    assert lengths["4-cycle ell 4"] == 4.0
+
+
+def test_split_cycle_measure_agrees_with_the_simulated_cycles():
+    model = variant_c()
+    run = cf.simulate_split_chain(model, 4000, seed=3)
+    mean_visits = run.occupations.sum(axis=0) / run.n_cycles
+    se = run.occupations.std(axis=0) / np.sqrt(run.n_cycles)
+    z = (mean_visits - cf.split_cycle_measure(model)) / se
+    assert np.abs(z).max() <= 4.0
+
+
+def test_split_cycle_measure_refuses_a_chain_that_need_not_regenerate():
+    # state 1 is absorbing and lam charges it: a cycle that enters it
+    # never closes
+    k = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+    model = cf.HarrisModel(k, [0], ell=1)
+    with pytest.raises(PreconditionError) as err:
+        cf.split_cycle_measure(model)
+    assert err.value.field == "R"
+
+
+def test_split_cycle_measure_solves_only_the_reached_states():
+    # R and lam in the first closed class: the second is never reached,
+    # and its block of I - Q, singular, stays out of the solve
+    k = np.array([[0.5, 0.5, 0.0, 0.0], [0.3, 0.7, 0.0, 0.0],
+                  [0.0, 0.0, 0.4, 0.6], [0.0, 0.0, 0.9, 0.1]])
+    mu = cf.split_cycle_measure(cf.HarrisModel(k, [0], ell=1))
+    assert mu[2:].tolist() == [0.0, 0.0]
+    assert np.abs(mu[:2] / mu.sum() - [3 / 8, 5 / 8]).max() <= 1e-15
+
+
 def test_crosscheck_all_variants_agree():
     rep = cf.uniqueness_crosscheck(
-        [variant_a(), variant_b(), variant_c()], H3_PI,
-        n_cycles=2000, seed=5)
+        [variant_a(), variant_b(), variant_c()], H3_PI)
     assert rep.all_passed is True
-    assert [r.ell for r in rep.results] == [1, 1, 2]
-    for r in rep.results:
-        assert r.passed is True
-        assert r.max_abs_z <= 4.0
-        assert not r.low_sample
+    assert rep.tolerance == cf.markov.CROSS_FLOOR
+    assert max(rep.deviations) <= 1e-12
+    assert rep.mean_cycle_lengths == pytest.approx(
+        [53 / 13, 1 / (0.7 * 38 / 53), 2 / (0.5 * 13 / 53)], rel=1e-14)
+
+
+def test_crosscheck_fails_against_another_law():
+    rep = cf.uniqueness_crosscheck(
+        [variant_a(), variant_b(), variant_c()], H3_PI[[1, 0, 2]])
+    assert rep.all_passed is False
+    assert min(rep.deviations) > 0.2
+
+
+def test_crosscheck_takes_no_sampling_knobs():
+    params = inspect.signature(cf.uniqueness_crosscheck).parameters
+    assert list(params) == ["variants", "pi_exact"]
+
+
+def test_split_chain_variants_estimate_the_exact_law():
+    # the sampler side of uniqueness: every variant's simulated estimate
+    # scores within the z gate against the one law
+    streams = np.random.SeedSequence(5).spawn(3)
+    for model, stream in zip([variant_a(), variant_b(), variant_c()],
+                             streams):
+        run = cf.simulate_split_chain(model, 2000, stream)
+        report = cf.regen_ratio_estimator(run.occupations, run.lengths)
+        assert np.abs(cf.z_scores(report, H3_PI)).max() <= 4.0
 
 
 def test_crosscheck_demands_one_kernel():
     other = cf.HarrisModel(FLIP2, [0], ell=1)
     with pytest.raises(PreconditionError):
-        cf.uniqueness_crosscheck([variant_a(), other], H3_PI, 100, seed=0)
-
-
-def test_crosscheck_withholds_verdict_on_tiny_samples():
-    rep = cf.uniqueness_crosscheck([variant_a()], H3_PI, n_cycles=10, seed=0)
-    assert rep.all_passed is None
-    assert rep.results[0].low_sample
-    assert rep.results[0].passed is None
+        cf.uniqueness_crosscheck([variant_a(), other], H3_PI)
 
 
 def test_crosscheck_needs_variants():
     with pytest.raises(PreconditionError):
-        cf.uniqueness_crosscheck([], H3_PI, 100, seed=0)
+        cf.uniqueness_crosscheck([], H3_PI)
+
+
+def test_crosscheck_needs_a_law_over_the_kernel_states():
+    with pytest.raises(PreconditionError) as err:
+        cf.uniqueness_crosscheck([variant_a()], H3_PI[:2])
+    assert err.value.field == "pi_exact"
 
 
 # ---------------------------------------------------------------------------

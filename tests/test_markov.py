@@ -476,6 +476,24 @@ def test_blas_pin_restores_the_prior_thread_count():
         put(prior)
 
 
+def test_solves_without_blas_thread_control_run_one_at_a_time(
+        monkeypatch):
+    # a BLAS whose threads cannot be pinned: one solve at a time, and
+    # every base keeps the bits the pinned pool gives it
+    p = np.random.default_rng(5).dirichlet(np.ones(30), size=30)
+
+    def occupations():
+        chain = cf.StochasticMatrix(p.copy())
+        return [o.counts.tobytes() for o in cf.markov._fill_occupations(
+            chain, cf.class_structure(chain), list(range(30)))]
+
+    pinned = occupations()
+    monkeypatch.setattr(cf.markov, "_openblas_threads", lambda: None)
+    with cf.markov._one_blas_thread() as width:
+        assert width == 1
+    assert occupations() == pinned
+
+
 def test_row_guide_follows_the_bound_matrix(flip2):
     chain = cf.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
     assert chain.row_guide[0][:, :-1].tolist() == [[0.5, 1.0], [0.5, 1.0]]
@@ -544,6 +562,19 @@ def test_occupation_checks_state_range(mc2):
         cf.cycle_occupation(mc2, 2)
 
 
+def test_occupation_refuses_chains_over_the_dense_cap(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a solve ran past the dense cap")
+
+    monkeypatch.setattr(cf.markov, "_fill_occupations", no_solve)
+    monkeypatch.setattr(cf.markov, "class_structure", no_solve)
+    chain = cf.StochasticMatrix(np.eye(cf.markov._MAX_DENSE + 1))
+    with pytest.raises(PreconditionError) as err:
+        cf.cycle_occupation(chain, 0)
+    assert "capped at %d states (got %d)" % (
+        cf.markov._MAX_DENSE, cf.markov._MAX_DENSE + 1) in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # stationary distributions
 
@@ -597,6 +628,12 @@ def test_invariance_residual_flags_non_invariant(mc2):
     assert cf.invariance_residual(mc2, [1.0, 0.0]) > 0.1
 
 
+def test_invariance_residual_refuses_another_length(mc2):
+    with pytest.raises(PreconditionError) as err:
+        cf.invariance_residual(mc2, [1.0])
+    assert err.value.field == "pi"
+
+
 def test_random_chain_exchange_all_pairs():
     rng = np.random.default_rng(42)
     chain = random_dense_chain(10, rng)
@@ -639,6 +676,12 @@ def test_irreducible_decomposition_is_trivial(mc2):
 def test_decomposition_rejects_non_invariant(mc2):
     with pytest.raises(PreconditionError):
         cf.convex_decomposition(mc2, [0.9, 0.1])
+
+
+def test_decomposition_refuses_another_length(mc2):
+    with pytest.raises(PreconditionError) as err:
+        cf.convex_decomposition(mc2, [3 / 7, 4 / 7, 0.0])
+    assert err.value.field == "pi"
 
 
 def test_decomposition_rejects_non_distribution(mc2):
