@@ -517,9 +517,10 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     and marks are the lanes' records sorted by cycle (see
     ``SplitChainRun``).  A block that starts in R draws no coin when
     epsilon = 1.  No run takes more than ``step_budget`` steps; one that
-    would raises ``BudgetExceededError``.  A run whose visit counts would
-    take more than ``MAX_OCCUPATION_BYTES`` is refused with
-    ``PreconditionError`` before anything is drawn.
+    would raises ``BudgetExceededError``.  Refused with
+    ``PreconditionError`` before anything is drawn: a run whose visit
+    counts would take more than ``MAX_OCCUPATION_BYTES``, and a model
+    whose cycles need not close (``_block_reach``, field ``R``).
     """
     if n_regens < 1:
         raise PreconditionError("need at least one regeneration",
@@ -531,6 +532,7 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
             "over the cap of %d bytes" % (n_regens, model.n, size,
                                           MAX_OCCUPATION_BYTES),
             field="n_regens")
+    _block_reach(model)
     table, res_rows = model.lane_table()
     traj = [] if record_trajectory else None
     marks = [] if record_trajectory else None
@@ -620,19 +622,36 @@ def z_scores(report, pi_exact):
     return out
 
 
-@_one_blas_thread()
-def split_cycle_measure(model):
-    """Expected visits to each state during one split-chain cycle, as
-    ``SplitChainRun.occupations`` counts them, from one solve (see the
-    module docstring); its total is the mean cycle length.  Refused with
-    ``PreconditionError`` when a state the block chain reaches from lam
-    cannot reach R, so that a cycle need not close."""
+def _block_reach(model):
+    """(Q, the states the block chain Q reaches from supp(lam)), Q being
+    K^ell - epsilon * 1_R (x) lam; refused with ``PreconditionError``
+    (field ``R``) when one of those states cannot reach R under Q, so
+    that a split-chain cycle need not close."""
     q = model.k_ell - model.epsilon * np.outer(model.regen_mask, model.lam)
     reach = _forward_closure(q, model.lam > 0)
     if np.any(reach & ~_forward_closure(q.T, model.regen_mask)):
         raise PreconditionError(
             "a block chain started from lambda can stay out of R forever, "
             "so the split chain need not regenerate", field="R")
+    return q, reach
+
+
+@_one_blas_thread()
+def split_cycle_measure(model):
+    """Expected visits to each state during one split-chain cycle, as
+    ``SplitChainRun.occupations`` counts them, from one solve (see the
+    module docstring); its total is the mean cycle length.  Refused with
+    ``PreconditionError`` when the declared minorization is false
+    (``minorization_residual`` below -1e-12, field ``epsilon``): summing
+    nu (I - Q) = lam gives epsilon * nu(R) = 1 for any epsilon and lam,
+    so the measure would be invariant however false they are.  Refused
+    too when a cycle need not close (``_block_reach``)."""
+    worst = minorization_residual(model)
+    if worst < -_RESIDUAL_TOL:
+        raise PreconditionError(
+            "K^ell - epsilon * lambda has entry %g on R; (epsilon, lambda, "
+            "ell) do not minorize K^ell" % worst, field="epsilon")
+    q, reach = _block_reach(model)
     idx = np.flatnonzero(reach)
     nu = np.zeros(model.n)
     nu[idx] = np.linalg.solve(_cycle_system(q, idx), model.lam[idx])

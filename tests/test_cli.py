@@ -343,6 +343,17 @@ def test_harris_skips_the_z_gate_when_the_law_is_not_unique(
     assert details["pi_hat"][2:] == [0.0, 0.0]
 
 
+def test_harris_refuses_a_model_whose_cycles_need_not_close(
+        tmp_path, capsys, clean_env):
+    # lam charges the absorbing state 1: refused before the run draws
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps({
+        "kind": "harris_discrete", "R": [0], "ell": 1,
+        "K": [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]}))
+    assert main(["harris", str(path), "--cycles", "1000"]) == 7
+    assert "R: a block chain" in capsys.readouterr().err
+
+
 def test_harris_rejects_markov_files(files, capsys, clean_env):
     assert main(["harris", files["markov"]]) == 7
 
@@ -548,17 +559,20 @@ def test_default_seed_is_zero(files, capsys, clean_env):
 
 
 def test_chain_report_bytes_do_not_depend_on_threads(tmp_path):
-    # four closed classes of 100 states and 100 transient states whose rows
-    # spread over every state.  Two BLAS threads give a class's left-null
-    # solve other bits than one does, so every solve runs on one BLAS
-    # thread, however many run side by side
+    # four closed classes of 100 states, one of 520, whose bases go by
+    # GMRES, and 100 transient states whose rows spread over every state.
+    # Two BLAS threads give a class's left-null solve other bits than one
+    # does, so every solve runs on one BLAS thread, however many run side
+    # by side
     rng = np.random.default_rng(1)
-    p = np.zeros((500, 500))
-    for c in range(4):
-        block = slice(100 * c, 100 * (c + 1))
-        p[block, block] = rng.dirichlet(np.full(100, 0.2), size=100)
-    p[400:] = rng.dirichlet(np.full(500, 0.2), size=100)
-    path = tmp_path / "mcr500.json"
+    sizes = [100, 100, 100, 100, 520]
+    n = sum(sizes) + 100
+    p = np.zeros((n, n))
+    for start, size in zip(np.cumsum([0] + sizes), sizes):
+        block = slice(start, start + size)
+        p[block, block] = rng.dirichlet(np.full(size, 0.2), size=size)
+    p[-100:] = rng.dirichlet(np.full(n, 0.2), size=100)
+    path = tmp_path / "mcr1020.json"
     path.write_text(json.dumps({"kind": "markov_chain", "P": p.tolist()}))
     code = ("import os, sys\n"
             "if sys.argv[2] == 'one core':\n"

@@ -862,6 +862,31 @@ def test_split_cycle_measure_refuses_a_chain_that_need_not_regenerate():
     assert err.value.field == "R"
 
 
+def test_split_chain_run_that_need_not_close_is_refused_up_front():
+    # the same model: the run is refused before it draws, where it used to
+    # spend its whole step budget
+    k = np.array([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
+    model = cf.HarrisModel(k, [0], ell=1)
+    started = time.perf_counter()
+    with pytest.raises(PreconditionError) as err:
+        cf.simulate_split_chain(model, 1000, seed=0)
+    assert err.value.field == "R"
+    assert time.perf_counter() - started < 0.5
+
+
+def test_false_minorization_cannot_pass_the_exact_crosscheck():
+    # epsilon = 0.9 and lam = delta_2 on h3 with R = {0}, ell = 1: K(0, 2)
+    # is 0, so the minorization is false, yet the cycle measure of such a
+    # structure normalises to the true law all the same
+    model = cf.HarrisModel(H3, [0], ell=1, epsilon=0.9, lam=[0.0, 0.0, 1.0])
+    assert cf.minorization_residual(model) == pytest.approx(-0.9)
+    for check in (lambda: cf.split_cycle_measure(model),
+                  lambda: cf.uniqueness_crosscheck([model], H3_PI)):
+        with pytest.raises(PreconditionError) as err:
+            check()
+        assert err.value.field == "epsilon"
+
+
 def test_split_cycle_measure_solves_only_the_reached_states():
     # R and lam in the first closed class: the second is never reached,
     # and its block of I - Q, singular, stays out of the solve

@@ -494,6 +494,94 @@ def test_solves_without_blas_thread_control_run_one_at_a_time(
     assert occupations() == pinned
 
 
+def _dirichlet_rows(n, seed):
+    return np.random.default_rng(seed).dirichlet(np.full(n, 0.2), size=n)
+
+
+def _no_lu(monkeypatch):
+    # the LU path, refused: what runs must be GMRES
+    def refused(*args):
+        raise AssertionError("a base was solved by LU")
+
+    monkeypatch.setattr(cf.markov, "_cycle_occupation", refused)
+
+
+def test_gmres_counts_of_a_base_do_not_depend_on_its_batch(monkeypatch):
+    # a 600-state class: its bases go by GMRES, 16 to a block.  The suite
+    # fills them in batches; a base asked for alone rides in a block of
+    # copies of itself, at another column, and must get the same bits
+    p = _dirichlet_rows(600, 600)
+    _no_lu(monkeypatch)
+    chain = cf.StochasticMatrix(p.copy())
+    report = cf.run_suite(chain, cf.RunConfig(sample_pairs=12, seed=4))
+    assert report.overall_pass
+    kept = chain._occupations[1]
+    assert len(kept) > cf.markov._KRYLOV_WIDTH
+    for b in sorted(kept)[1::5]:
+        alone = cf.cycle_occupation(cf.StochasticMatrix(p.copy()), b)
+        assert alone.counts.tobytes() == kept[b].counts.tobytes()
+    # the same with states 0-8 a path 0 -> 1 -> ... -> 9 into the rest:
+    # the bases on the path take fewer steps than their block-mates
+    p[:9] = 0.0
+    p[np.arange(9), np.arange(1, 10)] = 1.0
+    bases = [1, 2, 5] + list(range(20, 600, 37))
+    chain = cf.StochasticMatrix(p.copy())
+    batch = cf.markov._fill_occupations(chain, cf.class_structure(chain),
+                                        bases)
+    for b, occ in zip(bases, batch):
+        alone = cf.cycle_occupation(cf.StochasticMatrix(p.copy()), b)
+        assert alone.counts.tobytes() == occ.counts.tobytes()
+    # and the counts are the LU counts to a few ulps of the return time
+    monkeypatch.undo()
+    members = np.arange(600)
+    system = cf.markov._cycle_system(p, members)
+    buf = np.empty(599 * 599)
+    for b, occ in zip(bases, batch):
+        lu = cf.markov._cycle_occupation(chain, members, system, b, buf)
+        assert np.abs(lu.counts - occ.counts).max() <= 1e-13 * lu.mean_return
+
+
+def test_gmres_misses_fall_back_to_lu(monkeypatch):
+    # the lazy walk on a 600-state ring: the spectrum of I - Q_b reaches
+    # down to about 1/n**2, so 64 GMRES steps leave a backward error far
+    # above the bound, and every base is solved by LU after all, with the
+    # bits _cycle_occupation gives it
+    n = 600
+    i = np.arange(n)
+    p = np.zeros((n, n))
+    p[i, i] = 0.5
+    p[i, (i + 1) % n] += 0.25
+    p[i, (i - 1) % n] += 0.25
+    chain = cf.StochasticMatrix(p)
+    structure = cf.class_structure(chain)
+    members = structure.classes[0]
+    bases = [0, 1, 150, 299, 598, 599]
+    solved = []
+    lu = cf.markov._cycle_occupation
+    monkeypatch.setattr(
+        cf.markov, "_cycle_occupation",
+        lambda chain, members, system, base, buf: solved.append(base)
+        or lu(chain, members, system, base, buf))
+    occupations = cf.markov._fill_occupations(chain, structure, bases)
+    assert sorted(solved) == bases
+    system = cf.markov._cycle_system(p, members)
+    buf = np.empty((n - 1) ** 2)
+    for occ in occupations:
+        assert occ.counts.tobytes() == \
+            lu(chain, members, system, occ.base, buf).counts.tobytes()
+        assert occ.mean_return == pytest.approx(n, rel=1e-9)
+
+
+def test_gmres_law_meets_the_left_null_law(monkeypatch):
+    # mc1000's shape: one Dirichlet(0.2) class of 1000 states
+    _no_lu(monkeypatch)
+    chain = cf.StochasticMatrix(_dirichlet_rows(1000, 1000))
+    law = cf.stationary_leftnull(chain, 0)
+    for base in (0, 1, 500, 999):
+        pi = cf.cycle_stationary(chain, base)
+        assert np.abs(pi - law).max() <= 1e-14
+
+
 def test_row_guide_follows_the_bound_matrix(flip2):
     chain = cf.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
     assert chain.row_guide[0][:, :-1].tolist() == [[0.5, 1.0], [0.5, 1.0]]
