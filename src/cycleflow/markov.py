@@ -10,10 +10,11 @@ must agree to solver precision, and tests hold them to that.
 The visit counts y of base b solve y (I - Q_b) = P[b], Q_b being the
 class block of P less row and column b.  Each base is solved on its own:
 by LU in a class of at most ``_KRYLOV_MIN`` states, by GMRES in a larger
-one, its bases side by side as the columns of fixed-width blocks that
-share one matrix product per step and no other arithmetic (see
-``_fill_occupations``).  A GMRES solution whose normwise backward error
-exceeds ``_KRYLOV_BOUND`` is replaced by the LU solve.
+one, where a base costs a few matrix-vector products instead of a
+factorisation; bases run side by side as the rows of a block, each with
+its own products and arithmetic (see ``_fill_occupations``).  A base
+whose GMRES run gives up, or whose solution's normwise backward error
+exceeds ``_KRYLOV_BOUND``, is solved by LU after all.
 """
 
 import contextlib
@@ -40,23 +41,30 @@ _ROW_SUM_TOL = 1e-12
 CROSS_FLOOR = 1e-10
 # bytes the side-by-side occupation solves may take: an LU worker holds a
 # system buffer of side**2 float64 and numpy's copy of it, a GMRES worker
-# its Krylov basis and the projections' products, as large
+# the Krylov bases of its block
 SOLVE_POOL_BYTES = 512 * 2 ** 20
-# classes above this many states solve their cycle systems by GMRES, the
-# bases of a class in blocks of _KRYLOV_WIDTH, each base in at most
-# _KRYLOV_STEPS steps; a GMRES solution whose normwise backward error is
-# above _KRYLOV_BOUND is replaced by the LU solve.  A whole block costs
-# _KRYLOV_WIDTH matrix-vector products a step, so a base asked for alone
-# in a small class is cheaper by LU: 3.6 ms against 20 ms for one padded
-# block at 301 states, while 32 bases were already faster by GMRES at 256
-# (0.029 s against 0.051 s); GMRES reaches its bound in 15-20 steps on
-# Dirichlet(0.2) rows, whose eigenvalues other than 1 are tiny
+# classes above this many states solve their cycle systems by GMRES, a
+# class's bases in blocks of _KRYLOV_WIDTH rows.  A step costs each row
+# one vector-matrix product, so a base of a Dirichlet(0.2) class (16-20
+# steps), asked for alone and with its class's trial, costs about what
+# its LU solve does at 520 states and 0.4 of it at 1000 (one thread: 9.1
+# against 9.7 ms, 16 against 40 ms).  A row stops after _KRYLOV_STEPS
+# steps at most, and from step _KRYLOV_TRIAL on gives up as soon as its
+# residual estimate, falling at the best one-step rate of its last
+# _KRYLOV_WINDOW steps, would still miss eps by then.  A class's first
+# member runs those trial steps before any base of the class does: a
+# class that mixes slowly pays for them once, about 6 ms at 1000 states,
+# and then solves every base by LU
 _KRYLOV_MIN = 512
 _KRYLOV_WIDTH = 16
 _KRYLOV_STEPS = 64
+_KRYLOV_TRIAL = 8
+_KRYLOV_WINDOW = 4
 _EPS = float(np.finfo(np.float64).eps)
-# 3-5 eps on Dirichlet(0.2) classes of 600-1000 states
-_KRYLOV_BOUND = 8 * _EPS
+# a GMRES solution with a larger normwise backward error is not taken;
+# measured 1.6-7.1 eps on Dirichlet(0.2) classes of 520-2000 states,
+# growing with the class as the rounding of the residual itself does
+_KRYLOV_BOUND = 16 * _EPS
 
 
 @dataclass(eq=False)
@@ -300,17 +308,21 @@ def _fill_occupations(chain, structure, bases):
     A base whose class has at most ``_KRYLOV_MIN`` states is solved by
     LU.  A larger class's bases are solved by GMRES (Saad & Schultz,
     SIAM J. Sci. Stat. Comput. 7(3), 1986), ``_KRYLOV_WIDTH`` at a time
-    as the columns of one block (see ``_krylov_occupations``): one
-    matrix product per step serves the whole block, but each column runs
-    its own Krylov iteration, and every other operation is elementwise
-    or a reduction within its column.  The product P_c^T Y, with the
-    block's columns as the columns of Y, gives a column the same bits
-    wherever it sits in the block on the OpenBLAS numpy ships (the row
-    layout Y^T P_c did not, at 513 states); the tests hold it to that.  A column's
-    bits therefore depend only on its base, not on the block it rides
-    in, and a base solved alone (its block padded with copies of it)
-    gets the bits it gets in any batch.  A base whose GMRES solution misses the backward-error
-    bound ``_KRYLOV_BOUND`` is solved by LU after all.
+    as the rows of one block cut from the sorted missing bases of the
+    class (see ``_krylov_occupations``).  The block saves numpy calls,
+    not arithmetic: each row takes its own vector-matrix products with
+    the class block P_c, and every other operation is elementwise or a
+    reduction within its row.  A row's bits therefore depend only on its
+    base, so a base solved alone gets the bits it gets in any block; the
+    tests hold it to that.  A base whose GMRES run gives up, or misses
+    the backward-error bound ``_KRYLOV_BOUND``, is solved by LU.
+
+    So that a class whose chain mixes slowly pays for one short trial,
+    not a failed run per base, the class's first member runs the first
+    ``_KRYLOV_TRIAL`` GMRES steps before any base of the class is tried,
+    once per matrix.  If it gives up in them, every base of the class is
+    solved by LU.  Whether a base takes LU thus depends on its class and
+    itself, not on what else is asked for.
 
     The solves run side by side, one per core, with BLAS pinned to one
     thread: a base's counts have the same bits however many run at once,
@@ -324,32 +336,50 @@ def _fill_occupations(chain, structure, bases):
     by_class = {}
     for b in missing:
         by_class.setdefault(int(structure.labels[b]), []).append(b)
-    blocks = [(c, share[s:s + _KRYLOV_WIDTH])
-              for c, share in sorted(by_class.items())
-              if structure.classes[c].size > _KRYLOV_MIN
-              for s in range(0, len(share), _KRYLOV_WIDTH)]
-    lu = [b for b in missing
-          if structure.classes[structure.labels[b]].size <= _KRYLOV_MIN]
+    large = [c for c in sorted(by_class)
+             if structure.classes[c].size > _KRYLOV_MIN]
+    lu = [b for c in sorted(by_class) if c not in large for b in by_class[c]]
     with _one_blas_thread() as width:
-        if blocks:
-            transposed = {c: _class_block_t(chain.matrix, structure.classes[c])
-                          for c in {c for c, _ in blocks}}
-            side = max(a.shape[0] for a in transposed.values())
-            # the basis and as much again for the projections' products
-            size = (_KRYLOV_STEPS + 1) * side * _KRYLOV_WIDTH
-            jobs = _pool_width(width, len(blocks), 16 * size)
+        if large:
+            blocks = {c: _class_block(chain.matrix, structure.classes[c])
+                      for c in large}
+            # the Krylov bases of the widest block of the largest class
+            size = (_KRYLOV_STEPS + 1) * _KRYLOV_WIDTH * max(
+                a.shape[0] for a in blocks.values())
+            jobs = _pool_width(width, len(missing), 8 * size)
             buffers = [np.empty(size) for _ in range(jobs)]
-            solved = _share_out(jobs, blocks, lambda j, block: (
-                _krylov_occupations(chain, structure.classes[block[0]],
-                                    transposed[block[0]], block[1],
-                                    buffers[j])))
-            del transposed, buffers
-            for block, occupations in zip(blocks, solved):
-                for b, occ in zip(block[1], occupations):
+
+            def krylov(tasks, trial=False):
+                # each task a (class, bases) pair; the results in order
+                def solve(j, task):
+                    c, share = task
+                    return _krylov_occupations(
+                        chain, structure.classes[c], blocks[c], share,
+                        buffers[j], trial)
+
+                return _share_out(max(1, min(jobs, len(tasks))), tasks, solve)
+
+            # a class's first member tries GMRES, once per matrix, before
+            # any base of the class does
+            verdicts = _per_matrix(chain, "_krylov_verdicts", lambda p: {})
+            trials = [(c, [int(structure.classes[c][0])]) for c in large
+                      if c not in verdicts]
+            verdicts.update(zip((c for c, _ in trials), krylov(trials, True)))
+            tasks = []
+            for c in large:
+                share = by_class[c]
+                if not verdicts[c]:
+                    lu.extend(share)
+                    continue
+                tasks.extend((c, share[s:s + _KRYLOV_WIDTH])
+                             for s in range(0, len(share), _KRYLOV_WIDTH))
+            for (c, share), occupations in zip(tasks, krylov(tasks)):
+                for b, occ in zip(share, occupations):
                     if occ is None:
                         lu.append(b)
                     else:
                         kept[b] = occ
+            del blocks, buffers
         if lu:
             lu.sort()
             systems = {c: _cycle_system(chain.matrix, structure.classes[c])
@@ -390,70 +420,77 @@ def _share_out(jobs, tasks, solve):
     return out
 
 
-def _class_block_t(p, members):
-    # P_c^T, C-contiguous and read-only: the one matrix every GMRES
-    # block of the class multiplies by
-    a = np.ascontiguousarray(p.T if members.size == p.shape[0]
-                             else p[np.ix_(members, members)].T)
+def _class_block(p, members):
+    # P_c, read-only: the one matrix every GMRES run of the class
+    # multiplies by; a view of P when the class is every state
+    a = p.view() if members.size == p.shape[0] else p[np.ix_(members, members)]
     a.flags.writeable = False
     return a
 
 
-def _krylov_occupations(chain, members, pct, block, buf):
+def _krylov_occupations(chain, members, pc, block, buf, trial=False):
     """Cycle occupations of the bases in ``block`` (at most
     ``_KRYLOV_WIDTH``, all of the class ``members``) by GMRES, with
-    ``pct`` the class block P_c^T and ``buf`` room for the basis.
+    ``pc`` the class block P_c and ``buf`` room for the bases'
+    Krylov bases.
 
-    Column j of the block solves A_j y = c_j, A_j = (I - Q_b)^T for its
-    base b and c_j = P[b] on the class, in full class coordinates with
-    entry b of y pinned to 0: A_j applied to a block Y is Y - P_c^T Y
-    with row b of column j set to 0, so no base builds its own system.
-    Short blocks are padded with copies of their first base.  Each
-    column orthogonalises by classical Gram-Schmidt run twice (CGS2) and
-    reduces its Hessenberg matrix by Givens rotations; it stops once its
-    residual estimate falls to eps times ||c_j||_2, or after
-    ``_KRYLOV_STEPS`` steps.  Its solution is then accepted when its
-    normwise backward error ||c - A y||_inf / (||c||_inf +
-    ||A||_inf ||y||_inf) (Rigal & Gaches 1967) is at most
-    ``_KRYLOV_BOUND``; ||A||_inf, the norm consistent with the residual
-    of the transposed system, is the largest column sum of |I - Q_b|.
-    The residual, too, comes from a product with the whole block, so a
-    base's verdict does not depend on its block-mates either.  Returns
-    one ``CycleOccupation`` or None (bound missed) per base of
-    ``block``.
+    Row j of the block solves y (I - Q_b) = c_j for its base b, with
+    c_j = P[b] on the class, in full class coordinates with entry b of y
+    pinned to 0: y (I - Q_b) is y - y P_c with entry b set to 0, so no
+    base builds its own system.  Every product is a stacked ``matmul``,
+    one vector-matrix product per row, and every other operation is
+    elementwise or a reduction within a row, so a row's bits do not
+    depend on its block-mates or its place among them.
+    Each row orthogonalises by classical Gram-Schmidt run twice (CGS2)
+    and reduces its Hessenberg matrix by Givens rotations.  It stops at
+    its first step whose residual estimate is at most eps ||c_j||_2.
+    From step ``_KRYLOV_TRIAL`` on it gives up as soon as the estimate,
+    falling at the best one-step rate of its last ``_KRYLOV_WINDOW``
+    steps, would still miss that by step ``_KRYLOV_STEPS``.  A row that
+    stopped is accepted when its normwise backward error
+    ||c - A y||_inf / (||c||_inf + ||A||_inf ||y||_inf) (Rigal & Gaches
+    1967) is at most ``_KRYLOV_BOUND``, with A = (I - Q_b)^T: ||A||_inf,
+    the norm consistent with the residual of the row system, is the
+    largest column sum of |I - Q_b|.  Returns one ``CycleOccupation``,
+    or None (given up, or bound missed), per base of ``block``; with
+    ``trial``, runs ``_KRYLOV_TRIAL`` steps at most and returns whether
+    no row has given up.
     """
     k = members.size
-    w = _KRYLOV_WIDTH
+    w = len(block)
     steps = _KRYLOV_STEPS
-    bases = list(block) + [block[0]] * (w - len(block))
-    pin = np.searchsorted(members, bases)
-    cols = np.arange(w)
+    pin = np.searchsorted(members, block)
+    rows = np.arange(w)
 
     def apply(y):
-        out = y - pct @ y
-        out[pin, cols] = 0.0
+        out = y - np.matmul(y[:, None, :], pc)[:, 0, :]
+        out[rows, pin] = 0.0
         return out
 
-    c = np.ascontiguousarray(chain.matrix[np.ix_(bases, members)].T)
-    c[pin, cols] = 0.0
-    basis = buf[:(steps + 1) * k * w].reshape((steps + 1, k, w))
+    c = chain.matrix[np.ix_(block, members)]
+    row_b = c.copy()
+    c[rows, pin] = 0.0
+    basis = buf[:w * (steps + 1) * k].reshape((w, steps + 1, k))
     hess = np.zeros((steps, steps, w))   # triangular once rotated
     rot_c = np.empty((steps, w))
     rot_s = np.empty((steps, w))
     g = np.zeros((steps + 1, w))
-    g[0] = np.sqrt((c * c).sum(axis=0))
+    g[0] = size = np.sqrt((c * c).sum(axis=1))
+    tol = _EPS * size
     done = np.zeros(w, dtype=np.int64)
+    given_up = np.zeros(w, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        basis[0] = c / g[0]
+        basis[:, 0] = c / size[:, None]
         for m in range(steps):
-            v = apply(basis[m])
+            v = apply(basis[:, m])
+            known = basis[:, :m + 1]
             h = np.zeros((m + 2, w))
             for _ in range(2):
-                d = (basis[:m + 1] * v).sum(axis=1)
-                v -= (basis[:m + 1] * d[:, None, :]).sum(axis=0)
-                h[:m + 1] += d
-            h[m + 1] = np.sqrt((v * v).sum(axis=0))
-            basis[m + 1] = v / h[m + 1]
+                d = np.matmul(known, v[:, :, None])[:, :, 0]
+                v -= np.matmul(d[:, None, :], known)[:, 0, :]
+                h[:m + 1] += d.T
+            h[m + 1] = np.sqrt((v * v).sum(axis=1))
+            basis[:, m + 1] = v / h[m + 1][:, None]
             for i in range(m):
                 h[i], h[i + 1] = (rot_c[i] * h[i] + rot_s[i] * h[i + 1],
                                   rot_c[i] * h[i + 1] - rot_s[i] * h[i])
@@ -463,31 +500,38 @@ def _krylov_occupations(chain, members, pct, block, buf):
             hess[:m + 1, m] = h[:m + 1]
             g[m + 1] = -rot_s[m] * g[m]
             g[m] = rot_c[m] * g[m]
-            # a column stops at its first step whose estimate is small
-            stop = (done == 0) & (np.abs(g[m + 1]) <= _EPS * g[0])
+            left = np.abs(g[m + 1])
+            live = done == 0
+            stop = live & (left <= tol)
             done[stop] = m + 1
-            if done.all():
+            if m + 1 >= _KRYLOV_TRIAL:
+                # |s_i| is the factor by which step i cut the estimate
+                rate = np.abs(rot_s[m + 1 - _KRYLOV_WINDOW:m + 1]).min(axis=0)
+                stall = live & ~stop & ~(left * rate ** (steps - m - 1) <= tol)
+                done[stall] = m + 1
+                given_up |= stall
+            if done.all() or trial and m + 1 == _KRYLOV_TRIAL:
                 break
-        done[done == 0] = steps
-        y = np.empty((k, w))
+        if trial:
+            return not given_up.any()
+        y = np.empty((w, k))
         for j in range(w):
             z = np.linalg.solve(hess[:done[j], :done[j], j], g[:done[j], j])
-            y[:, j] = (basis[:done[j], :, j] * z[:, None]).sum(axis=0)
+            y[j] = z @ basis[j, :done[j]]
         # ||A_j||_inf: the column sums of |I - P_c| less row b of P_c,
         # over every column but b
-        diag = np.diagonal(pct)
-        norm = (np.abs(1.0 - diag) + pct.sum(axis=1) - diag)[:, None] - \
-            pct[:, pin]
-        norm[pin, cols] = 0.0
-        error = np.abs(c - apply(y)).max(axis=0) / (
-            np.abs(c).max(axis=0) + norm.max(axis=0) * np.abs(y).max(axis=0))
+        diag = np.diagonal(pc)
+        norm = np.abs(1.0 - diag) + pc.sum(axis=0) - diag - row_b
+        norm[rows, pin] = 0.0
+        error = np.abs(c - apply(y)).max(axis=1) / (
+            np.abs(c).max(axis=1) + norm.max(axis=1) * np.abs(y).max(axis=1))
     out = []
     for j, b in enumerate(block):
-        if not error[j] <= _KRYLOV_BOUND:
+        if given_up[j] or not error[j] <= _KRYLOV_BOUND:
             out.append(None)
             continue
         counts = np.zeros(chain.n)
-        counts[members] = y[:, j]
+        counts[members] = y[j]
         counts[b] = 1.0
         counts.flags.writeable = False
         out.append(CycleOccupation(b, counts, float(counts.sum())))

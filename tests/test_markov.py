@@ -520,11 +520,11 @@ def test_gmres_counts_of_a_base_do_not_depend_on_its_batch(monkeypatch):
     for b in sorted(kept)[1::5]:
         alone = cf.cycle_occupation(cf.StochasticMatrix(p.copy()), b)
         assert alone.counts.tobytes() == kept[b].counts.tobytes()
-    # the same with states 0-8 a path 0 -> 1 -> ... -> 9 into the rest:
-    # the bases on the path take fewer steps than their block-mates
-    p[:9] = 0.0
-    p[np.arange(9), np.arange(1, 10)] = 1.0
-    bases = [1, 2, 5] + list(range(20, 600, 37))
+    # the same with states 0-3 a path 0 -> 1 -> 2 -> 3 -> 4 into the
+    # rest: the bases on the path take fewer steps than their block-mates
+    p[:4] = 0.0
+    p[np.arange(4), np.arange(1, 5)] = 1.0
+    bases = [1, 2, 3] + list(range(20, 600, 37))
     chain = cf.StochasticMatrix(p.copy())
     batch = cf.markov._fill_occupations(chain, cf.class_structure(chain),
                                         bases)
@@ -541,35 +541,98 @@ def test_gmres_counts_of_a_base_do_not_depend_on_its_batch(monkeypatch):
         assert np.abs(lu.counts - occ.counts).max() <= 1e-13 * lu.mean_return
 
 
-def test_gmres_misses_fall_back_to_lu(monkeypatch):
-    # the lazy walk on a 600-state ring: the spectrum of I - Q_b reaches
-    # down to about 1/n**2, so 64 GMRES steps leave a backward error far
-    # above the bound, and every base is solved by LU after all, with the
-    # bits _cycle_occupation gives it
-    n = 600
+class _CountedProducts(np.ndarray):
+    # a class block that counts the matrix products taken with it
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedProducts.products += 1
+        inputs = [np.asarray(x) for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _lazy_ring(n):
     i = np.arange(n)
     p = np.zeros((n, n))
     p[i, i] = 0.5
     p[i, (i + 1) % n] += 0.25
     p[i, (i - 1) % n] += 0.25
+    return p
+
+
+def test_gmres_misses_fall_back_to_lu(monkeypatch):
+    # the lazy walk on a 600-state ring: the spectrum of I - Q_b reaches
+    # down to about 1/n**2, so GMRES cannot reach its bound in 64 steps.
+    # The class's first member finds that out in its trial, within
+    # _KRYLOV_TRIAL steps of five products each, and no base tries GMRES:
+    # every base is solved by LU, with the bits _cycle_occupation gives it
+    n = 600
+    p = _lazy_ring(n)
     chain = cf.StochasticMatrix(p)
     structure = cf.class_structure(chain)
     members = structure.classes[0]
-    bases = [0, 1, 150, 299, 598, 599]
-    solved = []
+    bases = [1, 150, 299, 598, 599]
+    solved, tried = [], []
     lu = cf.markov._cycle_occupation
+    krylov = cf.markov._krylov_occupations
+    class_block = cf.markov._class_block
     monkeypatch.setattr(
         cf.markov, "_cycle_occupation",
         lambda chain, members, system, base, buf: solved.append(base)
         or lu(chain, members, system, base, buf))
+    monkeypatch.setattr(
+        cf.markov, "_krylov_occupations",
+        lambda chain, members, pc, block, buf, trial=False:
+        tried.append((list(block), trial))
+        or krylov(chain, members, pc, block, buf, trial))
+    monkeypatch.setattr(cf.markov, "_class_block",
+                        lambda p, members: class_block(p, members).view(
+                            _CountedProducts))
+    _CountedProducts.products = 0
     occupations = cf.markov._fill_occupations(chain, structure, bases)
+    assert tried == [([0], True)]
+    assert _CountedProducts.products <= 5 * cf.markov._KRYLOV_TRIAL
     assert sorted(solved) == bases
     system = cf.markov._cycle_system(p, members)
     buf = np.empty((n - 1) ** 2)
     for occ in occupations:
-        assert occ.counts.tobytes() == \
-            lu(chain, members, system, occ.base, buf).counts.tobytes()
+        with cf.markov._one_blas_thread():
+            alone = lu(chain, members, system, occ.base, buf)
+        assert occ.counts.tobytes() == alone.counts.tobytes()
         assert occ.mean_return == pytest.approx(n, rel=1e-9)
+    # the verdict is kept with the chain: the next request tries nothing,
+    # and the first member, asked for, goes to LU as well
+    cf.markov._fill_occupations(chain, structure, [0, 7])
+    assert tried == [([0], True)]
+    assert sorted(solved) == [0, 1, 7, 150, 299, 598, 599]
+
+
+def test_gmres_trial_failure_does_not_depend_on_the_request():
+    # on the 9-state path into a Dirichlet class, state 0's GMRES run
+    # stalls on the path and gives up in its trial.  State 1's own run
+    # passes, yet state 1 asked for alone gets the LU bits it gets in a
+    # batch: what its class's trial says, not its own run, picks its path
+    p = _dirichlet_rows(600, 600)
+    p[:9] = 0.0
+    p[np.arange(9), np.arange(1, 10)] = 1.0
+    members = np.arange(600)
+    chain = cf.StochasticMatrix(p.copy())
+    pc = cf.markov._class_block(p, members)
+    buf = np.empty(65 * 600 * 16)
+    assert not cf.markov._krylov_occupations(chain, members, pc, [0], buf,
+                                             trial=True)
+    assert cf.markov._krylov_occupations(chain, members, pc, [1], buf)[0]
+    alone = cf.cycle_occupation(chain, 1)
+    system = cf.markov._cycle_system(p, members)
+    with cf.markov._one_blas_thread():
+        lu = cf.markov._cycle_occupation(chain, members, system, 1,
+                                         np.empty(599 * 599))
+    assert alone.counts.tobytes() == lu.counts.tobytes()
+    batch = cf.StochasticMatrix(p.copy())
+    kept = cf.markov._fill_occupations(
+        batch, cf.class_structure(batch), [1, 3, 100])
+    assert kept[0].counts.tobytes() == lu.counts.tobytes()
 
 
 def test_gmres_law_meets_the_left_null_law(monkeypatch):
