@@ -14,6 +14,10 @@ standard error honest.
 Blocks are scheduled back to back (starts at 0, ell, 2*ell, ...); visits
 to R strictly inside a block never toss the coin.
 
+On a finite kernel, R is entered almost surely from every state exactly
+when every closed class of K meets R: ``harris_conditions`` reads that
+off the kernel's classes, and solves only for the mean return from lam.
+
 The cycle measure mu(x), the expected visits to x per cycle, is exact
 (Nummelin 1978; Meyn & Tweedie, ch. 10).  Block starts that do not
 regenerate move by Q = K^ell - epsilon * 1_R (x) lam, and every block,
@@ -39,7 +43,7 @@ from .errors import (
     PreconditionError,
 )
 from .markov import (CROSS_FLOOR, StochasticMatrix, _cycle_system,
-                     _one_blas_thread)
+                     _one_blas_thread, _solve_or_refuse, class_structure)
 from .measure import event_mask
 
 _LAM_SUM_TOL = 1e-9
@@ -280,50 +284,38 @@ def _forward_closure(matrix, start_mask):
 
 
 @_one_blas_thread()
-def harris_conditions(model, tol=1e-10):
-    """Reachability and integrability of the regeneration set.
+def harris_conditions(model):
+    """Reachability and integrability of the regeneration set, from the
+    kernel's classes (``markov.class_structure``).
 
-    hit_probability_min is the smallest over states x of the probability
-    that the chain started at x ever enters R at a time >= 1, computed
-    by the first-passage linear system restricted to the states that can
-    reach R at all (the rest have probability exactly zero, which keeps
-    the system nonsingular).  expected_lambda_return is the mean time of
-    first entry into R from a lam start, infinite when a lam-reachable
-    state can miss R.
+    hit_probability_min, the smallest over states x of the probability
+    that the chain from x enters R at a time >= 1, is exactly 1 when
+    every closed class meets R and 0 otherwise: a finite chain enters a
+    closed class almost surely and then visits each of its states
+    infinitely often.  expected_lambda_return, the mean time of first
+    entry into R from a lam start, is infinite when lam's forward closure
+    holds a closed class that misses R; otherwise every state of the
+    closure can reach R, and one solve gives it.
     """
     k = model.kernel.matrix
-    n = model.n
-    r_mask = model.regen_mask
-    # backward closure of R: states with some support path into R
-    can_reach = _forward_closure(k.T, r_mask)
-    h = np.zeros(n)
-    h[r_mask] = 1.0
-    t1 = can_reach & ~r_mask
-    idx = np.flatnonzero(t1)
-    if idx.size:
-        a = np.eye(idx.size) - k[np.ix_(idx, idx)]
-        b = k[np.ix_(idx, np.flatnonzero(r_mask))].sum(axis=1)
-        h[idx] = np.linalg.solve(a, b)
-    hit = k @ h
-    hit_min = float(hit.min())
-    recurrent = hit_min >= 1.0 - tol
-
-    lam_support = model.lam > 0
-    closure = _forward_closure(k, lam_support)
-    if np.any(h[closure] < 1.0 - tol):
+    structure = class_structure(model.kernel)
+    missed = structure.recurrent.copy()   # the closed classes missing R
+    missed[structure.labels[model.regen_mask]] = False
+    closure = _forward_closure(k, model.lam > 0)
+    if missed[structure.labels[closure]].any():
         expected = math.inf
     else:
-        inner = closure & ~r_mask
-        idx = np.flatnonzero(inner)
-        w = np.zeros(n)
+        idx = np.flatnonzero(closure & ~model.regen_mask)
+        w = np.zeros(model.n)
         if idx.size:
             a = np.eye(idx.size) - k[np.ix_(idx, idx)]
-            w[idx] = np.linalg.solve(a, np.ones(idx.size))
+            w[idx] = _solve_or_refuse(
+                a, np.ones(idx.size), "the first-entry system of R from lambda")
         expected = float(1.0 + model.lam @ (k @ w))
     return HarrisConditions(
-        hit_probability_min=hit_min,
+        hit_probability_min=0.0 if missed.any() else 1.0,
         expected_lambda_return=expected,
-        recurrent=recurrent,
+        recurrent=not missed.any(),
         integrable=math.isfinite(expected),
     )
 
@@ -654,7 +646,8 @@ def split_cycle_measure(model):
     q, reach = _block_reach(model)
     idx = np.flatnonzero(reach)
     nu = np.zeros(model.n)
-    nu[idx] = np.linalg.solve(_cycle_system(q, idx), model.lam[idx])
+    nu[idx] = _solve_or_refuse(_cycle_system(q, idx), model.lam[idx],
+                               "the block system of the split chain")
     return (nu @ model.kernel_powers[:model.ell]).sum(axis=0)
 
 

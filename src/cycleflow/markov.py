@@ -561,9 +561,19 @@ def _cycle_occupation(chain, members, system, base, buf):
         a[:i, i:] = system[:i, i + 1:]
         a[i:, :i] = system[i + 1:, :i]
         a[i:, i:] = system[i + 1:, i + 1:]
-        counts[rest] = np.linalg.solve(a, chain.matrix[base, rest])
+        counts[rest] = _solve_or_refuse(a, chain.matrix[base, rest], (
+            "the cycle system of base %r" % (chain.states[base],)))
     counts.flags.writeable = False
     return CycleOccupation(base, counts, float(counts.sum()))
+
+
+def _solve_or_refuse(a, b, system):
+    """``np.linalg.solve(a, b)``, refusing a matrix singular in float64
+    with a ``PreconditionError`` that names the ``system``."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise PreconditionError("%s is singular in float64" % system) from None
 
 
 @contextlib.contextmanager

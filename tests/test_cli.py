@@ -354,6 +354,42 @@ def test_harris_refuses_a_model_whose_cycles_need_not_close(
     assert "R: a block chain" in capsys.readouterr().err
 
 
+def test_near_singular_harris_kernel_verifies(tmp_path, capsys, clean_env):
+    # irreducible, so R is entered from both states, however rarely state 1
+    # leaves
+    path = tmp_path / "k13.json"
+    path.write_text(json.dumps({"kind": "harris_discrete", "R": [0],
+                                "ell": 1,
+                                "K": [[0.5, 0.5], [1e-13, 1.0 - 1e-13]]}))
+    code, doc = run_json(["verify", str(path), "--cycles", "0"], capsys)
+    assert code == 0
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["regeneration_reachability"]["value"] == 1.0
+    assert checks["regeneration_reachability"]["passed"]
+    assert checks["lambda_return_finite"]["passed"]
+
+
+@pytest.mark.parametrize("kind, argv, system", [
+    ("markov_chain", ["verify"], "cycle system of base 0"),
+    ("markov_chain", ["exchange", "--states", "0,1"],
+     "cycle system of base 0"),
+    ("harris_discrete", ["verify", "--cycles", "0"],
+     "first-entry system of R from lambda"),
+])
+def test_float_singular_systems_exit_seven(tmp_path, capsys, clean_env,
+                                           kind, argv, system):
+    # 1 - 1e-17 rounds to 1, so state 1 never leaves in float64
+    path = tmp_path / "p17.json"
+    rows = [[0.5, 0.5], [1e-17, 1.0]]
+    doc = {"kind": kind, "P": rows} if kind == "markov_chain" else \
+        {"kind": kind, "K": rows, "R": [0], "ell": 1}
+    path.write_text(json.dumps(doc))
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 7
+    err = capsys.readouterr().err
+    assert system + " is singular in float64" in err
+    assert "LinAlgError" not in err
+
+
 def test_harris_rejects_markov_files(files, capsys, clean_env):
     assert main(["harris", files["markov"]]) == 7
 
@@ -589,10 +625,9 @@ def test_chain_report_bytes_do_not_depend_on_threads(tmp_path):
 
 
 def test_harris_report_bytes_do_not_depend_on_threads(tmp_path):
-    # a fitted 120-state kernel: two BLAS threads give its first-passage
-    # solves other bits than one does, which moved
-    # regeneration_reachability; the kernel powers, the fit and the solves
-    # all run on one BLAS thread
+    # a fitted 120-state kernel: the kernel powers, the fit and the
+    # mean-return solve all run on one BLAS thread, so two BLAS threads
+    # leave the report's bits as one does
     rng = np.random.default_rng(1)
     k = rng.dirichlet(np.ones(120), size=120)
     path = tmp_path / "h120.json"

@@ -207,8 +207,105 @@ def test_unreachable_block_is_flagged():
     block[2:, 2:] = FLIP2
     model = cf.HarrisModel(block, [0], ell=1)
     cond = cf.harris_conditions(model)
-    assert cond.hit_probability_min < 0.5
+    assert cond.hit_probability_min == 0.0
     assert not cond.recurrent
+
+
+def test_conditions_take_no_tolerance():
+    assert list(inspect.signature(cf.harris_conditions).parameters) == \
+        ["model"]
+
+
+def _closure(support):
+    # reach[x, y]: y can be reached from x in zero or more steps
+    reach = support | np.eye(support.shape[0], dtype=bool)
+    while True:
+        grown = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+def _first_passage(model, tol=1e-10):
+    # the hitting probabilities of R at times >= 1 and the mean first
+    # entry time from lam, by the first-passage linear system
+    k = model.kernel.matrix
+    r = model.regen_mask
+    reach = _closure(k > 0)
+    h = r.astype(float)
+    idx = np.flatnonzero(reach[:, r].any(axis=1) & ~r)
+    if idx.size:
+        h[idx] = np.linalg.solve(np.eye(idx.size) - k[np.ix_(idx, idx)],
+                                 k[np.ix_(idx, np.flatnonzero(r))].sum(axis=1))
+    closure = reach[model.lam > 0].any(axis=0)
+    if np.any(h[closure] < 1.0 - tol):
+        return float((k @ h).min()), math.inf
+    idx = np.flatnonzero(closure & ~r)
+    w = np.zeros(model.n)
+    if idx.size:
+        w[idx] = np.linalg.solve(np.eye(idx.size) - k[np.ix_(idx, idx)],
+                                 np.ones(idx.size))
+    return float((k @ h).min()), float(1.0 + model.lam @ (k @ w))
+
+
+def test_conditions_match_the_classes_and_the_first_passage_solve():
+    # random reducible kernels, entries 0 or at least 0.05 before the rows
+    # are normalised, with random R and lam
+    rng = np.random.default_rng(20)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 10))
+        support = rng.random((n, n)) < rng.uniform(0.1, 0.5)
+        support[np.arange(n), rng.integers(0, n, size=n)] = True
+        k = np.where(support, rng.uniform(0.05, 1.0, size=(n, n)), 0.0)
+        k /= k.sum(axis=1, keepdims=True)
+        regen = rng.choice(n, size=int(rng.integers(1, n + 1)),
+                           replace=False)
+        lam = np.where(rng.random(n) < rng.choice([0.0, 0.4]),
+                       rng.random(n), 0.0)
+        lam[rng.integers(0, n)] = 1.0
+        model = cf.HarrisModel(k, regen, ell=1, epsilon=0.5,
+                               lam=lam / lam.sum())
+        cond = cf.harris_conditions(model)
+        # a state is recurrent when all it reaches reaches it back, and
+        # its class is then all it reaches
+        reach = _closure(k > 0)
+        recurrent = [x for x in range(n)
+                     if np.all(reach[:, x][reach[x]])]
+        meets = all(model.regen_mask[reach[x]].any() for x in recurrent)
+        assert cond.recurrent == meets
+        assert cond.hit_probability_min == (1.0 if meets else 0.0)
+        hit, expected = _first_passage(model)
+        assert abs(cond.hit_probability_min - hit) <= 1e-10
+        if math.isinf(expected):
+            assert cond.expected_lambda_return == math.inf
+        else:
+            assert abs(cond.expected_lambda_return - expected) <= \
+                1e-12 * expected
+        assert cond.integrable == math.isfinite(expected)
+        seen.add((cond.recurrent, cond.integrable))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_near_singular_kernel_is_recurrent():
+    # irreducible, so recurrent, although state 1 leaves only at 1e-13: a
+    # first-passage solve put its hitting probability at 0.9997
+    model = cf.HarrisModel([[0.5, 0.5], [1e-13, 1.0 - 1e-13]], [0], ell=1)
+    cond = cf.harris_conditions(model)
+    assert cond.recurrent and cond.integrable
+    assert cond.hit_probability_min == 1.0
+    # one step from lam = (1/2, 1/2), then 1e13 steps on average from 1
+    assert cond.expected_lambda_return == pytest.approx(
+        1.0 + 0.75 / 1e-13, rel=1e-3)
+
+
+def test_float_singular_systems_are_refused():
+    # 1 - 1e-17 rounds to 1: the first-entry and block systems are singular
+    model = cf.HarrisModel([[0.5, 0.5], [1e-17, 1.0]], [0], ell=1)
+    with pytest.raises(PreconditionError, match="first-entry system"):
+        cf.harris_conditions(model)
+    with pytest.raises(PreconditionError, match="block system"):
+        cf.split_cycle_measure(model)
 
 
 # ---------------------------------------------------------------------------

@@ -608,6 +608,37 @@ def test_gmres_misses_fall_back_to_lu(monkeypatch):
     assert sorted(solved) == [0, 1, 7, 150, 299, 598, 599]
 
 
+def test_gmres_rows_that_miss_the_bound_go_to_lu(monkeypatch):
+    # with the backward-error bound at 0 the class trial, which reads no
+    # bound, passes; every row then misses the bound, and each base is
+    # solved by LU after its GMRES run, with _cycle_occupation's bits
+    p = _dirichlet_rows(600, 601)
+    monkeypatch.setattr(cf.markov, "_KRYLOV_BOUND", 0.0)
+    runs = []
+    krylov = cf.markov._krylov_occupations
+
+    def recorded(chain, members, pc, block, buf, trial=False):
+        out = krylov(chain, members, pc, block, buf, trial)
+        runs.append((list(block), trial, out))
+        return out
+
+    monkeypatch.setattr(cf.markov, "_krylov_occupations", recorded)
+    chain = cf.StochasticMatrix(p.copy())
+    bases = [0, 5, 17, 300, 599]
+    occupations = cf.markov._fill_occupations(
+        chain, cf.class_structure(chain), bases)
+    assert runs[0] == ([0], True, True)
+    assert [r[:2] for r in runs[1:]] == [(bases, False)]
+    assert runs[1][2] == [None] * len(bases)
+    members = np.arange(600)
+    system = cf.markov._cycle_system(p, members)
+    buf = np.empty(599 * 599)
+    for b, occ in zip(bases, occupations):
+        with cf.markov._one_blas_thread():
+            lu = cf.markov._cycle_occupation(chain, members, system, b, buf)
+        assert occ.counts.tobytes() == lu.counts.tobytes()
+
+
 def test_gmres_trial_failure_does_not_depend_on_the_request():
     # on the 9-state path into a Dirichlet class, state 0's GMRES run
     # stalls on the path and gives up in its trial.  State 1's own run
