@@ -77,12 +77,9 @@ from .harris import (
     CrosscheckReport,
     HarrisConditions,
     HarrisModel,
-    MinorizationFit,
     RegenReport,
     SplitChainRun,
-    bridge_distribution,
     block_marginal_gof,
-    fit_minorization,
     harris_conditions,
     minorization_residual,
     mixture_residual,

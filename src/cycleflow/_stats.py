@@ -1,28 +1,27 @@
 """Shared simulation plumbing: the chunk driver and the ratio estimator.
 
 Cycles are independent by construction, so a run of n cycles can be split
-into fixed-size chunks with one spawned ``SeedSequence`` child per chunk.
-Chunk k always owns cycles [k*size, (k+1)*size), whatever order chunks are
-executed in, so a parallel run merges to exactly the serial output.  Both
-simulators take their chunks from ``split_chain_chunks``.
+into chunks of ``lane_chunk(n_states)`` cycles with one spawned
+``SeedSequence`` child per chunk.  Chunk k always owns cycles
+[k*size, (k+1)*size), whatever order chunks are executed in, so a parallel
+run merges to exactly the serial output.  Both simulators take their
+chunks from ``split_chain_chunks``.
 """
 
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError
 
 
 def chunk_plan(n_cycles, chunk_size):
     """Number of cycles handled by each chunk, in chunk order."""
-    if n_cycles <= 0:
-        return []
     full, rest = divmod(n_cycles, chunk_size)
     return [chunk_size] * full + ([rest] if rest else [])
 
 
 def lane_chunk(n_states):
-    """Default chunk size.  A chunk's cycles run side by side as lanes and
+    """Cycles per chunk.  A chunk's cycles run side by side as lanes and
     take as many lockstep iterations as the longest of them, so wide
     chunks cost less; the width is capped so that a chunk's lane state
     (64 bytes a lane) stays within 4 MB and its (cycles x states) int32
@@ -48,22 +47,16 @@ def chunk_generators(seed, n_chunks):
     return [np.random.default_rng(child) for child in root.spawn(n_chunks)]
 
 
-def split_chain_chunks(seed, n_cycles, chunk_size, budget, args, traj=None,
-                       marks=None):
+def split_chain_chunks(seed, n_cycles, budget, args, traj=None, marks=None):
     """Yield (occupations, lengths, regen_states, steps so far) of each
     chunk of ``_kernels.split_chain_batch`` on ``args`` (its arguments
     from ``k_raw`` to ``ell``), occupations in ``count_dtype(budget)``.
-    ``chunk_size`` is None (``lane_chunk``) or a positive integer.  Lists
+    Chunks hold ``lane_chunk(n)`` cycles, the last one the rest.  Lists
     ``traj`` and ``marks`` receive each chunk's records as the kernel makes
     them, with cycles numbered within the chunk.  A run past ``budget``
     steps raises BudgetExceededError."""
     n = args[0].shape[0]
-    if chunk_size is None:
-        chunk_size = lane_chunk(n)
-    elif not isinstance(chunk_size, (int, np.integer)) or chunk_size < 1:
-        raise PreconditionError("chunk size must be a positive integer, "
-                                "got %r" % (chunk_size,), field="chunk_size")
-    plan = chunk_plan(n_cycles, chunk_size)
+    plan = chunk_plan(n_cycles, lane_chunk(n))
     dtype = count_dtype(budget)
     used = closed = 0
     for gen, count in zip(chunk_generators(seed, len(plan)), plan):

@@ -61,36 +61,10 @@ MIN_POWER_BYTES = 4096
 MAX_OCCUPATION_BYTES = 2 ** 30
 
 
-@dataclass
-class MinorizationFit:
-    epsilon: float
-    lam: np.ndarray
-
-
 def _as_kernel(kernel):
     if isinstance(kernel, StochasticMatrix):
         return kernel
     return StochasticMatrix(np.asarray(kernel, dtype=np.float64))
-
-
-def fit_minorization(kernel, regen_members, ell):
-    """Largest componentwise minorization of K^ell over the set.
-
-    lam is proportional to the columnwise minimum of the K^ell rows of
-    the set and epsilon is the total of those minima, capped at 1, which
-    is the maximal feasible constant for that lam.  A zero total means
-    the set rows share no common support and no splitting is possible at
-    this block length.
-    """
-    kernel = _as_kernel(kernel)
-    mask = event_mask(kernel.n, regen_members)
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise PreconditionError("regeneration set is empty",
-                                field="regen_members")
-    if ell < 1:
-        raise PreconditionError("block length must be at least 1", field="ell")
-    return _fit(_kernel_powers(kernel.matrix, ell)[ell], idx, ell)
 
 
 def _fit(k_ell, idx, ell):
@@ -101,7 +75,7 @@ def _fit(k_ell, idx, ell):
             "rows of K^%d share no common support over the set; no "
             "minorization exists" % ell)
     # one K^ell row of a one-state set can sum to just above 1
-    return MinorizationFit(min(total, 1.0), mins / total)
+    return min(total, 1.0), mins / total
 
 
 def _kernel_powers(matrix, ell):
@@ -157,11 +131,11 @@ class HarrisModel:
 
         fitted = []
         if lam is None:
-            fit = _fit(self.k_ell, list(self.regen_indices), self.ell)
-            lam = fit.lam
+            fit_epsilon, lam = _fit(self.k_ell, list(self.regen_indices),
+                                    self.ell)
             fitted.append("lambda")
             if epsilon is None:
-                epsilon = fit.epsilon
+                epsilon = fit_epsilon
                 fitted.append("epsilon")
         else:
             lam = np.asarray(lam, dtype=np.float64)
@@ -406,12 +380,6 @@ def _bridge_path(model, prev, end, gen):
     return out
 
 
-def bridge_distribution(model, x, y):
-    """Conditional law of the block interior given endpoints; see
-    BridgeLaw."""
-    return BridgeLaw(model, x, y)
-
-
 def split_block(model, x, zeta, gen):
     """One ell-step block from state ``x``.
 
@@ -495,18 +463,17 @@ def _by_cycle(records):
 
 
 def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
-                         step_budget=_DEFAULT_STEP_BUDGET, chunk_size=None):
+                         step_budget=_DEFAULT_STEP_BUDGET):
     """Run the split chain until ``n_regens`` cycles close.
 
     Cycles come from ``_stats.split_chain_chunks`` in fixed chunks of
-    ``chunk_size`` (a positive integer; ``_stats.lane_chunk`` by default),
-    one spawned seed stream per chunk; chunk k always owns cycles
-    [k*size, (k+1)*size), so the output is identical however chunks are
-    scheduled.  A chunk's cycles run side by side as lanes of
-    ``_kernels.split_chain_batch``, each from its own X_0 ~ lam.
-    Recording observes those lanes: a recorded run has the cycles, steps
-    and draws of the unrecorded run of the same seed, and its trajectory
-    and marks are the lanes' records sorted by cycle (see
+    ``_stats.lane_chunk(n)`` cycles, one spawned seed stream per chunk;
+    chunk k always owns cycles [k*size, (k+1)*size), so the output is
+    identical however chunks are scheduled.  A chunk's cycles run side by
+    side as lanes of ``_kernels.split_chain_batch``, each from its own
+    X_0 ~ lam.  Recording observes those lanes: a recorded run has the
+    cycles, steps and draws of the unrecorded run of the same seed, and
+    its trajectory and marks are the lanes' records sorted by cycle (see
     ``SplitChainRun``).  A block that starts in R draws no coin when
     epsilon = 1.  No run takes more than ``step_budget`` steps; one that
     would raises ``BudgetExceededError``.  Refused with
@@ -530,7 +497,7 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     marks = [] if record_trajectory else None
     chunks, path, coins = [], [], []
     for chunk in split_chain_chunks(
-            seed, n_regens, chunk_size, step_budget,
+            seed, n_regens, step_budget,
             (model.kernel.matrix, table, model.n, res_rows,
              model.kernel_powers, model.regen_mask, model.epsilon,
              model.ell), traj, marks):

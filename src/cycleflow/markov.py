@@ -19,7 +19,6 @@ exceeds ``_KRYLOV_BOUND``, is solved by LU after all.
 
 import contextlib
 import functools
-import heapq
 import itertools
 import os
 from dataclasses import dataclass
@@ -137,15 +136,12 @@ class ClassStructure:
     """Communicating classes with recurrence flags.
 
     Classes are numbered by their smallest member, so ids are stable
-    across runs; ``order`` lists class ids topologically (every arrow of
-    the condensation points from an earlier class to a later one).
-    A class is recurrent exactly when it is closed.
+    across runs.  A class is recurrent exactly when it is closed.
     """
 
     labels: np.ndarray
     classes: list
     recurrent: np.ndarray
-    order: np.ndarray
 
     @property
     def recurrent_classes(self):
@@ -153,8 +149,8 @@ class ClassStructure:
 
 
 def class_structure(chain):
-    """Strongly connected classes of the support graph, their closure
-    flags and a topological order of the condensation.
+    """Strongly connected classes of the support graph and their closure
+    flags.
 
     The result is computed once per transition matrix and kept on the
     chain; binding a new array to ``chain.matrix`` recomputes it.
@@ -232,34 +228,11 @@ def _class_structure(p):
     # members of each class in increasing order, sliced out of one sort
     ends = np.cumsum(np.bincount(labels, minlength=n_comp))
     classes = np.split(np.argsort(labels, kind="stable"), ends[:-1])
-    # a class is closed when no support edge leaves it; the edges that
-    # do leave give the condensation, sorted by (source, target)
+    # a class is closed when no support edge leaves it
     src, dst = labels[rows], labels[cols]
-    cross = src != dst
-    edges = np.sort(src[cross] * n_comp + dst[cross])
-    first = np.ones(edges.size, dtype=bool)
-    first[1:] = edges[1:] != edges[:-1]
-    edges = edges[first]
-    src, dst = edges // n_comp, edges % n_comp
     recurrent = np.ones(n_comp, dtype=bool)
-    recurrent[src] = False
-    # Kahn with a heap frontier: deterministic topological order.  A
-    # popped class's arrows go to distinct classes, so one numpy
-    # decrement of its slice of dst takes them all.
-    indeg = np.bincount(dst, minlength=n_comp)
-    starts = np.searchsorted(src, np.arange(n_comp + 1)).tolist()
-    frontier = np.flatnonzero(indeg == 0).tolist()  # sorted, so a heap
-    order = []
-    while frontier:
-        c = heapq.heappop(frontier)
-        order.append(c)
-        out = dst[starts[c]:starts[c + 1]]
-        if out.size:
-            indeg[out] -= 1
-            for d in out[indeg[out] == 0].tolist():
-                heapq.heappush(frontier, d)
-    return ClassStructure(labels, classes, recurrent,
-                          np.array(order, dtype=np.int64))
+    recurrent[src[src != dst]] = False
+    return ClassStructure(labels, classes, recurrent)
 
 
 class CycleOccupation(NamedTuple):
@@ -749,18 +722,17 @@ class CycleEstimate:
     steps: int
 
 
-def simulate_cycle_estimator(chain, base, n_cycles, seed, chunk_size=None,
-                             step_budget=None):
+def simulate_cycle_estimator(chain, base, n_cycles, seed, step_budget=None):
     """Monte Carlo stationary estimate from independent return cycles.
 
     Cycles come from ``_stats.split_chain_chunks`` in fixed chunks of
-    ``chunk_size`` (a positive integer; ``_stats.lane_chunk`` by default),
-    each on its own spawned seed stream, so results are reproducible and
-    independent of how chunks are scheduled.  Each chunk feeds a
-    ``RatioAccumulator``: the ratio estimate and its per-state
-    delta-method standard error come from accumulated moments; with a
-    single cycle the standard errors are unavailable (None).  A run past
-    ``step_budget`` steps raises ``BudgetExceededError``.
+    ``_stats.lane_chunk(n)`` cycles, each on its own spawned seed stream,
+    so results are reproducible and independent of how chunks are
+    scheduled.  Each chunk feeds a ``RatioAccumulator``: the ratio
+    estimate and its per-state delta-method standard error come from
+    accumulated moments; with a single cycle the standard errors are
+    unavailable (None).  A run past ``step_budget`` steps raises
+    ``BudgetExceededError``.
     """
     base = chain._check_state(base, "base")
     if n_cycles < 1:
@@ -776,7 +748,7 @@ def simulate_cycle_estimator(chain, base, n_cycles, seed, chunk_size=None,
     in_regen = np.arange(chain.n) == base
     acc = RatioAccumulator(chain.n)
     for occ, lengths, _, used in split_chain_chunks(
-            seed, n_cycles, chunk_size, step_budget,
+            seed, n_cycles, step_budget,
             (chain.matrix, chain.row_guide, base, None, None, in_regen, 1.0,
              1)):
         acc.add(occ, lengths)

@@ -232,7 +232,7 @@ def _harris_suite(model, cfg):
         for x in range(model.n):
             for y in range(model.n):
                 if k_ell[x, y] > 0 and examined < cfg.sample_pairs:
-                    law = _harris.bridge_distribution(model, x, y)
+                    law = _harris.BridgeLaw(model, x, y)
                     worst = max(worst, abs(law.total_mass() - 1.0))
                     examined += 1
         checks.append(CheckResult("bridge_total_mass", worst,

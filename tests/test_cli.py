@@ -412,6 +412,13 @@ def test_exchange_needs_exactly_two(files, capsys, clean_env):
     assert main(["exchange", files["markov"], "--states", "a,b"]) == 7
 
 
+def test_an_empty_state_list_is_refused(files, capsys, clean_env):
+    for argv in (["fit-minorization", files["markov"], "--set", ","],
+                 ["exchange", files["markov"], "--states", ","]):
+        assert main(argv) == 7
+        assert "expected at least one state" in capsys.readouterr().err
+
+
 def test_exchange_refuses_one_state_twice(files, capsys, clean_env):
     # comparing a base's cycle law with itself would PASS at 0
     for states in ("0,0", "1,1"):

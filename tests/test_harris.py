@@ -38,26 +38,26 @@ def variant_c():
 
 
 def test_fit_single_row_is_the_row_itself(h3):
-    fit = cf.fit_minorization(h3, [0], 1)
-    assert fit.epsilon == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(fit.lam - [0.5, 0.5, 0.0]).max() <= 1e-12
+    model = cf.HarrisModel(h3, [0], ell=1)
+    assert model.epsilon == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(model.lam - [0.5, 0.5, 0.0]).max() <= 1e-12
 
 
 def test_fit_two_rows_takes_columnwise_minima(h3):
-    fit = cf.fit_minorization(h3, [0, 1], 1)
-    assert fit.epsilon == pytest.approx(0.7, abs=1e-12)
-    assert np.abs(fit.lam - [2 / 7, 5 / 7, 0.0]).max() <= 1e-12
+    model = cf.HarrisModel(h3, [0, 1], ell=1)
+    assert model.epsilon == pytest.approx(0.7, abs=1e-12)
+    assert np.abs(model.lam - [2 / 7, 5 / 7, 0.0]).max() <= 1e-12
 
 
 def test_fit_two_step_blocks(h3):
-    fit = cf.fit_minorization(h3, [0], 2)
-    assert fit.epsilon == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(fit.lam - [0.35, 0.5, 0.15]).max() <= 1e-12
+    model = cf.HarrisModel(h3, [0], ell=2)
+    assert model.epsilon == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(model.lam - [0.35, 0.5, 0.15]).max() <= 1e-12
 
 
 def test_fit_on_one_state_caps_epsilon_at_one():
-    # one K^ell row can sum to just above 1; the fit caps epsilon at 1,
-    # leaves lam as the row over its own sum, and HarrisModel takes it
+    # one K^ell row can sum to just above 1; the fit caps epsilon at 1 and
+    # leaves lam as the row over its own sum
     rng = np.random.default_rng(0)
     above = 0
     for _ in range(40):
@@ -65,28 +65,15 @@ def test_fit_on_one_state_caps_epsilon_at_one():
         for ell in (1, 2, 3):
             row = np.linalg.matrix_power(k, ell)[0]
             above += row.sum() > 1.0
-            fit = cf.fit_minorization(k, [0], ell)
-            assert fit.epsilon == min(row.sum(), 1.0)
-            assert fit.lam.tobytes() == (row / row.sum()).tobytes()
             model = cf.HarrisModel(k, [0], ell=ell)
-            assert model.epsilon == fit.epsilon
-            assert model.lam.tobytes() == fit.lam.tobytes()
+            assert model.epsilon == min(row.sum(), 1.0)
+            assert model.lam.tobytes() == (row / row.sum()).tobytes()
     assert above > 0
 
 
 def test_fit_rejects_disjoint_row_supports():
     with pytest.raises(InfeasibleMinorizationError):
-        cf.fit_minorization(np.eye(2), [0, 1], 1)
-
-
-def test_fit_rejects_empty_set(h3):
-    with pytest.raises(PreconditionError):
-        cf.fit_minorization(h3, [], 1)
-
-
-def test_fit_rejects_zero_block_length(h3):
-    with pytest.raises(PreconditionError):
-        cf.fit_minorization(h3, [0], 0)
+        cf.HarrisModel(np.eye(2), [0, 1], ell=1)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +300,7 @@ def test_float_singular_systems_are_refused():
 
 
 def test_one_step_bridge_is_empty():
-    law = cf.bridge_distribution(variant_a(), 0, 1)
+    law = cf.BridgeLaw(variant_a(), 0, 1)
     assert law.length == 0
     paths = list(law.enumerate_paths())
     assert paths == [((), 1.0)]
@@ -323,13 +310,13 @@ def test_one_step_bridge_is_empty():
 
 def test_two_step_bridge_forced_interior():
     # only state 1 connects 0 to 2 in two steps
-    law = cf.bridge_distribution(variant_c(), 0, 2)
+    law = cf.BridgeLaw(variant_c(), 0, 2)
     assert np.abs(law.step_distribution(1, 0) - [0.0, 1.0, 0.0]).max() <= 1e-15
     assert list(law.sample(np.random.default_rng(3))) == [1]
 
 
 def test_two_step_bridge_mixed_interior():
-    law = cf.bridge_distribution(variant_c(), 0, 0)
+    law = cf.BridgeLaw(variant_c(), 0, 0)
     dist = law.step_distribution(1, 0)
     assert np.abs(dist - [5 / 7, 2 / 7, 0.0]).max() <= 1e-12
     assert law.path_probability([0]) == pytest.approx(5 / 7, abs=1e-12)
@@ -338,7 +325,7 @@ def test_two_step_bridge_mixed_interior():
 
 def test_bridge_requires_positive_endpoint_mass():
     with pytest.raises(PreconditionError):
-        cf.bridge_distribution(variant_a(), 0, 2)  # K(0, 2) = 0
+        cf.BridgeLaw(variant_a(), 0, 2)  # K(0, 2) = 0
 
 
 def test_bridge_paths_sum_to_one_everywhere(h3):
@@ -346,7 +333,7 @@ def test_bridge_paths_sum_to_one_everywhere(h3):
     for x in range(3):
         for y in range(3):
             if model.k_ell[x, y] > 0:
-                law = cf.bridge_distribution(model, x, y)
+                law = cf.BridgeLaw(model, x, y)
                 assert law.total_mass() == pytest.approx(1.0, abs=1e-12)
                 probs = {p: pr for p, pr in law.enumerate_paths()}
                 for path, prob in probs.items():
@@ -354,7 +341,7 @@ def test_bridge_paths_sum_to_one_everywhere(h3):
 
 
 def test_bridge_sampler_follows_the_law():
-    law = cf.bridge_distribution(variant_c(), 0, 0)
+    law = cf.BridgeLaw(variant_c(), 0, 0)
     gen = np.random.default_rng(11)
     draws = np.array([law.sample(gen)[0] for _ in range(2000)])
     counts = np.bincount(draws, minlength=3)
@@ -473,23 +460,24 @@ def _same_cycles(a, b):
     assert a.steps == b.steps
 
 
-def test_recording_does_not_change_the_cycles():
+def test_recording_does_not_change_the_cycles(monkeypatch):
     # Recording observes the lanes: the recorded run has the unrecorded
     # run's cycles byte for byte, and its path and coins show them, each
-    # cycle's slice reproducing its counts and ending in a heads block
+    # cycle's slice reproducing its counts and ending in a heads block, in
+    # chunks of the default size, of one cycle and of seven
     rng = np.random.default_rng(1402)
     chain = cf.StochasticMatrix(rng.dirichlet(np.full(12, 0.3), size=12))
     markov = cf.HarrisModel(chain.matrix, [0], ell=1, epsilon=1.0,
                             lam=chain.matrix[0])
     h40 = cf.HarrisModel(rng.dirichlet(np.ones(40), size=40), [0, 1, 2],
                          ell=2)
+    lane_chunk = cf._stats.lane_chunk
     for model in (variant_a(), variant_c(),
                   cf.HarrisModel(H3, [0, 1], ell=3), h40, markov):
-        for size in (None, 1, 7):
-            plain = cf.simulate_split_chain(model, 60, seed=3,
-                                            chunk_size=size)
+        for chunk in (lane_chunk, lambda n_states: 1, lambda n_states: 7):
+            monkeypatch.setattr(cf._stats, "lane_chunk", chunk)
+            plain = cf.simulate_split_chain(model, 60, seed=3)
             taped = cf.simulate_split_chain(model, 60, seed=3,
-                                            chunk_size=size,
                                             record_trajectory=True)
             assert plain.trajectory is None and plain.marks is None
             _same_cycles(plain, taped)
@@ -540,29 +528,6 @@ def test_step_budget_is_enforced():
 def test_split_chain_needs_a_cycle():
     with pytest.raises(PreconditionError):
         cf.simulate_split_chain(variant_a(), 0, seed=0)
-
-
-def test_chunk_size_is_none_or_a_positive_integer():
-    # both simulators, recorded runs included; 0 is not the default, and
-    # a recorded run has the unrecorded run's cycles at every size
-    model = variant_a()
-    chain = cf.StochasticMatrix(H3)
-    runs = (
-        lambda size: cf.simulate_split_chain(model, 10, 0, chunk_size=size),
-        lambda size: cf.simulate_split_chain(model, 10, 0, chunk_size=size,
-                                             record_trajectory=True),
-        lambda size: cf.simulate_cycle_estimator(chain, 0, 10, 0,
-                                                 chunk_size=size),
-    )
-    for run in runs:
-        for bad in (0, -3, 2.5, "8", 4.0):
-            with pytest.raises(PreconditionError) as exc:
-                run(bad)
-            assert exc.value.field == "chunk_size"
-        for good in (None, 1, 3, np.int64(7)):
-            run(good)
-    for size in (None, 1, 3, np.int64(7)):
-        _same_cycles(runs[0](size), runs[1](size))
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +790,7 @@ def test_add_holds_a_fixed_buffer_beyond_its_input():
 # visit-count storage
 
 
-def test_counts_are_int32_below_a_budget_of_2_31():
+def test_counts_are_int32_below_a_budget_of_2_31(monkeypatch):
     model = variant_c()
     run = cf.simulate_split_chain(model, 50, seed=4)
     assert run.occupations.dtype == np.int32
@@ -837,8 +802,9 @@ def test_counts_are_int32_below_a_budget_of_2_31():
     table, res_rows = model.lane_table()
     args = (model.kernel.matrix, table, model.n, res_rows,
             model.kernel_powers, model.regen_mask, model.epsilon, model.ell)
+    monkeypatch.setattr(cf._stats, "lane_chunk", lambda n_states: 4)
     for budget, dtype in ((2 ** 31 - 1, np.int32), (2 ** 31, np.int64)):
-        chunks = list(cf._stats.split_chain_chunks(5, 10, 4, budget, args))
+        chunks = list(cf._stats.split_chain_chunks(5, 10, budget, args))
         assert [c[0].dtype for c in chunks] == [dtype] * 3
 
 
@@ -938,6 +904,37 @@ def test_split_cycle_measure_total_is_the_mean_cycle_length():
     assert lengths["flip ell 2"] == 2.0
     assert lengths["4-cycle ell 2"] == 4.0
     assert lengths["4-cycle ell 4"] == 4.0
+
+
+def test_split_cycle_measure_of_one_state_is_the_cycle_occupation(
+        monkeypatch):
+    # two codes for one measure: a chain's cycle counts of base b, and
+    # Nummelin's formula for the split chain with R = {b}, ell = 1,
+    # epsilon = 1 and lam = P[b].  The chain solves bases of a class of
+    # 300 states by LU and of 600 states by GMRES, whose gaps reach a few
+    # 1e-14 (up to 2.4e-14 here)
+    lu = cf.markov._cycle_occupation
+    by_lu = []
+    monkeypatch.setattr(
+        cf.markov, "_cycle_occupation",
+        lambda chain, members, system, base, buf: by_lu.append(base)
+        or lu(chain, members, system, base, buf))
+    for alpha in (0.2, 1.0):
+        for n in (300, 600):
+            rng = np.random.default_rng([n, int(10 * alpha)])
+            chain = cf.StochasticMatrix(rng.dirichlet(np.full(n, alpha),
+                                                      size=n))
+            bases = rng.choice(n, size=4, replace=False).tolist()
+            del by_lu[:]
+            for b in bases:
+                occ = cf.cycle_occupation(chain, b)
+                mu = cf.split_cycle_measure(cf.HarrisModel(
+                    chain, [b], ell=1, epsilon=1.0, lam=chain.matrix[b]))
+                gap = np.abs(mu - occ.counts).max() / occ.counts.max()
+                assert gap <= 1e-12, (alpha, n, b)
+                assert abs(mu.sum() - occ.mean_return) <= \
+                    1e-12 * occ.mean_return, (alpha, n, b)
+            assert by_lu == (bases if n <= cf.markov._KRYLOV_MIN else [])
 
 
 def test_split_cycle_measure_agrees_with_the_simulated_cycles():
@@ -1078,6 +1075,40 @@ def test_block_gof_needs_a_trajectory():
         cf.block_marginal_gof(run, variant_a())
 
 
+def _run_against_a_kernel_without_the_arrow_2_to_0():
+    # a recorded run of H3 with R = {0} and ell = 1, and the model of H3
+    # with K(2, 0) = 0; every step starts a block
+    run = cf.simulate_split_chain(variant_a(), 200, seed=5,
+                                  record_trajectory=True)
+    k = np.array(H3)
+    k[2, 0] = 0.0
+    k[2] /= k[2].sum()
+    starts = np.bincount(run.trajectory, minlength=3)
+    return run, cf.HarrisModel(k, [0], ell=1), starts
+
+
+def test_block_gof_fails_a_transition_outside_the_kernel_power():
+    run, other, starts = _run_against_a_kernel_without_the_arrow_2_to_0()
+    assert starts[2] >= 25  # row 2 is tested at the default count
+    assert cf.block_marginal_gof(run, other) == (math.inf, 0, 0.0)
+    # the run passes against its own kernel
+    assert cf.block_marginal_gof(run, variant_a())[2] >= 0.01
+
+
+def test_block_gof_skips_rows_under_the_minimum_count():
+    run, other, starts = _run_against_a_kernel_without_the_arrow_2_to_0()
+    # rows 0 and 2 fall under the count, the foreign arrow with row 2;
+    # row 1 alone is tested, its three bins giving two degrees of freedom
+    assert starts[0] <= starts[2] < starts[1]
+    stat, dof, pvalue = cf.block_marginal_gof(run, other,
+                                              min_row_count=starts[2] + 1)
+    assert math.isfinite(stat) and dof == 2 and pvalue > 0.0
+    # every row skipped: nothing is tested
+    assert cf.block_marginal_gof(run, other,
+                                 min_row_count=starts.max() + 1) == \
+        (0.0, 0, 1.0)
+
+
 def test_bin_merging_respects_totals():
     obs = np.array([1.0, 2.0, 100.0, 50.0])
     exp = np.array([0.5, 1.5, 99.0, 52.0])
@@ -1085,6 +1116,45 @@ def test_bin_merging_respects_totals():
     assert merged_obs.sum() == obs.sum()
     assert merged_exp.sum() == exp.sum()
     assert merged_exp.min() >= 5.0 or len(merged_exp) == 1
+
+
+def _merge_small_bins_referee(observed, expected, min_expected=5.0):
+    # pools the two smallest bins while the smallest is under the floor,
+    # sorting the whole pool again after each merge by expected value; a
+    # stable sort puts a merged bin before the bins it ties with
+    def by_expected(bins):
+        return sorted(bins, key=lambda b: b[0])
+
+    bins = by_expected(zip(expected.tolist(), observed.tolist()))
+    while len(bins) > 1 and bins[0][0] < min_expected:
+        (e0, o0), (e1, o1) = bins[:2]
+        bins = by_expected([(e0 + e1, o0 + o1)] + bins[2:])
+    exp, obs = zip(*bins)
+    return np.array(obs), np.array(exp)
+
+
+def test_bin_merging_keeps_the_pool_sorted():
+    # 1 + 2 = 3 passes 2.5, so the merged bin must move before the next
+    # merge: 2.5 and 3 pool next, not 3 and 10
+    obs = np.array([7.0, 3.0, 11.0, 4.0])
+    exp = np.array([10.0, 2.0, 2.5, 1.0])
+    merged_obs, merged_exp = cf.harris._merge_small_bins(obs, exp)
+    assert merged_exp.tolist() == [5.5, 10.0]
+    assert merged_obs.tolist() == [18.0, 7.0]
+    ref_obs, ref_exp = _merge_small_bins_referee(obs, exp)
+    assert merged_obs.tolist() == ref_obs.tolist()
+    assert merged_exp.tolist() == ref_exp.tolist()
+    # the same on random pools of distinct expected values
+    rng = np.random.default_rng(712)
+    for _ in range(200):
+        size = int(rng.integers(1, 12))
+        exp = rng.permutation(rng.choice(np.arange(1, 400) / 20.0,
+                                         size=size, replace=False))
+        obs = rng.permutation(size).astype(np.float64)
+        got = cf.harris._merge_small_bins(obs, exp)
+        ref = _merge_small_bins_referee(obs, exp)
+        assert got[0].tolist() == ref[0].tolist()
+        assert got[1].tolist() == ref[1].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -597,12 +597,12 @@ def _harris_cases(seed):
         regen = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)),
                            replace=False).tolist()
         try:
-            fit = cf.fit_minorization(k, regen, ell)
+            fitted = cf.HarrisModel(k, regen, ell=ell)
         except cf.errors.InfeasibleMinorizationError:
             continue
-        epsilon = fit.epsilon * (0.7 if len(cases) % 2 else 1.0)
+        epsilon = fitted.epsilon * (0.7 if len(cases) % 2 else 1.0)
         model = cf.HarrisModel(k, regen, ell=ell, epsilon=epsilon,
-                               lam=fit.lam)
+                               lam=fitted.lam)
         # keep models whose cycles close quickly
         conditions = cf.harris_conditions(model)
         if conditions.recurrent and epsilon > 0.05 and \

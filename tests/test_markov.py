@@ -1,5 +1,4 @@
 import contextlib
-import heapq
 import os
 import zlib
 
@@ -72,7 +71,6 @@ def test_irreducible_chain_is_one_recurrent_class(mc2):
     assert len(s.classes) == 1
     assert list(s.labels) == [0, 0]
     assert s.recurrent_classes == [0]
-    assert list(s.order) == [0]
 
 
 def test_absorbing_chain_splits_transient_and_recurrent():
@@ -80,7 +78,6 @@ def test_absorbing_chain_splits_transient_and_recurrent():
     s = cf.class_structure(chain)
     assert list(s.labels) == [0, 1]
     assert list(s.recurrent) == [False, True]
-    assert list(s.order) == [0, 1]
 
 
 def test_block_chain_has_two_recurrent_classes():
@@ -90,33 +87,13 @@ def test_block_chain_has_two_recurrent_classes():
 
 
 def test_class_ids_follow_smallest_member():
-    # condensation: {0} feeds both absorbing states
+    # {0} feeds both absorbing states
     chain = cf.StochasticMatrix([[0.0, 0.5, 0.5],
                                  [0.0, 1.0, 0.0],
                                  [0.0, 0.0, 1.0]])
     s = cf.class_structure(chain)
     assert [list(c) for c in s.classes] == [[0], [1], [2]]
-    assert list(s.order) == [0, 1, 2]
     assert list(s.recurrent) == [False, True, True]
-
-
-def test_topological_order_respects_arrows():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = int(rng.integers(2, 12))
-        p = rng.dirichlet(np.ones(n), size=n)
-        # zero out a random lower block to force structure
-        k = int(rng.integers(1, n)) if n > 1 else 0
-        p[k:, :k] = 0.0
-        p = p / p.sum(axis=1, keepdims=True)
-        chain = cf.StochasticMatrix(p)
-        s = cf.class_structure(chain)
-        position = {c: i for i, c in enumerate(s.order)}
-        for i in range(n):
-            for j in np.flatnonzero(chain.matrix[i] > 0):
-                ci, cj = s.labels[i], s.labels[j]
-                if ci != cj:
-                    assert position[ci] < position[cj]
 
 
 def _class_structure_loop(chain):
@@ -134,30 +111,11 @@ def _class_structure_loop(chain):
     labels = renum[raw]
     classes = [np.flatnonzero(labels == c) for c in range(n_comp)]
     recurrent = np.zeros(n_comp, dtype=bool)
-    succ = [set() for _ in range(n_comp)]
     for c, members in enumerate(classes):
-        rows = p[members]
         mask = np.zeros(n, dtype=bool)
         mask[members] = True
-        recurrent[c] = not np.any(rows[:, ~mask] > 0)
-        for j in np.flatnonzero(rows.max(axis=0) > 0):
-            if labels[j] != c:
-                succ[c].add(int(labels[j]))
-    indeg = np.zeros(n_comp, dtype=np.int64)
-    for c in range(n_comp):
-        for d in succ[c]:
-            indeg[d] += 1
-    frontier = [c for c in range(n_comp) if indeg[c] == 0]
-    heapq.heapify(frontier)
-    order = []
-    while frontier:
-        c = heapq.heappop(frontier)
-        order.append(c)
-        for d in sorted(succ[c]):
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                heapq.heappush(frontier, d)
-    return labels, classes, recurrent, order
+        recurrent[c] = not np.any(p[members][:, ~mask] > 0)
+    return labels, classes, recurrent
 
 
 def _random_reducible(rng, n):
@@ -188,14 +146,13 @@ def _random_reducible(rng, n):
 
 def _assert_matches_loop(chain):
     s = cf.class_structure(chain)
-    labels, classes, recurrent, order = _class_structure_loop(chain)
+    labels, classes, recurrent = _class_structure_loop(chain)
     assert s.labels.dtype == labels.dtype
     assert np.array_equal(s.labels, labels)
     assert len(s.classes) == len(classes)
     for got, want in zip(s.classes, classes):
         assert np.array_equal(got, want)
     assert np.array_equal(s.recurrent, recurrent)
-    assert s.order.tolist() == order
 
 
 def test_class_structure_matches_loop_on_random_reducible_chains():
@@ -259,8 +216,7 @@ def test_strong_components_on_long_graphs_need_no_recursion():
                                               connection="strong")
         assert count == ref_count == n_classes, name
         assert _same_partition(raw, ref), name
-        # the full structure too: labels, classes, flags and the whole
-        # topological order of the condensation
+        # the full structure too: labels, classes and closure flags
         chain = _support_chain(n, src, dst)
         _assert_matches_loop(chain)
         assert len(cf.class_structure(chain).recurrent_classes) == 1
@@ -934,29 +890,31 @@ def test_estimator_reproducible(mc2):
     assert not np.array_equal(a.pi_hat, c.pi_hat)
 
 
-def test_estimator_chunking_does_not_change_totals(mc2):
+def test_estimator_chunking_does_not_change_totals(mc2, monkeypatch):
     # more cycles than one chunk holds; plan is fixed by cycle index
-    a = cf.simulate_cycle_estimator(mc2, 0, 5000, seed=11, chunk_size=4096)
-    b = cf.simulate_cycle_estimator(mc2, 0, 5000, seed=11, chunk_size=4096)
+    monkeypatch.setattr(cf._stats, "lane_chunk", lambda n_states: 4096)
+    a = cf.simulate_cycle_estimator(mc2, 0, 5000, seed=11)
+    b = cf.simulate_cycle_estimator(mc2, 0, 5000, seed=11)
     assert np.array_equal(a.pi_hat, b.pi_hat)
     assert np.array_equal(a.standard_errors, b.standard_errors)
 
 
-def test_estimator_is_the_split_chain_of_one_state(mc2, flip2):
+def test_estimator_is_the_split_chain_of_one_state(mc2, flip2, monkeypatch):
     # the estimator runs the split chain with R = {base}, ell = 1,
     # epsilon = 1 and lam = P[base]; built as a HarrisModel, that split
-    # chain gives the same estimate and step count from the same seed
+    # chain gives the same estimate and step count from the same seed,
+    # in chunks of 64 cycles
+    monkeypatch.setattr(cf._stats, "lane_chunk", lambda n_states: 64)
     rng = np.random.default_rng(81)
     chains = [mc2, flip2] + [random_dense_chain(int(rng.integers(1, 12)), rng)
                              for _ in range(20)]
     for case, chain in enumerate(chains):
         base = int(rng.integers(0, chain.n))
         cycles = int(rng.integers(1, 300))
-        est = cf.simulate_cycle_estimator(chain, base, cycles, seed=case,
-                                          chunk_size=64)
+        est = cf.simulate_cycle_estimator(chain, base, cycles, seed=case)
         model = cf.HarrisModel(chain, [base], ell=1, epsilon=1.0,
                                lam=chain.matrix[base])
-        run = cf.simulate_split_chain(model, cycles, case, chunk_size=64)
+        run = cf.simulate_split_chain(model, cycles, case)
         report = cf.regen_ratio_estimator(run.occupations, run.lengths)
         assert est.pi_hat.tobytes() == report.pi_hat.tobytes()
         assert np.float64(est.mean_return).tobytes() == \
@@ -966,10 +924,9 @@ def test_estimator_is_the_split_chain_of_one_state(mc2, flip2):
         errors = []
         for route in (
                 lambda b: cf.simulate_cycle_estimator(
-                    chain, base, cycles, seed=case, chunk_size=64,
-                    step_budget=b),
+                    chain, base, cycles, seed=case, step_budget=b),
                 lambda b: cf.simulate_split_chain(
-                    model, cycles, case, step_budget=b, chunk_size=64)):
+                    model, cycles, case, step_budget=b)):
             with pytest.raises(BudgetExceededError) as exc:
                 route(est.steps - 1)
             errors.append(str(exc.value))
