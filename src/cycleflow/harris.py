@@ -249,12 +249,13 @@ class HarrisConditions:
 
 
 def _forward_closure(matrix, start_mask):
+    # each pass reads only the rows reached on the pass before
     reach = start_mask.copy()
-    while True:
-        grown = reach | (matrix[reach].max(axis=0) > 0)
-        if np.array_equal(grown, reach):
-            return reach
-        reach = grown
+    new = reach
+    while new.any():
+        new = (matrix[new].max(axis=0) > 0) & ~reach
+        reach |= new
+    return reach
 
 
 @_one_blas_thread()

@@ -45,15 +45,13 @@ SOLVE_POOL_BYTES = 512 * 2 ** 20
 # classes above this many states solve their cycle systems by GMRES, a
 # class's bases in blocks of _KRYLOV_WIDTH rows.  A step costs each row
 # one vector-matrix product, so a base of a Dirichlet(0.2) class (16-20
-# steps), asked for alone and with its class's trial, costs about what
-# its LU solve does at 520 states and 0.4 of it at 1000 (one thread: 9.1
-# against 9.7 ms, 16 against 40 ms).  A row stops after _KRYLOV_STEPS
-# steps at most, and from step _KRYLOV_TRIAL on gives up as soon as its
-# residual estimate, falling at the best one-step rate of its last
-# _KRYLOV_WINDOW steps, would still miss eps by then.  A class's first
-# member runs those trial steps before any base of the class does: a
-# class that mixes slowly pays for them once, about 6 ms at 1000 states,
-# and then solves every base by LU
+# steps), asked for alone, costs about what its LU solve does at 520
+# states and 0.4 of it at 1000 (one thread: 9.1 against 9.7 ms, 16
+# against 40 ms).  A row stops after _KRYLOV_STEPS steps at most.  Step
+# _KRYLOV_TRIAL is the first at which it may give up: from there on it
+# does so as soon as its residual estimate, falling at the best one-step
+# rate of its last _KRYLOV_WINDOW steps, would still miss eps by then,
+# and its base is solved by LU
 _KRYLOV_MIN = 512
 _KRYLOV_WIDTH = 16
 _KRYLOV_STEPS = 64
@@ -288,14 +286,10 @@ def _fill_occupations(chain, structure, bases):
     reduction within its row.  A row's bits therefore depend only on its
     base, so a base solved alone gets the bits it gets in any block; the
     tests hold it to that.  A base whose GMRES run gives up, or misses
-    the backward-error bound ``_KRYLOV_BOUND``, is solved by LU.
-
-    So that a class whose chain mixes slowly pays for one short trial,
-    not a failed run per base, the class's first member runs the first
-    ``_KRYLOV_TRIAL`` GMRES steps before any base of the class is tried,
-    once per matrix.  If it gives up in them, every base of the class is
-    solved by LU.  Whether a base takes LU thus depends on its class and
-    itself, not on what else is asked for.
+    the backward-error bound ``_KRYLOV_BOUND``, is solved by LU, so
+    whether a base takes LU depends on its own row alone, not on what
+    else is asked for.  A class that mixes slowly pays its give-up steps
+    once per block.
 
     The solves run side by side, one per core, with BLAS pinned to one
     thread: a base's counts have the same bits however many run at once,
@@ -319,34 +313,18 @@ def _fill_occupations(chain, structure, bases):
             # the Krylov bases of the widest block of the largest class
             size = (_KRYLOV_STEPS + 1) * _KRYLOV_WIDTH * max(
                 a.shape[0] for a in blocks.values())
-            jobs = _pool_width(width, len(missing), 8 * size)
+            tasks = [(c, by_class[c][s:s + _KRYLOV_WIDTH]) for c in large
+                     for s in range(0, len(by_class[c]), _KRYLOV_WIDTH)]
+            jobs = _pool_width(width, len(tasks), 8 * size)
             buffers = [np.empty(size) for _ in range(jobs)]
 
-            def krylov(tasks, trial=False):
-                # each task a (class, bases) pair; the results in order
-                def solve(j, task):
-                    c, share = task
-                    return _krylov_occupations(
-                        chain, structure.classes[c], blocks[c], share,
-                        buffers[j], trial)
+            def solve(j, task):
+                c, share = task
+                return _krylov_occupations(chain, structure.classes[c],
+                                           blocks[c], share, buffers[j])
 
-                return _share_out(max(1, min(jobs, len(tasks))), tasks, solve)
-
-            # a class's first member tries GMRES, once per matrix, before
-            # any base of the class does
-            verdicts = _per_matrix(chain, "_krylov_verdicts", lambda p: {})
-            trials = [(c, [int(structure.classes[c][0])]) for c in large
-                      if c not in verdicts]
-            verdicts.update(zip((c for c, _ in trials), krylov(trials, True)))
-            tasks = []
-            for c in large:
-                share = by_class[c]
-                if not verdicts[c]:
-                    lu.extend(share)
-                    continue
-                tasks.extend((c, share[s:s + _KRYLOV_WIDTH])
-                             for s in range(0, len(share), _KRYLOV_WIDTH))
-            for (c, share), occupations in zip(tasks, krylov(tasks)):
+            for (c, share), occupations in zip(
+                    tasks, _share_out(jobs, tasks, solve)):
                 for b, occ in zip(share, occupations):
                     if occ is None:
                         lu.append(b)
@@ -401,7 +379,7 @@ def _class_block(p, members):
     return a
 
 
-def _krylov_occupations(chain, members, pc, block, buf, trial=False):
+def _krylov_occupations(chain, members, pc, block, buf):
     """Cycle occupations of the bases in ``block`` (at most
     ``_KRYLOV_WIDTH``, all of the class ``members``) by GMRES, with
     ``pc`` the class block P_c and ``buf`` room for the bases'
@@ -425,9 +403,7 @@ def _krylov_occupations(chain, members, pc, block, buf, trial=False):
     1967) is at most ``_KRYLOV_BOUND``, with A = (I - Q_b)^T: ||A||_inf,
     the norm consistent with the residual of the row system, is the
     largest column sum of |I - Q_b|.  Returns one ``CycleOccupation``,
-    or None (given up, or bound missed), per base of ``block``; with
-    ``trial``, runs ``_KRYLOV_TRIAL`` steps at most and returns whether
-    no row has given up.
+    or None (given up, or bound missed), per base of ``block``.
     """
     k = members.size
     w = len(block)
@@ -483,10 +459,8 @@ def _krylov_occupations(chain, members, pc, block, buf, trial=False):
                 stall = live & ~stop & ~(left * rate ** (steps - m - 1) <= tol)
                 done[stall] = m + 1
                 given_up |= stall
-            if done.all() or trial and m + 1 == _KRYLOV_TRIAL:
+            if done.all():
                 break
-        if trial:
-            return not given_up.any()
         y = np.empty((w, k))
         for j in range(w):
             z = np.linalg.solve(hess[:done[j], :done[j], j], g[:done[j], j])

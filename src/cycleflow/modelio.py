@@ -97,6 +97,14 @@ def _index_list(value, field):
     return value
 
 
+def _labels(doc, field, n):
+    labels = doc.get(field)
+    if labels is not None and not (isinstance(labels, list)
+                                   and len(labels) == n):
+        raise InvariantError("expected a list of %d labels" % n, field=field)
+    return labels
+
+
 def _matrix(value, field):
     if not isinstance(value, list) or not value:
         raise InvariantError("expected a nonempty matrix", field=field)
@@ -134,14 +142,14 @@ def _build_finite_system(doc):
         system = FiniteSystem.from_rational(
             mapping, num, den,
             invertible=bool(_require(doc, "invertible", bool, "finite_system")),
-            points=doc.get("points"),
+            points=_labels(doc, "points", len(mapping)),
         )
     else:
         system = FiniteSystem(
             mapping,
             np.asarray(_number_list(raw_weights, "weights"), dtype=np.float64),
             invertible=bool(_require(doc, "invertible", bool, "finite_system")),
-            points=doc.get("points"),
+            points=_labels(doc, "points", len(mapping)),
         )
     return system
 
@@ -149,25 +157,20 @@ def _build_finite_system(doc):
 def _build_markov_chain(doc):
     p = _matrix(_require(doc, "P", list, "markov_chain"), "P")
     p = _renormalized_rows(p, "P")
-    states = doc.get("states")
-    if states is not None and len(states) != p.shape[0]:
-        raise InvariantError("states length does not match P", field="states")
-    return StochasticMatrix(p, states=states)
+    return StochasticMatrix(p, states=_labels(doc, "states", p.shape[0]))
 
 
 def _build_harris(doc):
     k = _matrix(_require(doc, "K", list, "harris_discrete"), "K")
     k = _renormalized_rows(k, "K")
-    states = doc.get("states")
-    if states is not None and len(states) != k.shape[0]:
-        raise InvariantError("states length does not match K", field="states")
+    states = _labels(doc, "states", k.shape[0])
     regen = _index_list(_require(doc, "R", list, "harris_discrete"), "R")
     ell = _require(doc, "ell", int, "harris_discrete")
     if isinstance(ell, bool) or ell < 1:
         raise InvariantError("ell must be a positive integer", field="ell")
     _check_int64(ell, "ell")
     epsilon = doc.get("epsilon")
-    if epsilon is not None and not isinstance(epsilon, (int, float)):
+    if epsilon is not None and not _only_types([epsilon], (int, float)):
         raise InvariantError("epsilon must be a number", field="epsilon")
     lam = doc.get("lambda")
     if lam is not None:

@@ -502,6 +502,28 @@ def test_int64_overflow_exit(tmp_path, capsys, clean_env):
         assert "%s[" % field in capsys.readouterr().err
 
 
+def test_malformed_labels_and_boolean_epsilon_exit(tmp_path, capsys,
+                                                   clean_env):
+    # a label field that is not a list, and a boolean epsilon, are
+    # malformed input: exit 6 naming the field, not an unclassified error
+    exact = {"num": [1, 1, 1, 1], "den": [4, 4, 4, 4]}
+    docs = (
+        ("states", dict(MARKOV, states=5)),
+        ("states", dict(HARRIS, states=5)),
+        ("points", dict(FINITE, points=7)),
+        ("points", dict(FINITE, points=7, weights=exact)),
+        ("points", dict(FINITE, points=[0, 1])),
+        ("epsilon", dict(HARRIS, epsilon=True)),
+    )
+    for i, (field, doc) in enumerate(docs):
+        path = tmp_path / ("%d.json" % i)
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("cycleflow: error: %s: " % field)
+        assert "Error" not in err and "Traceback" not in err
+
+
 def test_huge_ell_is_refused_up_front(tmp_path, capsys, clean_env):
     path = tmp_path / "ell.json"
     path.write_text(json.dumps(dict(HARRIS, ell=4611686018427387904)))

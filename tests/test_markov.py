@@ -517,65 +517,76 @@ def _lazy_ring(n):
     return p
 
 
+def _recorded(monkeypatch, name, log):
+    # cf.markov.<name>, each call's base (or block of bases) appended to log
+    inner = getattr(cf.markov, name)
+
+    def recorded(chain, members, matrix, bases, buf):
+        log.append(bases if isinstance(bases, list) else int(bases))
+        return inner(chain, members, matrix, bases, buf)
+
+    monkeypatch.setattr(cf.markov, name, recorded)
+
+
+def _lu_occupation(p, base):
+    # base's LU counts, with _cycle_occupation's bits, in a class of all
+    # of p's states
+    n = p.shape[0]
+    members = np.arange(n)
+    system = cf.markov._cycle_system(p, members)
+    with cf.markov._one_blas_thread():
+        return cf.markov._cycle_occupation(
+            cf.StochasticMatrix(p.copy()), members, system, base,
+            np.empty((n - 1) ** 2))
+
+
 def test_gmres_misses_fall_back_to_lu(monkeypatch):
     # the lazy walk on a 600-state ring: the spectrum of I - Q_b reaches
     # down to about 1/n**2, so GMRES cannot reach its bound in 64 steps.
-    # The class's first member finds that out in its trial, within
-    # _KRYLOV_TRIAL steps of five products each, and no base tries GMRES:
-    # every base is solved by LU, with the bits _cycle_occupation gives it
+    # The requested bases run as the rows of one block, which gives up
+    # from step _KRYLOV_TRIAL on, each with one product a step, and every
+    # base is then solved by LU, with the bits _cycle_occupation gives it
     n = 600
     p = _lazy_ring(n)
     chain = cf.StochasticMatrix(p)
     structure = cf.class_structure(chain)
-    members = structure.classes[0]
     bases = [1, 150, 299, 598, 599]
     solved, tried = [], []
-    lu = cf.markov._cycle_occupation
-    krylov = cf.markov._krylov_occupations
+    _recorded(monkeypatch, "_cycle_occupation", solved)
+    _recorded(monkeypatch, "_krylov_occupations", tried)
     class_block = cf.markov._class_block
-    monkeypatch.setattr(
-        cf.markov, "_cycle_occupation",
-        lambda chain, members, system, base, buf: solved.append(base)
-        or lu(chain, members, system, base, buf))
-    monkeypatch.setattr(
-        cf.markov, "_krylov_occupations",
-        lambda chain, members, pc, block, buf, trial=False:
-        tried.append((list(block), trial))
-        or krylov(chain, members, pc, block, buf, trial))
     monkeypatch.setattr(cf.markov, "_class_block",
                         lambda p, members: class_block(p, members).view(
                             _CountedProducts))
     _CountedProducts.products = 0
     occupations = cf.markov._fill_occupations(chain, structure, bases)
-    assert tried == [([0], True)]
+    assert tried == [bases]
     assert _CountedProducts.products <= 5 * cf.markov._KRYLOV_TRIAL
     assert sorted(solved) == bases
-    system = cf.markov._cycle_system(p, members)
-    buf = np.empty((n - 1) ** 2)
+    # no verdict is kept with the chain: the next request runs its own
+    # rows, and goes to LU on what they find
+    cf.markov._fill_occupations(chain, structure, [0, 7])
+    assert tried == [bases, [0, 7]]
+    assert sorted(solved) == [0, 1, 7, 150, 299, 598, 599]
+    monkeypatch.undo()
     for occ in occupations:
-        with cf.markov._one_blas_thread():
-            alone = lu(chain, members, system, occ.base, buf)
+        alone = _lu_occupation(p, occ.base)
         assert occ.counts.tobytes() == alone.counts.tobytes()
         assert occ.mean_return == pytest.approx(n, rel=1e-9)
-    # the verdict is kept with the chain: the next request tries nothing,
-    # and the first member, asked for, goes to LU as well
-    cf.markov._fill_occupations(chain, structure, [0, 7])
-    assert tried == [([0], True)]
-    assert sorted(solved) == [0, 1, 7, 150, 299, 598, 599]
 
 
 def test_gmres_rows_that_miss_the_bound_go_to_lu(monkeypatch):
-    # with the backward-error bound at 0 the class trial, which reads no
-    # bound, passes; every row then misses the bound, and each base is
-    # solved by LU after its GMRES run, with _cycle_occupation's bits
+    # with the backward-error bound at 0 every row misses it, and each
+    # base is solved by LU after its GMRES run, with _cycle_occupation's
+    # bits
     p = _dirichlet_rows(600, 601)
     monkeypatch.setattr(cf.markov, "_KRYLOV_BOUND", 0.0)
     runs = []
     krylov = cf.markov._krylov_occupations
 
-    def recorded(chain, members, pc, block, buf, trial=False):
-        out = krylov(chain, members, pc, block, buf, trial)
-        runs.append((list(block), trial, out))
+    def recorded(chain, members, pc, block, buf):
+        out = krylov(chain, members, pc, block, buf)
+        runs.append((list(block), out))
         return out
 
     monkeypatch.setattr(cf.markov, "_krylov_occupations", recorded)
@@ -583,43 +594,39 @@ def test_gmres_rows_that_miss_the_bound_go_to_lu(monkeypatch):
     bases = [0, 5, 17, 300, 599]
     occupations = cf.markov._fill_occupations(
         chain, cf.class_structure(chain), bases)
-    assert runs[0] == ([0], True, True)
-    assert [r[:2] for r in runs[1:]] == [(bases, False)]
-    assert runs[1][2] == [None] * len(bases)
-    members = np.arange(600)
-    system = cf.markov._cycle_system(p, members)
-    buf = np.empty(599 * 599)
+    assert runs == [(bases, [None] * len(bases))]
     for b, occ in zip(bases, occupations):
-        with cf.markov._one_blas_thread():
-            lu = cf.markov._cycle_occupation(chain, members, system, b, buf)
-        assert occ.counts.tobytes() == lu.counts.tobytes()
+        assert occ.counts.tobytes() == _lu_occupation(p, b).counts.tobytes()
 
 
-def test_gmres_trial_failure_does_not_depend_on_the_request():
-    # on the 9-state path into a Dirichlet class, state 0's GMRES run
-    # stalls on the path and gives up in its trial.  State 1's own run
-    # passes, yet state 1 asked for alone gets the LU bits it gets in a
-    # batch: what its class's trial says, not its own run, picks its path
+def test_a_base_takes_lu_on_its_own_row_alone(monkeypatch):
+    # on the 9-state path into a Dirichlet class, state 0's GMRES row
+    # stalls on the path and gives up, while state 1's passes.  Each base
+    # keeps its path and its bits asked for alone and in any batch: no
+    # verdict of its class or of its block-mates picks them
     p = _dirichlet_rows(600, 600)
     p[:9] = 0.0
     p[np.arange(9), np.arange(1, 10)] = 1.0
     members = np.arange(600)
-    chain = cf.StochasticMatrix(p.copy())
     pc = cf.markov._class_block(p, members)
-    buf = np.empty(65 * 600 * 16)
-    assert not cf.markov._krylov_occupations(chain, members, pc, [0], buf,
-                                             trial=True)
-    assert cf.markov._krylov_occupations(chain, members, pc, [1], buf)[0]
-    alone = cf.cycle_occupation(chain, 1)
-    system = cf.markov._cycle_system(p, members)
-    with cf.markov._one_blas_thread():
-        lu = cf.markov._cycle_occupation(chain, members, system, 1,
-                                         np.empty(599 * 599))
-    assert alone.counts.tobytes() == lu.counts.tobytes()
-    batch = cf.StochasticMatrix(p.copy())
-    kept = cf.markov._fill_occupations(
-        batch, cf.class_structure(batch), [1, 3, 100])
-    assert kept[0].counts.tobytes() == lu.counts.tobytes()
+    head, second = cf.markov._krylov_occupations(
+        cf.StochasticMatrix(p.copy()), members, pc, [0, 1],
+        np.empty(65 * 600 * 16))
+    assert head is None and second is not None
+    expected = {0: _lu_occupation(p, 0).counts.tobytes(),
+                1: second.counts.tobytes()}
+    solved = []
+    _recorded(monkeypatch, "_cycle_occupation", solved)
+    for request in ([0], [1], [1, 0], [1, 3, 100], [0, 1, 3, 100]):
+        chain = cf.StochasticMatrix(p.copy())
+        del solved[:]
+        kept = cf.markov._fill_occupations(
+            chain, cf.class_structure(chain), request)
+        assert (0 in solved) == (0 in request)
+        assert 1 not in solved
+        for b, occ in zip(request, kept):
+            if b in expected:
+                assert occ.counts.tobytes() == expected[b]
 
 
 def test_gmres_law_meets_the_left_null_law(monkeypatch):

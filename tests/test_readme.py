@@ -1,5 +1,8 @@
+import json
 import pathlib
 import re
+
+from cycleflow.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -10,3 +13,23 @@ def test_readme_library_block_runs():
     library = text[text.index("\n## Library\n"):]
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_sample_run_prints_what_it_shows(tmp_path, capsys,
+                                                monkeypatch):
+    # the README's harris_discrete model file, run through its sample
+    # command: the lines it shows, up to "...", open the printed report
+    text = README.read_text(encoding="utf-8")
+    models = text[text.index("\n## Model files\n"):]
+    block = re.search(r"```jsonc\n(.*?)```", models, re.S).group(1)
+    doc = block[block.index('{"kind": "harris_discrete"'):]
+    doc = json.loads(re.sub(r"//[^\n]*", "", doc))
+    run = re.search(r"```\n\$ cycleflow (.*?)\n(.*?\n)\.\.\.\n", text, re.S)
+    args = run.group(1).split()
+    shown = run.group(2).splitlines()
+    (tmp_path / args[1]).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CYCLEFLOW_SEED", raising=False)
+    assert main(args) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:len(shown)] == shown
