@@ -86,7 +86,6 @@ from .harris import (
     regen_distribution_gof,
     regen_ratio_estimator,
     simulate_split_chain,
-    split_block,
     split_cycle_measure,
     uniqueness_crosscheck,
     z_scores,

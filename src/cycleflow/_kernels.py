@@ -27,7 +27,6 @@ ell - 1 interior states from the bridge law.  So a seed fixes every
 draw.  One draw rule serves all: the first running sum above u, or past
 a row's rounded total its last positive entry, on a guide table (Chen &
 Asau 1974, ``_lane_draw``) or a bridge row (``_lane_bridge``).
-``harris.split_block`` and ``BridgeLaw.sample`` draw on one lane.
 
 Status codes returned by kernels: 0 ok, 1 step budget exhausted (the
 split chain stops before an iteration would take it past its budget).

@@ -300,7 +300,8 @@ class BridgeLaw:
     """Conditional law of the interior of an ell-step block pinned at
     both ends.  Sequential: given the previous state and the remaining
     step count, the next interior state s has probability proportional
-    to K(prev, s) * K^(steps_left-1)(s, end)."""
+    to K(prev, s) * K^(steps_left-1)(s, end).  ``_kernels._lane_bridge``
+    draws this law in the simulator's lanes."""
 
     model: HarrisModel
     start: int
@@ -328,12 +329,6 @@ class BridgeLaw:
         steps_left = self.model.ell - position + 1
         w = self.model.kernel.matrix[prev] * kpow[steps_left - 1][:, self.end]
         return w / kpow[steps_left][prev, self.end]
-
-    def sample(self, gen):
-        """Draw the interior states as the simulator's bridge lanes do; an
-        empty array when ell = 1."""
-        return np.array(_bridge_path(self.model, self.start, self.end, gen),
-                        dtype=np.int64)
 
     def path_probability(self, path):
         """Exact probability of one interior path."""
@@ -367,53 +362,6 @@ class BridgeLaw:
 
     def total_mass(self):
         return float(sum(p for _, p in self.enumerate_paths()))
-
-
-def _bridge_path(model, prev, end, gen):
-    # the ell - 1 interior states of a block from prev pinned at end, each
-    # drawn on one lane of _kernels._lane_bridge
-    out = []
-    for steps_left in range(model.ell, 1, -1):
-        prev = int(_kernels._lane_bridge(
-            model.kernel.matrix, model.kernel_powers, np.array([prev]),
-            np.array([end]), np.array([steps_left]), gen.random(1))[0])
-        out.append(prev)
-    return out
-
-
-def split_block(model, x, zeta, gen):
-    """One ell-step block from state ``x``.
-
-    Inside the regeneration set the coin value ``zeta`` picks the
-    endpoint law (1: lam, making the block end a regeneration; 0: the
-    residual kernel, which requires epsilon < 1) and the interior is
-    bridged; outside the set the block is ell ordinary draws and the
-    coin is not consulted.  The simulator's branch and draws, each on one
-    lane with its own ``gen.random(1)``.
-    """
-    x = model.kernel._check_state(x, "x")
-    if model.regen_mask[x]:
-        if zeta not in (0, 1):
-            raise PreconditionError("zeta must be 0 or 1 inside the "
-                                    "regeneration set", field="zeta")
-        if zeta == 0 and model.epsilon >= 1.0:
-            raise PreconditionError(
-                "epsilon = 1 leaves no residual branch; zeta = 0 cannot "
-                "occur", field="zeta")
-    table, res_rows = model.lane_table()
-
-    def draw(row):
-        base = np.array([row * (model.n + 1)])
-        return int(_kernels._lane_draw(table, base, gen.random(1))[0])
-
-    out = [x]
-    if model.regen_mask[x]:
-        end = draw(model.n if zeta == 1 else res_rows[x])
-        out += _bridge_path(model, x, end, gen) + [end]
-    else:
-        for _ in range(model.ell):
-            out.append(draw(out[-1]))
-    return np.array(out[1:], dtype=np.int64)
 
 
 @dataclass

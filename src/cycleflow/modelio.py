@@ -192,7 +192,7 @@ def parse_model(doc, source=None):
         raise InvariantError("model document must be a JSON object",
                              field="$")
     kind = doc.get("kind")
-    if kind not in _BUILDERS:
+    if not isinstance(kind, str) or kind not in _BUILDERS:
         raise UnknownKindError(
             "unknown model kind %r (expected one of %s)"
             % (kind, ", ".join(KINDS)), field="kind")

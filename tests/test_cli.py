@@ -462,9 +462,14 @@ def test_garbage_json_exit(tmp_path, capsys, clean_env):
 
 
 def test_unknown_kind_exit(tmp_path, capsys, clean_env):
-    path = tmp_path / "odd.json"
-    path.write_text(json.dumps({"kind": "tensor_network"}))
-    assert main(["verify", str(path)]) == 5
+    # any kind but the three known strings, hashable or not
+    for i, kind in enumerate(("tensor_network", [], {}, 1)):
+        path = tmp_path / ("%d.json" % i)
+        path.write_text(json.dumps({"kind": kind}))
+        assert main(["verify", str(path)]) == 5, kind
+        err = capsys.readouterr().err
+        assert err.startswith("cycleflow: error: kind: ")
+        assert "Error" not in err and "Traceback" not in err
 
 
 def test_invariant_violation_exit(tmp_path, capsys, clean_env):

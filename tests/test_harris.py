@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cycleflow as cf
+from cycleflow import _kernels
 from cycleflow._stats import RatioAccumulator
 from cycleflow.errors import (
     BudgetExceededError,
@@ -305,14 +306,12 @@ def test_one_step_bridge_is_empty():
     paths = list(law.enumerate_paths())
     assert paths == [((), 1.0)]
     assert law.total_mass() == pytest.approx(1.0)
-    assert law.sample(np.random.default_rng(0)).shape == (0,)
 
 
 def test_two_step_bridge_forced_interior():
     # only state 1 connects 0 to 2 in two steps
     law = cf.BridgeLaw(variant_c(), 0, 2)
     assert np.abs(law.step_distribution(1, 0) - [0.0, 1.0, 0.0]).max() <= 1e-15
-    assert list(law.sample(np.random.default_rng(3))) == [1]
 
 
 def test_two_step_bridge_mixed_interior():
@@ -340,50 +339,71 @@ def test_bridge_paths_sum_to_one_everywhere(h3):
                     assert law.path_probability(path) == pytest.approx(prob)
 
 
+def _bridge_lanes(model, prev, end, steps_left, u):
+    # one _lane_bridge draw per lane, as the simulator's bridge lanes draw
+    return _kernels._lane_bridge(
+        model.kernel.matrix, model.kernel_powers, np.asarray(prev),
+        np.asarray(end), np.asarray(steps_left), u)
+
+
 def test_bridge_sampler_follows_the_law():
-    law = cf.BridgeLaw(variant_c(), 0, 0)
-    gen = np.random.default_rng(11)
-    draws = np.array([law.sample(gen)[0] for _ in range(2000)])
+    # the interior of a two-step block from 0 pinned at 0, on 2000 lanes
+    lanes = np.zeros(2000, dtype=np.intp)
+    draws = _bridge_lanes(variant_c(), lanes, lanes, lanes + 2,
+                          np.random.default_rng(11).random(2000))
     counts = np.bincount(draws, minlength=3)
     assert counts[2] == 0
     # 5/7 of 2000 is about 1429; give it four sigmas
     assert abs(counts[0] - 2000 * 5 / 7) < 4 * math.sqrt(2000 * 5 / 7 * 2 / 7)
 
 
+def test_bridge_lanes_follow_the_law_at_every_position(h3):
+    # ell = 3: every (prev, end) a block can pass through at interior
+    # positions 1 and 2, 4000 lanes each, all drawn in one call; each
+    # count vector against step_distribution at the 0.01% level of
+    # chi-square(support - 1)
+    model = cf.HarrisModel(h3, [0], ell=3)
+    cells = {}
+    for x in range(3):
+        for y in range(3):
+            if model.k_ell[x, y] > 0:
+                law = cf.BridgeLaw(model, x, y)
+                first = law.step_distribution(1, x)
+                cells[1, x, y] = first
+                for s in np.flatnonzero(first):
+                    cells[2, int(s), y] = law.step_distribution(2, s)
+    keys = sorted(cells)
+    lanes = 4000
+    prev, end, steps_left = (np.repeat(np.array(col), lanes) for col in
+                             zip(*[(p, y, model.ell + 1 - pos)
+                                    for pos, p, y in keys]))
+    draws = _bridge_lanes(model, prev, end, steps_left,
+                          np.random.default_rng(61).random(prev.size))
+    limit = {1: 15.14, 2: 18.42}  # chi-square at the 0.01% level
+    for i, key in enumerate(keys):
+        counts = np.bincount(draws[i * lanes:(i + 1) * lanes], minlength=3)
+        expected = lanes * cells[key]
+        support = expected > 0
+        assert counts[~support].sum() == 0, key
+        if support.sum() > 1:
+            chi2 = ((counts - expected)[support] ** 2
+                    / expected[support]).sum()
+            assert chi2 < limit[support.sum() - 1], (key, chi2)
+
+
 # ---------------------------------------------------------------------------
-# single blocks
-
-
-def test_block_outside_set_is_plain_stepping():
-    model = cf.HarrisModel(FLIP2, [0], ell=1)
-    out = cf.split_block(model, 1, 0, np.random.default_rng(0))
-    assert list(out) == [0]
-
-
-def test_block_regeneration_draws_from_lambda():
-    model = cf.HarrisModel(FLIP2, [0], ell=1)
-    out = cf.split_block(model, 0, 1, np.random.default_rng(0))
-    assert list(out) == [1]  # lam is the point mass at 1
-
-
-def test_block_zeta_zero_impossible_at_epsilon_one():
-    model = variant_a()
-    with pytest.raises(PreconditionError):
-        cf.split_block(model, 0, 0, np.random.default_rng(0))
-
-
-def test_block_zeta_must_be_binary_inside_set():
-    with pytest.raises(PreconditionError):
-        cf.split_block(variant_a(), 0, 2, np.random.default_rng(0))
+# block endpoints
 
 
 def test_block_endpoint_law_when_lambda_is_proportional():
     # epsilon 0.5 with lam = K^2(0, .) leaves the residual equal to lam,
-    # so both coin values give the same endpoint law
+    # so both coin values give the same endpoint law; draw 3000 residual
+    # endpoints as the simulator's end lanes do
     model = cf.HarrisModel(H3, [0], ell=2, epsilon=0.5, lam=[0.35, 0.5, 0.15])
-    gen = np.random.default_rng(23)
-    ends = np.array([cf.split_block(model, 0, 0, gen)[-1]
-                     for _ in range(3000)])
+    table, res_rows = model.lane_table()
+    base = np.full(3000, res_rows[0] * (model.n + 1))
+    ends = _kernels._lane_draw(table, base,
+                               np.random.default_rng(23).random(3000))
     counts = np.bincount(ends, minlength=3)
     expected = 3000 * np.array([0.35, 0.5, 0.15])
     chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -416,12 +436,6 @@ def test_kernel_power_count_is_capped_on_small_kernels():
         assert err.value.field == "ell"
         assert "at least 4096" in str(err.value)
     assert time.perf_counter() - started < 1.0
-
-
-def test_block_length_matches_ell():
-    model = variant_c()
-    out = cf.split_block(model, 1, 0, np.random.default_rng(5))
-    assert out.shape == (2,)
 
 
 # ---------------------------------------------------------------------------

@@ -818,38 +818,6 @@ def test_markov_lanes_match_lane_referee():
             np.testing.assert_array_equal(lengths, ref[2])
 
 
-def test_scalar_block_and_bridge_paths_match_referee():
-    # split_block and BridgeLaw.sample draw one uniform per gen.random()
-    for i, model in enumerate(_harris_cases(74)):
-        args = _split_args(model)
-        gen = np.random.default_rng(i)
-        gen_ref = np.random.default_rng(i)
-        out = np.empty(model.ell, dtype=np.int64)
-        for _ in range(30):
-            x = int(gen.integers(0, model.n))
-            gen_ref.integers(0, model.n)
-            if model.regen_mask[x]:
-                zeta = int(model.epsilon >= 1.0 or gen.random() < 0.5)
-                if model.epsilon < 1.0:
-                    gen_ref.random()
-                branch = 1 if zeta else 2
-            else:
-                zeta, branch = None, 0
-            got = cf.split_block(model, x, zeta, gen)
-            _block_states_ref(gen_ref, branch, x, args[0], args[1], args[2],
-                              args[3][x], args[4], model.ell, out)
-            np.testing.assert_array_equal(got, out)
-            end = int(got[-1])
-            law = cf.BridgeLaw(model, x, end)
-            path = law.sample(gen)
-            prev = x
-            for j in range(1, model.ell):
-                prev = _bridge_step_ref(gen_ref, args[0], args[4], prev, end,
-                                        model.ell - j + 1)
-                assert path[j - 1] == prev
-        assert gen.random() == gen_ref.random()
-
-
 def _near(value):
     # value and its floating neighbours two ulps either side
     out = [value]
@@ -1027,10 +995,15 @@ def test_kernels_clamp_to_last_positive_entry():
     assert regen.tolist() == [9] * 4
     assert _by_cycle(traj) == [9] * 4
     assert occ[:, 10].sum() == 0
-    # split_block and BridgeLaw.sample on the same rows with lam the short
-    # row: a plain block from 1, a lam-endpoint block from 0 and a bridge
-    # from 0 to 9 each stay on 9
+    # the lane draws of an ell = 3 model on the same rows with lam the
+    # short row: a plain block from 1 (rows 1, 9, 9), a lam endpoint from
+    # 0 and its bridge from 0 to 9 each stay on 9
     model = cf.HarrisModel(k, [0], ell=3, lam=_SHORT_ROW)
-    assert cf.split_block(model, 1, None, _StubGen(_TOP)).tolist() == [9] * 3
-    assert cf.split_block(model, 0, 1, _StubGen(_TOP)).tolist() == [9] * 3
-    assert cf.BridgeLaw(model, 0, 9).sample(_StubGen(_TOP)).tolist() == [9] * 2
+    table, _ = model.lane_table()
+    rows = np.array([1, 9, 9, model.n]) * (model.n + 1)
+    assert kr._lane_draw(table, rows, _StubGen(_TOP).random(4)).tolist() \
+        == [9] * 4
+    bridge = kr._lane_bridge(model.kernel.matrix, model.kernel_powers,
+                             np.array([0, 9]), np.array([9, 9]),
+                             np.array([3, 2]), _StubGen(_TOP).random(2))
+    assert bridge.tolist() == [9] * 2

@@ -35,7 +35,7 @@ PUBLIC = [
     "positivity_equivalence", "precapacity_residual",
     "regen_distribution_gof", "regen_ratio_estimator", "report",
     "run_suite", "shift_invariance_residual", "simulate_cycle_estimator",
-    "simulate_split_chain", "split_block", "split_cycle_measure",
+    "simulate_split_chain", "split_cycle_measure",
     "stationary_leftnull", "suite", "uniqueness_crosscheck", "z_scores",
 ]
 

@@ -1,7 +1,10 @@
+import importlib
 import json
 import pathlib
+import pkgutil
 import re
 
+import cycleflow
 from cycleflow.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -33,3 +36,24 @@ def test_readme_sample_run_prints_what_it_shows(tmp_path, capsys,
     assert main(args) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed[:len(shown)] == shown
+
+
+def test_readme_dotted_names_resolve():
+    # every backticked dotted name whose head, after a leading
+    # "cycleflow.", is a package module or a public name still exists
+    modules = {info.name for info in pkgutil.iter_modules(cycleflow.__path__)}
+    text = README.read_text(encoding="utf-8")
+    checked = []
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", text))):
+        head, *rest = name.removeprefix("cycleflow.").split(".")
+        if head in modules:
+            obj = importlib.import_module("cycleflow." + head)
+        elif head in cycleflow.__all__:
+            obj = getattr(cycleflow, head)
+        else:
+            continue
+        for attr in rest:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+        checked.append(name)
+    assert checked
