@@ -10,17 +10,16 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, harris, markov
 from .errors import CycleflowError, PreconditionError
-from .measure import EXHAUSTIVE_CAP
+from .measure import EXHAUSTIVE_CAP, MAX_PLAN_BYTES
 from .modelio import load_model
 # perfbench's tracer test checks that cli still holds model_hash
 from .modelio import model_hash  # noqa: F401
 from .report import CheckResult, SuiteReport, emit_report
-from .suite import (_Z_MAX, RunConfig, harris_details, harris_simulation,
-                    model_identity, model_kind, run_suite)
+from .suite import (RunConfig, estimator_gate, harris_details,
+                    harris_simulation, model_identity, model_kind,
+                    require_gate_cycles, run_suite)
 
 _EXIT_TABLE = """\
 exit codes:
@@ -85,7 +84,9 @@ def build_parser():
     p.add_argument("--sample-pairs", type=int, default=None,
                    dest="sample_pairs", metavar="N",
                    help="sampled pairs above the exhaustive limit "
-                        "(default 50)")
+                        "(default 50); a plan whose masks (2 x points x "
+                        "pairs bytes) take over %d bytes is refused with "
+                        "exit 7" % MAX_PLAN_BYTES)
 
     p = sub.add_parser("stationary", help="stationary distribution from "
                                           "return cycles of a base state")
@@ -195,21 +196,13 @@ def _stationary_report(model, cfg, args):
         details["mean_return"] = occ.mean_return
         details["occupation"] = occ.counts
     else:
-        if cfg.cycles < 2:
-            raise PreconditionError(
-                "--method cycles needs at least 2 cycles for its z gate",
-                field="cycles")
+        require_gate_cycles(cfg.cycles)
         estimate = markov.simulate_cycle_estimator(
             chain, base, cfg.cycles, cfg.seed)
-        pi = markov.cycle_stationary(chain, base)
-        details["pi_hat"] = estimate.pi_hat
-        details["standard_errors"] = estimate.standard_errors
+        checks = [estimator_gate(details, estimate,
+                                 markov.cycle_stationary(chain, base))]
         details["mean_return_hat"] = estimate.mean_return
-        details["n_cycles"] = estimate.n_cycles
         details["steps"] = estimate.steps
-        details["stationary"] = pi
-        z = float(np.abs(harris.z_scores(estimate, pi)).max())
-        checks = [CheckResult("estimator_z_max", z, _Z_MAX)]
     return _command_report("stationary", model, cfg, checks, details)
 
 

@@ -688,6 +688,9 @@ def induced_map(system, members):
 # An exhaustive plan examines 2^m base sets against 2^m A sets each; above
 # this many points (2^24 pairs) it is refused before anything is built.
 EXHAUSTIVE_CAP = 12
+# A sampled plan keeps a B and an A mask, a byte per point, for each pair;
+# one whose masks would pass this many bytes is refused before drawing.
+MAX_PLAN_BYTES = 2 ** 26
 
 
 @lru_cache(maxsize=16)
@@ -719,6 +722,12 @@ def _suite_masks(m, exhaustive_limit, sample_pairs, seed):
                 field="exhaustive_limit")
         full = _subset_matrix(m)
         return True, [(full[k], full) for k in range(2 ** m)]
+    size = 2 * m * sample_pairs
+    if size > MAX_PLAN_BYTES:
+        raise PreconditionError(
+            "the masks of %d sampled pairs over %d points take %d bytes, over "
+            "the cap of %d bytes" % (sample_pairs, m, size, MAX_PLAN_BYTES),
+            field="sample_pairs")
     rng = np.random.default_rng(seed)
     groups = {}
     for _ in range(sample_pairs):
@@ -758,7 +767,8 @@ def identity_suite(system, exhaustive_limit=8, sample_pairs=50, seed=0):
     Systems with at most ``exhaustive_limit`` points are checked over all
     pairs of subsets (A, B); larger systems over ``sample_pairs`` seeded
     random pairs.  Exhaustive plans over more than ``EXHAUSTIVE_CAP``
-    points are refused with a PreconditionError.  The system is
+    points, and sampled plans whose masks take more than
+    ``MAX_PLAN_BYTES``, are refused with a PreconditionError.  The system is
     normalised internally so probability statements apply.  Residuals
     are reported as maxima over everything examined, together with the
     worst witnessing pair.

@@ -38,8 +38,8 @@ _FORMATS = ("json", "csv", "text")
 class RunConfig:
     """Knobs shared by all suites.
 
-    ``cycles`` counts regeneration cycles for the simulation gates; zero
-    skips simulation entirely.
+    ``cycles`` counts regeneration cycles for the simulation gates: at
+    least 2 (``require_gate_cycles``), or zero to skip the suite's.
     """
 
     tolerance: float = 1e-12
@@ -182,17 +182,6 @@ def _markov_suite(chain, cfg):
     return checks, details
 
 
-def _kernel_stationary(chain):
-    """Unique stationary law of the kernel ``chain``, or None when it is
-    not unique (more than one closed class)."""
-    structure = _markov.class_structure(chain)
-    recurrent = structure.recurrent_classes
-    if len(recurrent) != 1:
-        return None
-    base = int(structure.classes[recurrent[0]].min())
-    return _markov.stationary_leftnull(chain, base)
-
-
 def harris_details(model):
     """The regeneration structure a Harris report starts from: set,
     block length, minorization and which of its fields were fitted."""
@@ -251,34 +240,40 @@ def _harris_suite(model, cfg):
     return checks + sim_checks, details
 
 
-def harris_simulation(model, cfg, details):
-    """Simulate ``cfg.cycles`` split-chain cycles and gate the estimate.
+def require_gate_cycles(cycles):
+    """Refuse a simulation too short for its z gate before it draws."""
+    if cycles < 2:
+        raise PreconditionError("a simulation needs at least 2 cycles for "
+                                "its z gate, got %d" % cycles, field="cycles")
 
-    The z gate compares the regenerative estimate with the kernel's
-    stationary law when that law is unique; the goodness-of-fit gate
-    tests the regeneration draws against lambda.  Estimates go into
-    ``details``; returns the checks and the run.
-    """
-    checks = []
-    run = _harris.simulate_split_chain(model, cfg.cycles, cfg.seed)
-    estimate = _harris.regen_ratio_estimator(run.occupations, run.lengths)
+
+def estimator_gate(details, estimate, pi):
+    """The z gate of every simulator: put the regenerative ``estimate``
+    and ``pi``, the exact law of the cycles it drew, into ``details``,
+    and return the check on the largest |z| over the states."""
     details["n_cycles"] = estimate.n_cycles
     details["pi_hat"] = estimate.pi_hat
     details["standard_errors"] = estimate.standard_errors
-    details["mean_cycle_length"] = estimate.mean_cycle_length
+    details["stationary"] = pi
+    z = float(np.abs(_harris.z_scores(estimate, pi)).max())
+    return CheckResult("estimator_z_max", z, _Z_MAX)
 
-    pi_exact = _kernel_stationary(model.kernel)
-    if pi_exact is not None:
-        details["stationary"] = pi_exact
-    if pi_exact is None:
-        details["simulation_note"] = \
-            "stationary law not unique; z gate skipped"
-    elif estimate.standard_errors is None:
-        details["simulation_note"] = "single cycle; z gate skipped"
-    else:
-        z = _harris.z_scores(estimate, pi_exact)
-        checks.append(CheckResult("estimator_z_max", float(np.abs(z).max()),
-                                  _Z_MAX))
+
+def harris_simulation(model, cfg, details):
+    """Simulate ``cfg.cycles`` split-chain cycles and gate the estimate.
+
+    The z gate scores the regenerative estimate against mu / |mu|, mu
+    being the exact cycle measure ``split_cycle_measure`` of the split
+    chain that was simulated; the goodness-of-fit gate tests the
+    regeneration draws against lambda.  Estimates go into ``details``;
+    returns the checks and the run.
+    """
+    require_gate_cycles(cfg.cycles)
+    run = _harris.simulate_split_chain(model, cfg.cycles, cfg.seed)
+    estimate = _harris.regen_ratio_estimator(run.occupations, run.lengths)
+    mu = _harris.split_cycle_measure(model)
+    checks = [estimator_gate(details, estimate, mu / mu.sum())]
+    details["mean_cycle_length"] = estimate.mean_cycle_length
 
     stat, dof, pvalue = _harris.regen_distribution_gof(run, model)
     checks.append(CheckResult("regeneration_draw_gof", pvalue, _GOF_LEVEL,

@@ -27,8 +27,9 @@ Cycles are i.i.d. by construction (each lane of the kernel runs its own
 cycle from its own lam draw), so consecutive groups of ``_CYCLES`` cycles
 of one seeded split-chain run are independent replicates of a
 ``_CYCLES``-cycle run; one wide run then costs far less than ``_REPLICATES``
-short ones.  The Markov cycle estimator returns only its pooled
-estimate, so it runs once per seed.
+short ones.  A kernel with a second closed class outside the cycles'
+reach is scored on the states its cycles visit only.  The Markov cycle
+estimator returns only its pooled estimate, so it runs once per seed.
 """
 
 import math
@@ -64,8 +65,19 @@ def _ring():
     return cf.HarrisModel(k, [0, 1], ell=3), pi
 
 
+def _two_classes():
+    # two closed classes, R = {0} in the first, ell = 1 (epsilon fitted,
+    # 1): the split chain never leaves the first class, so its cycles'
+    # law is that class's law and the second class's states score z = 0
+    k = np.array([[0.5, 0.5, 0.0, 0.0], [0.3, 0.7, 0.0, 0.0],
+                  [0.0, 0.0, 0.4, 0.6], [0.0, 0.0, 0.9, 0.1]])
+    pi = cf.markov.stationary_leftnull(cf.StochasticMatrix(k), 0)
+    return cf.HarrisModel(k, [0], ell=1), pi
+
+
 # name: (model and exact stationary law, seed of its one run)
-_MODELS = {"h3": (_h3, 1), "ring_ell3": (_ring, 2)}
+_MODELS = {"h3": (_h3, 1), "ring_ell3": (_ring, 2),
+           "two_classes": (_two_classes, 3)}
 
 
 def _check_z_law(z):
@@ -109,7 +121,11 @@ def test_regen_ratio_z_scores_are_calibrated(replicates, name):
         cf.z_scores(cf.regen_ratio_estimator(g.occupations, g.lengths), pi)
         for g in _groups(run)])
     assert z.shape == (_REPLICATES, model.n) and np.all(np.isfinite(z))
-    _check_z_law(z)
+    # the law over the states the cycles can visit: the others have se 0
+    # and z 0, which would pull every band towards its null
+    visited = pi > 0
+    assert np.all(z[:, ~visited] == 0)
+    _check_z_law(z[:, visited])
 
 
 @pytest.mark.parametrize("name", sorted(_MODELS))

@@ -75,6 +75,8 @@ def test_verify_help_states_exhaustive_cap(capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert "more than %d points" % EXHAUSTIVE_CAP in text
     assert "exit 7" in text
+    assert "over %d bytes is refused with exit 7" % cf.measure.MAX_PLAN_BYTES \
+        in text
 
 
 def test_fit_minorization_help_states_power_rule(capsys):
@@ -323,10 +325,10 @@ def test_harris_and_verify_share_the_regeneration_details(files, capsys,
     assert "states" not in harris_doc["details"]
 
 
-def test_harris_skips_the_z_gate_when_the_law_is_not_unique(
+def test_harris_gates_a_two_class_kernel_against_its_cycle_law(
         tmp_path, capsys, clean_env):
     # two closed classes, R in the first: the split chain never leaves it,
-    # and the kernel has no unique law to score the estimate against
+    # and its cycles' exact law mu / |mu| is the first class's law
     path = tmp_path / "two_classes.json"
     path.write_text(json.dumps({
         "kind": "harris_discrete",
@@ -336,11 +338,22 @@ def test_harris_skips_the_z_gate_when_the_law_is_not_unique(
     code, doc = run_json(["harris", str(path), "--cycles", "300"], capsys)
     assert code == 0
     details = doc["details"]
-    assert details["simulation_note"] == \
-        "stationary law not unique; z gate skipped"
-    assert "stationary" not in details
-    assert [c["name"] for c in doc["checks"]] == ["regeneration_draw_gof"]
+    np.testing.assert_allclose(details["stationary"], [3 / 8, 5 / 8, 0, 0],
+                               rtol=0, atol=1e-15)
+    assert [c["name"] for c in doc["checks"]] == \
+        ["estimator_z_max", "regeneration_draw_gof"]
     assert details["pi_hat"][2:] == [0.0, 0.0]
+
+
+def test_harris_refuses_a_false_minorization_after_its_run(
+        tmp_path, capsys, clean_env):
+    # K^2(0, 2) = 0.15 < epsilon * lam(2) = 1: the run draws, but the
+    # gate's cycle measure is refused, naming epsilon
+    path = tmp_path / "false.json"
+    path.write_text(json.dumps(dict(HARRIS, epsilon=1,
+                                    **{"lambda": [0, 0, 1]})))
+    assert main(["harris", str(path), "--cycles", "300"]) == 7
+    assert capsys.readouterr().err.startswith("cycleflow: error: epsilon: ")
 
 
 def test_harris_refuses_a_model_whose_cycles_need_not_close(
@@ -487,6 +500,20 @@ def test_oversized_exhaustive_plan_exit(tmp_path, capsys, clean_env):
     assert main(["verify", str(path), "--exhaustive-limit", "14"]) == 7
     err = capsys.readouterr().err
     assert "16384 base sets" in err and "268435456 subset pairs" in err
+
+
+def test_oversized_sampled_plan_is_refused_up_front(files, capsys,
+                                                    clean_env):
+    # 10^7 pairs over 4 points: 8e7 bytes of masks, refused before the
+    # first mask is drawn, so in far less time than drawing them takes
+    started = time.perf_counter()
+    assert main(["verify", files["finite"], "--exhaustive-limit", "0",
+                 "--sample-pairs", "10000000"]) == 7
+    assert time.perf_counter() - started < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("cycleflow: error: sample_pairs: ")
+    assert "take 80000000 bytes" in err
+    assert "cap of %d bytes" % cf.measure.MAX_PLAN_BYTES in err
 
 
 def test_unwritable_output_exit(files, capsys, clean_env):
@@ -686,3 +713,64 @@ def test_json_reports_are_byte_identical(files, tmp_path, clean_env):
                      "--cycles", "400", "--seed", "17",
                      "--output", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+_HARRIS_SPLIT = ["ell", "epsilon", "fitted", "lambda", "regen_set"]
+_SIMULATED = ["gof_dof", "gof_statistic", "mean_cycle_length", "n_cycles",
+              "pi_hat", "standard_errors", "stationary"]
+_CYCLES_DETAILS = ["base", "mean_return_hat", "method", "n_cycles", "pi_hat",
+                   "standard_errors", "stationary", "steps"]
+_EXACT_DETAILS = ["base", "mean_return", "method", "occupation", "stationary"]
+_FIT_DETAILS = ["ell", "epsilon", "lambda", "regen_set"]
+# (command and its options, fixture, sorted details keys, check names in
+# report order): every command on every kind it accepts
+_REPORT_SHAPES = [
+    (["verify"], "finite",
+     ["base_sets", "exact_arithmetic", "exhaustive", "invertible",
+      "pairs_examined", "points"],
+     ["measure_preserving", "excursion_identity_forward",
+      "excursion_identity_backward", "entrance_invariance_forward",
+      "entrance_invariance_backward", "shift_invariance_forward",
+      "shift_invariance_backward", "shift_invariance_restriction",
+      "precapacity", "poincare_forward", "poincare_backward", "kac_product",
+      "kac_integral_forward", "kac_integral_backward", "positivity_bound",
+      "positivity_equivalence_violations"]),
+    (["verify"], "markov",
+     ["bases", "classes", "exchange_pairs", "recurrent_classes", "states",
+      "stationary", "transient_states"],
+     ["cycle_invariance", "exchange_identity", "eigenvector_crosscheck"]),
+    (["verify", "--cycles", "300"], "harris",
+     sorted(_HARRIS_SPLIT + _SIMULATED + ["bridge_pairs",
+                                          "expected_lambda_return",
+                                          "states"]),
+     ["minorization_residual", "mixture_identity",
+      "regeneration_reachability", "lambda_return_finite",
+      "bridge_total_mass", "estimator_z_max", "regeneration_draw_gof"]),
+    (["stationary"], "markov", _EXACT_DETAILS, ["cycle_invariance"]),
+    (["stationary"], "harris", _EXACT_DETAILS, ["cycle_invariance"]),
+    (["stationary", "--method", "cycles", "--cycles", "300"], "markov",
+     _CYCLES_DETAILS, ["estimator_z_max"]),
+    (["stationary", "--method", "cycles", "--cycles", "300"], "harris",
+     _CYCLES_DETAILS, ["estimator_z_max"]),
+    (["harris", "--cycles", "300"], "harris",
+     sorted(_HARRIS_SPLIT + _SIMULATED + ["steps"]),
+     ["estimator_z_max", "regeneration_draw_gof"]),
+    (["exchange", "--states", "0,1"], "markov", ["states"],
+     ["exchange_identity"]),
+    (["exchange", "--states", "0,1"], "harris", ["states"],
+     ["exchange_identity"]),
+    (["fit-minorization", "--set", "0"], "markov", _FIT_DETAILS,
+     ["minorization_residual"]),
+    (["fit-minorization", "--set", "0"], "harris", _FIT_DETAILS,
+     ["minorization_residual"]),
+]
+
+
+def test_report_shapes_are_pinned(files, capsys, clean_env):
+    # a details key or check that appears or goes away on any command
+    # shows here, whether or not a digest covers that command
+    for (command, *options), kind, keys, checks in _REPORT_SHAPES:
+        code, doc = run_json([command, files[kind]] + options, capsys)
+        assert code == 0, (command, kind)
+        assert sorted(doc["details"]) == keys, (command, kind)
+        assert [c["name"] for c in doc["checks"]] == checks, (command, kind)

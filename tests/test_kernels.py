@@ -996,8 +996,11 @@ def test_kernels_clamp_to_last_positive_entry():
     assert _by_cycle(traj) == [9] * 4
     assert occ[:, 10].sum() == 0
     # the lane draws of an ell = 3 model on the same rows with lam the
-    # short row: a plain block from 1 (rows 1, 9, 9), a lam endpoint from
-    # 0 and its bridge from 0 to 9 each stay on 9
+    # short row: a plain block from 1 (rows 1, 9, 9) and a lam endpoint
+    # from 0 each clamp to 9.  Its bridges from 0 and from 9 to 9 land on
+    # 9 too, but by the running-sum draw: at u = _TOP the running sum at
+    # 9 already passes u * K^s(prev, 9), so these asserts do not reach
+    # the bridge's clamp; test_lane_bridge_falls_back_as_bridge_step does
     model = cf.HarrisModel(k, [0], ell=3, lam=_SHORT_ROW)
     table, _ = model.lane_table()
     rows = np.array([1, 9, 9, model.n]) * (model.n + 1)

@@ -227,14 +227,21 @@ def test_harris_suite_skips_simulation_when_asked(h3):
     assert report.overall_pass
 
 
-def test_harris_suite_skips_the_z_gate_on_a_single_cycle(h3):
-    # one cycle has no standard errors to scale the z gate by
-    model = cf.HarrisModel(h3, [0], ell=2, epsilon=0.5)
-    report = cf.run_suite(model, cf.RunConfig(cycles=1))
-    assert report.details["n_cycles"] == 1
-    assert report.details["simulation_note"] == "single cycle; z gate skipped"
-    assert "estimator_z_max" not in check_names(report)
-    assert "regeneration_draw_gof" in check_names(report)
+def test_harris_simulations_need_two_cycles(tmp_path, capsys,
+                                            monkeypatch):
+    # one cycle has no standard errors to scale the z gate by, so the
+    # simulation is refused before it draws
+    from cycleflow.cli import main
+    monkeypatch.delenv("CYCLEFLOW_SEED", raising=False)
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps({"kind": "harris_discrete", "K": H3.tolist(),
+                                "R": [0], "ell": 2, "epsilon": 0.5}))
+    for command, cycles in (("verify", "1"), ("harris", "1"),
+                            ("harris", "0")):
+        assert main([command, str(path), "--cycles", cycles]) == 7
+        err = capsys.readouterr().err
+        assert err.startswith("cycleflow: error: cycles: ")
+        assert "at least 2 cycles" in err
 
 
 def test_harris_suite_skips_simulation_on_structural_failure(h3):
@@ -276,6 +283,17 @@ def _dirichlet_harris40():
                           ell=2)
 
 
+def test_harris_gate_targets_the_exact_cycle_law():
+    # the z gate's target is mu / |mu| of the simulated split chain, to
+    # the bit, not a law solved another way
+    for model in (cf.HarrisModel(H3, [0], ell=2, epsilon=0.5),
+                  _dirichlet_harris40()):
+        report = cf.run_suite(model, cf.RunConfig(cycles=300, seed=1))
+        mu = cf.split_cycle_measure(model)
+        assert np.array_equal(report.details["stationary"], mu / mu.sum())
+        assert "estimator_z_max" in check_names(report)
+
+
 def _digest(data):
     return hashlib.sha256(data).hexdigest()
 
@@ -313,9 +331,9 @@ def test_simulation_report_bytes_are_fixed(tmp_path, monkeypatch):
     cases = (
         (cf.HarrisModel(H3, [0], ell=2, epsilon=0.5),
          cf.RunConfig(cycles=600, seed=5),
-         "86b06a8393d3dd326959ddbfa3c9d82d603716ce6400f38e2779e7f649e249dc"),
+         "0d4cf9967bae893fcbe0b925eba3f8a1b28e039f9689cb40e1b5a2b0e91e4448"),
         (_dirichlet_harris40(), cf.RunConfig(cycles=400, seed=6),
-         "7894cf1e42772a1283078d24525ff9f44652e9b47478d402634d88f29b65e330"),
+         "226a97ea6b0cf73c3304a16f8375938e5f2bb385232c9b0a69501d1649c401c2"),
     )
     for model, cfg, digest in cases:
         report = cf.run_suite(model, cfg)
