@@ -60,7 +60,6 @@ from .measure import (
 )
 from .markov import (
     ClassStructure,
-    CycleEstimate,
     DecompositionResult,
     StochasticMatrix,
     class_structure,
@@ -77,19 +76,17 @@ from .harris import (
     CrosscheckReport,
     HarrisConditions,
     HarrisModel,
-    RegenReport,
     SplitChainRun,
     block_marginal_gof,
     harris_conditions,
     minorization_residual,
     mixture_residual,
     regen_distribution_gof,
-    regen_ratio_estimator,
     simulate_split_chain,
     split_cycle_measure,
     uniqueness_crosscheck,
-    z_scores,
 )
+from ._stats import RatioEstimate
 from .modelio import (
     load_model,
     model_document,

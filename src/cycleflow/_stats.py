@@ -1,17 +1,23 @@
-"""Shared simulation plumbing: the chunk driver and the ratio estimator.
+"""Shared simulation plumbing: the chunk driver and the one regenerative
+estimate.
 
 Cycles are independent by construction, so a run of n cycles can be split
 into chunks of ``lane_chunk(n_states)`` cycles with one spawned
 ``SeedSequence`` child per chunk.  Chunk k always owns cycles
 [k*size, (k+1)*size), whatever order chunks are executed in, so a parallel
 run merges to exactly the serial output.  Both simulators take their
-chunks from ``split_chain_chunks``.
+chunks from ``split_chain_chunks`` and fold each into a
+``RatioAccumulator``, whose ``estimate()`` is the only place a
+``RatioEstimate`` is built.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, PreconditionError
 
 
 def chunk_plan(n_cycles, chunk_size):
@@ -48,9 +54,9 @@ def chunk_generators(seed, n_chunks):
 
 
 def split_chain_chunks(seed, n_cycles, budget, args, traj=None, marks=None):
-    """Yield (occupations, lengths, regen_states, steps so far) of each
-    chunk of ``_kernels.split_chain_batch`` on ``args`` (its arguments
-    from ``k_raw`` to ``ell``), occupations in ``count_dtype(budget)``.
+    """Yield (occupations, lengths, regen_states) of each chunk of
+    ``_kernels.split_chain_batch`` on ``args`` (its arguments from
+    ``k_raw`` to ``ell``), occupations in ``count_dtype(budget)``.
     Chunks hold ``lane_chunk(n)`` cycles, the last one the rest.  Lists
     ``traj`` and ``marks`` receive each chunk's records as the kernel makes
     them, with cycles numbered within the chunk.  A run past ``budget``
@@ -73,7 +79,7 @@ def split_chain_chunks(seed, n_cycles, budget, args, traj=None, marks=None):
                 "step budget %d exhausted after %d steps and %d of %d "
                 "cycles; the regeneration set may be reached too slowly"
                 % (budget, used, closed, n_cycles))
-        yield occ, lengths, regen_states, used
+        yield occ, lengths, regen_states
 
 
 def _as_counts(values):
@@ -114,6 +120,35 @@ def _centred_sums(occ, mean_occ, d_len):
     return cross, m2
 
 
+class RatioEstimate(NamedTuple):
+    """The regenerative ratio estimate of a run of cycles.  Its
+    ``standard_errors`` are None below two cycles, and ``steps`` is the
+    exact sum of the cycle lengths: every step of a finished run lies in
+    a closed cycle."""
+
+    n_cycles: int
+    pi_hat: np.ndarray
+    standard_errors: np.ndarray
+    mean_cycle_length: float
+    steps: int
+
+    def z_scores(self, pi):
+        """Per-state z-scores (pi_hat - pi) / se against an exact law.
+
+        A state of zero standard error, which deterministic cycles give,
+        scores 0 when it agrees exactly and +inf when it does not.
+        Refused with ``PreconditionError`` below two cycles.
+        """
+        if self.standard_errors is None:
+            raise PreconditionError("standard errors unavailable with fewer "
+                                    "than two cycles")
+        diff = self.pi_hat - np.asarray(pi, dtype=np.float64)
+        se = self.standard_errors
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = diff / se
+        return np.where(se > 0, z, np.where(diff == 0, 0.0, math.inf))
+
+
 class RatioAccumulator:
     """Running moments for the regenerative ratio estimate.
 
@@ -139,8 +174,8 @@ class RatioAccumulator:
     """
 
     def __init__(self, n_states):
-        self.n_states = n_states
         self.n_cycles = 0
+        self.steps = 0
         self.sum_occ = np.zeros(n_states)
         self.sum_len = 0.0
         # means, centred sums of squares and the centred cross sum
@@ -160,6 +195,7 @@ class RatioAccumulator:
             return
         self.sum_occ += occ.sum(axis=0, dtype=np.float64)
         self.sum_len += lengths.sum(dtype=np.float64)
+        self.steps += int(lengths.sum())
         mean_occ = occ.mean(axis=0, dtype=np.float64)
         mean_len = lengths.mean(dtype=np.float64)
         d_len = lengths - mean_len
@@ -178,22 +214,18 @@ class RatioAccumulator:
         self.n_cycles = total
 
     def estimate(self):
-        """Return (pi_hat, standard_errors or None, mean_length).
-
-        Standard errors need at least two cycles; with one cycle they are
-        reported as unavailable rather than zero.
-        """
+        """The ``RatioEstimate`` of the cycles added so far."""
         n = self.n_cycles
         if n < 1:
             raise ValueError("no cycles accumulated")
         pi_hat = self.sum_occ / self.sum_len
         mean_len = self.sum_len / n
         if n < 2:
-            return pi_hat, None, mean_len
+            return RatioEstimate(n, pi_hat, None, mean_len, self.steps)
         # sum of squared residuals (Y - pi_hat t) from the centred moments;
         # clip the tiny negatives rounding can produce
         ssd = (self.m2_occ - 2.0 * pi_hat * self.cross
                + pi_hat * pi_hat * self.m2_len)
         ssd = np.maximum(ssd, 0.0)
         se = np.sqrt(ssd / (n - 1) / n) / mean_len
-        return pi_hat, se, mean_len
+        return RatioEstimate(n, pi_hat, se, mean_len, self.steps)

@@ -201,7 +201,7 @@ def _stationary_report(model, cfg, args):
             chain, base, cfg.cycles, cfg.seed)
         checks = [estimator_gate(details, estimate,
                                  markov.cycle_stationary(chain, base))]
-        details["mean_return_hat"] = estimate.mean_return
+        details["mean_return_hat"] = estimate.mean_cycle_length
         details["steps"] = estimate.steps
     return _command_report("stationary", model, cfg, checks, details)
 
@@ -212,7 +212,7 @@ def _harris_report(model, cfg):
             "the harris command needs a harris_discrete file", field="file")
     details = harris_details(model)
     checks, run = harris_simulation(model, cfg, details)
-    details["steps"] = run.steps
+    details["steps"] = run.estimate.steps
     return _command_report("harris", model, cfg, checks, details)
 
 

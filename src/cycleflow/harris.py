@@ -1,5 +1,5 @@
 """Regeneration by splitting: minorization fitting, pinned blocks, and
-the regenerative ratio estimator.
+the split chain's regenerative estimate.
 
 A Harris model wraps a transition kernel K with a small set R, a block
 length ell, and a minorization  K^ell(x, .) >= epsilon * lam(.)  for
@@ -8,8 +8,8 @@ with success probability epsilon decides whether the block ends in a
 fresh draw from lam; the interior of the block is then filled from the
 bridge law conditioned on both endpoints, so the X-marginal of the chain
 is untouched.  Successful coins are regeneration times and the cycles
-between them are i.i.d., which is what makes the ratio estimator's
-standard error honest.
+between them are i.i.d., which is what makes the standard errors of the
+run's ``_stats.RatioEstimate`` honest.
 
 Blocks are scheduled back to back (starts at 0, ell, 2*ell, ...); visits
 to R strictly inside a block never toss the coin.
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._stats import RatioAccumulator, count_dtype, split_chain_chunks
+from ._stats import (RatioAccumulator, RatioEstimate, count_dtype,
+                     split_chain_chunks)
 from .errors import (
     InfeasibleMinorizationError,
     InternalInconsistencyError,
@@ -112,8 +113,8 @@ class HarrisModel:
         the lam in force.  ``fitted_fields`` records what was filled in.
 
     The minorization itself is not verified at construction; it is a
-    check (``minorization_residual``), and the sampling paths refuse to
-    run when the residual kernel dips below -1e-12.
+    check (``minorization_residual``), and ``simulate_split_chain`` and
+    ``split_cycle_measure`` refuse a model on which it dips below -1e-12.
     """
 
     def __init__(self, kernel, regen_members, ell=1, epsilon=None, lam=None):
@@ -176,22 +177,17 @@ class HarrisModel:
     def k_ell(self):
         return self.kernel_powers[self.ell]
 
-    def residual_rows(self, clip=False):
+    def residual_rows(self):
         """Residual endpoint kernel (K^ell - epsilon*lam) / (1-epsilon) on
-        the regeneration rows, clipped at zero and renormalised.
-
-        Entries below -1e-12 mean the declared minorization is false;
-        that raises unless ``clip`` asks to repair and carry on.
+        the regeneration rows, clipped at zero and renormalised.  Under a
+        false minorization the clip changes the rows: the sampler refuses
+        such a model before it draws, and ``mixture_residual`` measures
+        what the clip lost.
         """
         n = self.n
         if self.epsilon >= 1.0:
             return np.zeros((n, n))
         res = (self.k_ell - self.epsilon * self.lam) / (1.0 - self.epsilon)
-        worst = res[list(self.regen_indices)].min()
-        if worst < -_RESIDUAL_TOL and not clip:
-            raise InvariantError(
-                "residual kernel has entry %g; (epsilon, lambda, ell) do "
-                "not minorize K^ell" % worst, field="epsilon")
         res = np.clip(res, 0.0, None)
         rows = np.zeros((n, n))
         for i in self.regen_indices:
@@ -230,12 +226,21 @@ def minorization_residual(model):
     return float((model.k_ell[idx] - model.epsilon * model.lam).min())
 
 
+def _require_minorization(model):
+    """Refuse a false minorization before anything is drawn or solved."""
+    worst = minorization_residual(model)
+    if worst < -_RESIDUAL_TOL:
+        raise PreconditionError(
+            "K^ell - epsilon * lambda has entry %g on R; (epsilon, lambda, "
+            "ell) do not minorize K^ell" % worst, field="epsilon")
+
+
 def mixture_residual(model):
     """Largest entrywise defect of epsilon*lam + (1-epsilon)*residual
     against K^ell on the regeneration rows, using the residual rows the
     sampler would actually draw from."""
     recon = model.epsilon * model.lam + (1.0 - model.epsilon) * \
-        model.residual_rows(clip=True)
+        model.residual_rows()
     idx = np.array(model.regen_indices)
     return float(np.abs(recon[idx] - model.k_ell[idx]).max())
 
@@ -377,6 +382,7 @@ class SplitChainRun:
     never exceeds the steps taken) and int64 otherwise
     (``_stats.count_dtype``); lengths and regen_states are int64.  A run
     of one chunk holds that chunk's arrays as they are, with no copy.
+    estimate is the run's ``_stats.RatioEstimate``, folded chunk by chunk.
 
     trajectory and marks are kept only when recording was requested, and
     recording changes no draw.  trajectory holds each cycle's visited
@@ -395,6 +401,7 @@ class SplitChainRun:
     regen_states: np.ndarray
     steps: int
     ell: int
+    estimate: RatioEstimate
     trajectory: np.ndarray = None
     marks: np.ndarray = None
 
@@ -420,15 +427,18 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     chunk k always owns cycles [k*size, (k+1)*size), so the output is
     identical however chunks are scheduled.  A chunk's cycles run side by
     side as lanes of ``_kernels.split_chain_batch``, each from its own
-    X_0 ~ lam.  Recording observes those lanes: a recorded run has the
+    X_0 ~ lam, and folded into the run's ``estimate`` by a
+    ``RatioAccumulator``.  Recording observes those lanes: a recorded run has the
     cycles, steps and draws of the unrecorded run of the same seed, and
     its trajectory and marks are the lanes' records sorted by cycle (see
     ``SplitChainRun``).  A block that starts in R draws no coin when
     epsilon = 1.  No run takes more than ``step_budget`` steps; one that
     would raises ``BudgetExceededError``.  Refused with
     ``PreconditionError`` before anything is drawn: a run whose visit
-    counts would take more than ``MAX_OCCUPATION_BYTES``, and a model
-    whose cycles need not close (``_block_reach``, field ``R``).
+    counts would take more than ``MAX_OCCUPATION_BYTES``, a false
+    minorization (field ``epsilon``, as ``split_cycle_measure`` refuses
+    it) and a model whose cycles need not close (``_block_reach``, field
+    ``R``).
     """
     if n_regens < 1:
         raise PreconditionError("need at least one regeneration",
@@ -440,94 +450,41 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
             "over the cap of %d bytes" % (n_regens, model.n, size,
                                           MAX_OCCUPATION_BYTES),
             field="n_regens")
+    _require_minorization(model)
     _block_reach(model)
     table, res_rows = model.lane_table()
     traj = [] if record_trajectory else None
     marks = [] if record_trajectory else None
+    acc = RatioAccumulator(model.n)
     chunks, path, coins = [], [], []
     for chunk in split_chain_chunks(
             seed, n_regens, step_budget,
             (model.kernel.matrix, table, model.n, res_rows,
              model.kernel_powers, model.regen_mask, model.epsilon,
              model.ell), traj, marks):
+        acc.add(chunk[0], chunk[1])
         chunks.append(chunk)
         if record_trajectory:  # each chunk numbers its cycles from 0
             path.append(_by_cycle(traj))
             coins.append(_by_cycle(marks))
             del traj[:], marks[:]
-    occ, lengths, regen_states, used = zip(*chunks)
+    occ, lengths, regen_states = zip(*chunks)
     if record_trajectory:
         traj = np.concatenate(path).astype(np.int64, copy=False)
         marks = np.concatenate(coins).astype(np.int8)
+    estimate = acc.estimate()
     return SplitChainRun(
         n_cycles=int(n_regens),
         seed=seed,
         occupations=_joined(occ),
         lengths=_joined(lengths),
         regen_states=_joined(regen_states),
-        steps=used[-1],
+        steps=estimate.steps,
         ell=model.ell,
+        estimate=estimate,
         trajectory=traj,
         marks=marks,
     )
-
-
-@dataclass
-class RegenReport:
-    n_cycles: int
-    pi_hat: np.ndarray
-    standard_errors: np.ndarray  # None with fewer than two cycles
-    mean_cycle_length: float
-
-
-def regen_ratio_estimator(occupations, lengths):
-    """Stationary estimate from regeneration cycles.
-
-    pi_hat is total occupation over total length; standard errors use
-    the delta method on i.i.d. (occupation, length) pairs, exact for
-    the non-overlapping block schedule.
-    """
-    occupations = np.asarray(occupations)
-    lengths = np.asarray(lengths)
-    if occupations.ndim != 2 or lengths.ndim != 1 or \
-            occupations.shape[0] != lengths.shape[0]:
-        raise PreconditionError("occupations must be (cycles, states) with "
-                                "matching lengths", field="occupations")
-    if lengths.shape[0] < 1:
-        raise PreconditionError("need at least one complete cycle",
-                                field="lengths")
-    if lengths.min() < 1:
-        raise PreconditionError("cycle lengths must be positive",
-                                field="lengths")
-    acc = RatioAccumulator(occupations.shape[1])
-    acc.add(occupations, lengths)
-    pi_hat, se, mean_len = acc.estimate()
-    return RegenReport(
-        n_cycles=int(lengths.shape[0]),
-        pi_hat=pi_hat,
-        standard_errors=se,
-        mean_cycle_length=mean_len,
-    )
-
-
-def z_scores(report, pi_exact):
-    """Per-state z-scores of an estimate against an exact distribution.
-
-    Zero-variance states score 0 when they agree exactly and inf when
-    they do not; they occur on deterministic cycles.
-    """
-    if report.standard_errors is None:
-        raise PreconditionError("standard errors unavailable with fewer "
-                                "than two cycles")
-    diff = report.pi_hat - np.asarray(pi_exact, dtype=np.float64)
-    se = report.standard_errors
-    out = np.empty_like(diff)
-    for i in range(diff.shape[0]):
-        if se[i] > 0:
-            out[i] = diff[i] / se[i]
-        else:
-            out[i] = 0.0 if diff[i] == 0 else math.inf
-    return out
 
 
 def _block_reach(model):
@@ -554,11 +511,7 @@ def split_cycle_measure(model):
     nu (I - Q) = lam gives epsilon * nu(R) = 1 for any epsilon and lam,
     so the measure would be invariant however false they are.  Refused
     too when a cycle need not close (``_block_reach``)."""
-    worst = minorization_residual(model)
-    if worst < -_RESIDUAL_TOL:
-        raise PreconditionError(
-            "K^ell - epsilon * lambda has entry %g on R; (epsilon, lambda, "
-            "ell) do not minorize K^ell" % worst, field="epsilon")
+    _require_minorization(model)
     q, reach = _block_reach(model)
     idx = np.flatnonzero(reach)
     nu = np.zeros(model.n)

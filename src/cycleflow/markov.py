@@ -685,28 +685,17 @@ def convex_decomposition(chain, pi, tol=1e-9):
     )
 
 
-@dataclass
-class CycleEstimate:
-    base: int
-    n_cycles: int
-    seed: int
-    pi_hat: np.ndarray
-    standard_errors: np.ndarray  # None when fewer than two cycles
-    mean_return: float
-    steps: int
-
-
 def simulate_cycle_estimator(chain, base, n_cycles, seed, step_budget=None):
     """Monte Carlo stationary estimate from independent return cycles.
 
     Cycles come from ``_stats.split_chain_chunks`` in fixed chunks of
     ``_stats.lane_chunk(n)`` cycles, each on its own spawned seed stream,
     so results are reproducible and independent of how chunks are
-    scheduled.  Each chunk feeds a ``RatioAccumulator``: the ratio
-    estimate and its per-state delta-method standard error come from
-    accumulated moments; with a single cycle the standard errors are
-    unavailable (None).  A run past ``step_budget`` steps raises
-    ``BudgetExceededError``.
+    scheduled.  Each chunk feeds a ``RatioAccumulator``, and its
+    ``RatioEstimate`` is returned as it is: the ratio estimate, its
+    per-state delta-method standard errors (None with a single cycle),
+    the mean return time as ``mean_cycle_length`` and the steps taken.
+    A run past ``step_budget`` steps raises ``BudgetExceededError``.
     """
     base = chain._check_state(base, "base")
     if n_cycles < 1:
@@ -721,18 +710,9 @@ def simulate_cycle_estimator(chain, base, n_cycles, seed, step_budget=None):
     # the return cycles of base, each rotated to end at base
     in_regen = np.arange(chain.n) == base
     acc = RatioAccumulator(chain.n)
-    for occ, lengths, _, used in split_chain_chunks(
+    for occ, lengths, _ in split_chain_chunks(
             seed, n_cycles, step_budget,
             (chain.matrix, chain.row_guide, base, None, None, in_regen, 1.0,
              1)):
         acc.add(occ, lengths)
-    pi_hat, se, mean_len = acc.estimate()
-    return CycleEstimate(
-        base=base,
-        n_cycles=n_cycles,
-        seed=seed,
-        pi_hat=pi_hat,
-        standard_errors=se,
-        mean_return=mean_len,
-        steps=used,
-    )
+    return acc.estimate()

@@ -248,32 +248,31 @@ def require_gate_cycles(cycles):
 
 
 def estimator_gate(details, estimate, pi):
-    """The z gate of every simulator: put the regenerative ``estimate``
+    """The z gate of every simulator: put its ``_stats.RatioEstimate``
     and ``pi``, the exact law of the cycles it drew, into ``details``,
     and return the check on the largest |z| over the states."""
     details["n_cycles"] = estimate.n_cycles
     details["pi_hat"] = estimate.pi_hat
     details["standard_errors"] = estimate.standard_errors
     details["stationary"] = pi
-    z = float(np.abs(_harris.z_scores(estimate, pi)).max())
+    z = float(np.abs(estimate.z_scores(pi)).max())
     return CheckResult("estimator_z_max", z, _Z_MAX)
 
 
 def harris_simulation(model, cfg, details):
     """Simulate ``cfg.cycles`` split-chain cycles and gate the estimate.
 
-    The z gate scores the regenerative estimate against mu / |mu|, mu
-    being the exact cycle measure ``split_cycle_measure`` of the split
-    chain that was simulated; the goodness-of-fit gate tests the
+    The z gate scores the run's estimate against mu / |mu|, mu being
+    the exact cycle measure ``split_cycle_measure`` of the split chain
+    that was simulated; the goodness-of-fit gate tests the
     regeneration draws against lambda.  Estimates go into ``details``;
     returns the checks and the run.
     """
     require_gate_cycles(cfg.cycles)
     run = _harris.simulate_split_chain(model, cfg.cycles, cfg.seed)
-    estimate = _harris.regen_ratio_estimator(run.occupations, run.lengths)
     mu = _harris.split_cycle_measure(model)
-    checks = [estimator_gate(details, estimate, mu / mu.sum())]
-    details["mean_cycle_length"] = estimate.mean_cycle_length
+    checks = [estimator_gate(details, run.estimate, mu / mu.sum())]
+    details["mean_cycle_length"] = run.estimate.mean_cycle_length
 
     stat, dof, pvalue = _harris.regen_distribution_gof(run, model)
     checks.append(CheckResult("regeneration_draw_gof", pvalue, _GOF_LEVEL,

@@ -62,3 +62,14 @@ def h3():
 @pytest.fixture
 def h3_pi():
     return H3_PI.copy()
+
+
+def same_estimate(a, b):
+    """Assert two ``RatioEstimate``s equal field by field, byte for byte."""
+    assert type(a) is type(b) is cf.RatioEstimate
+    for name, x, y in zip(a._fields, a, b):
+        if x is None or y is None:
+            assert x is None and y is None, name
+        else:
+            x, y = np.asarray(x), np.asarray(y)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name

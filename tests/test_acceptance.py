@@ -250,8 +250,7 @@ def test_harris_splitting():
             failures.append("%s: claimed minorization infeasible" % label)
 
         run = cf.simulate_split_chain(model, 100000, seed)
-        report = cf.regen_ratio_estimator(run.occupations, run.lengths)
-        z = cf.z_scores(report, H3_PI)
+        z = run.estimate.z_scores(H3_PI)
         if np.abs(z).max() > 4.0:
             failures.append("%s: worst z %g at 1e5 cycles"
                             % (label, np.abs(z).max()))
@@ -281,8 +280,7 @@ def test_cross_module_coherence(mc2):
         model = cf.HarrisModel(chain, [base], ell=1, epsilon=1.0,
                                lam=chain.matrix[base])
         run = cf.simulate_split_chain(model, 20000, seed)
-        report = cf.regen_ratio_estimator(run.occupations, run.lengths)
-        z = cf.z_scores(report, pi_cycle)
+        z = run.estimate.z_scores(pi_cycle)
         if np.abs(z).max() > 3.0:
             failures.append("%s: regenerative estimate %g standard errors "
                             "from the cycle-formula law"

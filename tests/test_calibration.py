@@ -38,6 +38,7 @@ import numpy as np
 import pytest
 
 import cycleflow as cf
+from cycleflow._stats import RatioAccumulator
 from conftest import H3, H3_PI
 
 _REPLICATES = 1000
@@ -104,22 +105,24 @@ def replicates():
 
 
 def _groups(run):
-    # the run's cycles as _REPLICATES runs of _CYCLES consecutive cycles
+    # the run's cycles as _REPLICATES runs of _CYCLES consecutive cycles,
+    # each with the estimate of its own cycles
     for g in range(_REPLICATES):
         part = slice(g * _CYCLES, (g + 1) * _CYCLES)
+        acc = RatioAccumulator(run.occupations.shape[1])
+        acc.add(run.occupations[part], run.lengths[part])
         yield cf.SplitChainRun(
             n_cycles=_CYCLES, seed=run.seed,
             occupations=run.occupations[part], lengths=run.lengths[part],
             regen_states=run.regen_states[part],
-            steps=int(run.lengths[part].sum()), ell=run.ell)
+            steps=int(run.lengths[part].sum()), ell=run.ell,
+            estimate=acc.estimate())
 
 
 @pytest.mark.parametrize("name", sorted(_MODELS))
 def test_regen_ratio_z_scores_are_calibrated(replicates, name):
     model, pi, run = replicates[name]
-    z = np.array([
-        cf.z_scores(cf.regen_ratio_estimator(g.occupations, g.lengths), pi)
-        for g in _groups(run)])
+    z = np.array([g.estimate.z_scores(pi) for g in _groups(run)])
     assert z.shape == (_REPLICATES, model.n) and np.all(np.isfinite(z))
     # the law over the states the cycles can visit: the others have se 0
     # and z 0, which would pull every band towards its null
@@ -147,5 +150,5 @@ def test_cycle_estimator_z_scores_are_calibrated():
     z = []
     for seed in _CHAIN_SEEDS:
         est = cf.simulate_cycle_estimator(chain, 0, _CHAIN_CYCLES, seed)
-        z.append((est.pi_hat - pi) / est.standard_errors)
+        z.append(est.z_scores(pi))
     _check_z_law(np.array(z))

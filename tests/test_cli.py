@@ -345,15 +345,21 @@ def test_harris_gates_a_two_class_kernel_against_its_cycle_law(
     assert details["pi_hat"][2:] == [0.0, 0.0]
 
 
-def test_harris_refuses_a_false_minorization_after_its_run(
-        tmp_path, capsys, clean_env):
-    # K^2(0, 2) = 0.15 < epsilon * lam(2) = 1: the run draws, but the
-    # gate's cycle measure is refused, naming epsilon
-    path = tmp_path / "false.json"
-    path.write_text(json.dumps(dict(HARRIS, epsilon=1,
-                                    **{"lambda": [0, 0, 1]})))
-    assert main(["harris", str(path), "--cycles", "300"]) == 7
-    assert capsys.readouterr().err.startswith("cycleflow: error: epsilon: ")
+def test_harris_refuses_a_false_minorization_before_its_run(
+        tmp_path, capsys, clean_env, monkeypatch):
+    # K^2(0, 2) = 0.15 < epsilon * lam(2): refused before anything is
+    # drawn, naming epsilon, whether epsilon is 1 or below it
+    def no_draws(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(cf._kernels, "split_chain_batch", no_draws)
+    for epsilon in (1, 0.5):
+        path = tmp_path / "false.json"
+        path.write_text(json.dumps(dict(HARRIS, epsilon=epsilon,
+                                        **{"lambda": [0, 0, 1]})))
+        assert main(["harris", str(path), "--cycles", "300"]) == 7
+        assert capsys.readouterr().err.startswith(
+            "cycleflow: error: epsilon: K^ell - epsilon * lambda has entry")
 
 
 def test_harris_refuses_a_model_whose_cycles_need_not_close(

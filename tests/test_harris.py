@@ -17,7 +17,7 @@ from cycleflow.errors import (
     InvariantError,
     PreconditionError,
 )
-from conftest import H3, H3_PI
+from conftest import H3, H3_PI, same_estimate
 
 FLIP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -145,15 +145,23 @@ def test_overclaimed_epsilon_residual_is_exact(h3):
     assert cf.minorization_residual(model) == pytest.approx(-1 / 14, abs=1e-12)
 
 
-def test_false_minorization_blocks_residual_rows(h3):
+def test_false_minorization_blocks_residual_rows(h3, monkeypatch):
+    # the residual rows always clip and renormalise, and the sampler
+    # refuses a false minorization before it builds them
     model = cf.HarrisModel(h3, [0, 1], ell=1, epsilon=0.8,
                            lam=[2 / 7, 5 / 7, 0.0])
-    with pytest.raises(InvariantError):
-        model.residual_rows()
-    rows = model.residual_rows(clip=True)
+    rows = model.residual_rows()
     sums = rows[[0, 1]].sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-12
     assert cf.mixture_residual(model) > 1e-3
+
+    def no_rows(self):
+        raise AssertionError("the residual rows were built")
+
+    monkeypatch.setattr(cf.HarrisModel, "residual_rows", no_rows)
+    with pytest.raises(PreconditionError) as err:
+        cf.simulate_split_chain(model, 10, seed=0)
+    assert err.value.field == "epsilon"
 
 
 def test_epsilon_one_has_zero_residual_rows():
@@ -449,10 +457,10 @@ def test_deterministic_flip_cycles():
     assert np.all(run.lengths == 2)
     assert np.all(run.occupations == 1)
     assert np.all(run.regen_states == 1)
-    report = cf.regen_ratio_estimator(run.occupations, run.lengths)
-    assert list(report.pi_hat) == [0.5, 0.5]
-    assert list(report.standard_errors) == [0.0, 0.0]
-    assert report.mean_cycle_length == 2.0
+    assert list(run.estimate.pi_hat) == [0.5, 0.5]
+    assert list(run.estimate.standard_errors) == [0.0, 0.0]
+    assert run.estimate.mean_cycle_length == 2.0
+    assert run.estimate.n_cycles == 50 and run.estimate.steps == 100
 
 
 def test_run_is_reproducible():
@@ -509,6 +517,28 @@ def test_recording_does_not_change_the_cycles(monkeypatch):
             assert np.all(np.delete(taped.marks, last) != 1)
 
 
+def test_a_run_of_several_chunks_folds_each_chunk(monkeypatch):
+    # the run's estimate is a RatioAccumulator fed one chunk at a time;
+    # its pi_hat, mean and steps keep the bits of one add over the joined
+    # counts, because integer counts sum exactly in float64
+    monkeypatch.setattr(cf._stats, "lane_chunk", lambda n_states: 64)
+    rng = np.random.default_rng(2802)
+    h40 = cf.HarrisModel(rng.dirichlet(np.ones(40), size=40), [0, 1, 2],
+                         ell=2)
+    for model in (variant_c(), h40):
+        run = cf.simulate_split_chain(model, 1000, seed=5)
+        acc = RatioAccumulator(model.n)
+        for start in range(0, 1000, 64):
+            acc.add(run.occupations[start:start + 64],
+                    run.lengths[start:start + 64])
+        same_estimate(run.estimate, acc.estimate())
+        whole = _estimate(run.occupations, run.lengths)
+        for field in ("n_cycles", "pi_hat", "mean_cycle_length", "steps"):
+            assert np.asarray(getattr(run.estimate, field)).tobytes() == \
+                np.asarray(getattr(whole, field)).tobytes(), field
+        assert run.steps == run.estimate.steps == run.lengths.sum()
+
+
 def test_trajectory_marks_coins_only_inside_set():
     model = variant_a()
     run = cf.simulate_split_chain(model, 60, seed=3, record_trajectory=True)
@@ -548,38 +578,69 @@ def test_split_chain_needs_a_cycle():
 # ratio estimation
 
 
-def test_estimator_validates_shapes():
-    with pytest.raises(PreconditionError):
-        cf.regen_ratio_estimator(np.zeros((3, 2)), np.ones(2))
-    with pytest.raises(PreconditionError):
-        cf.regen_ratio_estimator(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(PreconditionError):
-        cf.regen_ratio_estimator(np.ones((2, 2)), np.array([1, 0]))
+def _estimate(occ, lengths):
+    # the estimate of one add over all the cycles
+    acc = RatioAccumulator(occ.shape[1])
+    acc.add(occ, lengths)
+    return acc.estimate()
 
 
 def test_single_cycle_reports_no_errors():
-    report = cf.regen_ratio_estimator(np.array([[2, 1]]), np.array([3]))
-    assert report.standard_errors is None
-    assert np.abs(report.pi_hat - [2 / 3, 1 / 3]).max() <= 1e-15
+    est = _estimate(np.array([[2, 1]]), np.array([3]))
+    assert est.standard_errors is None
+    assert est.n_cycles == 1 and est.steps == 3
+    assert np.abs(est.pi_hat - [2 / 3, 1 / 3]).max() <= 1e-15
     with pytest.raises(PreconditionError):
-        cf.z_scores(report, [0.5, 0.5])
+        est.z_scores([0.5, 0.5])
 
 
 def test_estimates_agree_with_exact_law():
     for model in (variant_a(), variant_b(), variant_c()):
         run = cf.simulate_split_chain(model, 3000, seed=101)
-        report = cf.regen_ratio_estimator(run.occupations, run.lengths)
-        z = cf.z_scores(report, H3_PI)
-        assert np.abs(z).max() <= 3.0
+        assert np.abs(run.estimate.z_scores(H3_PI)).max() <= 3.0
 
 
 def test_z_scores_on_zero_variance_states():
-    report = cf.regen_ratio_estimator(np.ones((4, 2), dtype=np.int64),
-                                      np.full(4, 2))
-    z = cf.z_scores(report, [0.5, 0.5])
+    est = _estimate(np.ones((4, 2), dtype=np.int64), np.full(4, 2))
+    z = est.z_scores([0.5, 0.5])
     assert list(z) == [0.0, 0.0]
-    z = cf.z_scores(report, [0.4, 0.6])
+    z = est.z_scores([0.4, 0.6])
     assert math.isinf(z[0]) and math.isinf(z[1])
+
+
+def _z_scores_by_state(estimate, pi):
+    # the per-state loop that scored estimates before the vectorised
+    # RatioEstimate.z_scores, kept as its referee
+    diff = estimate.pi_hat - np.asarray(pi, dtype=np.float64)
+    se = estimate.standard_errors
+    out = np.empty_like(diff)
+    for i in range(diff.shape[0]):
+        if se[i] > 0:
+            out[i] = diff[i] / se[i]
+        else:
+            out[i] = 0.0 if diff[i] == 0 else math.inf
+    return out
+
+
+def test_vectorised_z_scores_match_the_per_state_loop():
+    # random estimates whose states have se > 0, or se = 0 with a gap to
+    # the law that is zero, positive or negative
+    rng = np.random.default_rng(2801)
+    kinds = set()
+    for n in (1, 3, 40):
+        for _ in range(50):
+            pi_hat = rng.dirichlet(np.ones(n))
+            kind = rng.integers(0, 4, size=n)
+            kinds.update(kind.tolist())
+            se = np.where(kind == 0, rng.random(n) * 1e-2, 0.0)
+            gap = np.select([kind == 1, kind == 2, kind == 3],
+                            [0.0, 1e-3, -1e-3], rng.normal(0, 1e-2, n))
+            pi = pi_hat - gap
+            est = cf.RatioEstimate(2, pi_hat, se, 2.0, 4)
+            got = est.z_scores(pi)
+            want = _z_scores_by_state(est, pi)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert kinds == {0, 1, 2, 3}
 
 
 def _two_pass_standard_errors(occ, lengths):
@@ -598,15 +659,16 @@ def test_standard_errors_on_long_nearly_equal_cycles():
     occ = np.stack([lengths // 2, lengths - lengths // 2], axis=1)
     expected = _two_pass_standard_errors(occ, lengths)
     assert expected.min() > 7e-10
-    report = cf.regen_ratio_estimator(occ, lengths)
+    report = _estimate(occ, lengths)
     assert np.allclose(report.standard_errors, expected, rtol=1e-6, atol=0)
     acc = RatioAccumulator(2)
     for rows in np.array_split(np.arange(1000), 7):
         acc.add(occ[rows], lengths[rows])
-    pi_hat, se, mean_len = acc.estimate()
-    assert np.array_equal(pi_hat, report.pi_hat)
-    assert mean_len == report.mean_cycle_length
-    assert np.allclose(se, expected, rtol=1e-6, atol=0)
+    merged = acc.estimate()
+    assert np.array_equal(merged.pi_hat, report.pi_hat)
+    assert merged.mean_cycle_length == report.mean_cycle_length
+    assert merged.steps == report.steps == lengths.sum()
+    assert np.allclose(merged.standard_errors, expected, rtol=1e-6, atol=0)
 
 
 def test_merged_moments_match_two_pass_on_random_chunks():
@@ -618,7 +680,7 @@ def test_merged_moments_match_two_pass_on_random_chunks():
     for rows in np.array_split(rng.permutation(500), 9):
         acc.add(occ[rows], lengths[rows])
     assert acc.n_cycles == 500
-    _, se, _ = acc.estimate()
+    se = acc.estimate().standard_errors
     assert np.allclose(se, _two_pass_standard_errors(occ, lengths),
                        rtol=1e-9, atol=0)
 
@@ -872,8 +934,7 @@ def test_mean_cycle_length_is_one_plus_hit_time():
     # regeneration: 1 + E_lam[first entry into R counted from time zero]
     # = 1 + (1/2) * 0 + (1/2) * 80/13 = 53/13
     run = cf.simulate_split_chain(variant_a(), 4000, seed=77)
-    report = cf.regen_ratio_estimator(run.occupations, run.lengths)
-    assert report.mean_cycle_length == pytest.approx(53 / 13, rel=0.05)
+    assert run.estimate.mean_cycle_length == pytest.approx(53 / 13, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,8 +1137,7 @@ def test_split_chain_variants_estimate_the_exact_law():
     for model, stream in zip([variant_a(), variant_b(), variant_c()],
                              streams):
         run = cf.simulate_split_chain(model, 2000, stream)
-        report = cf.regen_ratio_estimator(run.occupations, run.lengths)
-        assert np.abs(cf.z_scores(report, H3_PI)).max() <= 4.0
+        assert np.abs(run.estimate.z_scores(H3_PI)).max() <= 4.0
 
 
 def test_crosscheck_demands_one_kernel():

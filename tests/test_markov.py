@@ -15,6 +15,7 @@ from cycleflow.errors import (
     InvariantError,
     PreconditionError,
 )
+from conftest import same_estimate
 
 MC2_PI = np.array([3 / 7, 4 / 7])
 
@@ -646,7 +647,7 @@ def test_row_guide_follows_the_bound_matrix(flip2):
     assert chain.row_guide[0][:, :-1].tolist() == [[0.0, 1.0], [1.0, 1.0]]
     # the flip returns to its base in exactly two steps
     est = cf.simulate_cycle_estimator(chain, 0, 200, seed=1)
-    assert est.mean_return == 2.0
+    assert est.mean_cycle_length == 2.0
 
 
 def test_occupation_solve_keeps_the_bits_of_the_dense_transpose():
@@ -877,7 +878,7 @@ def test_random_reducible_decompositions():
 def test_flip_estimator_is_exact(flip2):
     est = cf.simulate_cycle_estimator(flip2, 0, 50, seed=1)
     assert list(est.pi_hat) == [0.5, 0.5]
-    assert est.mean_return == 2.0
+    assert est.mean_cycle_length == 2.0
     assert list(est.standard_errors) == [0.0, 0.0]
     assert est.steps == 100
 
@@ -909,8 +910,8 @@ def test_estimator_chunking_does_not_change_totals(mc2, monkeypatch):
 def test_estimator_is_the_split_chain_of_one_state(mc2, flip2, monkeypatch):
     # the estimator runs the split chain with R = {base}, ell = 1,
     # epsilon = 1 and lam = P[base]; built as a HarrisModel, that split
-    # chain gives the same estimate and step count from the same seed,
-    # in chunks of 64 cycles
+    # chain gives the same estimate, every field byte for byte, from the
+    # same seed, in chunks of 64 cycles
     monkeypatch.setattr(cf._stats, "lane_chunk", lambda n_states: 64)
     rng = np.random.default_rng(81)
     chains = [mc2, flip2] + [random_dense_chain(int(rng.integers(1, 12)), rng)
@@ -922,10 +923,7 @@ def test_estimator_is_the_split_chain_of_one_state(mc2, flip2, monkeypatch):
         model = cf.HarrisModel(chain, [base], ell=1, epsilon=1.0,
                                lam=chain.matrix[base])
         run = cf.simulate_split_chain(model, cycles, case)
-        report = cf.regen_ratio_estimator(run.occupations, run.lengths)
-        assert est.pi_hat.tobytes() == report.pi_hat.tobytes()
-        assert np.float64(est.mean_return).tobytes() == \
-            np.float64(report.mean_cycle_length).tobytes()
+        same_estimate(est, run.estimate)
         assert est.steps == run.steps == run.lengths.sum()
         # one step short of the run, both stop with the same message
         errors = []
@@ -944,7 +942,7 @@ def test_estimator_near_truth(mc2):
     est = cf.simulate_cycle_estimator(mc2, 0, 4000, seed=5)
     z = np.abs(est.pi_hat - MC2_PI) / est.standard_errors
     assert z.max() <= 4.0
-    assert est.mean_return == pytest.approx(7 / 3, rel=0.05)
+    assert est.mean_cycle_length == pytest.approx(7 / 3, rel=0.05)
 
 
 def test_estimator_refuses_transient_base():

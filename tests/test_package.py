@@ -14,12 +14,12 @@ import cycleflow as cf
 
 PUBLIC = [
     "BACKWARD", "BridgeLaw", "BudgetExceededError", "CheckResult",
-    "ClassStructure", "CrosscheckReport", "CycleEstimate", "CycleMeasure",
+    "ClassStructure", "CrosscheckReport", "CycleMeasure",
     "CycleflowError", "DecompositionResult", "FORWARD", "FileAccessError",
     "FiniteSystem", "HarrisConditions", "HarrisModel", "HittingProfile",
     "IdentitySuiteResult", "InfeasibleMinorizationError",
     "InternalInconsistencyError", "InvariantError", "ModelParseError",
-    "OutputError", "PreconditionError", "RESTRICTION", "RegenReport",
+    "OutputError", "PreconditionError", "RESTRICTION", "RatioEstimate",
     "RunConfig", "SplitChainRun", "StochasticMatrix", "SuiteReport",
     "UnknownKindError", "UnsupportedOperationError",
     "block_marginal_gof", "canonical_json", "check_preserving",
@@ -33,10 +33,10 @@ PUBLIC = [
     "mixture_residual", "model_document", "model_hash", "model_size",
     "modelio", "occupation_count", "parse_model", "poincare_residual",
     "positivity_equivalence", "precapacity_residual",
-    "regen_distribution_gof", "regen_ratio_estimator", "report",
+    "regen_distribution_gof", "report",
     "run_suite", "shift_invariance_residual", "simulate_cycle_estimator",
     "simulate_split_chain", "split_cycle_measure",
-    "stationary_leftnull", "suite", "uniqueness_crosscheck", "z_scores",
+    "stationary_leftnull", "suite", "uniqueness_crosscheck",
 ]
 
 
