@@ -72,8 +72,6 @@ from .markov import (
     stationary_leftnull,
 )
 from .harris import (
-    BridgeLaw,
-    CrosscheckReport,
     HarrisConditions,
     HarrisModel,
     SplitChainRun,
@@ -84,7 +82,6 @@ from .harris import (
     regen_distribution_gof,
     simulate_split_chain,
     split_cycle_measure,
-    uniqueness_crosscheck,
 )
 from ._stats import RatioEstimate
 from .modelio import (

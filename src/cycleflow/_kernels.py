@@ -133,8 +133,12 @@ def _lane_draw(table, base, u):
 
 
 def _lane_bridge(k_raw, kpow, prev, end, steps_left, u):
-    # Per lane, the interior s of weight K(prev, s) K^(steps_left-1)(s, end)
-    # whose running sum is first above u * total, past it the last positive.
+    # The bridge law of a block pinned at both ends: given the previous
+    # state and the steps left to the endpoint, the next interior state s
+    # has probability
+    #     K(prev, s) K^(steps_left-1)(s, end) / K^steps_left(prev, end).
+    # Per lane, the s whose running sum of those weights is first above
+    # u * total, past it the last positive.
     w = k_raw[prev] * kpow[steps_left - 1, :, end]
     run = np.cumsum(w, axis=1)
     idx = (run <= (u * kpow[steps_left, prev, end])[:, None]).sum(axis=1)

@@ -233,12 +233,8 @@ def _fit_report(model, cfg, args):
     checks = [CheckResult("minorization_residual",
                           harris.minorization_residual(fitted), -1e-12,
                           comparator=">=")]
-    details = {
-        "regen_set": list(fitted.regen_indices),
-        "ell": fitted.ell,
-        "epsilon": fitted.epsilon,
-        "lambda": fitted.lam,
-    }
+    details = harris_details(fitted)
+    del details["fitted"]
     return _command_report("fit-minorization", model, cfg, checks, details)
 
 

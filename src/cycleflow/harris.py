@@ -1,5 +1,5 @@
-"""Regeneration by splitting: minorization fitting, pinned blocks, and
-the split chain's regenerative estimate.
+"""Regeneration by splitting: minorization fitting, the split chain's
+regenerative estimate and its exact cycle measure.
 
 A Harris model wraps a transition kernel K with a small set R, a block
 length ell, and a minorization  K^ell(x, .) >= epsilon * lam(.)  for
@@ -25,6 +25,10 @@ the closing one too, is a K path over its coin, so
 mu = lam (I - Q)^-1 (K^0 + ... + K^(ell-1)), and |mu| is the mean cycle
 length.  I - Q is singular on a closed set of Q that misses R, so it is
 solved on the states Q reaches from supp(lam), once each can reach R.
+When the kernel has one invariant law, every regeneration structure
+over it gives that law as mu / |mu|: comparing ``split_cycle_measure``
+across structures checks uniqueness.  ``bridge_mass`` sums the bridge
+law's interior paths from K entries alone, against K^ell.
 Kernel products and solves run on one BLAS thread, so their bits do not
 depend on the core count.
 """
@@ -43,8 +47,8 @@ from .errors import (
     InvariantError,
     PreconditionError,
 )
-from .markov import (CROSS_FLOOR, StochasticMatrix, _cycle_system,
-                     _one_blas_thread, _solve_or_refuse, class_structure)
+from .markov import (StochasticMatrix, _cycle_system, _one_blas_thread,
+                     _solve_or_refuse, class_structure)
 from .measure import event_mask
 
 _LAM_SUM_TOL = 1e-9
@@ -300,73 +304,28 @@ def harris_conditions(model):
     )
 
 
-@dataclass(eq=False)
-class BridgeLaw:
-    """Conditional law of the interior of an ell-step block pinned at
-    both ends.  Sequential: given the previous state and the remaining
-    step count, the next interior state s has probability proportional
-    to K(prev, s) * K^(steps_left-1)(s, end).  ``_kernels._lane_bridge``
-    draws this law in the simulator's lanes."""
-
-    model: HarrisModel
-    start: int
-    end: int
-
-    def __post_init__(self):
-        self.start = self.model.kernel._check_state(self.start, "x")
-        self.end = self.model.kernel._check_state(self.end, "y")
-        if not self.model.k_ell[self.start, self.end] > 0:
-            raise PreconditionError(
-                "K^%d(%r, %r) = 0: conditional block law undefined"
-                % (self.model.ell, self.start, self.end))
-
-    @property
-    def length(self):
-        return self.model.ell - 1
-
-    def step_distribution(self, position, prev):
-        """Law of the interior state at 1-based ``position`` given the
-        state before it."""
-        if not 1 <= position <= self.length:
-            raise PreconditionError("interior position out of range",
-                                    field="position")
-        kpow = self.model.kernel_powers
-        steps_left = self.model.ell - position + 1
-        w = self.model.kernel.matrix[prev] * kpow[steps_left - 1][:, self.end]
-        return w / kpow[steps_left][prev, self.end]
-
-    def path_probability(self, path):
-        """Exact probability of one interior path."""
-        path = tuple(int(s) for s in path)
-        if len(path) != self.length:
-            raise PreconditionError("path length must be ell - 1",
-                                    field="path")
-        k = self.model.kernel.matrix
-        states = (self.start,) + path + (self.end,)
-        prob = 1.0
-        for a, b in zip(states[:-1], states[1:]):
-            prob *= k[a, b]
-        return prob / self.model.k_ell[self.start, self.end]
-
-    def enumerate_paths(self):
-        """All positive-probability interior paths with their exact
-        probabilities; they sum to one."""
-        k = self.model.kernel.matrix
-        kpow = self.model.kernel_powers
-
-        def walk(prefix, prev, steps_left):
-            if steps_left == 1:
-                yield prefix
-                return
-            for s in range(self.model.n):
-                if k[prev, s] > 0 and kpow[steps_left - 1][s, self.end] > 0:
-                    yield from walk(prefix + (s,), s, steps_left - 1)
-
-        for path in walk((), self.start, self.model.ell):
-            yield path, self.path_probability(path)
-
-    def total_mass(self):
-        return float(sum(p for _, p in self.enumerate_paths()))
+def bridge_mass(model, x, y):
+    """Total probability of the interior paths of an ell-step block
+    pinned at x and y (ell >= 2), which the bridge law makes one.  Each
+    path's K product is formed left to right by broadcasting, divided by
+    K^ell(x, y), and the n**(ell-1) paths are summed one by one in
+    lexicographic order: no power other than that divisor is read, so the
+    sum checks K^ell.  Refused when K^ell(x, y) = 0."""
+    x = model.kernel._check_state(x, "x")
+    y = model.kernel._check_state(y, "y")
+    if model.ell < 2:
+        raise PreconditionError("a block of one step has no interior",
+                                field="ell")
+    total = model.k_ell[x, y]
+    if not total > 0:
+        raise PreconditionError(
+            "K^%d(%r, %r) = 0: conditional block law undefined"
+            % (model.ell, x, y))
+    k = model.kernel.matrix
+    w = k[x]
+    for _ in range(model.ell - 2):
+        w = w[..., None] * k
+    return float(sum((w * k[:, y] / total).ravel().tolist()))
 
 
 @dataclass
@@ -386,20 +345,18 @@ class SplitChainRun:
 
     trajectory and marks are kept only when recording was requested, and
     recording changes no draw.  trajectory holds each cycle's visited
-    states in order, cycle after cycle, ``steps`` entries in all: with
-    ends = cumsum(lengths), cycle c is trajectory[ends[c] - lengths[c]:
-    ends[c]], and its endpoint is regen_states[c].  marks holds each
-    cycle's lengths[c] // ell block coins in order: 1 for heads (always
-    when epsilon = 1), 0 for tails, -1 for a block that starts outside
-    the regeneration set.
+    states in order, cycle after cycle, ``estimate.steps`` entries in
+    all: with ends = cumsum(lengths), cycle c is trajectory[ends[c] -
+    lengths[c]: ends[c]], and its endpoint is regen_states[c].  marks
+    holds each cycle's lengths[c] // ell block coins in order: 1 for
+    heads (always when epsilon = 1), 0 for tails, -1 for a block that
+    starts outside the regeneration set.
     """
 
-    n_cycles: int
     seed: object
     occupations: np.ndarray
     lengths: np.ndarray
     regen_states: np.ndarray
-    steps: int
     ell: int
     estimate: RatioEstimate
     trajectory: np.ndarray = None
@@ -472,16 +429,13 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     if record_trajectory:
         traj = np.concatenate(path).astype(np.int64, copy=False)
         marks = np.concatenate(coins).astype(np.int8)
-    estimate = acc.estimate()
     return SplitChainRun(
-        n_cycles=int(n_regens),
         seed=seed,
         occupations=_joined(occ),
         lengths=_joined(lengths),
         regen_states=_joined(regen_states),
-        steps=estimate.steps,
         ell=model.ell,
-        estimate=estimate,
+        estimate=acc.estimate(),
         trajectory=traj,
         marks=marks,
     )
@@ -518,46 +472,6 @@ def split_cycle_measure(model):
     nu[idx] = _solve_or_refuse(_cycle_system(q, idx), model.lam[idx],
                                "the block system of the split chain")
     return (nu @ model.kernel_powers[:model.ell]).sum(axis=0)
-
-
-@dataclass
-class CrosscheckReport:
-    """Per variant, in order: the largest gap between its normalised
-    cycle measure and the exact law, and its exact mean cycle length."""
-
-    deviations: list
-    mean_cycle_lengths: list
-    tolerance: float
-    all_passed: bool
-
-
-def uniqueness_crosscheck(variants, pi_exact):
-    """Every regeneration structure over one kernel must generate the
-    same stationary law: each variant's ``split_cycle_measure``,
-    normalised, must lie within ``markov.CROSS_FLOOR`` of ``pi_exact``,
-    a law computed another way (say ``markov.stationary_leftnull``)."""
-    variants = list(variants)
-    if not variants:
-        raise PreconditionError("no variants given", field="variants")
-    base = variants[0].kernel.matrix
-    if any(not np.array_equal(v.kernel.matrix, base) for v in variants):
-        raise PreconditionError(
-            "variants must share one kernel; uniqueness across "
-            "constructions is only defined for a single chain")
-    pi_exact = np.asarray(pi_exact, dtype=np.float64)
-    if pi_exact.shape != (base.shape[0],):
-        raise PreconditionError("pi_exact length does not match the kernel",
-                                field="pi_exact")
-    measures = [split_cycle_measure(model) for model in variants]
-    lengths = [float(mu.sum()) for mu in measures]
-    deviations = [float(np.abs(mu / total - pi_exact).max())
-                  for mu, total in zip(measures, lengths)]
-    return CrosscheckReport(
-        deviations=deviations,
-        mean_cycle_lengths=lengths,
-        tolerance=CROSS_FLOOR,
-        all_passed=all(d <= CROSS_FLOOR for d in deviations),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +565,7 @@ def regen_distribution_gof(run, model):
     support = model.lam > 0
     if counts[~support].sum() > 0:
         return math.inf, 0, 0.0
-    expected = run.n_cycles * model.lam[support]
+    expected = run.estimate.n_cycles * model.lam[support]
     return _chisquare_test([_merge_small_bins(counts[support], expected)])
 
 

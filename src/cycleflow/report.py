@@ -129,7 +129,8 @@ class SuiteReport:
 
     @property
     def overall_pass(self):
-        return all(c.passed for c in self.checks)
+        # a report with no checks has shown nothing, so it cannot pass
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def to_document(self):
         """Canonical document; timing intentionally excluded so equal

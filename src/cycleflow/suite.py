@@ -215,18 +215,12 @@ def _harris_suite(model, cfg):
     details["expected_lambda_return"] = cond.expected_lambda_return
 
     if model.ell >= 2 and model.n ** (model.ell - 1) <= _BRIDGE_PATH_CAP:
-        worst = 0.0
-        examined = 0
-        k_ell = model.k_ell
-        for x in range(model.n):
-            for y in range(model.n):
-                if k_ell[x, y] > 0 and examined < cfg.sample_pairs:
-                    law = _harris.BridgeLaw(model, x, y)
-                    worst = max(worst, abs(law.total_mass() - 1.0))
-                    examined += 1
+        pairs = np.argwhere(model.k_ell > 0)[:cfg.sample_pairs]
+        worst = max(abs(_harris.bridge_mass(model, x, y) - 1.0)
+                    for x, y in pairs)
         checks.append(CheckResult("bridge_total_mass", worst,
                                   max(cfg.tolerance, 1e-12)))
-        details["bridge_pairs"] = examined
+        details["bridge_pairs"] = len(pairs)
 
     structural_ok = all(c.passed for c in checks)
     if cfg.cycles < 1:

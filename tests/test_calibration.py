@@ -112,11 +112,9 @@ def _groups(run):
         acc = RatioAccumulator(run.occupations.shape[1])
         acc.add(run.occupations[part], run.lengths[part])
         yield cf.SplitChainRun(
-            n_cycles=_CYCLES, seed=run.seed,
-            occupations=run.occupations[part], lengths=run.lengths[part],
-            regen_states=run.regen_states[part],
-            steps=int(run.lengths[part].sum()), ell=run.ell,
-            estimate=acc.estimate())
+            seed=run.seed, occupations=run.occupations[part],
+            lengths=run.lengths[part], regen_states=run.regen_states[part],
+            ell=run.ell, estimate=acc.estimate())
 
 
 @pytest.mark.parametrize("name", sorted(_MODELS))

@@ -308,31 +308,62 @@ def test_float_singular_systems_are_refused():
 # pinned blocks
 
 
-def test_one_step_bridge_is_empty():
-    law = cf.BridgeLaw(variant_a(), 0, 1)
-    assert law.length == 0
-    paths = list(law.enumerate_paths())
-    assert paths == [((), 1.0)]
-    assert law.total_mass() == pytest.approx(1.0)
+def _step_law(model, position, prev, end):
+    # the bridge law of the interior state at 1-based position given the
+    # state before it: K(prev, s) K^(left-1)(s, end) / K^left(prev, end)
+    kpow = model.kernel_powers
+    left = model.ell - position + 1
+    return (model.kernel.matrix[prev] * kpow[left - 1][:, end]
+            / kpow[left][prev, end])
+
+
+def _path_probability(model, x, path, y):
+    # one interior path's K product, left to right, over K^ell(x, y)
+    k = model.kernel.matrix
+    states = (x,) + tuple(path) + (y,)
+    prob = 1.0
+    for a, b in zip(states[:-1], states[1:]):
+        prob *= k[a, b]
+    return prob / model.k_ell[x, y]
+
+
+def _enumerate_paths(model, x, y):
+    # every interior path with K(prev, s) > 0 and K^left(s, y) > 0, in
+    # lexicographic order
+    k = model.kernel.matrix
+    kpow = model.kernel_powers
+
+    def walk(prefix, prev, steps_left):
+        if steps_left == 1:
+            yield prefix
+            return
+        for s in range(model.n):
+            if k[prev, s] > 0 and kpow[steps_left - 1][s, y] > 0:
+                yield from walk(prefix + (s,), s, steps_left - 1)
+
+    for path in walk((), x, model.ell):
+        yield path, _path_probability(model, x, path, y)
+
+
+def _referee_mass(model, x, y):
+    return float(sum(p for _, p in _enumerate_paths(model, x, y)))
 
 
 def test_two_step_bridge_forced_interior():
-    # only state 1 connects 0 to 2 in two steps
-    law = cf.BridgeLaw(variant_c(), 0, 2)
-    assert np.abs(law.step_distribution(1, 0) - [0.0, 1.0, 0.0]).max() <= 1e-15
-
-
-def test_two_step_bridge_mixed_interior():
-    law = cf.BridgeLaw(variant_c(), 0, 0)
-    dist = law.step_distribution(1, 0)
-    assert np.abs(dist - [5 / 7, 2 / 7, 0.0]).max() <= 1e-12
-    assert law.path_probability([0]) == pytest.approx(5 / 7, abs=1e-12)
-    assert law.path_probability([1]) == pytest.approx(2 / 7, abs=1e-12)
+    # only state 1 connects 0 to 2 in two steps: every lane draws it
+    lanes = np.zeros(500, dtype=np.intp)
+    draws = _bridge_lanes(variant_c(), lanes, lanes + 2, lanes + 2,
+                          np.random.default_rng(4).random(500))
+    assert draws.tolist() == [1] * 500
 
 
 def test_bridge_requires_positive_endpoint_mass():
-    with pytest.raises(PreconditionError):
-        cf.BridgeLaw(variant_a(), 0, 2)  # K(0, 2) = 0
+    model = cf.HarrisModel(FLIP2, [0], ell=2)  # K^2 = I
+    with pytest.raises(PreconditionError, match="= 0"):
+        cf.harris.bridge_mass(model, 0, 1)
+    with pytest.raises(PreconditionError) as err:
+        cf.harris.bridge_mass(variant_a(), 0, 1)  # ell = 1: no interior
+    assert err.value.field == "ell"
 
 
 def test_bridge_paths_sum_to_one_everywhere(h3):
@@ -340,11 +371,62 @@ def test_bridge_paths_sum_to_one_everywhere(h3):
     for x in range(3):
         for y in range(3):
             if model.k_ell[x, y] > 0:
-                law = cf.BridgeLaw(model, x, y)
-                assert law.total_mass() == pytest.approx(1.0, abs=1e-12)
-                probs = {p: pr for p, pr in law.enumerate_paths()}
-                for path, prob in probs.items():
-                    assert law.path_probability(path) == pytest.approx(prob)
+                assert cf.harris.bridge_mass(model, x, y) == \
+                    pytest.approx(1.0, abs=1e-12)
+                # each path's probability is its chain of step laws
+                for path, prob in _enumerate_paths(model, x, y):
+                    prev = (x,) + path
+                    steps = [_step_law(model, j + 1, prev[j], y)[s]
+                             for j, s in enumerate(path)]
+                    assert prob == pytest.approx(math.prod(steps))
+
+
+def test_bridge_mass_is_the_path_sum_bit_for_bit():
+    # every positive pair of random kernels, n from 3 to 40 and ell from
+    # 2 to 5 under the suite's path cap: the broadcast products summed in
+    # order are the enumerated path sum, bit for bit
+    rng = np.random.default_rng(29)
+    compared = 0
+    for n, ell in ((3, 2), (3, 5), (7, 3), (12, 2), (16, 4), (40, 2),
+                   (5, 4), (9, 3)):
+        if n ** (ell - 1) > cf.suite._BRIDGE_PATH_CAP:
+            continue
+        k = rng.dirichlet(np.full(n, 0.5), size=n)
+        k[k < 0.02] = 0.0  # zeros inside rows: skipped paths too
+        k /= k.sum(axis=1, keepdims=True)
+        model = cf.HarrisModel(k, [0], ell=ell)
+        for x, y in np.argwhere(model.k_ell > 0):
+            assert cf.harris.bridge_mass(model, x, y) == \
+                _referee_mass(model, int(x), int(y)), (n, ell, x, y)
+            compared += 1
+    assert compared > 1500
+
+
+def _model_40(ell):
+    rng = np.random.default_rng(40)
+    return cf.HarrisModel(rng.dirichlet(np.full(40, 0.3), size=40), [0],
+                          ell=ell)
+
+
+def test_suite_bridge_check_takes_the_first_pairs_in_row_order():
+    model = _model_40(2)
+    report = cf.run_suite(model, cf.RunConfig(sample_pairs=3, cycles=0))
+    assert report.details["bridge_pairs"] == 3
+    pairs = [tuple(int(i) for i in p) for p in np.argwhere(model.k_ell > 0)]
+    want = max(abs(_referee_mass(model, x, y) - 1.0) for x, y in pairs[:3])
+    [check] = [c for c in report.checks if c.name == "bridge_total_mass"]
+    assert check.value == want
+
+
+def test_suite_bridge_check_fails_on_a_perturbed_power():
+    # the paths are summed from K entries, so a K^ell entry that is not
+    # their sum fails the check
+    model = _model_40(2)
+    x, y = np.argwhere(model.k_ell > 0)[0]
+    model.kernel_powers[model.ell][x, y] *= 1 + 1e-9
+    report = cf.run_suite(model, cf.RunConfig(cycles=0))
+    [check] = [c for c in report.checks if c.name == "bridge_total_mass"]
+    assert not check.passed and not report.overall_pass
 
 
 def _bridge_lanes(model, prev, end, steps_left, u):
@@ -368,18 +450,17 @@ def test_bridge_sampler_follows_the_law():
 def test_bridge_lanes_follow_the_law_at_every_position(h3):
     # ell = 3: every (prev, end) a block can pass through at interior
     # positions 1 and 2, 4000 lanes each, all drawn in one call; each
-    # count vector against step_distribution at the 0.01% level of
+    # count vector against the step law at the 0.01% level of
     # chi-square(support - 1)
     model = cf.HarrisModel(h3, [0], ell=3)
     cells = {}
     for x in range(3):
         for y in range(3):
             if model.k_ell[x, y] > 0:
-                law = cf.BridgeLaw(model, x, y)
-                first = law.step_distribution(1, x)
+                first = _step_law(model, 1, x, y)
                 cells[1, x, y] = first
                 for s in np.flatnonzero(first):
-                    cells[2, int(s), y] = law.step_distribution(2, s)
+                    cells[2, int(s), y] = _step_law(model, 2, s, y)
     keys = sorted(cells)
     lanes = 4000
     prev, end, steps_left = (np.repeat(np.array(col), lanes) for col in
@@ -453,7 +534,6 @@ def test_kernel_power_count_is_capped_on_small_kernels():
 def test_deterministic_flip_cycles():
     model = cf.HarrisModel(FLIP2, [0], ell=1)
     run = cf.simulate_split_chain(model, 50, seed=7)
-    assert run.n_cycles == 50
     assert np.all(run.lengths == 2)
     assert np.all(run.occupations == 1)
     assert np.all(run.regen_states == 1)
@@ -479,7 +559,7 @@ def _same_cycles(a, b):
     for field in ("occupations", "lengths", "regen_states"):
         assert getattr(a, field).dtype == getattr(b, field).dtype
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
-    assert a.steps == b.steps
+    assert a.estimate.steps == b.estimate.steps
 
 
 def test_recording_does_not_change_the_cycles(monkeypatch):
@@ -504,7 +584,7 @@ def test_recording_does_not_change_the_cycles(monkeypatch):
             assert plain.trajectory is None and plain.marks is None
             _same_cycles(plain, taped)
             path, ell = taped.trajectory, model.ell
-            assert path.shape == (taped.steps,)
+            assert path.shape == (taped.estimate.steps,)
             ends = np.cumsum(taped.lengths)
             for c in range(60):
                 np.testing.assert_array_equal(
@@ -536,7 +616,7 @@ def test_a_run_of_several_chunks_folds_each_chunk(monkeypatch):
         for field in ("n_cycles", "pi_hat", "mean_cycle_length", "steps"):
             assert np.asarray(getattr(run.estimate, field)).tobytes() == \
                 np.asarray(getattr(whole, field)).tobytes(), field
-        assert run.steps == run.estimate.steps == run.lengths.sum()
+        assert run.estimate.steps == run.lengths.sum()
 
 
 def test_trajectory_marks_coins_only_inside_set():
@@ -554,7 +634,7 @@ def test_cycle_lengths_are_block_multiples():
     model = variant_c()
     run = cf.simulate_split_chain(model, 200, seed=9)
     assert np.all(run.lengths % model.ell == 0)
-    assert run.steps == int(run.lengths.sum())
+    assert run.estimate.steps == int(run.lengths.sum())
 
 
 def test_occupations_account_for_every_step():
@@ -1015,8 +1095,8 @@ def test_split_cycle_measure_of_one_state_is_the_cycle_occupation(
 def test_split_cycle_measure_agrees_with_the_simulated_cycles():
     model = variant_c()
     run = cf.simulate_split_chain(model, 4000, seed=3)
-    mean_visits = run.occupations.sum(axis=0) / run.n_cycles
-    se = run.occupations.std(axis=0) / np.sqrt(run.n_cycles)
+    mean_visits = run.occupations.sum(axis=0) / run.estimate.n_cycles
+    se = run.occupations.std(axis=0) / np.sqrt(run.estimate.n_cycles)
     z = (mean_visits - cf.split_cycle_measure(model)) / se
     assert np.abs(z).max() <= 4.0
 
@@ -1091,11 +1171,9 @@ def test_false_minorization_cannot_pass_the_exact_crosscheck():
     # structure normalises to the true law all the same
     model = cf.HarrisModel(H3, [0], ell=1, epsilon=0.9, lam=[0.0, 0.0, 1.0])
     assert cf.minorization_residual(model) == pytest.approx(-0.9)
-    for check in (lambda: cf.split_cycle_measure(model),
-                  lambda: cf.uniqueness_crosscheck([model], H3_PI)):
-        with pytest.raises(PreconditionError) as err:
-            check()
-        assert err.value.field == "epsilon"
+    with pytest.raises(PreconditionError) as err:
+        cf.split_cycle_measure(model)
+    assert err.value.field == "epsilon"
 
 
 def test_split_cycle_measure_solves_only_the_reached_states():
@@ -1109,25 +1187,14 @@ def test_split_cycle_measure_solves_only_the_reached_states():
 
 
 def test_crosscheck_all_variants_agree():
-    rep = cf.uniqueness_crosscheck(
-        [variant_a(), variant_b(), variant_c()], H3_PI)
-    assert rep.all_passed is True
-    assert rep.tolerance == cf.markov.CROSS_FLOOR
-    assert max(rep.deviations) <= 1e-12
-    assert rep.mean_cycle_lengths == pytest.approx(
+    # every regeneration structure over one kernel gives the one law
+    lengths = []
+    for model in (variant_a(), variant_b(), variant_c()):
+        mu = cf.split_cycle_measure(model)
+        lengths.append(float(mu.sum()))
+        assert np.abs(mu / mu.sum() - H3_PI).max() <= 1e-12
+    assert lengths == pytest.approx(
         [53 / 13, 1 / (0.7 * 38 / 53), 2 / (0.5 * 13 / 53)], rel=1e-14)
-
-
-def test_crosscheck_fails_against_another_law():
-    rep = cf.uniqueness_crosscheck(
-        [variant_a(), variant_b(), variant_c()], H3_PI[[1, 0, 2]])
-    assert rep.all_passed is False
-    assert min(rep.deviations) > 0.2
-
-
-def test_crosscheck_takes_no_sampling_knobs():
-    params = inspect.signature(cf.uniqueness_crosscheck).parameters
-    assert list(params) == ["variants", "pi_exact"]
 
 
 def test_split_chain_variants_estimate_the_exact_law():
@@ -1138,23 +1205,6 @@ def test_split_chain_variants_estimate_the_exact_law():
                              streams):
         run = cf.simulate_split_chain(model, 2000, stream)
         assert np.abs(run.estimate.z_scores(H3_PI)).max() <= 4.0
-
-
-def test_crosscheck_demands_one_kernel():
-    other = cf.HarrisModel(FLIP2, [0], ell=1)
-    with pytest.raises(PreconditionError):
-        cf.uniqueness_crosscheck([variant_a(), other], H3_PI)
-
-
-def test_crosscheck_needs_variants():
-    with pytest.raises(PreconditionError):
-        cf.uniqueness_crosscheck([], H3_PI)
-
-
-def test_crosscheck_needs_a_law_over_the_kernel_states():
-    with pytest.raises(PreconditionError) as err:
-        cf.uniqueness_crosscheck([variant_a()], H3_PI[:2])
-    assert err.value.field == "pi_exact"
 
 
 # ---------------------------------------------------------------------------

@@ -924,7 +924,7 @@ def test_estimator_is_the_split_chain_of_one_state(mc2, flip2, monkeypatch):
                                lam=chain.matrix[base])
         run = cf.simulate_split_chain(model, cycles, case)
         same_estimate(est, run.estimate)
-        assert est.steps == run.steps == run.lengths.sum()
+        assert est.steps == run.estimate.steps == run.lengths.sum()
         # one step short of the run, both stop with the same message
         errors = []
         for route in (

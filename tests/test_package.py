@@ -13,8 +13,8 @@ import sys
 import cycleflow as cf
 
 PUBLIC = [
-    "BACKWARD", "BridgeLaw", "BudgetExceededError", "CheckResult",
-    "ClassStructure", "CrosscheckReport", "CycleMeasure",
+    "BACKWARD", "BudgetExceededError", "CheckResult",
+    "ClassStructure", "CycleMeasure",
     "CycleflowError", "DecompositionResult", "FORWARD", "FileAccessError",
     "FiniteSystem", "HarrisConditions", "HarrisModel", "HittingProfile",
     "IdentitySuiteResult", "InfeasibleMinorizationError",
@@ -36,7 +36,7 @@ PUBLIC = [
     "regen_distribution_gof", "report",
     "run_suite", "shift_invariance_residual", "simulate_cycle_estimator",
     "simulate_split_chain", "split_cycle_measure",
-    "stationary_leftnull", "suite", "uniqueness_crosscheck",
+    "stationary_leftnull", "suite",
 ]
 
 

@@ -162,6 +162,14 @@ def test_overall_pass_requires_every_check():
     assert not report.overall_pass
 
 
+def test_report_without_checks_fails():
+    # no check has shown anything, so the report cannot pass
+    report = make_report(checks=[])
+    assert '"overall_pass":false' in render(report, "json")
+    assert "overall: FAIL" in render(report, "text")
+    assert cf.emit_report(report, "json", stream=io.StringIO()) == 1
+
+
 def test_document_has_schema_and_no_timing():
     report = make_report()
     report.timing_s = 1.23
