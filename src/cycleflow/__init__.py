@@ -37,26 +37,14 @@ from .errors import (
 from .measure import (
     BACKWARD,
     FORWARD,
-    RESTRICTION,
-    CycleMeasure,
     FiniteSystem,
     HittingProfile,
     IdentitySuiteResult,
     check_preserving,
-    cycle_measure,
-    entrance_invariance_residual,
     event_mask,
-    excursion_identity_residual,
     hitting_profile,
+    identity_residuals,
     identity_suite,
-    image_invariance_residual,
-    induced_map,
-    kac_check,
-    occupation_count,
-    poincare_residual,
-    positivity_equivalence,
-    precapacity_residual,
-    shift_invariance_residual,
 )
 from .markov import (
     ClassStructure,

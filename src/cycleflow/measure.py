@@ -13,8 +13,8 @@ are scaled once to integer numerators over their common denominator L
 (int64, or Python ints where int64 could overflow), and values become
 ``Fraction(num, L)`` only at the end.  Each identity is defined once, in
 ``_identity_terms``, as a signed vector whose sum over every set A must
-vanish; ``identity_suite`` reduces it over its plan of pairs and the
-per-pair functions sum it over the one A they are given.
+vanish; ``identity_suite`` reduces it over its plan of pairs and
+``identity_residuals`` sums it over the one A it is given.
 """
 
 import math
@@ -35,13 +35,6 @@ from .errors import (
 
 FORWARD = "forward"
 BACKWARD = "backward"
-RESTRICTION = "restriction"
-
-_KINDS = (FORWARD, BACKWARD, RESTRICTION)
-
-# mass defect tolerated before probability statements (Kac, pre-capacity)
-# refuse to normalise silently
-_MASS_TOL = 1e-9
 
 _NO_RETURN = ("a positive-weight point of the base set never returns; "
               "the system cannot be measure-preserving")
@@ -199,10 +192,6 @@ class FiniteSystem:
                             invertible=self.invertible,
                             points=list(self.points))
 
-    def mass(self, members):
-        """Total weight of a point selection."""
-        return _mass(self.weights, members)
-
 
 class PreservationReport(NamedTuple):
     preserving: bool
@@ -266,12 +255,6 @@ def _ratio(a, b, den):
     return a / b if den is None else Fraction(int(a), int(b))
 
 
-def _mass(values, members):
-    """Total of float or Fraction ``values`` over a point selection."""
-    w, den = _lattice(values)
-    return _unlattice(w[event_mask(values.shape[0], members)].sum(), den)
-
-
 @dataclass
 class HittingProfile:
     """First entry times into a set along forward or backward orbits.
@@ -317,64 +300,6 @@ def hitting_profile(system, members, direction=FORWARD):
     return HittingProfile(direction, times, entry)
 
 
-def occupation_count(system, a_members, b_members, start, direction=FORWARD):
-    """Number of visits to A strictly before the orbit of ``start`` first
-    enters B (time zero included, the entry step excluded).
-
-    Returns ``math.inf`` when the orbit never enters B yet keeps visiting
-    A; the walk detects its own loop, so the call always terminates.
-    """
-    a_mask = system.mask(a_members)
-    b_mask = system.mask(b_members)
-    step = _step_map(system, direction)
-    if not 0 <= start < system.size:
-        raise PreconditionError("start point out of range", field="start")
-    first_seen = {}
-    x = int(start)
-    n = 0
-    count = 0
-    while True:
-        if n >= 1 and b_mask[x]:
-            return count
-        if x in first_seen:
-            loop_start = first_seen[x]
-            loop = [p for p, t in first_seen.items() if t >= loop_start]
-            if any(a_mask[p] for p in loop):
-                return math.inf
-            return count
-        first_seen[x] = n
-        if a_mask[x]:
-            count += 1
-        x = int(step[x])
-        n += 1
-
-
-@dataclass
-class CycleMeasure:
-    """A measure produced by spreading set mass along excursions.
-
-    kind "forward" spreads each point of the base set over its forward
-    orbit until the first return; "backward" does the same along inverse
-    orbits; "restriction" keeps the original weights on the points whose
-    forward orbit eventually enters the base set.
-    """
-
-    kind: str
-    base: tuple
-    values: np.ndarray
-
-    @property
-    def exact(self):
-        return self.values.dtype == object
-
-    def mass(self, members):
-        return _mass(self.values, members)
-
-    @property
-    def total(self):
-        return self.mass(np.ones(self.values.shape[0], dtype=bool))
-
-
 def _excursion_sweep(step, b_mask, weights):
     """Excursion mass vector of float or integer-lattice ``weights``."""
     start = np.flatnonzero(b_mask & (weights > 0)).astype(np.int64)
@@ -385,34 +310,14 @@ def _excursion_sweep(step, b_mask, weights):
     return values
 
 
-def cycle_measure(system, members, kind=FORWARD):
-    """Excursion measure over the base set ``members``.
-
-    kind "forward" needs nothing extra, "backward" needs invertibility,
-    and "restriction" restricts the weights to points whose forward
-    orbit enters the base set.
-    """
-    if kind not in _KINDS:
-        raise PreconditionError("unknown cycle measure kind %r" % (kind,),
-                                field="kind")
-    b_mask = system.mask(members)
-    w, den = _lattice(system.weights)
-    if kind == RESTRICTION:
-        values = np.where(hitting_profile(system, b_mask, FORWARD).finite,
-                          w, 0)
-    else:
-        values = _excursion_sweep(_step_map(system, kind), b_mask, w)
-    return CycleMeasure(kind, _indices(b_mask), _unlattice(values, den))
-
-
 class _IdentityTerms(NamedTuple):
     """Every identity over one base set B, on lattice weights.
 
     ``vectors`` maps each vector identity to the signed vector whose sum
     over every set A must vanish; ``terms`` holds the recurrence,
-    positivity and Kac residuals under their check names, with the
-    masses and ratios they come from.  ``den`` is the lattice
-    denominator (None for float weights)."""
+    positivity and Kac residuals under their check names, and whether
+    B and its two hitting sets are positive together (``equivalent``).
+    ``den`` is the lattice denominator (None for float weights)."""
 
     vectors: dict
     terms: dict
@@ -440,8 +345,7 @@ def _identity_terms(system, w, den, b_mask):
     b_sel = b_mask & (w > 0)
     fwd = hitting_profile(system, b_mask, FORWARD)
     mass_b = w[b_mask].sum()
-    terms = {"mass": mass_b,
-             "poincare_forward": abs(mass_b - w[b_mask & fwd.finite].sum())}
+    terms = {"poincare_forward": abs(mass_b - w[b_mask & fwd.finite].sum())}
     nu = np.where(fwd.finite, w, 0)
     # restriction to the hitting set is preimage-invariant for any map;
     # image invariance can fail on an endomorphism
@@ -470,7 +374,6 @@ def _identity_terms(system, w, den, b_mask):
     hits_fwd = w[fwd.finite].sum()
     hits_bwd = w[bwd.finite].sum()
     terms.update(
-        forward_hit_mass=hits_fwd, backward_hit_mass=hits_bwd,
         equivalent=bool((mass_b > 0) == (hits_fwd > 0) == (hits_bwd > 0)),
         positivity_bound=max(0, mass_b - min(hits_fwd, hits_bwd)))
     if mass_b > 0:
@@ -479,206 +382,10 @@ def _identity_terms(system, w, den, b_mask):
         int_bwd = np.cumsum(w[b_sel] * bwd.times[b_sel])[-1]
         expected = _ratio(int_fwd, mass_b, den)
         conditional = _ratio(w[b_mask & bwd.finite].sum(), hits_bwd, den)
-        terms.update(expected_return=expected, conditional_hit=conditional,
-                     kac_product=abs(expected * conditional - 1),
+        terms.update(kac_product=abs(expected * conditional - 1),
                      kac_integral_forward=abs(int_fwd - hits_bwd),
                      kac_integral_backward=abs(int_bwd - hits_fwd))
     return _IdentityTerms(vectors, terms, den)
-
-
-def _base_set_terms(system, b_members, refusal=None, probability=False):
-    """``_identity_terms`` on the system's own weights.  ``refusal`` is
-    raised as UnsupportedOperationError on a non-invertible system;
-    ``probability`` refuses a system whose total mass is not one."""
-    if refusal is not None and not system.invertible:
-        raise UnsupportedOperationError(refusal)
-    if probability:
-        _require_probability(system)
-    w, den = _lattice(system.weights)
-    return _identity_terms(system, w, den, system.mask(b_members))
-
-
-class ResidualPair(NamedTuple):
-    forward: object
-    backward: object
-
-
-_BACKWARD_ORBITS = "backward iteration needs an invertible system"
-
-
-def excursion_identity_residual(system, a_members, b_members):
-    """Check that the excursion measure of A over base set B has exactly
-    the mass of A carried by points whose opposite-direction orbit
-    enters B.
-
-    Returns the forward and backward residuals; exact zeros in rational
-    mode, tiny floats otherwise.  Needs an invertible system.
-    """
-    t = _base_set_terms(system, b_members, _BACKWARD_ORBITS)
-    a_mask = system.mask(a_members)
-    return ResidualPair(t.over("excursion_identity_forward", a_mask),
-                        t.over("excursion_identity_backward", a_mask))
-
-
-def entrance_invariance_residual(system, a_members, b_members):
-    """Check that stopping the map at the first entry into B preserves
-    the measure on B: mass of {omega in B : entry point in A} must equal
-    the mass of A inside B.  Forward and backward versions."""
-    t = _base_set_terms(system, b_members, _BACKWARD_ORBITS)
-    a_mask = system.mask(a_members)
-    return ResidualPair(t.over("entrance_invariance_forward", a_mask),
-                        t.over("entrance_invariance_backward", a_mask))
-
-
-def shift_invariance_residual(system, b_members, a_members, kind=FORWARD):
-    """Invariance defect of an excursion measure under the map.
-
-    Every kind checks the preimage form m(preimage of A) = m(A), the
-    form the identity suite reports.  On a permutation the image form
-    (``image_invariance_residual``) holds as well.  Invertible systems
-    only: excursion measures of a general endomorphism need not be
-    shift-invariant, so the check refuses rather than mislead."""
-    t = _base_set_terms(
-        system, b_members,
-        "excursion measures of a non-invertible map need not be "
-        "shift-invariant; this check requires a permutation")
-    if kind not in _KINDS:
-        raise PreconditionError("unknown cycle measure kind %r" % (kind,),
-                                field="kind")
-    return t.over("shift_invariance_" + kind, system.mask(a_members))
-
-
-def image_invariance_residual(system, b_members, a_members, kind=RESTRICTION):
-    """Residual of m(image of A) = m(A) for the excursion measure m of
-    the given kind over base set B.
-
-    On a permutation this coincides with the preimage form.  On a
-    general endomorphism it can genuinely fail even though the preimage
-    form holds: restricting the weights to the hitting set commutes
-    with taking preimages but not with taking images.  This function
-    exists to quantify that failure, so a nonzero value here is a fact
-    about the map, not a bug.
-    """
-    a_mask = system.mask(a_members)
-    cm = cycle_measure(system, b_members, kind)
-    image = np.zeros(system.size, dtype=bool)
-    image[system.mapping[a_mask]] = True
-    return abs(cm.mass(image) - cm.mass(a_mask))
-
-
-class KacReport(NamedTuple):
-    mass: object
-    expected_return: object
-    conditional_hit: object
-    product_residual: object
-    integral_residual_forward: object
-    integral_residual_backward: object
-
-
-def _require_probability(system):
-    total = system.total_mass
-    if system.exact:
-        if total != 1:
-            raise PreconditionError(
-                "this check is a probability statement; normalise the "
-                "system first (total mass is %s)" % total)
-        return
-    if abs(float(total) - 1.0) > _MASS_TOL:
-        raise PreconditionError(
-            "this check is a probability statement; normalise the system "
-            "first (total mass is %r)" % float(total))
-
-
-def kac_check(system, members):
-    """Return-time identity on a positive-mass base set B of a
-    probability system: the return time integrated over B equals the
-    mass of the backward hitting set, and conditionally
-    E(return | B) * P(B | backward orbit hits B) = 1.
-    """
-    t = _base_set_terms(
-        system, members,
-        "the return-time identity pairs forward returns with backward "
-        "hitting; it requires a permutation", probability=True)
-    if not t.terms["mass"] > 0:
-        raise PreconditionError("base set has zero mass", field="members")
-    return KacReport(*map(t.value, (
-        "mass", "expected_return", "conditional_hit", "kac_product",
-        "kac_integral_forward", "kac_integral_backward")))
-
-
-class PositivityReport(NamedTuple):
-    set_mass: object
-    forward_hit_mass: object
-    backward_hit_mass: object
-    equivalent: bool
-    bound_residual: object
-
-
-def positivity_equivalence(system, members):
-    """The base set, its forward hitting set and its backward hitting set
-    are positive together or null together, and the set mass never
-    exceeds either hitting mass.  Reports the three masses, whether the
-    positivity flags agree, and the bound violation (zero when fine)."""
-    t = _base_set_terms(
-        system, members,
-        "positivity equivalence compares both orbit directions; it "
-        "requires a permutation")
-    return PositivityReport(t.value("mass"), t.value("forward_hit_mass"),
-                            t.value("backward_hit_mass"),
-                            t.terms["equivalent"],
-                            t.value("positivity_bound"))
-
-
-def poincare_residual(system, members):
-    """Recurrence defect of the base set: mass of B minus mass of the
-    points of B whose orbit comes back.  Forward works for any map;
-    backward needs invertibility and is None otherwise."""
-    t = _base_set_terms(system, members)
-    backward = None
-    if system.invertible:
-        backward = t.value("poincare_backward")
-    return ResidualPair(t.value("poincare_forward"), backward)
-
-
-def precapacity_residual(system, a_members, b_members):
-    """The forward excursion measure of A over B must weigh exactly the
-    points of A whose strict backward orbit meets B.  The right side is
-    enumerated directly from inverse iterates, not through hitting
-    times, so the two sides are independent computations."""
-    t = _base_set_terms(system, b_members,
-                        "the backward-orbit identity requires a permutation",
-                        probability=True)
-    return t.over("precapacity", system.mask(a_members))
-
-
-def induced_map(system, members):
-    """First-return system on a base set: each point of B is sent to the
-    point where its forward orbit re-enters B, keeping its weight.
-
-    Every point of B must return (always true on a permutation); the
-    result declares itself invertible exactly when the return map
-    permutes B.
-    """
-    b_mask = system.mask(members)
-    b_idx = np.flatnonzero(b_mask)
-    if b_idx.size == 0:
-        raise PreconditionError("base set is empty", field="members")
-    prof = hitting_profile(system, b_mask, FORWARD)
-    if not np.all(prof.finite[b_idx]):
-        missing = [system.points[i] for i in b_idx if not prof.finite[i]]
-        raise PreconditionError(
-            "first-return map undefined, these points never return: %r"
-            % (missing,))
-    reindex = -np.ones(system.size, dtype=np.int64)
-    reindex[b_idx] = np.arange(b_idx.size)
-    sub_map = reindex[prof.entry[b_idx]]
-    bijective = np.bincount(sub_map, minlength=b_idx.size).max() == 1
-    return FiniteSystem(
-        sub_map,
-        system.weights[b_idx],
-        invertible=bool(bijective),
-        points=[system.points[i] for i in b_idx],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +466,26 @@ _SUITE_CHECKS = {
             "positivity_bound")),
     False: (("restriction_preimage_invariance",), ("poincare_forward",)),
 }
+
+
+def identity_residuals(system, b_members, a_members):
+    """Every check of ``identity_suite`` on the one pair (A, B).
+
+    Returns the suite's check names for this system, in report order,
+    each mapped to its residual: the vector identities summed over A,
+    the recurrence, Kac and positivity residuals of B alone.  The system
+    is normalised as in the suite.  The Kac residuals are left out when
+    B has no mass, and a non-invertible system gets the forward subset.
+    """
+    sysn = system.normalized()
+    w, den = _lattice(sysn.weights)
+    t = _identity_terms(sysn, w, den, sysn.mask(b_members))
+    a_mask = sysn.mask(a_members)
+    vector_names, scalar_names = _SUITE_CHECKS[sysn.invertible]
+    out = {name: t.over(name, a_mask) for name in vector_names}
+    out.update((name, t.value(name)) for name in scalar_names
+               if name in t.terms)
+    return out
 
 
 def identity_suite(system, exhaustive_limit=8, sample_pairs=50, seed=0):

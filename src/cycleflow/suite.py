@@ -200,8 +200,8 @@ def _harris_suite(model, cfg):
     details["states"] = model.n
 
     minor = _harris.minorization_residual(model)
-    checks.append(CheckResult("minorization_residual", minor, -1e-12,
-                              comparator=">="))
+    checks.append(CheckResult("minorization_residual", minor,
+                              -_harris._RESIDUAL_TOL, comparator=">="))
     checks.append(CheckResult("mixture_identity",
                               _harris.mixture_residual(model),
                               max(cfg.tolerance, 1e-12)))

@@ -345,21 +345,52 @@ def test_harris_gates_a_two_class_kernel_against_its_cycle_law(
     assert details["pi_hat"][2:] == [0.0, 0.0]
 
 
-def test_harris_refuses_a_false_minorization_before_its_run(
-        tmp_path, capsys, clean_env, monkeypatch):
-    # K^2(0, 2) = 0.15 < epsilon * lam(2): refused before anything is
-    # drawn, naming epsilon, whether epsilon is 1 or below it
+# a minorization false by little: K - epsilon * lam has its worst entry,
+# 0.5 - 0.900001 * 5/9 = -5.56e-7, in column 1, between -1e-3 and -1e-12
+NEARLY_TRUE = {"kind": "harris_discrete", "K": [[0.5, 0.5], [0.4, 0.6]],
+               "R": [0, 1], "ell": 1, "epsilon": 0.900001,
+               "lambda": [4 / 9, 5 / 9]}
+
+
+def _no_draws(monkeypatch):
     def no_draws(*args):
         raise AssertionError("the kernel ran")
 
     monkeypatch.setattr(cf._kernels, "split_chain_batch", no_draws)
-    for epsilon in (1, 0.5):
+
+
+def test_harris_refuses_a_false_minorization_before_its_run(
+        tmp_path, capsys, clean_env, monkeypatch):
+    # K^2(0, 2) = 0.15 < epsilon * lam(2): refused before anything is
+    # drawn, naming epsilon, whether epsilon is 1 or below it, and so is
+    # a minorization false by 5.56e-7 only
+    _no_draws(monkeypatch)
+    models = [dict(HARRIS, epsilon=epsilon, **{"lambda": [0, 0, 1]})
+              for epsilon in (1, 0.5)] + [NEARLY_TRUE]
+    for model in models:
         path = tmp_path / "false.json"
-        path.write_text(json.dumps(dict(HARRIS, epsilon=epsilon,
-                                        **{"lambda": [0, 0, 1]})))
+        path.write_text(json.dumps(model))
         assert main(["harris", str(path), "--cycles", "300"]) == 7
         assert capsys.readouterr().err.startswith(
             "cycleflow: error: epsilon: K^ell - epsilon * lambda has entry")
+
+
+def test_verify_fails_a_nearly_true_minorization_without_its_run(
+        tmp_path, capsys, clean_env, monkeypatch):
+    # verify reports the false minorization as a failed check, exit 1,
+    # and skips the simulation: one threshold, harris._RESIDUAL_TOL,
+    # defines a false minorization for both commands
+    _no_draws(monkeypatch)
+    path = tmp_path / "false.json"
+    path.write_text(json.dumps(NEARLY_TRUE))
+    code, doc = run_json(["verify", str(path), "--cycles", "300"], capsys)
+    assert code == 1
+    check = {c["name"]: c for c in doc["checks"]}["minorization_residual"]
+    assert not check["passed"]
+    assert -1e-3 < check["value"] < -1e-12
+    assert check["threshold"] == -cf.harris._RESIDUAL_TOL
+    assert doc["details"]["simulation"] == \
+        "skipped: structural checks failed"
 
 
 def test_harris_refuses_a_model_whose_cycles_need_not_close(

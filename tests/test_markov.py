@@ -577,27 +577,32 @@ def test_gmres_misses_fall_back_to_lu(monkeypatch):
 
 
 def test_gmres_rows_that_miss_the_bound_go_to_lu(monkeypatch):
-    # with the backward-error bound at 0 every row misses it, and each
-    # base is solved by LU after its GMRES run, with _cycle_occupation's
-    # bits
+    # every row misses the backward-error bound, and each base is solved
+    # by LU after its GMRES run, with _cycle_occupation's bits.  First
+    # the bound is 0; then the bound stands and the stop test is loosened
+    # to 1e-9 ||c||, so that each row stops with a backward error far
+    # above 16 eps and the bound alone sends it to LU
     p = _dirichlet_rows(600, 601)
-    monkeypatch.setattr(cf.markov, "_KRYLOV_BOUND", 0.0)
-    runs = []
     krylov = cf.markov._krylov_occupations
-
-    def recorded(chain, members, pc, block, buf):
-        out = krylov(chain, members, pc, block, buf)
-        runs.append((list(block), out))
-        return out
-
-    monkeypatch.setattr(cf.markov, "_krylov_occupations", recorded)
-    chain = cf.StochasticMatrix(p.copy())
     bases = [0, 5, 17, 300, 599]
-    occupations = cf.markov._fill_occupations(
-        chain, cf.class_structure(chain), bases)
-    assert runs == [(bases, [None] * len(bases))]
-    for b, occ in zip(bases, occupations):
-        assert occ.counts.tobytes() == _lu_occupation(p, b).counts.tobytes()
+    for name, value in (("_KRYLOV_BOUND", 0.0), ("_EPS", 1e-9)):
+        runs = []
+
+        def recorded(chain, members, pc, block, buf):
+            out = krylov(chain, members, pc, block, buf)
+            runs.append((list(block), out))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cf.markov, name, value)
+            patch.setattr(cf.markov, "_krylov_occupations", recorded)
+            chain = cf.StochasticMatrix(p.copy())
+            occupations = cf.markov._fill_occupations(
+                chain, cf.class_structure(chain), bases)
+        assert runs == [(bases, [None] * len(bases))], name
+        for b, occ in zip(bases, occupations):
+            assert occ.counts.tobytes() == \
+                _lu_occupation(p, b).counts.tobytes(), (name, b)
 
 
 def test_a_base_takes_lu_on_its_own_row_alone(monkeypatch):

@@ -107,24 +107,46 @@ def test_times_start_at_one(rot4, two2):
 
 
 # ---------------------------------------------------------------------------
-# occupation counts
+# occupation counts: a scalar orbit walk, the referee of hitting_profile
+
+
+def _occupation_count(sys, a_members, b_members, start):
+    """Visits to A strictly before the forward orbit of ``start`` first
+    enters B (time zero included, the entry step excluded); ``math.inf``
+    when the orbit never enters B yet keeps visiting A."""
+    a_mask = sys.mask(a_members)
+    b_mask = sys.mask(b_members)
+    first_seen = {}
+    x = int(start)
+    n = 0
+    count = 0
+    while True:
+        if n >= 1 and b_mask[x]:
+            return count
+        if x in first_seen:
+            loop = [p for p, t in first_seen.items() if t >= first_seen[x]]
+            return math.inf if any(a_mask[p] for p in loop) else count
+        first_seen[x] = n
+        count += bool(a_mask[x])
+        x = int(sys.mapping[x])
+        n += 1
 
 
 def test_rotation_occupation(rot4):
-    assert cf.occupation_count(rot4, [1, 2], [0], 0) == 2
+    assert _occupation_count(rot4, [1, 2], [0], 0) == 2
 
 
 def test_occupation_counts_start_point(rot4):
     # the n = 0 term counts the start itself
-    assert cf.occupation_count(rot4, [0], [0], 0) == 1
+    assert _occupation_count(rot4, [0], [0], 0) == 1
 
 
 def test_occupation_disjoint_component_zero(two2):
-    assert cf.occupation_count(two2, [2], [0], 0) == 0
+    assert _occupation_count(two2, [2], [0], 0) == 0
 
 
 def test_occupation_infinite_when_never_hitting(two2):
-    assert cf.occupation_count(two2, [0, 1, 2, 3], [0], 2) == math.inf
+    assert _occupation_count(two2, [0, 1, 2, 3], [0], 2) == math.inf
 
 
 def test_occupation_of_everything_is_hitting_time(rot4, two2):
@@ -133,7 +155,7 @@ def test_occupation_of_everything_is_hitting_time(rot4, two2):
         for b in range(sys.size):
             prof = cf.hitting_profile(sys, [b])
             for w in range(sys.size):
-                occ = cf.occupation_count(sys, full, [b], w)
+                occ = _occupation_count(sys, full, [b], w)
                 assert occ == prof.times_or_inf[w]
 
 
@@ -141,55 +163,66 @@ def test_occupation_of_everything_is_hitting_time(rot4, two2):
 # cycle measures
 
 
+def _excursion(sys, b, direction=cf.FORWARD):
+    # each point of B spreads its weight along its orbit until it returns
+    return measure._excursion_sweep(measure._step_map(sys, direction),
+                                    sys.mask(b), sys.weights)
+
+
+def _restriction(sys, b):
+    # the weights on the points whose forward orbit enters B
+    return np.where(cf.hitting_profile(sys, b).finite, sys.weights, 0)
+
+
 def test_rotation_forward_excursion_is_uniform(rot4):
-    cm = cf.cycle_measure(rot4, [0], cf.FORWARD)
-    assert np.allclose(cm.values, 0.25)
-    assert cm.total == pytest.approx(1.0)
+    values = _excursion(rot4, [0])
+    assert np.allclose(values, 0.25)
+    assert values.sum() == pytest.approx(1.0)
 
 
 def test_transposition_excursion_weights(two2):
-    cm = cf.cycle_measure(two2, [0], cf.FORWARD)
-    assert np.allclose(cm.values, [0.3, 0.3, 0.0, 0.0])
+    assert np.allclose(_excursion(two2, [0]), [0.3, 0.3, 0.0, 0.0])
 
 
 def test_restriction_measure_is_weights_on_hitting_set(two2):
-    cm = cf.cycle_measure(two2, [0], cf.RESTRICTION)
-    assert np.allclose(cm.values, [0.3, 0.3, 0.0, 0.0])
+    assert np.allclose(_restriction(two2, [0]), [0.3, 0.3, 0.0, 0.0])
 
 
 def test_backward_excursion_refused_on_endomorphism(endo3):
     with pytest.raises(UnsupportedOperationError):
-        cf.cycle_measure(endo3, [0], cf.BACKWARD)
+        _excursion(endo3, [0], cf.BACKWARD)
 
 
 def test_unknown_kind_rejected(rot4):
     with pytest.raises(PreconditionError):
-        cf.cycle_measure(rot4, [0], "sideways")
+        cf.hitting_profile(rot4, [0], "sideways")
 
 
 # ---------------------------------------------------------------------------
 # excursion identity (forward measure vs backward hitting set)
 
 
+def _both(res, name):
+    return res[name + "_forward"], res[name + "_backward"]
+
+
 def test_excursion_identity_rotation(rot4):
-    res = cf.excursion_identity_residual(rot4, [1, 2], [0])
-    assert res.forward == 0
-    assert res.backward == 0
+    res = cf.identity_residuals(rot4, [0], [1, 2])
+    assert _both(res, "excursion_identity") == (0, 0)
     # both sides are 1/2
-    cm = cf.cycle_measure(rot4, [0], cf.FORWARD)
-    assert cm.mass([1, 2]) == pytest.approx(0.5)
+    assert _excursion(rot4, [0])[[1, 2]].sum() == pytest.approx(0.5)
 
 
 def test_excursion_identity_disjoint_component(two2):
-    res = cf.excursion_identity_residual(two2, [2], [0])
-    assert res.forward == 0 and res.backward == 0
+    res = cf.identity_residuals(two2, [0], [2])
+    assert _both(res, "excursion_identity") == (0, 0)
 
 
 def test_excursion_identity_full_space(two2):
     # both sides are 0.6: time integral over B vs hitting-set mass
-    res = cf.excursion_identity_residual(two2, [0, 1, 2, 3], [0])
-    assert res.forward == 0 and res.backward == 0
-    assert cf.cycle_measure(two2, [0]).total == pytest.approx(0.6)
+    res = cf.identity_residuals(two2, [0], [0, 1, 2, 3])
+    assert _both(res, "excursion_identity") == (0, 0)
+    assert _excursion(two2, [0]).sum() == pytest.approx(0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -197,129 +230,161 @@ def test_excursion_identity_full_space(two2):
 
 
 def test_entrance_invariance_base_point(rot4):
-    res = cf.entrance_invariance_residual(rot4, [0], [0])
-    assert res.forward == 0 and res.backward == 0
+    res = cf.identity_residuals(rot4, [0], [0])
+    assert _both(res, "entrance_invariance") == (0, 0)
 
 
 def test_entrance_never_lands_outside_base(rot4):
     # first entry lands in B, never in {1}
-    res = cf.entrance_invariance_residual(rot4, [1], [0])
-    assert res.forward == 0 and res.backward == 0
+    res = cf.identity_residuals(rot4, [0], [1])
+    assert _both(res, "entrance_invariance") == (0, 0)
 
 
 def test_entrance_invariance_pair(two2):
-    res = cf.entrance_invariance_residual(two2, [0, 1], [0])
-    assert res.forward == 0 and res.backward == 0
+    res = cf.identity_residuals(two2, [0], [0, 1])
+    assert _both(res, "entrance_invariance") == (0, 0)
 
 
 # ---------------------------------------------------------------------------
 # invariance of the excursion measures under the map itself
 
 
-@pytest.mark.parametrize("kind", [cf.FORWARD, cf.BACKWARD, cf.RESTRICTION])
+@pytest.mark.parametrize("kind", ["forward", "backward", "restriction"])
 def test_shift_invariance_rotation(rot4, kind):
-    assert cf.shift_invariance_residual(rot4, [0], [1], kind) == 0
+    res = cf.identity_residuals(rot4, [0], [1])
+    assert res["shift_invariance_" + kind] == 0
 
 
 def test_shift_invariance_transposition(two2):
     # m(preimage {0}) = m({1}) = 0.3 = m({0})
-    assert cf.shift_invariance_residual(two2, [0], [0], cf.FORWARD) == 0
-    assert cf.shift_invariance_residual(two2, [0], [2], cf.RESTRICTION) == 0
+    res = cf.identity_residuals(two2, [0], [0])
+    assert res["shift_invariance_forward"] == 0
+    res = cf.identity_residuals(two2, [0], [2])
+    assert res["shift_invariance_restriction"] == 0
 
 
 def test_shift_invariance_refused_on_endomorphism(endo3):
-    with pytest.raises(UnsupportedOperationError):
-        cf.shift_invariance_residual(endo3, [0], [1], cf.RESTRICTION)
+    # excursion measures of an endomorphism need not be shift-invariant:
+    # only the restriction's preimage invariance and the forward
+    # recurrence are checked
+    res = cf.identity_residuals(endo3, [0], [1])
+    assert list(res) == ["restriction_preimage_invariance", "poincare_forward"]
+    assert all(v == 0 for v in res.values())
+
+
+def _image_defect(sys, values, a):
+    # |m(image of A) - m(A)|, the image form of invariance
+    a_mask = sys.mask(a)
+    image = sys.mask(sys.mapping[a_mask])
+    return abs(values[image].sum() - values[a_mask].sum())
 
 
 def test_image_invariance_fails_on_collapse(endo2):
     # restriction measure is a point mass at 0; the image of {1} is {0},
     # so image invariance fails by exactly 1 while preimages stay fine
-    assert cf.image_invariance_residual(endo2, [0], [1]) == 1.0
-    assert cf.image_invariance_residual(endo2, [0], [0]) == 0.0
+    nu = _restriction(endo2, [0])
+    assert _image_defect(endo2, nu, [1]) == 1.0
+    assert _image_defect(endo2, nu, [0]) == 0.0
+    for a in ([0], [1]):
+        res = cf.identity_residuals(endo2, [0], a)
+        assert res["restriction_preimage_invariance"] == 0
 
 
 def test_image_invariance_matches_shift_on_permutation(rot4):
+    nu = _restriction(rot4, [0])
     for a in ([0], [1, 3], [0, 1, 2, 3]):
-        assert cf.image_invariance_residual(rot4, [0], a) == \
-            cf.shift_invariance_residual(rot4, [0], a, cf.RESTRICTION)
+        assert _image_defect(rot4, nu, a) == \
+            cf.identity_residuals(rot4, [0], a)["shift_invariance_restriction"]
 
 
 # ---------------------------------------------------------------------------
 # return-time identity
 
 
+def _kac_factors(sys, b):
+    # E(return time | B) and P(B | the backward orbit hits B)
+    b_mask = sys.mask(b)
+    w = sys.weights
+    fwd = cf.hitting_profile(sys, b)
+    bwd = cf.hitting_profile(sys, b, cf.BACKWARD)
+    expected = (w * fwd.times)[b_mask].sum() / w[b_mask].sum()
+    return expected, w[b_mask & bwd.finite].sum() / w[bwd.finite].sum()
+
+
+_KAC = ("kac_product", "kac_integral_forward", "kac_integral_backward")
+
+
 def test_return_identity_rotation(rot4):
-    rep = cf.kac_check(rot4, [0])
-    assert rep.expected_return == pytest.approx(4.0)
-    assert rep.conditional_hit == pytest.approx(0.25)
-    assert rep.product_residual == 0
-    assert rep.integral_residual_forward == 0
-    assert rep.integral_residual_backward == 0
+    res = cf.identity_residuals(rot4, [0], [])
+    assert [res[name] for name in _KAC] == [0, 0, 0]
+    assert _kac_factors(rot4, [0]) == pytest.approx((4.0, 0.25))
 
 
 def test_return_identity_transposition(two2):
-    rep = cf.kac_check(two2, [0])
-    assert rep.expected_return == pytest.approx(2.0)
-    assert rep.conditional_hit == pytest.approx(0.5)
-    assert rep.product_residual == 0
+    assert cf.identity_residuals(two2, [0], [])["kac_product"] == 0
+    assert _kac_factors(two2, [0]) == pytest.approx((2.0, 0.5))
 
 
 def test_return_identity_whole_space(rot4, two2):
     for sys in (rot4, two2):
-        rep = cf.kac_check(sys, list(range(sys.size)))
-        assert rep.expected_return == pytest.approx(1.0)
-        assert rep.conditional_hit == pytest.approx(1.0)
-        assert rep.product_residual == 0
+        full = list(range(sys.size))
+        assert cf.identity_residuals(sys, full, [])["kac_product"] == 0
+        assert _kac_factors(sys, full) == pytest.approx((1.0, 1.0))
 
 
 def test_return_identity_needs_positive_mass(two2):
+    # a null base set has no return-time law: its Kac terms are left out
     null = cf.FiniteSystem([1, 0, 3, 2], [0.0, 0.0, 0.5, 0.5])
-    with pytest.raises(PreconditionError):
-        cf.kac_check(null, [0])
+    res = cf.identity_residuals(null, [0], [])
+    assert not set(_KAC) & set(res)
+    assert set(_KAC) <= set(cf.identity_residuals(two2, [0], []))
 
 
 def test_return_identity_needs_probability():
+    # a probability statement: a mass other than one is normalised first
     sys = cf.FiniteSystem([1, 0], [2.0, 2.0])
-    with pytest.raises(PreconditionError):
-        cf.kac_check(sys, [0])
-    assert cf.kac_check(sys.normalized(), [0]).product_residual == 0
+    res = cf.identity_residuals(sys, [0], [])
+    assert res == cf.identity_residuals(sys.normalized(), [0], [])
+    assert res["kac_product"] == 0
 
 
 # ---------------------------------------------------------------------------
 # positivity equivalence and recurrence
 
 
+def _hit_mass(sys, b):
+    return sys.weights[cf.hitting_profile(sys, b).finite].sum()
+
+
 def test_positivity_flags_agree(two2):
-    rep = cf.positivity_equivalence(two2, [0])
-    assert rep.equivalent
-    assert rep.set_mass == pytest.approx(0.3)
-    assert rep.forward_hit_mass == pytest.approx(0.6)
-    assert rep.bound_residual == 0
+    assert cf.identity_residuals(two2, [0], [])["positivity_bound"] == 0
+    assert cf.identity_suite(two2).positivity_violations == 0
+    assert two2.weights[0] == pytest.approx(0.3)
+    assert _hit_mass(two2, [0]) == pytest.approx(0.6)
 
 
 def test_positivity_null_set():
     sys = cf.FiniteSystem([1, 0, 3, 2], [0.0, 0.0, 0.5, 0.5])
-    rep = cf.positivity_equivalence(sys, [0])
-    assert rep.equivalent
-    assert rep.set_mass == 0 and rep.forward_hit_mass == 0
+    assert cf.identity_residuals(sys, [0], [])["positivity_bound"] == 0
+    assert cf.identity_suite(sys).positivity_violations == 0
+    assert _hit_mass(sys, [0]) == 0
 
 
 def test_positivity_single_point(rot4):
-    rep = cf.positivity_equivalence(rot4, [3])
-    assert rep.equivalent
-    assert rep.forward_hit_mass == pytest.approx(1.0)
+    assert cf.identity_residuals(rot4, [3], [])["positivity_bound"] == 0
+    assert _hit_mass(rot4, [3]) == pytest.approx(1.0)
 
 
 def test_recurrence_on_endomorphism(endo3):
-    assert cf.poincare_residual(endo3, [1]).forward == 0
-    assert cf.poincare_residual(endo3, [2]).forward == 0
-    assert cf.poincare_residual(endo3, [1]).backward is None
+    for b in ([1], [2]):
+        res = cf.identity_residuals(endo3, b, [])
+        assert res["poincare_forward"] == 0
+        assert "poincare_backward" not in res
 
 
 def test_recurrence_on_permutation(rot4):
-    res = cf.poincare_residual(rot4, [0, 2])
-    assert res.forward == 0 and res.backward == 0
+    res = cf.identity_residuals(rot4, [0, 2], [])
+    assert _both(res, "poincare") == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,37 +392,9 @@ def test_recurrence_on_permutation(rot4):
 
 
 def test_backward_orbit_identity(rot4, two2):
-    assert cf.precapacity_residual(rot4, [1, 2], [0]) == 0
-    assert cf.precapacity_residual(two2, [2, 3], [0]) == 0
-    assert cf.precapacity_residual(two2, [], [0]) == 0
-
-
-# ---------------------------------------------------------------------------
-# first-return map
-
-
-def test_first_return_single_point(rot4):
-    ind = cf.induced_map(rot4, [0])
-    assert list(ind.mapping) == [0]
-    assert ind.invertible
-
-
-def test_first_return_per_component(two2):
-    ind = cf.induced_map(two2, [0, 2])
-    assert list(ind.mapping) == [0, 1]
-    assert np.allclose(ind.weights, [0.3, 0.2])
-
-
-def test_first_return_swaps_opposite_points(rot4):
-    ind = cf.induced_map(rot4, [0, 2])
-    assert list(ind.mapping) == [1, 0]
-    assert cf.check_preserving(ind).preserving
-
-
-def test_first_return_empty_base(rot4):
-    with pytest.raises(PreconditionError):
-        cf.induced_map(rot4, [])
-
+    assert cf.identity_residuals(rot4, [0], [1, 2])["precapacity"] == 0
+    assert cf.identity_residuals(two2, [0], [2, 3])["precapacity"] == 0
+    assert cf.identity_residuals(two2, [0], [])["precapacity"] == 0
 
 # ---------------------------------------------------------------------------
 # whole-lattice suite
@@ -579,39 +616,15 @@ def _referee_suite(sys, plan, names):
     return best, worst, violations
 
 
-def _per_pair_maxima(sys, plan):
-    # every identity over a plan from the per-pair functions
+def _pair_maxima(sys, plan):
+    # every identity over a plan, from one identity_residuals call a pair
     best = {}
-    violations = 0
-
-    def keep(name, value):
-        assert isinstance(value, Fraction), name
-        best[name] = max(best.get(name, Fraction(0)), value)
-
     for b, a_masks in plan:
         for a in a_masks:
-            ex = cf.excursion_identity_residual(sys, a, b)
-            keep("excursion_identity_forward", ex.forward)
-            keep("excursion_identity_backward", ex.backward)
-            ent = cf.entrance_invariance_residual(sys, a, b)
-            keep("entrance_invariance_forward", ent.forward)
-            keep("entrance_invariance_backward", ent.backward)
-            for kind in cf.FORWARD, cf.BACKWARD, cf.RESTRICTION:
-                keep("shift_invariance_" + kind,
-                     cf.shift_invariance_residual(sys, b, a, kind))
-            keep("precapacity", cf.precapacity_residual(sys, a, b))
-        rec = cf.poincare_residual(sys, b)
-        keep("poincare_forward", rec.forward)
-        keep("poincare_backward", rec.backward)
-        pos = cf.positivity_equivalence(sys, b)
-        keep("positivity_bound", pos.bound_residual)
-        violations += not pos.equivalent
-        if sys.mass(b) > 0:
-            kac = cf.kac_check(sys, b)
-            keep("kac_product", kac.product_residual)
-            keep("kac_integral_forward", kac.integral_residual_forward)
-            keep("kac_integral_backward", kac.integral_residual_backward)
-    return best, violations
+            for name, value in cf.identity_residuals(sys, b, a).items():
+                assert isinstance(value, Fraction), name
+                best[name] = max(best.get(name, Fraction(0)), value)
+    return best
 
 
 def _assert_suite_matches_referee(sys, **plan_args):
@@ -623,11 +636,11 @@ def _assert_suite_matches_referee(sys, **plan_args):
     assert res.residuals == best
     assert res.worst == worst
     assert res.positivity_violations == violations
-    assert _per_pair_maxima(sys, plan) == (best, violations)
+    assert _pair_maxima(sys, plan) == best
     return res
 
 
-def test_suite_on_python_int_lattice_matches_per_pair_functions():
+def test_suite_on_python_int_lattice_matches_referee():
     # a 3-cycle and a fixed point with unrelated weights: not preserving,
     # so every identity has a nonzero residual to get right
     sys = cf.FiniteSystem.from_rational([1, 2, 0, 3], [3, 1, 4, 1],
@@ -640,7 +653,7 @@ def test_suite_on_python_int_lattice_matches_per_pair_functions():
     assert res.residuals["precapacity"] > 0
 
 
-def test_suite_and_per_pair_functions_agree_on_sampled_plans():
+def test_suite_on_sampled_plans_matches_referee():
     # above the exhaustive limit the sampled A sets are not closed under
     # preimages, so the image and preimage forms of the restriction's
     # invariance report different maxima; both sides must take the
@@ -655,6 +668,26 @@ def test_suite_and_per_pair_functions_agree_on_sampled_plans():
                                             sample_pairs=30, seed=seed)
         assert not res.exhaustive
         assert res.residuals["shift_invariance_restriction"] > 0
+
+
+def test_identity_residuals_take_the_suite_checks_in_report_order(
+        rot4, endo3):
+    for sys in (rot4, endo3):
+        assert list(cf.identity_residuals(sys, [0], [1])) == \
+            list(cf.identity_suite(sys).residuals)
+
+
+def test_suite_witnesses_replay_through_identity_residuals():
+    # each worst pair the suite reports gives back that check's maximum
+    # when it is asked for alone; a check whose maximum is 0 has none
+    sys = cf.FiniteSystem.from_rational([1, 2, 0, 3], [3, 1, 4, 1],
+                                        [7, 5, 3, 2])
+    res = cf.identity_suite(sys)
+    positive = [name for name, v in res.residuals.items() if v > 0]
+    assert len(positive) == 11
+    for name in positive:
+        b, a = res.worst[name]
+        assert cf.identity_residuals(sys, b, a)[name] == res.residuals[name]
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +808,8 @@ def test_property_exact_and_float_engines_agree(sys):
 def test_property_excursion_identity(sys, data):
     b = data.draw(st.sets(st.integers(0, sys.size - 1), min_size=1))
     a = data.draw(st.sets(st.integers(0, sys.size - 1)))
-    res = cf.excursion_identity_residual(sys, sorted(a), sorted(b))
-    assert res.forward <= 1e-12 and res.backward <= 1e-12
+    res = cf.identity_residuals(sys, sorted(b), sorted(a))
+    assert max(_both(res, "excursion_identity")) <= 1e-12
 
 
 @given(_permutation_systems(), st.data())
@@ -784,17 +817,6 @@ def test_property_excursion_identity(sys, data):
 def test_property_occupation_of_space_is_return_time(sys, data):
     b = data.draw(st.sets(st.integers(0, sys.size - 1), min_size=1))
     start = data.draw(st.integers(0, sys.size - 1))
-    occ = cf.occupation_count(sys, list(range(sys.size)), sorted(b), start)
+    occ = _occupation_count(sys, list(range(sys.size)), sorted(b), start)
     prof = cf.hitting_profile(sys, sorted(b))
     assert occ == prof.times_or_inf[start]
-
-
-@given(_permutation_systems())
-@settings(max_examples=40, deadline=None)
-def test_property_first_return_preserves(sys):
-    if float(sys.total_mass) == 0:
-        return
-    b = [i for i in range(sys.size) if i % 2 == 0]
-    ind = cf.induced_map(sys, b)
-    assert cf.check_preserving(ind).preserving
-    assert ind.invertible

@@ -13,28 +13,24 @@ import sys
 import cycleflow as cf
 
 PUBLIC = [
-    "BACKWARD", "BudgetExceededError", "CheckResult",
-    "ClassStructure", "CycleMeasure",
+    "BACKWARD", "BudgetExceededError", "CheckResult", "ClassStructure",
     "CycleflowError", "DecompositionResult", "FORWARD", "FileAccessError",
     "FiniteSystem", "HarrisConditions", "HarrisModel", "HittingProfile",
     "IdentitySuiteResult", "InfeasibleMinorizationError",
     "InternalInconsistencyError", "InvariantError", "ModelParseError",
-    "OutputError", "PreconditionError", "RESTRICTION", "RatioEstimate",
+    "OutputError", "PreconditionError", "RatioEstimate",
     "RunConfig", "SplitChainRun", "StochasticMatrix", "SuiteReport",
     "UnknownKindError", "UnsupportedOperationError",
     "block_marginal_gof", "canonical_json", "check_preserving",
-    "class_structure", "convex_decomposition", "cycle_measure",
+    "class_structure", "convex_decomposition",
     "cycle_occupation", "cycle_stationary", "emit_report",
-    "entrance_invariance_residual", "errors", "event_mask",
-    "exchange_residual", "excursion_identity_residual", "harris",
-    "harris_conditions", "hitting_profile", "identity_suite",
-    "image_invariance_residual", "induced_map", "invariance_residual",
-    "kac_check", "load_model", "markov", "measure", "minorization_residual",
+    "errors", "event_mask", "exchange_residual", "harris",
+    "harris_conditions", "hitting_profile", "identity_residuals",
+    "identity_suite", "invariance_residual",
+    "load_model", "markov", "measure", "minorization_residual",
     "mixture_residual", "model_document", "model_hash", "model_size",
-    "modelio", "occupation_count", "parse_model", "poincare_residual",
-    "positivity_equivalence", "precapacity_residual",
-    "regen_distribution_gof", "report",
-    "run_suite", "shift_invariance_residual", "simulate_cycle_estimator",
+    "modelio", "parse_model", "regen_distribution_gof", "report",
+    "run_suite", "simulate_cycle_estimator",
     "simulate_split_chain", "split_cycle_measure",
     "stationary_leftnull", "suite",
 ]

@@ -146,6 +146,40 @@ def test_markov_suite_irreducible(mc2):
                   - [3 / 7, 4 / 7]).max() <= 1e-12
 
 
+def _failed(report):
+    return [c.name for c in report.checks if not c.passed]
+
+
+def test_eigenvector_crosscheck_reads_its_oracle(mc2, monkeypatch):
+    # the left-null side scaled by 1 + 1e-9 moves by 4/7 * 1e-9, above
+    # CROSS_FLOOR = 1e-10: the check fails, so it reads that side
+    leftnull = cf.markov.stationary_leftnull
+    monkeypatch.setattr(cf.markov, "stationary_leftnull",
+                        lambda chain, base: leftnull(chain, base)
+                        * (1 + 1e-9))
+    report = cf.run_suite(mc2)
+    assert _failed(report) == ["eigenvector_crosscheck"]
+    assert by_name(report, "eigenvector_crosscheck").value == \
+        pytest.approx(4 / 7 * 1e-9, rel=1e-4)
+
+
+def test_exchange_identity_reads_both_bases(mc2, monkeypatch):
+    # base 1's return-cycle law scaled by 1 + 1e-9, base 0's (the class
+    # base) left alone: every drawn pair holds one of each, so the check
+    # fails by 4/7 * 1e-9, and only it
+    stationary = cf.markov.cycle_stationary
+
+    def perturbed(chain, base):
+        pi = stationary(chain, base)
+        return pi * (1 + 1e-9) if base != 0 else pi
+
+    monkeypatch.setattr(cf.markov, "cycle_stationary", perturbed)
+    report = cf.run_suite(mc2)
+    assert _failed(report) == ["exchange_identity"]
+    assert by_name(report, "exchange_identity").value == \
+        pytest.approx(4 / 7 * 1e-9, rel=1e-4)
+
+
 def test_markov_suite_reducible_adds_decomposition():
     p = np.zeros((4, 4))
     p[:2, :2] = [[2 / 3, 1 / 3], [1 / 4, 3 / 4]]
