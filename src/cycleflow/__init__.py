@@ -63,7 +63,6 @@ from .harris import (
     HarrisConditions,
     HarrisModel,
     SplitChainRun,
-    block_marginal_gof,
     harris_conditions,
     minorization_residual,
     mixture_residual,

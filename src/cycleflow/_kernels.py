@@ -13,18 +13,19 @@ int64 or Python ints).
 
 The random-number kernel ``split_chain_batch`` runs the split chain
 (Nummelin 1978) on lanes: numpy advances a chunk's cycles side by side,
-one lane per cycle, and a lane is done when its cycle closes.  Recording
-observes those lanes: each step appends the (cycle, state) pairs of the
-visits it counts, and each finished block its (cycle, coin) pairs, as
-arrays, so a recorded run draws exactly what an unrecorded one does.  The
-return cycles of a Markov chain from a base state are the split chain
-with R = {base}, ell = 1, epsilon = 1 and lam = P[base].  The first
-iteration draws each lane's X_0 from lam; each later one reads
-``gen.random(live)``, one double per live lane in lane order, for the
-lane's next draw: a plain step outside R; in R the coin (only when
-epsilon < 1), then the endpoint from lam or the residual row, then the
-ell - 1 interior states from the bridge law.  So a seed fixes every
-draw.  One draw rule serves all: the first running sum above u, or past
+one lane per cycle, and a lane is done when its cycle closes.  Its
+``traj`` and ``marks`` hooks serve the kernel's referee tests; the
+simulators pass None.  Recording observes the lanes: each step appends
+the (cycle, state) pairs of the visits it counts, and each finished block
+its (cycle, coin) pairs, as arrays, so a recorded run draws exactly what
+an unrecorded one does.  The return cycles of a Markov chain from a base
+state are the split chain with R = {base}, ell = 1, epsilon = 1 and
+lam = P[base].  The first iteration draws each lane's X_0 from lam; each
+later one reads ``gen.random(live)``, one double per live lane in lane
+order, for the lane's next draw: a plain step outside R; in R the coin
+(only when epsilon < 1), then the endpoint from lam or the residual row,
+then the ell - 1 interior states from the bridge law.  So a seed fixes
+every draw.  One draw rule serves all: the first running sum above u, or past
 a row's rounded total its last positive entry, on a guide table (Chen &
 Asau 1974, ``_lane_draw``) or a bridge row (``_lane_bridge``).
 

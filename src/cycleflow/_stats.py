@@ -53,14 +53,12 @@ def chunk_generators(seed, n_chunks):
     return [np.random.default_rng(child) for child in root.spawn(n_chunks)]
 
 
-def split_chain_chunks(seed, n_cycles, budget, args, traj=None, marks=None):
+def split_chain_chunks(seed, n_cycles, budget, args):
     """Yield (occupations, lengths, regen_states) of each chunk of
     ``_kernels.split_chain_batch`` on ``args`` (its arguments from
     ``k_raw`` to ``ell``), occupations in ``count_dtype(budget)``.
-    Chunks hold ``lane_chunk(n)`` cycles, the last one the rest.  Lists
-    ``traj`` and ``marks`` receive each chunk's records as the kernel makes
-    them, with cycles numbered within the chunk.  A run past ``budget``
-    steps raises BudgetExceededError."""
+    Chunks hold ``lane_chunk(n)`` cycles, the last one the rest.  A run
+    past ``budget`` steps raises BudgetExceededError."""
     n = args[0].shape[0]
     plan = chunk_plan(n_cycles, lane_chunk(n))
     dtype = count_dtype(budget)
@@ -70,7 +68,7 @@ def split_chain_chunks(seed, n_cycles, budget, args, traj=None, marks=None):
         lengths = np.zeros(count, dtype=np.int64)
         regen_states = np.zeros(count, dtype=np.int64)
         cycles, steps, _, status = _kernels.split_chain_batch(
-            gen, *args, occ, lengths, regen_states, traj, marks,
+            gen, *args, occ, lengths, regen_states, None, None,
             budget - used)
         used += int(steps)
         closed += int(cycles)

@@ -231,8 +231,8 @@ def _fit_report(model, cfg, args):
     members = _int_pair_list(args.regen_set, "set")
     fitted = harris.HarrisModel(chain, members, ell=args.ell)
     checks = [CheckResult("minorization_residual",
-                          harris.minorization_residual(fitted), -1e-12,
-                          comparator=">=")]
+                          harris.minorization_residual(fitted),
+                          -harris._RESIDUAL_TOL, comparator=">=")]
     details = harris_details(fitted)
     del details["fitted"]
     return _command_report("fit-minorization", model, cfg, checks, details)

@@ -342,25 +342,13 @@ class SplitChainRun:
     (``_stats.count_dtype``); lengths and regen_states are int64.  A run
     of one chunk holds that chunk's arrays as they are, with no copy.
     estimate is the run's ``_stats.RatioEstimate``, folded chunk by chunk.
-
-    trajectory and marks are kept only when recording was requested, and
-    recording changes no draw.  trajectory holds each cycle's visited
-    states in order, cycle after cycle, ``estimate.steps`` entries in
-    all: with ends = cumsum(lengths), cycle c is trajectory[ends[c] -
-    lengths[c]: ends[c]], and its endpoint is regen_states[c].  marks
-    holds each cycle's lengths[c] // ell block coins in order: 1 for
-    heads (always when epsilon = 1), 0 for tails, -1 for a block that
-    starts outside the regeneration set.
     """
 
     seed: object
     occupations: np.ndarray
     lengths: np.ndarray
     regen_states: np.ndarray
-    ell: int
     estimate: RatioEstimate
-    trajectory: np.ndarray = None
-    marks: np.ndarray = None
 
 
 def _joined(chunks):
@@ -368,14 +356,7 @@ def _joined(chunks):
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _by_cycle(records):
-    # the values of a chunk's (cycles, values) records, stably sorted by
-    # cycle: the kernel appends each lane's records in the order it steps
-    cycles, values = (np.concatenate(part) for part in zip(*records))
-    return values[np.argsort(cycles, kind="stable")]
-
-
-def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
+def simulate_split_chain(model, n_regens, seed,
                          step_budget=_DEFAULT_STEP_BUDGET):
     """Run the split chain until ``n_regens`` cycles close.
 
@@ -385,10 +366,7 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     identical however chunks are scheduled.  A chunk's cycles run side by
     side as lanes of ``_kernels.split_chain_batch``, each from its own
     X_0 ~ lam, and folded into the run's ``estimate`` by a
-    ``RatioAccumulator``.  Recording observes those lanes: a recorded run has the
-    cycles, steps and draws of the unrecorded run of the same seed, and
-    its trajectory and marks are the lanes' records sorted by cycle (see
-    ``SplitChainRun``).  A block that starts in R draws no coin when
+    ``RatioAccumulator``.  A block that starts in R draws no coin when
     epsilon = 1.  No run takes more than ``step_budget`` steps; one that
     would raises ``BudgetExceededError``.  Refused with
     ``PreconditionError`` before anything is drawn: a run whose visit
@@ -410,34 +388,22 @@ def simulate_split_chain(model, n_regens, seed, record_trajectory=False,
     _require_minorization(model)
     _block_reach(model)
     table, res_rows = model.lane_table()
-    traj = [] if record_trajectory else None
-    marks = [] if record_trajectory else None
     acc = RatioAccumulator(model.n)
-    chunks, path, coins = [], [], []
+    chunks = []
     for chunk in split_chain_chunks(
             seed, n_regens, step_budget,
             (model.kernel.matrix, table, model.n, res_rows,
              model.kernel_powers, model.regen_mask, model.epsilon,
-             model.ell), traj, marks):
+             model.ell)):
         acc.add(chunk[0], chunk[1])
         chunks.append(chunk)
-        if record_trajectory:  # each chunk numbers its cycles from 0
-            path.append(_by_cycle(traj))
-            coins.append(_by_cycle(marks))
-            del traj[:], marks[:]
     occ, lengths, regen_states = zip(*chunks)
-    if record_trajectory:
-        traj = np.concatenate(path).astype(np.int64, copy=False)
-        marks = np.concatenate(coins).astype(np.int8)
     return SplitChainRun(
         seed=seed,
         occupations=_joined(occ),
         lengths=_joined(lengths),
         regen_states=_joined(regen_states),
-        ell=model.ell,
         estimate=acc.estimate(),
-        trajectory=traj,
-        marks=marks,
     )
 
 
@@ -567,39 +533,3 @@ def regen_distribution_gof(run, model):
         return math.inf, 0, 0.0
     expected = run.estimate.n_cycles * model.lam[support]
     return _chisquare_test([_merge_small_bins(counts[support], expected)])
-
-
-def block_marginal_gof(run, model, min_row_count=25):
-    """Chi-square test that block-start transitions follow K^ell.
-
-    The split must be invisible at the X level: looking only at states
-    sampled every ell steps, transition frequencies from each start
-    state match the corresponding K^ell row.  Each block is paired with
-    the next start of its cycle, and the last block of cycle c with
-    regen_states[c].  Rows with fewer than ``min_row_count`` starts are
-    skipped; per-row Pearson statistics are pooled.  Needs a recorded
-    trajectory.
-    """
-    if run.trajectory is None:
-        raise PreconditionError("block test needs a recorded trajectory",
-                                field="run")
-    # cycle lengths are block multiples, so the blocks start every ell
-    # steps and cycle c's last one is block cumsum(lengths)[c] / ell - 1
-    pairs_from = run.trajectory[::run.ell]
-    pairs_to = np.empty_like(pairs_from)
-    pairs_to[:-1] = pairs_from[1:]
-    pairs_to[np.cumsum(run.lengths) // run.ell - 1] = run.regen_states
-    k_ell = model.kernel_powers[model.ell]
-    tables = []
-    for s in range(model.n):
-        sel = pairs_from == s
-        count = int(sel.sum())
-        if count < min_row_count:
-            continue
-        observed = np.bincount(pairs_to[sel], minlength=model.n).astype(np.float64)
-        support = k_ell[s] > 0
-        if observed[~support].sum() > 0:
-            return math.inf, 0, 0.0
-        tables.append(_merge_small_bins(observed[support],
-                                        count * k_ell[s][support]))
-    return _chisquare_test(tables)

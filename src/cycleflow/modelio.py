@@ -197,7 +197,6 @@ def parse_model(doc, source=None):
             "unknown model kind %r (expected one of %s)"
             % (kind, ", ".join(KINDS)), field="kind")
     model = _BUILDERS[kind](doc)
-    model.kind = kind
     model.source = source
     return model
 

@@ -91,15 +91,14 @@ class CheckResult:
     value: float
     threshold: float
     comparator: str = "<="
-    passed: bool = None
+    passed: bool = field(init=False)
 
     def __post_init__(self):
         if self.comparator not in ("<=", ">="):
             raise ValueError("comparator must be <= or >=")
-        if self.passed is None:
-            v = float(self.value)
-            t = float(self.threshold)
-            self.passed = v <= t if self.comparator == "<=" else v >= t
+        v = float(self.value)
+        t = float(self.threshold)
+        self.passed = v <= t if self.comparator == "<=" else v >= t
 
     def to_document(self):
         return {

@@ -136,13 +136,13 @@ def _markov_suite(chain, cfg):
 
     invariance_worst = 0.0
     eigen_worst = 0.0
-    class_pis = {}
+    laws = {}  # per class: its return-cycle law and its left-null law
     for c, base in zip(recurrent, bases):
         pi = _markov.cycle_stationary(chain, base)
-        class_pis[c] = pi
         invariance_worst = max(
             invariance_worst, _markov.invariance_residual(chain, pi))
         eigen = _markov.stationary_leftnull(chain, base)
+        laws[c] = pi, eigen
         eigen_worst = max(eigen_worst, float(np.abs(pi - eigen).max()))
     exchange_worst = 0.0
     for first, second in pairs:
@@ -165,13 +165,15 @@ def _markov_suite(chain, cfg):
         "exchange_pairs": len(pairs),
     }
     if len(recurrent) == 1 and details["transient_states"] == 0:
-        details["stationary"] = class_pis[recurrent[0]]
+        details["stationary"] = laws[recurrent[0]][0]
     else:
-        # reducible: rebuild a seeded invariant mixture and take it apart
+        # reducible: a seeded mixture of the left-null laws, taken apart
+        # by convex_decomposition with the return-cycle laws, so that the
+        # two sides come from independent solves
         weights = rng.dirichlet(np.ones(len(recurrent)))
         mixture = np.zeros(chain.n)
         for w, c in zip(weights, recurrent):
-            mixture += w * class_pis[c]
+            mixture += w * laws[c][1]
         decomp = _markov.convex_decomposition(chain, mixture)
         weight_gap = float(np.abs(decomp.class_weights - weights).max())
         checks.append(CheckResult("decomposition_residual", decomp.residual,

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,56 @@ def same_estimate(a, b):
         else:
             x, y = np.asarray(x), np.asarray(y)
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def by_cycle(records):
+    """(cycle, value) records, the split-chain kernel's array pairs or a
+    referee's scalars, as the list of values in cycle order; list.sort is
+    stable, so each cycle's values keep their record order."""
+    pairs = [pair for cycles, values in records
+             for pair in zip(np.ravel(cycles).tolist(),
+                             np.ravel(values).tolist())]
+    pairs.sort(key=lambda pair: pair[0])
+    return [value for _, value in pairs]
+
+
+def recorded_split_chain(model, cycles, seed):
+    """The first chunk of ``simulate_split_chain(model, cycles, seed)``,
+    recorded through the kernel's ``traj`` and ``marks`` hooks on the
+    chunk's own generator.  Returns a namespace with the run's
+    occupations, lengths and regen_states, the visited states in cycle
+    order as ``trajectory`` (int64) and each cycle's block coins in order
+    as ``marks`` (int8: 1 heads, 0 tails, -1 a block started outside R).
+    With ends = cumsum(lengths), cycle c is trajectory[ends[c] -
+    lengths[c]:ends[c]] and closes at regen_states[c]."""
+    assert cycles <= cf._stats.lane_chunk(model.n)  # one chunk
+    budget = cf.harris._DEFAULT_STEP_BUDGET
+    table, res_rows = model.lane_table()
+    occ = np.zeros((cycles, model.n), dtype=cf._stats.count_dtype(budget))
+    lengths = np.zeros(cycles, dtype=np.int64)
+    regen_states = np.zeros(cycles, dtype=np.int64)
+    traj, marks = [], []
+    status = cf._kernels.split_chain_batch(
+        cf._stats.chunk_generators(seed, 1)[0], model.kernel.matrix, table,
+        model.n, res_rows, model.kernel_powers, model.regen_mask,
+        model.epsilon, model.ell, occ, lengths, regen_states, traj, marks,
+        budget)[3]
+    assert status == 0
+    return types.SimpleNamespace(
+        occupations=occ, lengths=lengths, regen_states=regen_states,
+        trajectory=np.array(by_cycle(traj), dtype=np.int64),
+        marks=np.array(by_cycle(marks), dtype=np.int8))
+
+
+def tilted(law, shift):
+    """``law`` for a monkeypatch, with the share ``shift`` of its result's
+    total mass moved from its second heaviest state to its heaviest: the
+    total is kept, and the normalised law moves by ``shift``."""
+    def tilted_law(*args):
+        pi = np.array(law(*args), dtype=np.float64)
+        first, second = np.argsort(pi)[::-1][:2]
+        mass = shift * pi.sum()
+        pi[first] += mass
+        pi[second] -= mass
+        return pi
+    return tilted_law

@@ -114,7 +114,7 @@ def _groups(run):
         yield cf.SplitChainRun(
             seed=run.seed, occupations=run.occupations[part],
             lengths=run.lengths[part], regen_states=run.regen_states[part],
-            ell=run.ell, estimate=acc.estimate())
+            estimate=acc.estimate())
 
 
 @pytest.mark.parametrize("name", sorted(_MODELS))

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 import cycleflow as cf
 from cycleflow.cli import main
 from cycleflow.measure import EXHAUSTIVE_CAP
+from conftest import tilted
 
 FINITE = {
     "kind": "finite_system",
@@ -490,6 +493,46 @@ def test_fit_minorization(files, capsys, clean_env):
     assert doc["checks"][0]["name"] == "minorization_residual"
 
 
+def test_fit_minorization_and_verify_share_one_false_minorization_bound(
+        files, capsys, clean_env, monkeypatch):
+    # both thresholds read -harris._RESIDUAL_TOL, which is 1e-12: a
+    # changed constant moves both
+    assert cf.harris._RESIDUAL_TOL == 1e-12
+    for tol in (1e-12, 1e-3):
+        monkeypatch.setattr(cf.harris, "_RESIDUAL_TOL", tol)
+        for argv in (["fit-minorization", files["harris"], "--set", "0"],
+                     ["verify", files["harris"], "--cycles", "0"]):
+            code, doc = run_json(argv, capsys)
+            assert code == 0
+            check = {c["name"]: c for c in doc["checks"]}
+            assert check["minorization_residual"]["threshold"] == -tol
+
+
+@pytest.mark.parametrize("argv, module, law", [
+    (["verify", "harris"], "harris", "split_cycle_measure"),
+    (["stationary", "markov", "--method", "cycles"], "markov",
+     "cycle_stationary"),
+], ids=["verify-h3", "stationary-cycles"])
+def test_z_gate_reads_its_exact_law(argv, module, law, files, capsys,
+                                    clean_env, monkeypatch):
+    # the exact law tilted by 20 standard errors between its two heaviest
+    # states fails estimator_z_max, and nothing else
+    argv = [argv[0], files[argv[1]], *argv[2:], "--cycles", "20000",
+            "--seed", "1"]
+    code, doc = run_json(argv, capsys)
+    assert code == 0
+    details = doc["details"]
+    first, second = np.argsort(details["stationary"])[::-1][:2]
+    shift = 20 * max(details["standard_errors"][i] for i in (first, second))
+    module = getattr(cf, module)
+    monkeypatch.setattr(module, law, tilted(getattr(module, law), shift))
+    code, doc = run_json(argv, capsys)
+    assert code == 1
+    failed = [c for c in doc["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["estimator_z_max"]
+    assert failed[0]["value"] >= 15
+
+
 def test_fit_minorization_infeasible(tmp_path, capsys, clean_env):
     path = tmp_path / "id.json"
     path.write_text(json.dumps({
@@ -658,6 +701,74 @@ def test_errors_go_to_stderr_not_stdout(tmp_path, capsys, clean_env):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cycleflow: error:")
+
+
+# a 4-point finite system with rational weights, the README chain and h3,
+# each with every optional field
+_FUZZ_BASES = (
+    {"kind": "finite_system", "points": ["a", "b", "c", "d"],
+     "map": [1, 2, 3, 0], "weights": {"num": [1, 1, 1, 1],
+                                      "den": [4, 4, 4, 4]},
+     "invertible": True},
+    dict(MARKOV, states=["x", "y"]),
+    dict(HARRIS, states=["a", "b", "c"], **{"lambda": [0.5, 0.5, 0.0]}),
+)
+_FUZZ_VALUES = ([], {}, "x", True, None, 2 ** 70, -1, 5e-324, 1e308, [[]],
+                {"num": [1], "den": [0]})
+_FUZZ_FORMS = (
+    ["verify", "--cycles", "20"],
+    ["stationary"],
+    ["stationary", "--method", "cycles", "--cycles", "20"],
+    ["harris", "--cycles", "20"],
+    ["exchange", "--states", "0,1"],
+    ["fit-minorization", "--set", "0"],
+    ["fit-minorization", "--set", "0,1", "--ell", "2"],
+)
+
+
+def _entries(node, path=()):
+    # the path of every entry below a document's top level
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if path:
+            yield path + (key,)
+        yield from _entries(value, path + (key,))
+
+
+def test_mutated_models_exit_within_the_contract(tmp_path, clean_env,
+                                                 monkeypatch):
+    # every top-level field of each base, and two seeded entries below it,
+    # set to each value in turn, through all seven command forms: every
+    # exit is a classified one (0-12), never 70.  A split-chain run gets
+    # 10**4 steps instead of 10**7: a hopeless run is not refused before
+    # it draws, so the epsilon = 5e-324 mutant exits 10 in milliseconds
+    # here, where the full budget takes about 45 s
+    monkeypatch.setattr(cf.harris.simulate_split_chain, "__defaults__",
+                        (10 ** 4,))
+    rng = np.random.default_rng(34)
+    path = tmp_path / "mutant.json"
+    out = str(tmp_path / "out")
+    seen = set()
+    for base in _FUZZ_BASES:
+        nested = list(_entries(base))
+        picks = [nested[i] for i in rng.choice(len(nested), 2, replace=False)]
+        for where in [(key,) for key in base] + picks:
+            for value in _FUZZ_VALUES:
+                doc = json.loads(json.dumps(base))
+                node = doc
+                for key in where[:-1]:
+                    node = node[key]
+                node[where[-1]] = value
+                path.write_text(json.dumps(doc))
+                for command, *options in _FUZZ_FORMS:
+                    argv = [command, str(path), *options, "--output", out]
+                    with contextlib.redirect_stderr(io.StringIO()) as err:
+                        code = main(argv)
+                    assert 0 <= code <= 12, (argv, doc, err.getvalue())
+                    seen.add(code)
+    # the loop reaches passing runs, refusals and an exhausted budget
+    assert {0, 5, 6, 7, 10} <= seen
 
 
 # ---------------------------------------------------------------------------

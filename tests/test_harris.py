@@ -17,7 +17,7 @@ from cycleflow.errors import (
     InvariantError,
     PreconditionError,
 )
-from conftest import H3, H3_PI, same_estimate
+from conftest import H3, H3_PI, recorded_split_chain, same_estimate
 
 FLIP2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -554,49 +554,6 @@ def test_run_is_reproducible():
     assert not np.array_equal(a.occupations, c.occupations)
 
 
-def _same_cycles(a, b):
-    # byte for byte: counts (and their dtype), lengths, endpoints, steps
-    for field in ("occupations", "lengths", "regen_states"):
-        assert getattr(a, field).dtype == getattr(b, field).dtype
-        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
-    assert a.estimate.steps == b.estimate.steps
-
-
-def test_recording_does_not_change_the_cycles(monkeypatch):
-    # Recording observes the lanes: the recorded run has the unrecorded
-    # run's cycles byte for byte, and its path and coins show them, each
-    # cycle's slice reproducing its counts and ending in a heads block, in
-    # chunks of the default size, of one cycle and of seven
-    rng = np.random.default_rng(1402)
-    chain = cf.StochasticMatrix(rng.dirichlet(np.full(12, 0.3), size=12))
-    markov = cf.HarrisModel(chain.matrix, [0], ell=1, epsilon=1.0,
-                            lam=chain.matrix[0])
-    h40 = cf.HarrisModel(rng.dirichlet(np.ones(40), size=40), [0, 1, 2],
-                         ell=2)
-    lane_chunk = cf._stats.lane_chunk
-    for model in (variant_a(), variant_c(),
-                  cf.HarrisModel(H3, [0, 1], ell=3), h40, markov):
-        for chunk in (lane_chunk, lambda n_states: 1, lambda n_states: 7):
-            monkeypatch.setattr(cf._stats, "lane_chunk", chunk)
-            plain = cf.simulate_split_chain(model, 60, seed=3)
-            taped = cf.simulate_split_chain(model, 60, seed=3,
-                                            record_trajectory=True)
-            assert plain.trajectory is None and plain.marks is None
-            _same_cycles(plain, taped)
-            path, ell = taped.trajectory, model.ell
-            assert path.shape == (taped.estimate.steps,)
-            ends = np.cumsum(taped.lengths)
-            for c in range(60):
-                np.testing.assert_array_equal(
-                    taped.occupations[c],
-                    np.bincount(path[ends[c] - taped.lengths[c]:ends[c]],
-                                minlength=model.n))
-            last = ends // ell - 1
-            assert taped.marks.shape == (ends[-1] // ell,)
-            assert np.all(taped.marks[last] == 1)
-            assert np.all(np.delete(taped.marks, last) != 1)
-
-
 def test_a_run_of_several_chunks_folds_each_chunk(monkeypatch):
     # the run's estimate is a RatioAccumulator fed one chunk at a time;
     # its pi_hat, mean and steps keep the bits of one add over the joined
@@ -621,7 +578,12 @@ def test_a_run_of_several_chunks_folds_each_chunk(monkeypatch):
 
 def test_trajectory_marks_coins_only_inside_set():
     model = variant_a()
-    run = cf.simulate_split_chain(model, 60, seed=3, record_trajectory=True)
+    run = recorded_split_chain(model, 60, seed=3)
+    # the recording is the unrecorded run's one chunk, byte for byte
+    plain = cf.simulate_split_chain(model, 60, seed=3)
+    for field in ("occupations", "lengths", "regen_states"):
+        assert getattr(run, field).tobytes() == \
+            getattr(plain, field).tobytes(), field
     starts = run.trajectory[::model.ell]
     assert starts.shape == run.marks.shape
     inside = run.marks[model.regen_mask[starts]]
@@ -1226,26 +1188,46 @@ def test_mass_off_lambda_support_fails_immediately():
     assert pvalue == 0.0 and math.isinf(stat)
 
 
+def _block_marginal_gof(run, model, min_row_count=25):
+    # chi-square test that block-start transitions of a recorded run
+    # follow K^ell: each block is paired with the next start of its cycle,
+    # and the last block of cycle c with regen_states[c].  Rows with fewer
+    # than min_row_count starts are skipped; per-row Pearson statistics
+    # are pooled.  Cycle lengths are block multiples, so the blocks start
+    # every ell steps and cycle c's last one is block cumsum(lengths)[c] /
+    # ell - 1
+    pairs_from = run.trajectory[::model.ell]
+    pairs_to = np.empty_like(pairs_from)
+    pairs_to[:-1] = pairs_from[1:]
+    pairs_to[np.cumsum(run.lengths) // model.ell - 1] = run.regen_states
+    tables = []
+    for s in range(model.n):
+        sel = pairs_from == s
+        count = int(sel.sum())
+        if count < min_row_count:
+            continue
+        observed = np.bincount(pairs_to[sel],
+                               minlength=model.n).astype(np.float64)
+        support = model.k_ell[s] > 0
+        if observed[~support].sum() > 0:
+            return math.inf, 0, 0.0
+        tables.append(cf.harris._merge_small_bins(
+            observed[support], count * model.k_ell[s][support]))
+    return cf.harris._chisquare_test(tables)
+
+
 def test_block_marginals_follow_the_kernel_power():
     model = variant_c()
-    run = cf.simulate_split_chain(model, 2500, seed=29,
-                                  record_trajectory=True)
-    stat, dof, pvalue = cf.block_marginal_gof(run, model)
+    run = recorded_split_chain(model, 2500, seed=29)
+    stat, dof, pvalue = _block_marginal_gof(run, model)
     assert dof >= 1
     assert pvalue >= 0.01
-
-
-def test_block_gof_needs_a_trajectory():
-    run = cf.simulate_split_chain(variant_a(), 20, seed=1)
-    with pytest.raises(PreconditionError):
-        cf.block_marginal_gof(run, variant_a())
 
 
 def _run_against_a_kernel_without_the_arrow_2_to_0():
     # a recorded run of H3 with R = {0} and ell = 1, and the model of H3
     # with K(2, 0) = 0; every step starts a block
-    run = cf.simulate_split_chain(variant_a(), 200, seed=5,
-                                  record_trajectory=True)
+    run = recorded_split_chain(variant_a(), 200, seed=5)
     k = np.array(H3)
     k[2, 0] = 0.0
     k[2] /= k[2].sum()
@@ -1256,9 +1238,9 @@ def _run_against_a_kernel_without_the_arrow_2_to_0():
 def test_block_gof_fails_a_transition_outside_the_kernel_power():
     run, other, starts = _run_against_a_kernel_without_the_arrow_2_to_0()
     assert starts[2] >= 25  # row 2 is tested at the default count
-    assert cf.block_marginal_gof(run, other) == (math.inf, 0, 0.0)
+    assert _block_marginal_gof(run, other) == (math.inf, 0, 0.0)
     # the run passes against its own kernel
-    assert cf.block_marginal_gof(run, variant_a())[2] >= 0.01
+    assert _block_marginal_gof(run, variant_a())[2] >= 0.01
 
 
 def test_block_gof_skips_rows_under_the_minimum_count():
@@ -1266,12 +1248,12 @@ def test_block_gof_skips_rows_under_the_minimum_count():
     # rows 0 and 2 fall under the count, the foreign arrow with row 2;
     # row 1 alone is tested, its three bins giving two degrees of freedom
     assert starts[0] <= starts[2] < starts[1]
-    stat, dof, pvalue = cf.block_marginal_gof(run, other,
-                                              min_row_count=starts[2] + 1)
+    stat, dof, pvalue = _block_marginal_gof(run, other,
+                                            min_row_count=starts[2] + 1)
     assert math.isfinite(stat) and dof == 2 and pvalue > 0.0
     # every row skipped: nothing is tested
-    assert cf.block_marginal_gof(run, other,
-                                 min_row_count=starts.max() + 1) == \
+    assert _block_marginal_gof(run, other,
+                               min_row_count=starts.max() + 1) == \
         (0.0, 0, 1.0)
 
 
@@ -1405,7 +1387,7 @@ def test_chisquare_test_matches_scipy_bit_for_bit():
 
 
 def test_pooled_chisquare_test_matches_scipy_bit_for_bit():
-    # the pooled form of block_marginal_gof: per-table statistics summed in
+    # the pooled form of _block_marginal_gof: per-table statistics summed in
     # order, one upper tail on the summed degrees of freedom
     from scipy import stats
     rng = np.random.default_rng(84)

@@ -5,6 +5,7 @@ import numpy as np
 
 import cycleflow as cf
 from cycleflow import _kernels as kr
+from conftest import by_cycle
 
 
 def random_cases(seed, count):
@@ -626,17 +627,6 @@ def _split_kernel(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps,
                                 in_regen, eps, ell, *rest)
 
 
-def _by_cycle(records):
-    # (cycle, value) records, the kernel's array pairs or the referee's
-    # scalars, as the list of values in cycle order; list.sort is stable,
-    # so each cycle's values keep their record order
-    pairs = [pair for cycles, values in records
-             for pair in zip(np.ravel(cycles).tolist(),
-                             np.ravel(values).tolist())]
-    pairs.sort(key=lambda pair: pair[0])
-    return [value for _, value in pairs]
-
-
 def _split_run(fn, model, cycles, seed, budget=10 ** 6, record=False):
     # (steps, blocks, ... as ints), counts, lengths, regeneration states,
     # and the recorded path and coins in cycle order (None unrecorded)
@@ -648,7 +638,7 @@ def _split_run(fn, model, cycles, seed, budget=10 ** 6, record=False):
     result = fn(np.random.default_rng(seed), *_split_args(model), occ,
                 lengths, regen, traj, marks, budget)
     if record:
-        traj, marks = _by_cycle(traj), _by_cycle(marks)
+        traj, marks = by_cycle(traj), by_cycle(marks)
     return (tuple(int(v) for v in result), occ, lengths, regen, traj, marks)
 
 
@@ -764,7 +754,7 @@ def test_split_chain_batch_counts_alike_in_int32_and_int64():
                                     *_split_args(model), occ, lengths, regen,
                                     traj, None, 10 ** 6)
                     got.append((tuple(int(v) for v in result), occ, lengths,
-                                regen, traj and _by_cycle(traj)))
+                                regen, traj and by_cycle(traj)))
                 assert got[0][1].dtype == np.int32
                 assert got[0][0][3] == 0
                 _assert_same(*got)
@@ -993,7 +983,7 @@ def test_kernels_clamp_to_last_positive_entry():
         1.0, 1, occ, lengths, regen, traj, [], 100)
     assert result == (4, 4, 4, 0)
     assert regen.tolist() == [9] * 4
-    assert _by_cycle(traj) == [9] * 4
+    assert by_cycle(traj) == [9] * 4
     assert occ[:, 10].sum() == 0
     # the lane draws of an ell = 3 model on the same rows with lam the
     # short row: a plain block from 1 (rows 1, 9, 9) and a lam endpoint

@@ -48,7 +48,7 @@ def write(tmp_path, doc, name="model.json"):
 def test_load_finite_system(tmp_path):
     model = cf.load_model(write(tmp_path, FINITE_DOC))
     assert isinstance(model, cf.FiniteSystem)
-    assert model.kind == "finite_system"
+    assert cf.suite.model_kind(model) == "finite_system"
     assert model.source == "model.json"
     assert list(model.mapping) == [1, 0, 3, 2]
     assert model.invertible

@@ -21,7 +21,7 @@ PUBLIC = [
     "OutputError", "PreconditionError", "RatioEstimate",
     "RunConfig", "SplitChainRun", "StochasticMatrix", "SuiteReport",
     "UnknownKindError", "UnsupportedOperationError",
-    "block_marginal_gof", "canonical_json", "check_preserving",
+    "canonical_json", "check_preserving",
     "class_structure", "convex_decomposition",
     "cycle_occupation", "cycle_stationary", "emit_report",
     "errors", "event_mask", "exchange_residual", "harris",

@@ -140,6 +140,14 @@ def test_check_infinite_value_fails_upper_bound():
     assert not cf.CheckResult("a", math.inf, 4.0).passed
 
 
+def test_check_verdict_is_not_settable():
+    # passed is always computed from value, comparator and threshold
+    with pytest.raises(TypeError):
+        cf.CheckResult("a", 2.0, 1.0, passed=True)
+    with pytest.raises(TypeError):
+        cf.CheckResult("a", 2.0, 1.0, "<=", True)
+
+
 def test_check_rejects_unknown_comparator():
     with pytest.raises(ValueError):
         cf.CheckResult("a", 0.0, 1.0, comparator="<")

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import zlib
 
 import numpy as np
 import pytest
 
 import cycleflow as cf
 from cycleflow.errors import PreconditionError, UnknownKindError
-from conftest import H3
+from conftest import H3, recorded_split_chain, tilted
 
 
 def check_names(report):
@@ -194,6 +195,39 @@ def test_markov_suite_reducible_adds_decomposition():
     assert len(report.details["mixture_weights"]) == 2
 
 
+def _mcr500():
+    # perfbench's mcr500 at seed 1: four closed Dirichlet(0.2) classes of
+    # 100 states and 100 transient states whose rows spread over every
+    # state
+    rng = np.random.default_rng([1, zlib.crc32(b"mcr500")])
+    p = np.zeros((500, 500))
+    for c in range(4):
+        block = slice(100 * c, 100 * (c + 1))
+        p[block, block] = rng.dirichlet(np.full(100, 0.2), size=100)
+    p[400:] = rng.dirichlet(np.full(500, 0.2), size=100)
+    return cf.StochasticMatrix(p / p.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("side", ["cycle_stationary", "stationary_leftnull"])
+def test_decomposition_reads_both_sides(side, monkeypatch):
+    # the suite mixes the left-null laws and convex_decomposition takes
+    # the mixture apart with the return-cycle laws: tilting either side
+    # by 1e-9 moves the residual by the largest mixture weight times
+    # 1e-9, above CROSS_FLOOR = 1e-10
+    chain = _mcr500()
+    report = cf.run_suite(chain)
+    assert report.overall_pass
+    assert by_name(report, "decomposition_residual").value <= 1e-15
+    weights = report.details["mixture_weights"]
+    monkeypatch.setattr(cf.markov, side,
+                        tilted(getattr(cf.markov, side), 1e-9))
+    report = cf.run_suite(chain)
+    check = by_name(report, "decomposition_residual")
+    assert not check.passed
+    assert check.value == pytest.approx(max(weights) * 1e-9, rel=1e-4)
+    assert by_name(report, "decomposition_weights").passed
+
+
 def test_markov_suite_seed_changes_exchange_pairs():
     rng = np.random.default_rng(0)
     chain = cf.StochasticMatrix(rng.dirichlet(np.ones(6), size=6))
@@ -225,7 +259,7 @@ def test_reducible_chain_draws_are_fixed():
         "0c0171e5511974a7829192570ae7d990df6c81dce029dc7d9ce87bfef6c1c4b4"
     doc = cf.canonical_json(report.to_document())
     assert hashlib.sha256(doc.encode()).hexdigest() == \
-        "650a6e57be4b249d55ccdc9b4edff817e968bd12e21132d2652095375032db85"
+        "c74ed9fccbb785e4131cc61c9e5127b0872e34b3d541c57c754067c4b095776f"
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +426,11 @@ def test_simulation_report_bytes_are_fixed(tmp_path, monkeypatch):
         "7ac6bbc76751e238b798e5863a5d37b0306c700951a461e384364cc4c14ab270"
     assert sum(iterations) > 50
 
-    # a recorded run draws exactly what the unrecorded run does
+    # a run recorded through the kernel's hooks draws exactly what the
+    # unrecorded run does
     model = cf.HarrisModel(H3, [0, 1], ell=3)
     iterations.clear()
-    run = cf.simulate_split_chain(model, 500, seed=11, record_trajectory=True)
+    run = recorded_split_chain(model, 500, seed=11)
     assert _digest(run.trajectory.tobytes() + run.marks.tobytes()) == \
         "da69b302e48325986c1e0cb0441391bf023b1ee38153693031adfe5e01b0ebd3"
     taped = list(iterations)
