@@ -12,7 +12,7 @@ import sys
 
 from . import __version__, harris, markov
 from .errors import CycleflowError, PreconditionError
-from .measure import EXHAUSTIVE_CAP, MAX_PLAN_BYTES
+from .measure import EXHAUSTIVE_CAP, MAX_PLAN_BYTES, event_mask
 from .modelio import load_model
 # perfbench's tracer test checks that cli still holds model_hash
 from .modelio import model_hash  # noqa: F401
@@ -228,7 +228,8 @@ def _exchange_report(model, cfg, args):
 
 def _fit_report(model, cfg, args):
     chain = _as_chain(model)
-    members = _int_pair_list(args.regen_set, "set")
+    members = event_mask(chain.n, _int_pair_list(args.regen_set, "set"),
+                         "set")
     fitted = harris.HarrisModel(chain, members, ell=args.ell)
     checks = [CheckResult("minorization_residual",
                           harris.minorization_residual(fitted),

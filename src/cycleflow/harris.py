@@ -124,7 +124,7 @@ class HarrisModel:
     def __init__(self, kernel, regen_members, ell=1, epsilon=None, lam=None):
         self.kernel = _as_kernel(kernel)
         n = self.kernel.n
-        self.regen_mask = event_mask(n, regen_members)
+        self.regen_mask = event_mask(n, regen_members, "R")
         self.regen_indices = tuple(int(i) for i in np.flatnonzero(self.regen_mask))
         if not self.regen_indices:
             raise InvariantError("regeneration set is empty", field="R")

@@ -10,11 +10,12 @@ must agree to solver precision, and tests hold them to that.
 The visit counts y of base b solve y (I - Q_b) = P[b], Q_b being the
 class block of P less row and column b.  Each base is solved on its own:
 by LU in a class of at most ``_KRYLOV_MIN`` states, by GMRES in a larger
-one, where a base costs a few matrix-vector products instead of a
-factorisation; bases run side by side as the rows of a block, each with
-its own products and arithmetic (see ``_fill_occupations``).  A base
-whose GMRES run gives up, or whose solution's normwise backward error
-exceeds ``_KRYLOV_BOUND``, is solved by LU after all.
+one, where a base costs a few dozen products with the class block
+instead of a factorisation; bases run side by side as the rows of a
+block whose product bits do not depend on their place in it (see
+``_fill_occupations``).  A base whose GMRES row has not stopped by step
+``_KRYLOV_STEPS``, or whose solution's normwise backward error exceeds
+``_KRYLOV_BOUND``, is solved by LU after all.
 """
 
 import contextlib
@@ -43,20 +44,17 @@ CROSS_FLOOR = 1e-10
 # the Krylov bases of its block
 SOLVE_POOL_BYTES = 512 * 2 ** 20
 # classes above this many states solve their cycle systems by GMRES, a
-# class's bases in blocks of _KRYLOV_WIDTH rows.  A step costs each row
-# one vector-matrix product, so a base of a Dirichlet(0.2) class (16-20
-# steps), asked for alone, costs about what its LU solve does at 520
-# states and 0.4 of it at 1000 (one thread: 9.1 against 9.7 ms, 16
-# against 40 ms).  A row stops after _KRYLOV_STEPS steps at most.  Step
-# _KRYLOV_TRIAL is the first at which it may give up: from there on it
-# does so as soon as its residual estimate, falling at the best one-step
-# rate of its last _KRYLOV_WINDOW steps, would still miss eps by then,
-# and its base is solved by LU
+# class's bases as the rows of blocks of _KRYLOV_WIDTH.  A step takes one
+# matrix product of the block, zero-padded to _KRYLOV_WIDTH rows, with
+# the class block; a Dirichlet(0.2) class takes 16-20 steps, a class
+# entered through a 9-state path 27.  A row that has not stopped by step
+# _KRYLOV_STEPS is solved by LU.  The width is a multiple of 12: with
+# OpenBLAS's SkylakeX dgemm kernel only such heights give a row's product
+# the same bits at every position of the block, whatever its block-mates
+# (16 rows gave other bits at rows 12-15)
 _KRYLOV_MIN = 512
-_KRYLOV_WIDTH = 16
-_KRYLOV_STEPS = 64
-_KRYLOV_TRIAL = 8
-_KRYLOV_WINDOW = 4
+_KRYLOV_WIDTH = 12
+_KRYLOV_STEPS = 32
 _EPS = float(np.finfo(np.float64).eps)
 # a GMRES solution with a larger normwise backward error is not taken;
 # measured 1.6-7.1 eps on Dirichlet(0.2) classes of 520-2000 states,
@@ -280,16 +278,18 @@ def _fill_occupations(chain, structure, bases):
     LU.  A larger class's bases are solved by GMRES (Saad & Schultz,
     SIAM J. Sci. Stat. Comput. 7(3), 1986), ``_KRYLOV_WIDTH`` at a time
     as the rows of one block cut from the sorted missing bases of the
-    class (see ``_krylov_occupations``).  The block saves numpy calls,
-    not arithmetic: each row takes its own vector-matrix products with
-    the class block P_c, and every other operation is elementwise or a
+    class (see ``_krylov_occupations``).  A step takes one product of
+    the block, zero-padded to ``_KRYLOV_WIDTH`` rows, with the class
+    block P_c; at that height, and with BLAS pinned to one thread, a
+    row's product has the same bits at every position whatever its
+    block-mates, and every other operation is elementwise or a
     reduction within its row.  A row's bits therefore depend only on its
     base, so a base solved alone gets the bits it gets in any block; the
-    tests hold it to that.  A base whose GMRES run gives up, or misses
-    the backward-error bound ``_KRYLOV_BOUND``, is solved by LU, so
-    whether a base takes LU depends on its own row alone, not on what
-    else is asked for.  A class that mixes slowly pays its give-up steps
-    once per block.
+    tests hold it to that.  A base whose GMRES row has not stopped by
+    step ``_KRYLOV_STEPS``, or misses the backward-error bound
+    ``_KRYLOV_BOUND``, is solved by LU, so whether a base takes LU
+    depends on its own row alone, not on what else is asked for.  A
+    class that never converges pays the capped steps once per block.
 
     The solves run side by side, one per core, with BLAS pinned to one
     thread: a base's counts have the same bits however many run at once,
@@ -383,36 +383,37 @@ def _krylov_occupations(chain, members, pc, block, buf):
     """Cycle occupations of the bases in ``block`` (at most
     ``_KRYLOV_WIDTH``, all of the class ``members``) by GMRES, with
     ``pc`` the class block P_c and ``buf`` room for the bases'
-    Krylov bases.
+    Krylov bases.  Run it under ``_one_blas_thread``: the bits of a
+    product depend on the BLAS thread count.
 
     Row j of the block solves y (I - Q_b) = c_j for its base b, with
     c_j = P[b] on the class, in full class coordinates with entry b of y
     pinned to 0: y (I - Q_b) is y - y P_c with entry b set to 0, so no
-    base builds its own system.  Every product is a stacked ``matmul``,
-    one vector-matrix product per row, and every other operation is
-    elementwise or a reduction within a row, so a row's bits do not
-    depend on its block-mates or its place among them.
+    base builds its own system.  A step takes one matrix product of the
+    block, zero-padded to ``_KRYLOV_WIDTH`` rows, with P_c, and every
+    other operation is elementwise or a reduction within a row, so a
+    row's bits do not depend on its block-mates or its place among them.
     Each row orthogonalises by classical Gram-Schmidt run twice (CGS2)
     and reduces its Hessenberg matrix by Givens rotations.  It stops at
-    its first step whose residual estimate is at most eps ||c_j||_2.
-    From step ``_KRYLOV_TRIAL`` on it gives up as soon as the estimate,
-    falling at the best one-step rate of its last ``_KRYLOV_WINDOW``
-    steps, would still miss that by step ``_KRYLOV_STEPS``.  A row that
-    stopped is accepted when its normwise backward error
+    its first step whose residual estimate is at most eps ||c_j||_2, and
+    is accepted when it stopped by step ``_KRYLOV_STEPS`` and its
+    normwise backward error
     ||c - A y||_inf / (||c||_inf + ||A||_inf ||y||_inf) (Rigal & Gaches
     1967) is at most ``_KRYLOV_BOUND``, with A = (I - Q_b)^T: ||A||_inf,
     the norm consistent with the residual of the row system, is the
     largest column sum of |I - Q_b|.  Returns one ``CycleOccupation``,
-    or None (given up, or bound missed), per base of ``block``.
+    or None (no stop, or bound missed), per base of ``block``.
     """
     k = members.size
     w = len(block)
     steps = _KRYLOV_STEPS
     pin = np.searchsorted(members, block)
     rows = np.arange(w)
+    padded = np.zeros((_KRYLOV_WIDTH, k))
 
     def apply(y):
-        out = y - np.matmul(y[:, None, :], pc)[:, 0, :]
+        padded[:w] = y
+        out = y - (padded @ pc)[:w]
         out[rows, pin] = 0.0
         return out
 
@@ -427,7 +428,6 @@ def _krylov_occupations(chain, members, pc, block, buf):
     g[0] = size = np.sqrt((c * c).sum(axis=1))
     tol = _EPS * size
     done = np.zeros(w, dtype=np.int64)
-    given_up = np.zeros(w, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         basis[:, 0] = c / size[:, None]
         for m in range(steps):
@@ -449,20 +449,11 @@ def _krylov_occupations(chain, members, pc, block, buf):
             hess[:m + 1, m] = h[:m + 1]
             g[m + 1] = -rot_s[m] * g[m]
             g[m] = rot_c[m] * g[m]
-            left = np.abs(g[m + 1])
-            live = done == 0
-            stop = live & (left <= tol)
-            done[stop] = m + 1
-            if m + 1 >= _KRYLOV_TRIAL:
-                # |s_i| is the factor by which step i cut the estimate
-                rate = np.abs(rot_s[m + 1 - _KRYLOV_WINDOW:m + 1]).min(axis=0)
-                stall = live & ~stop & ~(left * rate ** (steps - m - 1) <= tol)
-                done[stall] = m + 1
-                given_up |= stall
+            done[(done == 0) & (np.abs(g[m + 1]) <= tol)] = m + 1
             if done.all():
                 break
-        y = np.empty((w, k))
-        for j in range(w):
+        y = np.zeros((w, k))
+        for j in np.flatnonzero(done):
             z = np.linalg.solve(hess[:done[j], :done[j], j], g[:done[j], j])
             y[j] = z @ basis[j, :done[j]]
         # ||A_j||_inf: the column sums of |I - P_c| less row b of P_c,
@@ -474,7 +465,7 @@ def _krylov_occupations(chain, members, pc, block, buf):
             np.abs(c).max(axis=1) + norm.max(axis=1) * np.abs(y).max(axis=1))
     out = []
     for j, b in enumerate(block):
-        if given_up[j] or not error[j] <= _KRYLOV_BOUND:
+        if not done[j] or not error[j] <= _KRYLOV_BOUND:
             out.append(None)
             continue
         counts = np.zeros(chain.n)

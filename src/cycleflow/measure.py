@@ -40,11 +40,11 @@ _NO_RETURN = ("a positive-weight point of the base set never returns; "
               "the system cannot be measure-preserving")
 
 
-def event_mask(size, members):
+def event_mask(size, members, field="members"):
     """Normalise a point selection to a boolean mask of length ``size``.
 
     ``members`` may be a boolean mask, an iterable of point indices, or
-    None for the empty set.
+    None for the empty set; a bad one is an ``InvariantError`` on ``field``.
     """
     mask = np.zeros(size, dtype=bool)
     if members is None:
@@ -54,15 +54,15 @@ def event_mask(size, members):
     members = np.asarray(members)
     if members.dtype == bool:
         if members.shape != (size,):
-            raise InvariantError("boolean mask has wrong length", field="members")
+            raise InvariantError("boolean mask has wrong length", field=field)
         return members.copy()
     if members.size == 0:
         return mask
     idx = members.astype(np.int64, casting="unsafe")
     if not np.array_equal(idx, members):
-        raise InvariantError("point indices must be integers", field="members")
+        raise InvariantError("point indices must be integers", field=field)
     if idx.min() < 0 or idx.max() >= size:
-        raise InvariantError("point index out of range", field="members")
+        raise InvariantError("point index out of range", field=field)
     mask[idx] = True
     return mask
 

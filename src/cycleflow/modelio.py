@@ -51,7 +51,8 @@ from .report import canonical_json
 
 KINDS = ("finite_system", "markov_chain", "harris_discrete")
 
-_INT64_MIN = -2 ** 63
+# block lengths go into int64 arrays; rational weights stay exact Python
+# ints and are not bounded
 _INT64_MAX = 2 ** 63 - 1
 
 
@@ -84,16 +85,12 @@ def _int_list(value, field):
     return value
 
 
-def _check_int64(value, field):
-    # indices and block lengths go into int64 arrays; rational weights stay
-    # exact Python ints and are not bounded
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise InvariantError("integer outside the int64 range", field=field)
-
-
-def _index_list(value, field):
+def _index_list(value, field, size):
+    # indices into range(size), so into int64 arrays too
     for i, v in enumerate(_int_list(value, field)):
-        _check_int64(v, "%s[%d]" % (field, i))
+        if not 0 <= v < size:
+            raise InvariantError("index out of range (%d points)" % size,
+                                 field="%s[%d]" % (field, i))
     return value
 
 
@@ -117,6 +114,9 @@ def _matrix(value, field):
 
 
 def _renormalized_rows(matrix, field):
+    if matrix.min() < 0:
+        i, j = np.unravel_index(np.argmin(matrix), matrix.shape)
+        raise InvariantError("negative entry", field="%s[%d][%d]" % (field, i, j))
     sums = matrix.sum(axis=1)
     gap = np.abs(sums - 1.0)
     bad = int(gap.argmax())
@@ -127,7 +127,8 @@ def _renormalized_rows(matrix, field):
 
 
 def _build_finite_system(doc):
-    mapping = _index_list(_require(doc, "map", list, "finite_system"), "map")
+    mapping = _require(doc, "map", list, "finite_system")
+    mapping = _index_list(mapping, "map", len(mapping))
     raw_weights = _require(doc, "weights", (list, dict), "finite_system")
     if isinstance(raw_weights, dict):
         num = _int_list(_require(raw_weights, "num", list, "finite_system"),
@@ -164,11 +165,12 @@ def _build_harris(doc):
     k = _matrix(_require(doc, "K", list, "harris_discrete"), "K")
     k = _renormalized_rows(k, "K")
     states = _labels(doc, "states", k.shape[0])
-    regen = _index_list(_require(doc, "R", list, "harris_discrete"), "R")
+    regen = _index_list(_require(doc, "R", list, "harris_discrete"), "R",
+                        k.shape[0])
     ell = _require(doc, "ell", int, "harris_discrete")
-    if isinstance(ell, bool) or ell < 1:
-        raise InvariantError("ell must be a positive integer", field="ell")
-    _check_int64(ell, "ell")
+    if isinstance(ell, bool) or not 1 <= ell <= _INT64_MAX:
+        raise InvariantError("ell must be a positive int64 integer",
+                             field="ell")
     epsilon = doc.get("epsilon")
     if epsilon is not None and not _only_types([epsilon], (int, float)):
         raise InvariantError("epsilon must be a number", field="epsilon")

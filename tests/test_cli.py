@@ -636,6 +636,27 @@ def test_malformed_labels_and_boolean_epsilon_exit(tmp_path, capsys,
         assert "Error" not in err and "Traceback" not in err
 
 
+def test_model_errors_name_the_document_field(tmp_path, capsys, clean_env):
+    # an index out of range or a negative entry exits 6 naming the field
+    # of the model document or the option, not the constructor's argument
+    two = [[0.5, 0.5], [0.5, 0.5]]
+    negative = [[1.5, -0.5], [0.5, 0.5]]
+    runs = (
+        ("R[0]", dict(HARRIS, K=two, R=[5], ell=1), []),
+        ("P[0][1]", dict(MARKOV, P=negative), []),
+        ("K[0][1]", dict(HARRIS, K=negative, ell=1), []),
+        ("map[1]", dict(FINITE, map=[1, 5], weights=[0.5, 0.5]), []),
+        ("set", dict(MARKOV, P=two), ["--set", "5"]),
+    )
+    for i, (field, doc, extra) in enumerate(runs):
+        path = tmp_path / ("%d.json" % i)
+        path.write_text(json.dumps(doc))
+        command = "fit-minorization" if extra else "verify"
+        assert main([command, str(path)] + extra) == 6, field
+        err = capsys.readouterr().err
+        assert err.startswith("cycleflow: error: %s: " % field), err
+
+
 def test_huge_ell_is_refused_up_front(tmp_path, capsys, clean_env):
     path = tmp_path / "ell.json"
     path.write_text(json.dumps(dict(HARRIS, ell=4611686018427387904)))

@@ -498,6 +498,26 @@ def test_gmres_counts_of_a_base_do_not_depend_on_its_batch(monkeypatch):
         assert np.abs(lu.counts - occ.counts).max() <= 1e-13 * lu.mean_return
 
 
+def test_block_product_bits_of_a_row_do_not_depend_on_its_block():
+    # the bit contract under every GMRES step: with BLAS pinned to one
+    # thread, a row's product with a class block has the same bits at
+    # every position of a _KRYLOV_WIDTH block, whatever its block-mates.
+    # A BLAS or width whose kernel treats some rows apart breaks it here
+    rng = np.random.default_rng(35)
+    width = cf.markov._KRYLOV_WIDTH
+    with cf.markov._one_blas_thread():
+        for k in (513, 700, 777, 1000, 1500, 2000):
+            pc = rng.dirichlet(np.full(k, 0.2), size=k)
+            row = rng.random(k)
+            block = rng.random((width, k))
+            block[0] = row
+            first = (block @ pc)[0].tobytes()
+            for at in range(1, width):
+                block = rng.random((width, k))
+                block[at] = row
+                assert (block @ pc)[at].tobytes() == first, (k, at)
+
+
 class _CountedProducts(np.ndarray):
     # a class block that counts the matrix products taken with it
     products = 0
@@ -543,10 +563,11 @@ def _lu_occupation(p, base):
 
 def test_gmres_misses_fall_back_to_lu(monkeypatch):
     # the lazy walk on a 600-state ring: the spectrum of I - Q_b reaches
-    # down to about 1/n**2, so GMRES cannot reach its bound in 64 steps.
-    # The requested bases run as the rows of one block, which gives up
-    # from step _KRYLOV_TRIAL on, each with one product a step, and every
-    # base is then solved by LU, with the bits _cycle_occupation gives it
+    # down to about 1/n**2, so no GMRES row stops by step _KRYLOV_STEPS.
+    # The requested bases run as the rows of one block, which takes one
+    # product with the class block a step and one for the error check,
+    # and every base is then solved by LU, with the bits
+    # _cycle_occupation gives it
     n = 600
     p = _lazy_ring(n)
     chain = cf.StochasticMatrix(p)
@@ -562,7 +583,7 @@ def test_gmres_misses_fall_back_to_lu(monkeypatch):
     _CountedProducts.products = 0
     occupations = cf.markov._fill_occupations(chain, structure, bases)
     assert tried == [bases]
-    assert _CountedProducts.products <= 5 * cf.markov._KRYLOV_TRIAL
+    assert _CountedProducts.products == cf.markov._KRYLOV_STEPS + 1
     assert sorted(solved) == bases
     # no verdict is kept with the chain: the next request runs its own
     # rows, and goes to LU on what they find
@@ -606,30 +627,32 @@ def test_gmres_rows_that_miss_the_bound_go_to_lu(monkeypatch):
 
 
 def test_a_base_takes_lu_on_its_own_row_alone(monkeypatch):
-    # on the 9-state path into a Dirichlet class, state 0's GMRES row
-    # stalls on the path and gives up, while state 1's passes.  Each base
-    # keeps its path and its bits asked for alone and in any batch: no
-    # verdict of its class or of its block-mates picks them
+    # on a 20-state path into a Dirichlet class, state 0's GMRES row must
+    # cross the whole path and has not stopped by step _KRYLOV_STEPS,
+    # while state 10's, pinned halfway along it, stops.  Each base keeps
+    # its path and its bits asked for alone and in any batch: no verdict
+    # of its class or of its block-mates picks them
     p = _dirichlet_rows(600, 600)
-    p[:9] = 0.0
-    p[np.arange(9), np.arange(1, 10)] = 1.0
+    p[:20] = 0.0
+    p[np.arange(20), np.arange(1, 21)] = 1.0
     members = np.arange(600)
     pc = cf.markov._class_block(p, members)
-    head, second = cf.markov._krylov_occupations(
-        cf.StochasticMatrix(p.copy()), members, pc, [0, 1],
-        np.empty(65 * 600 * 16))
-    assert head is None and second is not None
+    with cf.markov._one_blas_thread():
+        head, later = cf.markov._krylov_occupations(
+            cf.StochasticMatrix(p.copy()), members, pc, [0, 10],
+            np.empty((cf.markov._KRYLOV_STEPS + 1) * 600 * 2))
+    assert head is None and later is not None
     expected = {0: _lu_occupation(p, 0).counts.tobytes(),
-                1: second.counts.tobytes()}
+                10: later.counts.tobytes()}
     solved = []
     _recorded(monkeypatch, "_cycle_occupation", solved)
-    for request in ([0], [1], [1, 0], [1, 3, 100], [0, 1, 3, 100]):
+    for request in ([0], [10], [10, 0], [10, 13, 100], [0, 10, 13, 100]):
         chain = cf.StochasticMatrix(p.copy())
         del solved[:]
         kept = cf.markov._fill_occupations(
             chain, cf.class_structure(chain), request)
         assert (0 in solved) == (0 in request)
-        assert 1 not in solved
+        assert 10 not in solved
         for b, occ in zip(request, kept):
             if b in expected:
                 assert occ.counts.tobytes() == expected[b]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,6 +180,80 @@ def test_exchange_identity_reads_both_bases(mc2, monkeypatch):
     assert _failed(report) == ["exchange_identity"]
     assert by_name(report, "exchange_identity").value == \
         pytest.approx(4 / 7 * 1e-9, rel=1e-4)
+
+
+# two 3-cycles and a light 2-cycle, points 6 and 7 at 1e-9 of the mass
+# of a point of the first cycle
+_LIGHT_MAP = [1, 2, 0, 4, 5, 3, 7, 6]
+_LIGHT_WEIGHTS = [1, 1, 1, 2, 2, 2, Fraction(1, 10 ** 9), Fraction(1, 10 ** 9)]
+
+
+def _forward_sweep_nudged(monkeypatch):
+    # the forward excursion mass 1e-9 heavier (float), or one lattice
+    # unit heavier at its first massive point (exact); the backward
+    # sweep is left alone
+    sweep = cf.measure._excursion_sweep
+
+    def nudged(step, b_mask, weights):
+        mu = sweep(step, b_mask, weights)
+        if not np.array_equal(step, _LIGHT_MAP):
+            return mu
+        if mu.dtype.kind == "f":
+            return mu * (1 + 1e-9)
+        mu = mu.copy()
+        mu[np.argmax(mu > 0)] += 1
+        return mu
+
+    monkeypatch.setattr(cf.measure, "_excursion_sweep", nudged)
+
+
+def _backward_hits_less_point_6(monkeypatch):
+    # the OR-doubled backward hitting set without point 6
+    hits = cf._kernels.backward_hits
+
+    def less(inv_mapping, in_set):
+        out = hits(inv_mapping, in_set).copy()
+        out[6] = False
+        return out
+
+    monkeypatch.setattr(cf._kernels, "backward_hits", less)
+
+
+def _backward_times_less_point_6(monkeypatch):
+    # the backward hitting profile with point 6 never hitting the set
+    profile = cf.measure.hitting_profile
+
+    def less(system, members, direction=cf.measure.FORWARD):
+        out = profile(system, members, direction)
+        if direction == cf.measure.BACKWARD:
+            times = out.times.copy()
+            times[6] = -1
+            out = cf.measure.HittingProfile(direction, times, out.entry)
+        return out
+
+    monkeypatch.setattr(cf.measure, "hitting_profile", less)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("side,fails", [
+    (_forward_sweep_nudged, {"excursion_identity_forward", "precapacity"}),
+    (_backward_hits_less_point_6, {"precapacity"}),
+    (_backward_times_less_point_6, {"excursion_identity_forward"}),
+])
+def test_finite_cross_identities_read_both_sides(side, fails, exact,
+                                                 monkeypatch):
+    # precapacity compares the forward excursion sweep with the backward
+    # hits, excursion_identity_forward with the backward hitting set.
+    # Moving one side by 1e-9 of the mass (float weights) or by one
+    # lattice unit (exact weights) fails the checks that read it, so
+    # neither side is derived from the other
+    weights = [Fraction(w) if exact else float(w) for w in _LIGHT_WEIGHTS]
+    if exact:
+        weights = np.array(weights, dtype=object)
+    system = cf.FiniteSystem(_LIGHT_MAP, weights)
+    assert cf.run_suite(system).overall_pass
+    side(monkeypatch)
+    assert fails <= set(_failed(cf.run_suite(system)))
 
 
 def test_markov_suite_reducible_adds_decomposition():
