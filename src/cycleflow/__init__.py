@@ -73,7 +73,6 @@ from .harris import (
 from ._stats import RatioEstimate
 from .modelio import (
     load_model,
-    model_document,
     model_hash,
     model_size,
     parse_model,

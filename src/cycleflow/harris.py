@@ -35,6 +35,7 @@ depend on the core count.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,14 +116,18 @@ class HarrisModel:
         fitted: lam defaults to the normalised columnwise minimum of the
         R rows of K^ell, epsilon to the largest feasible constant for
         the lam in force.  ``fitted_fields`` records what was filled in.
+    source : str, optional
+        The file the model was loaded from, for reports.
 
     The minorization itself is not verified at construction; it is a
     check (``minorization_residual``), and ``simulate_split_chain`` and
     ``split_cycle_measure`` refuse a model on which it dips below -1e-12.
     """
 
-    def __init__(self, kernel, regen_members, ell=1, epsilon=None, lam=None):
+    def __init__(self, kernel, regen_members, ell=1, epsilon=None, lam=None,
+                 source=None):
         self.kernel = _as_kernel(kernel)
+        self.source = source
         n = self.kernel.n
         self.regen_mask = event_mask(n, regen_members, "R")
         self.regen_indices = tuple(int(i) for i in np.flatnonzero(self.regen_mask))
@@ -147,9 +152,13 @@ class HarrisModel:
             if lam.shape != (n,):
                 raise InvariantError("lambda length does not match kernel",
                                      field="lambda")
-            if not np.all(np.isfinite(lam)) or lam.min() < 0:
+            finite = np.isfinite(lam)
+            if not finite.all():
+                raise InvariantError("lambda entries must be finite",
+                                     field="lambda[%d]" % np.argmin(finite))
+            if lam.min() < 0:
                 raise InvariantError("lambda must be a nonnegative vector",
-                                     field="lambda")
+                                     field="lambda[%d]" % np.argmax(lam < 0))
             total = lam.sum()
             if abs(total - 1.0) > _LAM_SUM_TOL:
                 raise InvariantError(
@@ -171,7 +180,6 @@ class HarrisModel:
         self.epsilon = epsilon
         self.lam = lam
         self.fitted_fields = tuple(fitted)
-        self._lane_table = None
 
     @property
     def n(self):
@@ -204,23 +212,21 @@ class HarrisModel:
                 rows[i, i] = 1.0
         return rows
 
+    @cached_property
     def lane_table(self):
         """(table, res_rows) for the lane kernel: one guide table whose
         rows are the kernel rows, lam at row n, then the residual rows
         of the regeneration set when epsilon < 1, the one of state x at
         row res_rows[x].  Built once per model."""
-        if self._lane_table is None:
-            n = self.n
-            cum = [np.cumsum(self.kernel.matrix, axis=1),
-                   np.cumsum(self.lam)[None, :]]
-            res_rows = np.zeros(n, dtype=np.intp)
-            if self.epsilon < 1.0:
-                regen = list(self.regen_indices)
-                cum.append(np.cumsum(self.residual_rows()[regen], axis=1))
-                res_rows[regen] = np.arange(n + 1, n + 1 + len(regen))
-            self._lane_table = (_kernels.guide_table(np.concatenate(cum)),
-                                res_rows)
-        return self._lane_table
+        n = self.n
+        cum = [np.cumsum(self.kernel.matrix, axis=1),
+               np.cumsum(self.lam)[None, :]]
+        res_rows = np.zeros(n, dtype=np.intp)
+        if self.epsilon < 1.0:
+            regen = list(self.regen_indices)
+            cum.append(np.cumsum(self.residual_rows()[regen], axis=1))
+            res_rows[regen] = np.arange(n + 1, n + 1 + len(regen))
+        return _kernels.guide_table(np.concatenate(cum)), res_rows
 
 
 def minorization_residual(model):
@@ -387,7 +393,7 @@ def simulate_split_chain(model, n_regens, seed,
             field="n_regens")
     _require_minorization(model)
     _block_reach(model)
-    table, res_rows = model.lane_table()
+    table, res_rows = model.lane_table
     acc = RatioAccumulator(model.n)
     chunks = []
     for chunk in split_chain_chunks(

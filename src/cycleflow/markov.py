@@ -62,30 +62,34 @@ _EPS = float(np.finfo(np.float64).eps)
 _KRYLOV_BOUND = 16 * _EPS
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """Row-stochastic matrix over labelled states.
 
     Rows must sum to one within 1e-12; entries must be nonnegative and
-    finite.  The matrix is stored as given (no silent renormalisation);
-    loaders accept sloppier input (1e-9) and renormalise before
-    building one.
+    finite.  The chain keeps a read-only copy of the matrix as given (no
+    silent renormalisation), so the tables derived from it are computed
+    once per chain; loaders accept sloppier input (1e-9) and renormalise
+    before building one.
     """
 
     matrix: np.ndarray
     states: list = None
+    source: str = None
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
+        matrix = np.array(self.matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise InvariantError("transition matrix must be square",
                                  field="matrix")
         if matrix.shape[0] == 0:
             raise InvariantError("transition matrix must be nonempty",
                                  field="matrix")
-        if not np.all(np.isfinite(matrix)):
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
             raise InvariantError("transition entries must be finite",
-                                 field="matrix")
+                                 field="matrix[%d][%d]" % (i, j))
         if matrix.min() < 0:
             i, j = np.unravel_index(np.argmin(matrix), matrix.shape)
             raise InvariantError("negative entry", field="matrix[%d][%d]" % (i, j))
@@ -93,38 +97,40 @@ class StochasticMatrix:
         if gap.max() > _ROW_SUM_TOL:
             raise InvariantError("row does not sum to one (defect %g)"
                                  % gap.max(), field="matrix[%d]" % gap.argmax())
-        self.matrix = matrix
-        if self.states is None:
-            self.states = list(range(matrix.shape[0]))
-        elif len(self.states) != matrix.shape[0]:
+        n = matrix.shape[0]
+        states = list(range(n) if self.states is None else self.states)
+        if len(states) != n:
             raise InvariantError("states length does not match matrix",
                                  field="states")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "states", states)
 
     @property
     def n(self):
         return self.matrix.shape[0]
 
-    @property
+    @functools.cached_property
     def row_guide(self):
         """Guide table of the cumulative rows, for the lane kernel; its
         first array holds the running sums of each row."""
-        return _per_matrix(self, "_row_guide", lambda p: _kernels.guide_table(
-            np.cumsum(p, axis=1)))
+        return _kernels.guide_table(np.cumsum(self.matrix, axis=1))
+
+    @functools.cached_property
+    def structure(self):
+        """The chain's ``ClassStructure``, as ``class_structure`` gives it."""
+        return _class_structure(self.matrix)
+
+    @functools.cached_property
+    def occupations(self):
+        """The ``CycleOccupation`` of each base solved so far, by base
+        (``_fill_occupations`` fills it)."""
+        return {}
 
     def _check_state(self, i, name):
         if not 0 <= i < self.n:
             raise PreconditionError("state index out of range", field=name)
         return int(i)
-
-
-def _per_matrix(chain, attr, compute):
-    # what is derived from the matrix is kept on the chain under ``attr``,
-    # keyed on the identity of the matrix: binding a new array recomputes it
-    cached = getattr(chain, attr, None)
-    if cached is None or cached[0] is not chain.matrix:
-        cached = (chain.matrix, compute(chain.matrix))
-        setattr(chain, attr, cached)
-    return cached[1]
 
 
 @dataclass
@@ -148,10 +154,10 @@ def class_structure(chain):
     """Strongly connected classes of the support graph and their closure
     flags.
 
-    The result is computed once per transition matrix and kept on the
-    chain; binding a new array to ``chain.matrix`` recomputes it.
+    The result is computed once per chain, which owns a read-only copy of
+    its matrix, and kept on it as ``chain.structure``.
     """
-    return _per_matrix(chain, "_structure", _class_structure)
+    return chain.structure
 
 
 def _strong_components(n, rows, cols):
@@ -256,8 +262,8 @@ def cycle_occupation(chain, base):
 
     counts[base] is exactly 1; counts vanish off the class of ``base``;
     the sum of counts is the expected return time.  ``base`` must be
-    recurrent.  The result is computed once per transition matrix and
-    base and kept on the chain, so its counts are read-only.
+    recurrent.  The result is computed once per chain and base and kept
+    in ``chain.occupations``, so its counts are read-only.
     """
     _require_dense(chain)
     base = chain._check_state(base, "base")
@@ -270,9 +276,10 @@ def _fill_occupations(chain, structure, bases):
     """``cycle_occupation`` of each of ``bases``, recurrent states of the
     chain's class ``structure``, in order.
 
-    Each distinct base not yet kept on the chain gets its own solve of
-    y (I - Q_b) = P[b] with Q_b the class block of P less row and column
-    b, so no two bases share a factorisation or any other arithmetic.
+    Each distinct base not yet in ``chain.occupations`` gets its own
+    solve of y (I - Q_b) = P[b] with Q_b the class block of P less row
+    and column b, so no two bases share a factorisation or any other
+    arithmetic.
 
     A base whose class has at most ``_KRYLOV_MIN`` states is solved by
     LU.  A larger class's bases are solved by GMRES (Saad & Schultz,
@@ -296,7 +303,7 @@ def _fill_occupations(chain, structure, bases):
     and no more at once than ``SOLVE_POOL_BYTES`` holds.
     """
     _require_dense(chain)
-    kept = _per_matrix(chain, "_occupations", lambda p: {})
+    kept = chain.occupations
     missing = sorted(set(bases) - kept.keys())
     if not missing:
         return [kept[b] for b in bases]

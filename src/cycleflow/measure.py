@@ -20,7 +20,7 @@ vanish; ``identity_suite`` reduces it over its plan of pairs and
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -71,9 +71,12 @@ def _indices(mask):
     return tuple(int(i) for i in np.flatnonzero(mask))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FiniteSystem:
     """A weighted finite point set with a self-map.
+
+    The system keeps read-only copies of its mapping and weights, so what
+    is derived from them (``inverse_mapping``) is computed once.
 
     Parameters
     ----------
@@ -88,15 +91,18 @@ class FiniteSystem:
     points : list, optional
         Point labels, defaults to 0..m-1.  Labels are carried through
         restriction and reporting but never interpreted.
+    source : str, optional
+        The file the system was loaded from, for reports.
     """
 
     mapping: np.ndarray
     weights: np.ndarray
     invertible: bool = True
     points: list = None
+    source: str = None
 
     def __post_init__(self):
-        mapping = np.asarray(self.mapping, dtype=np.int64)
+        mapping = np.array(self.mapping, dtype=np.int64)
         if mapping.ndim != 1 or mapping.size == 0:
             raise InvariantError("mapping must be a nonempty 1-d array",
                                  field="mapping")
@@ -104,7 +110,6 @@ class FiniteSystem:
         if mapping.min() < 0 or mapping.max() >= m:
             raise InvariantError("mapping sends a point out of range",
                                  field="mapping")
-        self.mapping = mapping
 
         weights = np.asarray(self.weights)
         if weights.shape != (m,):
@@ -115,33 +120,37 @@ class FiniteSystem:
                 [w if isinstance(w, Fraction) else Fraction(w) for w in weights],
                 dtype=object,
             )
-            if any(w < 0 for w in weights):
-                raise InvariantError("weights must be nonnegative", field="weights")
         else:
             weights = weights.astype(np.float64)
-            if not np.all(np.isfinite(weights)):
-                raise InvariantError("weights must be finite", field="weights")
-            if weights.min() < 0:
-                raise InvariantError("weights must be nonnegative", field="weights")
+            finite = np.isfinite(weights)
+            if not finite.all():
+                raise InvariantError("weights must be finite",
+                                     field="weights[%d]" % np.argmin(finite))
+        negative = weights < 0
+        if negative.any():
+            raise InvariantError("weights must be nonnegative",
+                                 field="weights[%d]" % np.argmax(negative))
         total = weights.sum()
         if not total > 0:
             raise InvariantError("total mass must be positive", field="weights")
-        self.weights = weights
 
         if self.invertible and np.bincount(mapping, minlength=m).max() > 1:
             raise InvariantError(
                 "system declared invertible but the map is not a permutation",
                 field="invertible",
             )
-        if self.points is None:
-            self.points = list(range(m))
-        elif len(self.points) != m:
+        points = list(range(m) if self.points is None else self.points)
+        if len(points) != m:
             raise InvariantError("points length does not match mapping",
                                  field="points")
+        mapping.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def from_rational(cls, mapping, numerators, denominators, invertible=True,
-                      points=None):
+                      points=None, source=None):
         """Build a system with exact Fraction weights."""
         numerators = list(numerators)
         denominators = list(denominators)
@@ -152,7 +161,8 @@ class FiniteSystem:
             [Fraction(int(n), int(d)) for n, d in zip(numerators, denominators)],
             dtype=object,
         )
-        return cls(mapping, weights, invertible=invertible, points=points)
+        return cls(mapping, weights, invertible=invertible, points=points,
+                   source=source)
 
     @property
     def size(self):
@@ -167,16 +177,14 @@ class FiniteSystem:
     def total_mass(self):
         return self.weights.sum()
 
-    @property
+    @cached_property
     def inverse_mapping(self):
         if not self.invertible:
             raise UnsupportedOperationError(
                 "backward iteration needs an invertible system")
-        inv = getattr(self, "_inverse", None)
-        if inv is None:
-            inv = np.empty_like(self.mapping)
-            inv[self.mapping] = np.arange(self.size)
-            self._inverse = inv
+        inv = np.empty_like(self.mapping)
+        inv[self.mapping] = np.arange(self.size)
+        inv.flags.writeable = False
         return inv
 
     def mask(self, members):
@@ -190,7 +198,7 @@ class FiniteSystem:
             return self
         return FiniteSystem(self.mapping, self.weights / total,
                             invertible=self.invertible,
-                            points=list(self.points))
+                            points=self.points)
 
 
 class PreservationReport(NamedTuple):

@@ -114,6 +114,12 @@ def _matrix(value, field):
 
 
 def _renormalized_rows(matrix, field):
+    # rows are divided by their sums in place: the model takes a copy
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise InvariantError("entry is not finite",
+                             field="%s[%d][%d]" % (field, i, j))
     if matrix.min() < 0:
         i, j = np.unravel_index(np.argmin(matrix), matrix.shape)
         raise InvariantError("negative entry", field="%s[%d][%d]" % (field, i, j))
@@ -123,10 +129,11 @@ def _renormalized_rows(matrix, field):
     if gap[bad] > 1e-9:
         raise InvariantError(
             "row sums to %.12g, not 1" % sums[bad], field="%s[%d]" % (field, bad))
-    return matrix / sums[:, None]
+    matrix /= sums[:, None]
+    return matrix
 
 
-def _build_finite_system(doc):
+def _build_finite_system(doc, source):
     mapping = _require(doc, "map", list, "finite_system")
     mapping = _index_list(mapping, "map", len(mapping))
     raw_weights = _require(doc, "weights", (list, dict), "finite_system")
@@ -143,25 +150,26 @@ def _build_finite_system(doc):
         system = FiniteSystem.from_rational(
             mapping, num, den,
             invertible=bool(_require(doc, "invertible", bool, "finite_system")),
-            points=_labels(doc, "points", len(mapping)),
+            points=_labels(doc, "points", len(mapping)), source=source,
         )
     else:
         system = FiniteSystem(
             mapping,
             np.asarray(_number_list(raw_weights, "weights"), dtype=np.float64),
             invertible=bool(_require(doc, "invertible", bool, "finite_system")),
-            points=_labels(doc, "points", len(mapping)),
+            points=_labels(doc, "points", len(mapping)), source=source,
         )
     return system
 
 
-def _build_markov_chain(doc):
+def _build_markov_chain(doc, source):
     p = _matrix(_require(doc, "P", list, "markov_chain"), "P")
     p = _renormalized_rows(p, "P")
-    return StochasticMatrix(p, states=_labels(doc, "states", p.shape[0]))
+    return StochasticMatrix(p, states=_labels(doc, "states", p.shape[0]),
+                            source=source)
 
 
-def _build_harris(doc):
+def _build_harris(doc, source):
     k = _matrix(_require(doc, "K", list, "harris_discrete"), "K")
     k = _renormalized_rows(k, "K")
     states = _labels(doc, "states", k.shape[0])
@@ -178,7 +186,7 @@ def _build_harris(doc):
     if lam is not None:
         lam = np.asarray(_number_list(lam, "lambda"), dtype=np.float64)
     return HarrisModel(StochasticMatrix(k, states=states), regen,
-                       ell=ell, epsilon=epsilon, lam=lam)
+                       ell=ell, epsilon=epsilon, lam=lam, source=source)
 
 
 _BUILDERS = {
@@ -198,9 +206,7 @@ def parse_model(doc, source=None):
         raise UnknownKindError(
             "unknown model kind %r (expected one of %s)"
             % (kind, ", ".join(KINDS)), field="kind")
-    model = _BUILDERS[kind](doc)
-    model.source = source
-    return model
+    return _BUILDERS[kind](doc, source)
 
 
 def load_model(path):
@@ -223,41 +229,6 @@ def load_model(path):
     # the text goes before parse_model builds the arrays
     del text
     return parse_model(doc, source=os.path.basename(path))
-
-
-def model_document(model):
-    """JSON-ready document for a model, in plain lists: the inverse of
-    ``parse_model`` up to row renormalisation.  ``model_hash`` hashes the
-    versioned binary form in the module docstring, not this document."""
-    if isinstance(model, FiniteSystem):
-        weights = model.weights.tolist()
-        if model.exact:
-            weights = {"num": [w.numerator for w in weights],
-                       "den": [w.denominator for w in weights]}
-        return {
-            "kind": "finite_system",
-            "points": list(model.points),
-            "map": [int(x) for x in model.mapping],
-            "weights": weights,
-            "invertible": bool(model.invertible),
-        }
-    if isinstance(model, StochasticMatrix):
-        return {
-            "kind": "markov_chain",
-            "states": list(model.states),
-            "P": model.matrix.tolist(),
-        }
-    if isinstance(model, HarrisModel):
-        return {
-            "kind": "harris_discrete",
-            "states": list(model.kernel.states),
-            "K": model.kernel.matrix.tolist(),
-            "R": list(model.regen_indices),
-            "ell": model.ell,
-            "epsilon": float(model.epsilon),
-            "lambda": [float(x) for x in model.lam],
-        }
-    raise UnknownKindError("cannot serialise %r" % type(model).__name__)
 
 
 def model_size(model):

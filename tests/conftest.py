@@ -99,7 +99,7 @@ def recorded_split_chain(model, cycles, seed):
     lengths[c]:ends[c]] and closes at regen_states[c]."""
     assert cycles <= cf._stats.lane_chunk(model.n)  # one chunk
     budget = cf.harris._DEFAULT_STEP_BUDGET
-    table, res_rows = model.lane_table()
+    table, res_rows = model.lane_table
     occ = np.zeros((cycles, model.n), dtype=cf._stats.count_dtype(budget))
     lengths = np.zeros(cycles, dtype=np.int64)
     regen_states = np.zeros(cycles, dtype=np.int64)

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -657,6 +658,28 @@ def test_model_errors_name_the_document_field(tmp_path, capsys, clean_env):
         assert err.startswith("cycleflow: error: %s: " % field), err
 
 
+def test_non_finite_entries_name_their_document_field(tmp_path, capsys,
+                                                     clean_env):
+    # NaN, Infinity and -Infinity, as Python's JSON reader accepts them,
+    # exit 6 naming the entry's path, as a negative entry does
+    two = [[0.5, 0.5], [0.5, 0.5]]
+    for value in (math.nan, math.inf, -math.inf):
+        bad = [[0.5, 0.5], [value, 0.5]]
+        runs = (
+            ("P[1][0]", dict(MARKOV, P=bad)),
+            ("K[1][0]", dict(HARRIS, K=bad, ell=1)),
+            ("weights[1]", dict(FINITE, map=[1, 0], weights=[0.5, value])),
+            ("lambda[1]", dict(HARRIS, K=two, ell=1,
+                               **{"lambda": [0.5, value]})),
+        )
+        for field, doc in runs:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            assert main(["verify", str(path)]) == 6, (field, value)
+            err = capsys.readouterr().err
+            assert err.startswith("cycleflow: error: %s: " % field), err
+
+
 def test_huge_ell_is_refused_up_front(tmp_path, capsys, clean_env):
     path = tmp_path / "ell.json"
     path.write_text(json.dumps(dict(HARRIS, ell=4611686018427387904)))
@@ -735,7 +758,7 @@ _FUZZ_BASES = (
     dict(HARRIS, states=["a", "b", "c"], **{"lambda": [0.5, 0.5, 0.0]}),
 )
 _FUZZ_VALUES = ([], {}, "x", True, None, 2 ** 70, -1, 5e-324, 1e308, [[]],
-                {"num": [1], "den": [0]})
+                {"num": [1], "den": [0]}, math.nan, math.inf, -math.inf)
 _FUZZ_FORMS = (
     ["verify", "--cycles", "20"],
     ["stationary"],

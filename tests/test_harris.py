@@ -489,7 +489,7 @@ def test_block_endpoint_law_when_lambda_is_proportional():
     # so both coin values give the same endpoint law; draw 3000 residual
     # endpoints as the simulator's end lanes do
     model = cf.HarrisModel(H3, [0], ell=2, epsilon=0.5, lam=[0.35, 0.5, 0.15])
-    table, res_rows = model.lane_table()
+    table, res_rows = model.lane_table
     base = np.full(3000, res_rows[0] * (model.n + 1))
     ends = _kernels._lane_draw(table, base,
                                np.random.default_rng(23).random(3000))
@@ -917,7 +917,7 @@ def test_counts_are_int32_below_a_budget_of_2_31(monkeypatch):
     np.testing.assert_array_equal(wide.occupations, run.occupations)
     np.testing.assert_array_equal(wide.lengths, run.lengths)
     np.testing.assert_array_equal(wide.regen_states, run.regen_states)
-    table, res_rows = model.lane_table()
+    table, res_rows = model.lane_table
     args = (model.kernel.matrix, table, model.n, res_rows,
             model.kernel_powers, model.regen_mask, model.epsilon, model.ell)
     monkeypatch.setattr(cf._stats, "lane_chunk", lambda n_states: 4)
@@ -936,7 +936,7 @@ def _shared_kernel(n, seed):
 
 def test_one_chunk_run_keeps_its_counts_without_a_copy():
     model = cf.HarrisModel(_shared_kernel(300, 6), range(300), ell=1)
-    model.lane_table()  # built once per model; not part of the run
+    model.lane_table  # built once per model; not part of the run
     tracemalloc.start()
     try:
         run = cf.simulate_split_chain(model, 3000, seed=8)

@@ -622,7 +622,7 @@ def _split_args(model):
 def _split_kernel(gen, k_raw, k_cum, lam_cum, res_cum, kpow, in_regen, eps,
                   ell, *rest, model):
     # the kernel call simulate_split_chain makes
-    table, res_rows = model.lane_table()
+    table, res_rows = model.lane_table
     return kr.split_chain_batch(gen, k_raw, table, model.n, res_rows, kpow,
                                 in_regen, eps, ell, *rest)
 
@@ -833,7 +833,7 @@ def test_draws_match_referee_at_running_sum_boundaries():
     # residual rows) and its bridge draws agree with the scalar ones
     for model in _harris_cases(75)[:12]:
         k_raw, k_cum, _, _, kpow, _, _, ell = _split_args(model)
-        table = model.lane_table()[0]
+        table = model.lane_table[0]
         for x in range(model.n):
             us = sorted(u for u in {v for c in k_cum[x] for v in _near(c)}
                         if 0.0 <= u < k_cum[x, -1])
@@ -992,7 +992,7 @@ def test_kernels_clamp_to_last_positive_entry():
     # 9 already passes u * K^s(prev, 9), so these asserts do not reach
     # the bridge's clamp; test_lane_bridge_falls_back_as_bridge_step does
     model = cf.HarrisModel(k, [0], ell=3, lam=_SHORT_ROW)
-    table, _ = model.lane_table()
+    table, _ = model.lane_table
     rows = np.array([1, 9, 9, model.n]) * (model.n + 1)
     assert kr._lane_draw(table, rows, _StubGen(_TOP).random(4)).tolist() \
         == [9] * 4

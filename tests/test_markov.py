@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import os
 import zlib
 
@@ -258,14 +259,15 @@ def test_class_structure_is_computed_once_per_matrix():
     chain = block_chain()
     s = cf.class_structure(chain)
     assert cf.class_structure(chain) is s
-    chain.matrix = np.array([[0.5, 0.5, 0.0, 0.0],
-                             [0.0, 0.5, 0.5, 0.0],
-                             [0.0, 0.0, 0.5, 0.5],
-                             [0.5, 0.0, 0.0, 0.5]])
-    again = cf.class_structure(chain)
-    assert again is not s
-    assert list(again.labels) == [0, 0, 0, 0]
-    assert cf.class_structure(chain) is again
+    # the chain owns its matrix, so the structure kept on it cannot go
+    # stale: no other array can be bound to it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain.matrix = np.array([[0.5, 0.5, 0.0, 0.0],
+                                 [0.0, 0.5, 0.5, 0.0],
+                                 [0.0, 0.0, 0.5, 0.5],
+                                 [0.5, 0.0, 0.0, 0.5]])
+    assert cf.class_structure(chain) is s
+    assert len(s.classes) > 1
 
 
 def test_cycle_occupation_is_computed_once_per_matrix_and_base(
@@ -280,9 +282,10 @@ def test_cycle_occupation_is_computed_once_per_matrix_and_base(
         occ.counts[0] = 2.0
     with pytest.raises(cf.errors.PreconditionError):
         cf.cycle_occupation(mc2, 2)
-    mc2.matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
-    again = cf.cycle_occupation(mc2, 0)
-    assert again is not occ and again.mean_return == 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mc2.matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
+    assert cf.cycle_occupation(mc2, 0) is occ
+    assert occ.mean_return == pytest.approx(7 / 3)
 
     # three closed classes of 12 states and 4 transient states: the suite
     # solves one cycle system per distinct base it draws, each on its own,
@@ -472,7 +475,7 @@ def test_gmres_counts_of_a_base_do_not_depend_on_its_batch(monkeypatch):
     chain = cf.StochasticMatrix(p.copy())
     report = cf.run_suite(chain, cf.RunConfig(sample_pairs=12, seed=4))
     assert report.overall_pass
-    kept = chain._occupations[1]
+    kept = chain.occupations
     assert len(kept) > cf.markov._KRYLOV_WIDTH
     for b in sorted(kept)[1::5]:
         alone = cf.cycle_occupation(cf.StochasticMatrix(p.copy()), b)
@@ -670,12 +673,46 @@ def test_gmres_law_meets_the_left_null_law(monkeypatch):
 
 def test_row_guide_follows_the_bound_matrix(flip2):
     chain = cf.StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-    assert chain.row_guide[0][:, :-1].tolist() == [[0.5, 1.0], [0.5, 1.0]]
-    chain.matrix = flip2.matrix
-    assert chain.row_guide[0][:, :-1].tolist() == [[0.0, 1.0], [1.0, 1.0]]
+    guide = chain.row_guide
+    assert guide[0][:, :-1].tolist() == [[0.5, 1.0], [0.5, 1.0]]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chain.matrix = flip2.matrix
+    assert chain.row_guide is guide
+    assert flip2.row_guide[0][:, :-1].tolist() == [[0.0, 1.0], [1.0, 1.0]]
     # the flip returns to its base in exactly two steps
-    est = cf.simulate_cycle_estimator(chain, 0, 200, seed=1)
+    est = cf.simulate_cycle_estimator(flip2, 0, 200, seed=1)
     assert est.mean_cycle_length == 2.0
+
+
+def _chain_report(chain):
+    return cf.canonical_json(cf.run_suite(
+        chain, cf.RunConfig(seed=1)).to_document())
+
+
+def test_writing_into_the_source_array_changes_nothing_the_chain_reports():
+    # the chain keeps its own copy: neither a new law nor a negative entry
+    # written into the array it was built from reaches it
+    p = np.array([[0.5, 0.5], [0.5, 0.5]])
+    chain = cf.StochasticMatrix(p)
+    report = _chain_report(chain)
+    assert cf.cycle_stationary(chain, 0).tolist() == [0.5, 0.5]
+    for rows in ([[1 / 3, 2 / 3], [1 / 3, 2 / 3]], [[2.0, -1.0], [0.5, 0.5]]):
+        p[:] = rows
+        assert chain.matrix.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+        assert cf.cycle_stationary(chain, 0).tolist() == [0.5, 0.5]
+        assert cf.invariance_residual(chain, [0.5, 0.5]) == 0.0
+        assert _chain_report(chain) == report
+
+
+def test_chain_arrays_are_read_only_and_fields_cannot_be_rebound(mc2):
+    with pytest.raises(ValueError):
+        mc2.matrix[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        mc2.matrix[:] = 0.5
+    for name in ("matrix", "states", "source"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mc2, name, getattr(mc2, name))
+    assert mc2.matrix.tolist() == [[2 / 3, 1 / 3], [1 / 4, 3 / 4]]
 
 
 def test_occupation_solve_keeps_the_bits_of_the_dense_transpose():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -37,6 +38,34 @@ def test_map_indices_must_be_in_range():
 def test_inverse_refused_without_invertibility(endo3):
     with pytest.raises(UnsupportedOperationError):
         endo3.inverse_mapping
+
+
+def test_writing_into_the_source_arrays_changes_nothing_the_system_reports():
+    # an int64 mapping is kept as a copy: mutating the caller's array into
+    # a non-permutation leaves the declared permutation and its identities
+    mapping = np.array([1, 0, 3, 2], dtype=np.int64)
+    weights = np.full(4, 0.25)
+    sys = cf.FiniteSystem(mapping, weights)
+    before = cf.identity_suite(sys)
+    mapping[0] = 0
+    weights[:] = [1.0, -1.0, 0.0, 0.0]
+    assert sys.invertible and sys.mapping.tolist() == [1, 0, 3, 2]
+    assert sys.weights.tolist() == [0.25] * 4
+    assert sys.inverse_mapping.tolist() == [1, 0, 3, 2]
+    assert cf.identity_suite(sys) == before
+
+
+def test_system_arrays_are_read_only_and_fields_cannot_be_rebound():
+    for sys in (cf.FiniteSystem([1, 0], [0.5, 0.5]),
+                cf.FiniteSystem.from_rational([1, 0], [1, 1], [2, 2])):
+        for name in ("mapping", "weights", "inverse_mapping"):
+            with pytest.raises(ValueError):
+                getattr(sys, name)[0] = 1
+        for name in ("mapping", "weights", "invertible", "points", "source"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sys, name, getattr(sys, name))
+        assert sys.mapping.tolist() == [1, 0]
+        assert sys.weights.tolist() == [0.5, 0.5]
 
 
 def test_exact_weights_round_trip():

@@ -28,7 +28,7 @@ PUBLIC = [
     "harris_conditions", "hitting_profile", "identity_residuals",
     "identity_suite", "invariance_residual",
     "load_model", "markov", "measure", "minorization_residual",
-    "mixture_residual", "model_document", "model_hash", "model_size",
+    "mixture_residual", "model_hash", "model_size",
     "modelio", "parse_model", "regen_distribution_gof", "report",
     "run_suite", "simulate_cycle_estimator",
     "simulate_split_chain", "split_cycle_measure",
