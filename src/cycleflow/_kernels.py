@@ -104,15 +104,18 @@ def backward_hits(inv_mapping, in_set):
 
 
 def guide_table(cum):
-    # (running sums then +inf, guide, clamp) for _lane_draw.  guide[x, k]
-    # counts the entries of row x whose bucket floor(c * n) is below k:
-    # each lies below every u of bucket k; the clamp is row x's last rise.
+    # (running sums then +inf, guide, clamp), read-only, for _lane_draw.
+    # guide[x, k] counts the entries of row x whose bucket floor(c * n) is
+    # below k, each below every u of bucket k; the clamp is row x's last rise.
     r, n = cum.shape
     bucket = np.minimum((cum * n).astype(np.intp), n)
     bucket += (n + 1) * np.arange(r)[:, None]
     hist = np.bincount(bucket.ravel(), minlength=r * (n + 1)).reshape(r, -1)
-    return (np.hstack((cum, np.full((r, 1), np.inf))),
-            np.cumsum(hist, axis=1) - hist, (cum < cum[:, -1:]).sum(axis=1))
+    table = (np.hstack((cum, np.full((r, 1), np.inf))),
+             np.cumsum(hist, axis=1) - hist, (cum < cum[:, -1:]).sum(axis=1))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _lane_draw(table, base, u):

@@ -67,12 +67,6 @@ MIN_POWER_BYTES = 4096
 MAX_OCCUPATION_BYTES = 2 ** 30
 
 
-def _as_kernel(kernel):
-    if isinstance(kernel, StochasticMatrix):
-        return kernel
-    return StochasticMatrix(np.asarray(kernel, dtype=np.float64))
-
-
 def _fit(k_ell, idx, ell):
     mins = k_ell[idx].min(axis=0)
     total = float(mins.sum())
@@ -102,6 +96,7 @@ def _kernel_powers(matrix, ell):
     return powers
 
 
+@dataclass(frozen=True, eq=False)
 class HarrisModel:
     """A kernel with a declared regeneration structure.
 
@@ -119,30 +114,40 @@ class HarrisModel:
     source : str, optional
         The file the model was loaded from, for reports.
 
+    The model is frozen (``dataclasses.replace`` builds another); it keeps
+    R as the sorted tuple ``regen_indices``, and ``lam``, ``regen_mask``,
+    ``kernel_powers`` and each table derived from them are read-only.
+
     The minorization itself is not verified at construction; it is a
     check (``minorization_residual``), and ``simulate_split_chain`` and
     ``split_cycle_measure`` refuse a model on which it dips below -1e-12.
     """
 
-    def __init__(self, kernel, regen_members, ell=1, epsilon=None, lam=None,
-                 source=None):
-        self.kernel = _as_kernel(kernel)
-        self.source = source
-        n = self.kernel.n
-        self.regen_mask = event_mask(n, regen_members, "R")
-        self.regen_indices = tuple(int(i) for i in np.flatnonzero(self.regen_mask))
-        if not self.regen_indices:
+    kernel: StochasticMatrix
+    regen_members: tuple
+    ell: int = 1
+    epsilon: float = None
+    lam: np.ndarray = None
+    source: str = None
+
+    def __post_init__(self):
+        kernel, epsilon, lam = self.kernel, self.epsilon, self.lam
+        if not isinstance(kernel, StochasticMatrix):
+            kernel = StochasticMatrix(kernel)
+        n = kernel.n
+        regen_mask = event_mask(n, self.regen_members, "R")
+        regen_indices = tuple(int(i) for i in np.flatnonzero(regen_mask))
+        if not regen_indices:
             raise InvariantError("regeneration set is empty", field="R")
-        if not isinstance(ell, (int, np.integer)) or ell < 1:
+        if not isinstance(self.ell, (int, np.integer)) or self.ell < 1:
             raise InvariantError("block length must be a positive integer",
                                  field="ell")
-        self.ell = int(ell)
-        self.kernel_powers = _kernel_powers(self.kernel.matrix, self.ell)
+        ell = int(self.ell)
+        powers = _kernel_powers(kernel.matrix, ell)
 
         fitted = []
         if lam is None:
-            fit_epsilon, lam = _fit(self.k_ell, list(self.regen_indices),
-                                    self.ell)
+            fit_epsilon, lam = _fit(powers[ell], list(regen_indices), ell)
             fitted.append("lambda")
             if epsilon is None:
                 epsilon = fit_epsilon
@@ -167,7 +172,7 @@ class HarrisModel:
             lam = lam / total
             if epsilon is None:
                 support = lam > 0
-                ratios = self.k_ell[np.ix_(self.regen_mask, support)] / lam[support]
+                ratios = powers[ell][np.ix_(regen_mask, support)] / lam[support]
                 epsilon = float(min(ratios.min(), 1.0))
                 if epsilon <= 0.0:
                     raise InfeasibleMinorizationError(
@@ -177,9 +182,14 @@ class HarrisModel:
         epsilon = float(epsilon)
         if not 0.0 < epsilon <= 1.0:
             raise InvariantError("epsilon must lie in (0, 1]", field="epsilon")
-        self.epsilon = epsilon
-        self.lam = lam
-        self.fitted_fields = tuple(fitted)
+        lam.flags.writeable = regen_mask.flags.writeable = False
+        powers.flags.writeable = False
+        for name, value in (("kernel", kernel), ("regen_members", regen_indices),
+                            ("regen_indices", regen_indices),
+                            ("regen_mask", regen_mask), ("ell", ell),
+                            ("kernel_powers", powers), ("epsilon", epsilon),
+                            ("lam", lam), ("fitted_fields", tuple(fitted))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -189,27 +199,25 @@ class HarrisModel:
     def k_ell(self):
         return self.kernel_powers[self.ell]
 
+    @cached_property
     def residual_rows(self):
         """Residual endpoint kernel (K^ell - epsilon*lam) / (1-epsilon) on
-        the regeneration rows, clipped at zero and renormalised.  Under a
-        false minorization the clip changes the rows: the sampler refuses
-        such a model before it draws, and ``mixture_residual`` measures
-        what the clip lost.
-        """
-        n = self.n
-        if self.epsilon >= 1.0:
-            return np.zeros((n, n))
-        res = (self.k_ell - self.epsilon * self.lam) / (1.0 - self.epsilon)
-        res = np.clip(res, 0.0, None)
-        rows = np.zeros((n, n))
-        for i in self.regen_indices:
-            total = res[i].sum()
-            if total > 0:
-                rows[i] = res[i] / total
-            else:
-                # epsilon exhausts the row; the residual branch has
-                # probability zero of being taken from state i
-                rows[i, i] = 1.0
+        the regeneration rows, clipped at zero and renormalised; zero off
+        R, and everywhere when epsilon = 1.  Under a false minorization
+        the clip changes the rows: the sampler refuses such a model before
+        it draws, and ``mixture_residual`` measures what the clip lost."""
+        rows = np.zeros((self.n, self.n))
+        if self.epsilon < 1.0:
+            idx = np.array(self.regen_indices)
+            res = np.clip((self.k_ell[idx] - self.epsilon * self.lam)
+                          / (1.0 - self.epsilon), 0.0, None)
+            total = res.sum(axis=1)
+            live = total > 0
+            rows[idx[live]] = res[live] / total[live, None]
+            # epsilon exhausts the other rows; the residual branch has
+            # probability zero of being taken from their states
+            rows[idx[~live], idx[~live]] = 1.0
+        rows.flags.writeable = False
         return rows
 
     @cached_property
@@ -217,15 +225,16 @@ class HarrisModel:
         """(table, res_rows) for the lane kernel: one guide table whose
         rows are the kernel rows, lam at row n, then the residual rows
         of the regeneration set when epsilon < 1, the one of state x at
-        row res_rows[x].  Built once per model."""
+        row res_rows[x].  Built once per model; every array is read-only."""
         n = self.n
         cum = [np.cumsum(self.kernel.matrix, axis=1),
                np.cumsum(self.lam)[None, :]]
         res_rows = np.zeros(n, dtype=np.intp)
         if self.epsilon < 1.0:
             regen = list(self.regen_indices)
-            cum.append(np.cumsum(self.residual_rows()[regen], axis=1))
+            cum.append(np.cumsum(self.residual_rows[regen], axis=1))
             res_rows[regen] = np.arange(n + 1, n + 1 + len(regen))
+        res_rows.flags.writeable = False
         return _kernels.guide_table(np.concatenate(cum)), res_rows
 
 
@@ -236,21 +245,12 @@ def minorization_residual(model):
     return float((model.k_ell[idx] - model.epsilon * model.lam).min())
 
 
-def _require_minorization(model):
-    """Refuse a false minorization before anything is drawn or solved."""
-    worst = minorization_residual(model)
-    if worst < -_RESIDUAL_TOL:
-        raise PreconditionError(
-            "K^ell - epsilon * lambda has entry %g on R; (epsilon, lambda, "
-            "ell) do not minorize K^ell" % worst, field="epsilon")
-
-
 def mixture_residual(model):
     """Largest entrywise defect of epsilon*lam + (1-epsilon)*residual
     against K^ell on the regeneration rows, using the residual rows the
     sampler would actually draw from."""
     recon = model.epsilon * model.lam + (1.0 - model.epsilon) * \
-        model.residual_rows()
+        model.residual_rows
     idx = np.array(model.regen_indices)
     return float(np.abs(recon[idx] - model.k_ell[idx]).max())
 
@@ -376,10 +376,9 @@ def simulate_split_chain(model, n_regens, seed,
     epsilon = 1.  No run takes more than ``step_budget`` steps; one that
     would raises ``BudgetExceededError``.  Refused with
     ``PreconditionError`` before anything is drawn: a run whose visit
-    counts would take more than ``MAX_OCCUPATION_BYTES``, a false
-    minorization (field ``epsilon``, as ``split_cycle_measure`` refuses
-    it) and a model whose cycles need not close (``_block_reach``, field
-    ``R``).
+    counts would take more than ``MAX_OCCUPATION_BYTES``, then, as in
+    ``split_cycle_measure``, a false minorization (field ``epsilon``) and
+    a model whose cycles need not close (field ``R``; ``_block_reach``).
     """
     if n_regens < 1:
         raise PreconditionError("need at least one regeneration",
@@ -391,7 +390,6 @@ def simulate_split_chain(model, n_regens, seed,
             "over the cap of %d bytes" % (n_regens, model.n, size,
                                           MAX_OCCUPATION_BYTES),
             field="n_regens")
-    _require_minorization(model)
     _block_reach(model)
     table, res_rows = model.lane_table
     acc = RatioAccumulator(model.n)
@@ -415,9 +413,15 @@ def simulate_split_chain(model, n_regens, seed,
 
 def _block_reach(model):
     """(Q, the states the block chain Q reaches from supp(lam)), Q being
-    K^ell - epsilon * 1_R (x) lam; refused with ``PreconditionError``
-    (field ``R``) when one of those states cannot reach R under Q, so
-    that a split-chain cycle need not close."""
+    K^ell - epsilon * 1_R (x) lam.  Refused with ``PreconditionError``:
+    first a false minorization (``minorization_residual`` below -1e-12,
+    field ``epsilon``), then a state of that reach that cannot reach R
+    under Q (field ``R``), so that a split-chain cycle need not close."""
+    worst = minorization_residual(model)
+    if worst < -_RESIDUAL_TOL:
+        raise PreconditionError(
+            "K^ell - epsilon * lambda has entry %g on R; (epsilon, lambda, "
+            "ell) do not minorize K^ell" % worst, field="epsilon")
     q = model.k_ell - model.epsilon * np.outer(model.regen_mask, model.lam)
     reach = _forward_closure(q, model.lam > 0)
     if np.any(reach & ~_forward_closure(q.T, model.regen_mask)):
@@ -437,7 +441,6 @@ def split_cycle_measure(model):
     nu (I - Q) = lam gives epsilon * nu(R) = 1 for any epsilon and lam,
     so the measure would be invariant however false they are.  Refused
     too when a cycle need not close (``_block_reach``)."""
-    _require_minorization(model)
     q, reach = _block_reach(model)
     idx = np.flatnonzero(reach)
     nu = np.zeros(model.n)

@@ -133,16 +133,17 @@ class StochasticMatrix:
         return int(i)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassStructure:
     """Communicating classes with recurrence flags.
 
     Classes are numbered by their smallest member, so ids are stable
-    across runs.  A class is recurrent exactly when it is closed.
+    across runs.  A class is recurrent exactly when it is closed.  Kept
+    on its chain, it is frozen, with a tuple of read-only class arrays.
     """
 
     labels: np.ndarray
-    classes: list
+    classes: tuple
     recurrent: np.ndarray
 
     @property
@@ -229,12 +230,15 @@ def _class_structure(p):
     labels = renum[raw]
     # members of each class in increasing order, sliced out of one sort
     ends = np.cumsum(np.bincount(labels, minlength=n_comp))
-    classes = np.split(np.argsort(labels, kind="stable"), ends[:-1])
+    order = np.argsort(labels, kind="stable")
     # a class is closed when no support edge leaves it
     src, dst = labels[rows], labels[cols]
     recurrent = np.ones(n_comp, dtype=bool)
     recurrent[src[src != dst]] = False
-    return ClassStructure(labels, classes, recurrent)
+    # read-only before the split, so every class view is read-only too
+    order.flags.writeable = labels.flags.writeable = False
+    recurrent.flags.writeable = False
+    return ClassStructure(labels, tuple(np.split(order, ends[:-1])), recurrent)
 
 
 class CycleOccupation(NamedTuple):

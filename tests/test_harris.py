@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import time
@@ -127,6 +128,55 @@ def test_unsupported_lambda_is_infeasible(h3):
         cf.HarrisModel(h3, [0], ell=1, lam=[0.0, 0.0, 1.0])
 
 
+def _harris_report(model):
+    # what a model shows: its exact cycle measure, lane table and hash
+    table, res_rows = model.lane_table
+    return (cf.split_cycle_measure(model).tobytes(),
+            [a.tobytes() for a in table], res_rows.tobytes(),
+            cf.model_hash(model))
+
+
+def test_writing_into_the_source_arrays_changes_nothing_the_model_reports():
+    # the model keeps its own kernel, lam and R: writing into what it was
+    # built from reaches neither it nor a model rebuilt from its fields
+    k, lam, members = H3.copy(), np.array([0.2, 0.8, 0.0]), [0, 1]
+    model = cf.HarrisModel(k, members, ell=1, epsilon=0.5, lam=lam)
+    before = _harris_report(model)
+    k[:] = np.eye(3)
+    lam[:] = [0.0, 0.0, 1.0]
+    members[:] = [2]
+    assert _harris_report(model) == before
+    assert model.regen_members == model.regen_indices == (0, 1)
+    assert _harris_report(dataclasses.replace(model)) == before
+
+
+def test_model_arrays_are_read_only_and_fields_cannot_be_rebound():
+    model = variant_b()
+    table, res_rows = model.lane_table
+    for a in (model.lam, model.regen_mask, model.kernel_powers,
+              model.residual_rows, *table, res_rows):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.epsilon = 0.35
+    for field in dataclasses.fields(model):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, field.name, getattr(model, field.name))
+    assert model.epsilon == pytest.approx(0.7, abs=1e-12)
+
+
+def test_a_model_rebuilt_with_another_epsilon_draws_from_its_own_rows():
+    # H3 with R = {0, 1} fits epsilon = 0.7; a model rebuilt at 0.35 after
+    # the lane table of the first was read draws from residual rows of
+    # 0.35, so its run agrees with its own exact cycle measure
+    model = variant_b()
+    model.lane_table
+    rebuilt = dataclasses.replace(model, epsilon=0.35)
+    mu = cf.split_cycle_measure(rebuilt)
+    run = cf.simulate_split_chain(rebuilt, 20000, seed=1)
+    assert np.abs(run.estimate.z_scores(mu / mu.sum())).max() <= 4.0
+
+
 # ---------------------------------------------------------------------------
 # minorization and mixture residuals
 
@@ -150,7 +200,7 @@ def test_false_minorization_blocks_residual_rows(h3, monkeypatch):
     # refuses a false minorization before it builds them
     model = cf.HarrisModel(h3, [0, 1], ell=1, epsilon=0.8,
                            lam=[2 / 7, 5 / 7, 0.0])
-    rows = model.residual_rows()
+    rows = model.residual_rows
     sums = rows[[0, 1]].sum(axis=1)
     assert np.abs(sums - 1.0).max() <= 1e-12
     assert cf.mixture_residual(model) > 1e-3
@@ -158,7 +208,8 @@ def test_false_minorization_blocks_residual_rows(h3, monkeypatch):
     def no_rows(self):
         raise AssertionError("the residual rows were built")
 
-    monkeypatch.setattr(cf.HarrisModel, "residual_rows", no_rows)
+    # a property outranks the rows already kept on the model
+    monkeypatch.setattr(cf.HarrisModel, "residual_rows", property(no_rows))
     with pytest.raises(PreconditionError) as err:
         cf.simulate_split_chain(model, 10, seed=0)
     assert err.value.field == "epsilon"
@@ -167,14 +218,51 @@ def test_false_minorization_blocks_residual_rows(h3, monkeypatch):
 def test_epsilon_one_has_zero_residual_rows():
     model = variant_a()
     assert model.epsilon == pytest.approx(1.0)
-    assert np.all(model.residual_rows() == 0.0)
+    assert np.all(model.residual_rows == 0.0)
 
 
 def test_residual_reconstruction_on_regen_rows():
     model = variant_c()
     recon = model.epsilon * model.lam + \
-        (1 - model.epsilon) * model.residual_rows()[0]
+        (1 - model.epsilon) * model.residual_rows[0]
     assert np.abs(recon - model.k_ell[0]).max() <= 1e-15
+
+
+def _residual_rows_by_state(model):
+    # the per-state loop that built the residual rows before they were
+    # vectorised over R, kept as their referee
+    n = model.n
+    rows = np.zeros((n, n))
+    if model.epsilon >= 1.0:
+        return rows
+    res = np.clip((model.k_ell - model.epsilon * model.lam)
+                  / (1.0 - model.epsilon), 0.0, None)
+    for i in model.regen_indices:
+        total = res[i].sum()
+        if total > 0:
+            rows[i] = res[i] / total
+        else:
+            rows[i, i] = 1.0
+    return rows
+
+
+def test_vectorised_residual_rows_match_the_per_state_loop():
+    # genuine and false minorizations, whose rows clip, fitted on odd trials
+    # and given on even ones, on random kernels
+    rng = np.random.default_rng(3701)
+    clipped = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        regen = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        split = {} if trial % 2 else dict(
+            epsilon=float(rng.uniform(0.05, 0.95)),
+            lam=rng.dirichlet(np.ones(n)))
+        model = cf.HarrisModel(rng.dirichlet(np.full(n, 0.3), size=n), regen,
+                               ell=int(rng.integers(1, 3)), **split)
+        clipped += cf.minorization_residual(model) < -1e-12
+        want = _residual_rows_by_state(model)
+        assert model.residual_rows.tobytes() == want.tobytes()
+    assert 0 < clipped < 60
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +506,20 @@ def test_suite_bridge_check_takes_the_first_pairs_in_row_order():
     assert check.value == want
 
 
-def test_suite_bridge_check_fails_on_a_perturbed_power():
+def test_suite_bridge_check_fails_on_a_perturbed_power(monkeypatch):
     # the paths are summed from K entries, so a K^ell entry that is not
-    # their sum fails the check
+    # their sum fails the check; the model keeps its powers read-only, so
+    # the entry is perturbed as they are built
+    build = cf.harris._kernel_powers
+
+    def perturbed(matrix, ell):
+        powers = build(matrix, ell)
+        x, y = np.argwhere(powers[ell] > 0)[0]
+        powers[ell][x, y] *= 1 + 1e-9
+        return powers
+
+    monkeypatch.setattr(cf.harris, "_kernel_powers", perturbed)
     model = _model_40(2)
-    x, y = np.argwhere(model.k_ell > 0)[0]
-    model.kernel_powers[model.ell][x, y] *= 1 + 1e-9
     report = cf.run_suite(model, cf.RunConfig(cycles=0))
     [check] = [c for c in report.checks if c.name == "bridge_total_mass"]
     assert not check.passed and not report.overall_pass

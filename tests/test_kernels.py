@@ -615,7 +615,7 @@ def _harris_cases(seed):
 def _split_args(model):
     # the law oracle's and the lane referee's arguments: cumulative rows
     return (model.kernel.matrix, np.cumsum(model.kernel.matrix, axis=1),
-            np.cumsum(model.lam), np.cumsum(model.residual_rows(), axis=1),
+            np.cumsum(model.lam), np.cumsum(model.residual_rows, axis=1),
             model.kernel_powers, model.regen_mask, model.epsilon, model.ell)
 
 

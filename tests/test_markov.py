@@ -715,6 +715,20 @@ def test_chain_arrays_are_read_only_and_fields_cannot_be_rebound(mc2):
     assert mc2.matrix.tolist() == [[2 / 3, 1 / 3], [1 / 4, 3 / 4]]
 
 
+def test_kept_chain_tables_are_read_only(mc2):
+    # a write into the kept structure would turn state 0 transient for
+    # every later occupation; the structure and the row guide are frozen
+    s = cf.class_structure(mc2)
+    for a in (s.labels, s.recurrent, *s.classes, *mc2.row_guide):
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+    for name in ("labels", "classes", "recurrent"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, getattr(s, name))
+    assert s.recurrent.tolist() == [True]
+    assert cf.cycle_occupation(mc2, 0).mean_return == pytest.approx(7 / 3)
+
+
 def test_occupation_solve_keeps_the_bits_of_the_dense_transpose():
     rng = np.random.default_rng(11)
     for n in (2, 3, 9, 30):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import hashlib
 import json
 import tracemalloc
@@ -83,6 +85,49 @@ def test_load_harris_honours_given_split(tmp_path):
     model = cf.load_model(write(tmp_path, doc))
     assert model.fitted_fields == ()
     assert model.epsilon == 0.5
+
+
+def _held(obj, arrays, frozen, seen):
+    # the ndarrays and dataclasses reachable from obj through its fields,
+    # its kept tables (each cached property read first), tuples, lists and
+    # dicts
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        arrays.append(obj)
+        return
+    if dataclasses.is_dataclass(obj):
+        frozen.append(obj)
+        for name, attr in vars(type(obj)).items():
+            if isinstance(attr, functools.cached_property):
+                getattr(obj, name)
+        obj = vars(obj)
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            _held(item, arrays, frozen, seen)
+
+
+def test_every_array_a_loaded_model_holds_is_read_only():
+    # a table added to a model later without a read-only mark fails here
+    rational = dict(FINITE_DOC, weights={"num": [1, 1, 1], "den": [2, 3, 6]},
+                    map=[1, 2, 0])
+    for doc in (MARKOV_DOC, HARRIS_DOC, rational):
+        model = cf.parse_model(doc)
+        chain = getattr(model, "kernel", model)
+        if isinstance(chain, cf.StochasticMatrix):
+            cf.cycle_occupation(chain, 0)   # fills the kept occupations
+        arrays, frozen = [], []
+        _held(model, arrays, frozen, set())
+        assert len(arrays) >= 3 and frozen[0] is model
+        for a in arrays:
+            assert not a.flags.writeable, (doc["kind"], a)
+        for obj in frozen:
+            for field in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, field.name, getattr(obj, field.name))
 
 
 def test_loader_renormalises_sloppy_rows(tmp_path):
