@@ -1,10 +1,12 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and ``check_entries``, the one model input check.
 
 Every error class carries a distinct process exit code so that scripted
 callers of the command line tool can tell failure modes apart.  Exit codes
 0 (all checks passed), 1 (a check failed) and 2 (usage error, raised by
 argparse) are reserved and never used by exceptions.
 """
+
+import numpy as np
 
 
 class CycleflowError(Exception):
@@ -42,6 +44,28 @@ class InvariantError(CycleflowError):
     weight, map out of range, rows not summing to one, ...)."""
 
     exit_code = 6
+
+
+def check_entries(values, field, size=None):
+    """Return ``values`` as an array, or refuse its first entry in C order
+    that is not finite, else the first negative one, else the first at
+    or above ``size``: an ``InvariantError`` on ``field[i]`` (``field[i][j]``
+    for a matrix).  Fraction and Python-int object arrays are finite."""
+    values = np.asarray(values)
+    if values.dtype != object:
+        _refuse(~np.isfinite(values), "entry is not finite", field)
+    _refuse(values < 0, "entry is negative", field)
+    if size is not None:
+        _refuse(values >= size, "entry is out of range (%d points)" % size,
+                field)
+    return values
+
+
+def _refuse(bad, message, field):
+    if bad.any():
+        index = np.unravel_index(bad.argmax(), bad.shape)
+        raise InvariantError(message, field=field + "".join(
+            "[%d]" % i for i in index))
 
 
 class PreconditionError(CycleflowError):

@@ -47,9 +47,10 @@ from .errors import (
     InternalInconsistencyError,
     InvariantError,
     PreconditionError,
+    check_entries,
 )
-from .markov import (StochasticMatrix, _cycle_system, _one_blas_thread,
-                     _solve_or_refuse, class_structure)
+from .markov import (_ROW_SUM_TOL, StochasticMatrix, _cycle_system,
+                     _one_blas_thread, _solve_or_refuse, class_structure)
 from .measure import event_mask
 
 _LAM_SUM_TOL = 1e-9
@@ -139,7 +140,9 @@ class HarrisModel:
         regen_indices = tuple(int(i) for i in np.flatnonzero(regen_mask))
         if not regen_indices:
             raise InvariantError("regeneration set is empty", field="R")
-        if not isinstance(self.ell, (int, np.integer)) or self.ell < 1:
+        if (isinstance(self.ell, bool)
+                or not isinstance(self.ell, (int, np.integer))
+                or self.ell < 1):
             raise InvariantError("block length must be a positive integer",
                                  field="ell")
         ell = int(self.ell)
@@ -153,23 +156,19 @@ class HarrisModel:
                 epsilon = fit_epsilon
                 fitted.append("epsilon")
         else:
-            lam = np.asarray(lam, dtype=np.float64)
+            lam = np.array(lam, dtype=np.float64)
             if lam.shape != (n,):
                 raise InvariantError("lambda length does not match kernel",
                                      field="lambda")
-            finite = np.isfinite(lam)
-            if not finite.all():
-                raise InvariantError("lambda entries must be finite",
-                                     field="lambda[%d]" % np.argmin(finite))
-            if lam.min() < 0:
-                raise InvariantError("lambda must be a nonnegative vector",
-                                     field="lambda[%d]" % np.argmax(lam < 0))
-            total = lam.sum()
+            total = check_entries(lam, "lambda").sum()
             if abs(total - 1.0) > _LAM_SUM_TOL:
                 raise InvariantError(
                     "lambda must sum to one (defect %g)" % abs(total - 1.0),
                     field="lambda")
-            lam = lam / total
+            # a lambda normalised already (a fitted one among them) is
+            # kept to the bit, so replace() leaves the model as it was
+            if abs(total - 1.0) > _ROW_SUM_TOL:
+                lam /= total
             if epsilon is None:
                 support = lam > 0
                 ratios = powers[ell][np.ix_(regen_mask, support)] / lam[support]

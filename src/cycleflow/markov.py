@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from ._stats import RatioAccumulator, split_chain_chunks
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, check_entries
 
 # dense linear algebra everywhere; refuse sizes where that stops being sane
 _MAX_DENSE = 2000
@@ -85,14 +85,7 @@ class StochasticMatrix:
         if matrix.shape[0] == 0:
             raise InvariantError("transition matrix must be nonempty",
                                  field="matrix")
-        finite = np.isfinite(matrix)
-        if not finite.all():
-            i, j = np.argwhere(~finite)[0]
-            raise InvariantError("transition entries must be finite",
-                                 field="matrix[%d][%d]" % (i, j))
-        if matrix.min() < 0:
-            i, j = np.unravel_index(np.argmin(matrix), matrix.shape)
-            raise InvariantError("negative entry", field="matrix[%d][%d]" % (i, j))
+        check_entries(matrix, "matrix")
         gap = np.abs(matrix.sum(axis=1) - 1.0)
         if gap.max() > _ROW_SUM_TOL:
             raise InvariantError("row does not sum to one (defect %g)"

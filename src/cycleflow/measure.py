@@ -31,6 +31,7 @@ from .errors import (
     InvariantError,
     PreconditionError,
     UnsupportedOperationError,
+    check_entries,
 )
 
 FORWARD = "forward"
@@ -43,8 +44,8 @@ _NO_RETURN = ("a positive-weight point of the base set never returns; "
 def event_mask(size, members, field="members"):
     """Normalise a point selection to a boolean mask of length ``size``.
 
-    ``members`` may be a boolean mask, an iterable of point indices, or
-    None for the empty set; a bad one is an ``InvariantError`` on ``field``.
+    ``members`` is a boolean mask, point indices or None (the empty set);
+    a bad one is an ``InvariantError`` on ``field`` or ``field[i]``.
     """
     mask = np.zeros(size, dtype=bool)
     if members is None:
@@ -58,11 +59,9 @@ def event_mask(size, members, field="members"):
         return members.copy()
     if members.size == 0:
         return mask
-    idx = members.astype(np.int64, casting="unsafe")
+    idx = check_entries(members, field, size).astype(np.int64)
     if not np.array_equal(idx, members):
         raise InvariantError("point indices must be integers", field=field)
-    if idx.min() < 0 or idx.max() >= size:
-        raise InvariantError("point index out of range", field=field)
     mask[idx] = True
     return mask
 
@@ -107,9 +106,7 @@ class FiniteSystem:
             raise InvariantError("mapping must be a nonempty 1-d array",
                                  field="mapping")
         m = mapping.shape[0]
-        if mapping.min() < 0 or mapping.max() >= m:
-            raise InvariantError("mapping sends a point out of range",
-                                 field="mapping")
+        check_entries(mapping, "mapping", m)
 
         weights = np.asarray(self.weights)
         if weights.shape != (m,):
@@ -122,14 +119,7 @@ class FiniteSystem:
             )
         else:
             weights = weights.astype(np.float64)
-            finite = np.isfinite(weights)
-            if not finite.all():
-                raise InvariantError("weights must be finite",
-                                     field="weights[%d]" % np.argmin(finite))
-        negative = weights < 0
-        if negative.any():
-            raise InvariantError("weights must be nonnegative",
-                                 field="weights[%d]" % np.argmax(negative))
+        check_entries(weights, "weights")
         total = weights.sum()
         if not total > 0:
             raise InvariantError("total mass must be positive", field="weights")

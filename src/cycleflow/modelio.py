@@ -43,6 +43,7 @@ from .errors import (
     InvariantError,
     ModelParseError,
     UnknownKindError,
+    check_entries,
 )
 from .harris import HarrisModel
 from .markov import StochasticMatrix
@@ -87,10 +88,7 @@ def _int_list(value, field):
 
 def _index_list(value, field, size):
     # indices into range(size), so into int64 arrays too
-    for i, v in enumerate(_int_list(value, field)):
-        if not 0 <= v < size:
-            raise InvariantError("index out of range (%d points)" % size,
-                                 field="%s[%d]" % (field, i))
+    check_entries(_int_list(value, field), field, size)
     return value
 
 
@@ -115,14 +113,7 @@ def _matrix(value, field):
 
 def _renormalized_rows(matrix, field):
     # rows are divided by their sums in place: the model takes a copy
-    finite = np.isfinite(matrix)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise InvariantError("entry is not finite",
-                             field="%s[%d][%d]" % (field, i, j))
-    if matrix.min() < 0:
-        i, j = np.unravel_index(np.argmin(matrix), matrix.shape)
-        raise InvariantError("negative entry", field="%s[%d][%d]" % (field, i, j))
+    check_entries(matrix, field)
     sums = matrix.sum(axis=1)
     gap = np.abs(sums - 1.0)
     bad = int(gap.argmax())

@@ -50,22 +50,21 @@ class RunConfig:
     output_format: str = "text"
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        # integers only: a float or bool is refused, not truncated
+        for name, low, high in (("exhaustive_limit", 0, math.inf),
+                                ("sample_pairs", 1, math.inf),
+                                ("seed", 0, 2 ** 64), ("cycles", 0, math.inf)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))
+                    or not low <= value < high):
+                raise PreconditionError("%s must be an integer in [%d, %s)"
+                                        % (name, low, high), field=name)
+        self.seed = int(self.seed)
+        if isinstance(self.tolerance, bool) or not (
+                math.isfinite(self.tolerance) and self.tolerance > 0):
             raise PreconditionError("tolerance must be positive",
                                     field="tolerance")
-        if self.exhaustive_limit < 0:
-            raise PreconditionError("exhaustive_limit must be nonnegative",
-                                    field="exhaustive_limit")
-        if self.sample_pairs < 1:
-            raise PreconditionError("sample_pairs must be at least 1",
-                                    field="sample_pairs")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise PreconditionError("seed must fit in 64 unsigned bits",
-                                    field="seed")
-        self.seed = int(self.seed)
-        if self.cycles < 0:
-            raise PreconditionError("cycles must be nonnegative",
-                                    field="cycles")
         if self.output_format not in _FORMATS:
             raise PreconditionError(
                 "output_format must be one of %s" % (", ".join(_FORMATS)),

@@ -647,7 +647,7 @@ def test_model_errors_name_the_document_field(tmp_path, capsys, clean_env):
         ("P[0][1]", dict(MARKOV, P=negative), []),
         ("K[0][1]", dict(HARRIS, K=negative, ell=1), []),
         ("map[1]", dict(FINITE, map=[1, 5], weights=[0.5, 0.5]), []),
-        ("set", dict(MARKOV, P=two), ["--set", "5"]),
+        ("set[0]", dict(MARKOV, P=two), ["--set", "5"]),
     )
     for i, (field, doc, extra) in enumerate(runs):
         path = tmp_path / ("%d.json" % i)

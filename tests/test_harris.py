@@ -110,6 +110,13 @@ def test_zero_block_length_rejected(h3):
     assert err.value.field == "ell"
 
 
+def test_boolean_block_length_rejected(h3):
+    # the loader refuses it too; True is not read as 1
+    with pytest.raises(InvariantError) as err:
+        cf.HarrisModel(h3, [0], ell=True)
+    assert err.value.field == "ell"
+
+
 def test_epsilon_range_checked(h3):
     with pytest.raises(InvariantError):
         cf.HarrisModel(h3, [0], epsilon=0.0)
@@ -148,6 +155,18 @@ def test_writing_into_the_source_arrays_changes_nothing_the_model_reports():
     assert _harris_report(model) == before
     assert model.regen_members == model.regen_indices == (0, 1)
     assert _harris_report(dataclasses.replace(model)) == before
+
+
+def test_replace_keeps_a_fitted_lambda_to_the_bit():
+    # a fitted lambda sums to one within rounding; rebuilding the model
+    # from its fields must not divide it by that sum again
+    rng = np.random.default_rng(38)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        model = cf.HarrisModel(rng.dirichlet(np.ones(n), size=n), [0, 1])
+        again = dataclasses.replace(model)
+        assert again.lam.tobytes() == model.lam.tobytes()
+        assert cf.model_hash(again) == cf.model_hash(model)
 
 
 def test_model_arrays_are_read_only_and_fields_cannot_be_rebound():

@@ -35,6 +35,15 @@ def test_map_indices_must_be_in_range():
         cf.FiniteSystem([1, 2], [0.5, 0.5])
 
 
+def test_event_mask_names_the_index_it_refuses():
+    # an index past int64 is out of range, not an overflow
+    for members, field in (([0, 5], "B[1]"), ([2 ** 70], "B[0]"),
+                           ([-1], "B[0]"), ([0.0, math.nan], "B[1]")):
+        with pytest.raises(InvariantError) as err:
+            cf.event_mask(3, members, "B")
+        assert err.value.field == field
+
+
 def test_inverse_refused_without_invertibility(endo3):
     with pytest.raises(UnsupportedOperationError):
         endo3.inverse_mapping

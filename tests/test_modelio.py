@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from cycleflow.errors import (
     InvariantError,
     ModelParseError,
     UnknownKindError,
+    check_entries,
 )
 
 FINITE_DOC = {
@@ -230,6 +232,32 @@ def test_list_checks_keep_the_per_item_verdicts():
                 assert err.value.field == "f"
 
 
+def test_entry_check_names_the_first_bad_entry():
+    # a non-finite entry before a negative one before one out of range,
+    # each the first of its kind in C order; object arrays of Fractions
+    # or Python ints, past int64 too, skip the finite test
+    nan, inf = math.nan, math.inf
+    cases = [
+        ([[0.5, -1.0], [nan, 2.0]], None, "m[1][0]", "not finite"),
+        ([[0.5, -1.0], [-inf, 2.0]], None, "m[1][0]", "not finite"),
+        ([[0.5, -1.0], [-2.0, 0.0]], None, "m[0][1]", "negative"),
+        ([1, 5, -1], 3, "m[2]", "negative"),
+        ([1, 5, 4], 3, "m[1]", "out of range (3 points)"),
+        ([0, 2 ** 70], 3, "m[1]", "out of range"),
+        ([2 ** 70, -1], 3, "m[1]", "negative"),
+        (np.array([Fraction(1), Fraction(-1, 3)], dtype=object), None,
+         "m[1]", "negative"),
+    ]
+    for values, size, field, message in cases:
+        with pytest.raises(InvariantError) as err:
+            check_entries(values, "m", size)
+        assert err.value.field == field
+        assert message in str(err.value)
+    ok = np.array([Fraction(1, 3), Fraction(0)], dtype=object)
+    assert check_entries(ok, "m") is ok
+    assert check_entries([0, 2], "m", 3).tolist() == [0, 2]
+
+
 def test_rational_weights_validated(tmp_path):
     doc = dict(FINITE_DOC, weights={"num": [1, 1], "den": [2]}, map=[1, 0])
     with pytest.raises(InvariantError):
@@ -278,6 +306,22 @@ def test_document_records_fitted_split(tmp_path):
     again = cf.parse_model(doc)
     assert again.fitted_fields == ()
     assert cf.model_hash(again) == cf.model_hash(model)
+
+
+def test_a_fitted_split_written_out_loads_to_the_same_hash():
+    # epsilon and lambda copied by hand from a fitted model into its
+    # document give back the model, to the bit
+    rng = np.random.default_rng(38)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        doc = {"kind": "harris_discrete", "R": [0, 1], "ell": 1,
+               "K": rng.dirichlet(np.ones(n), size=n).tolist()}
+        model = cf.parse_model(doc)
+        written = dict(doc, epsilon=model.epsilon,
+                       **{"lambda": model.lam.tolist()})
+        again = cf.parse_model(json.loads(json.dumps(written)))
+        assert again.fitted_fields == ()
+        assert cf.model_hash(again) == cf.model_hash(model)
 
 
 def test_hash_is_content_sensitive(tmp_path):

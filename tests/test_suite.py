@@ -49,6 +49,22 @@ def test_config_rejects_bad_values(kwargs):
         cf.RunConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("cycles", 2.5),
+    ("sample_pairs", 2.5),
+    ("exhaustive_limit", 2.5),
+    ("seed", 1.5),
+    ("seed", True),
+    ("tolerance", True),
+])
+def test_config_refuses_a_number_of_the_wrong_type(name, value):
+    # a float or bool where an integer is meant, or a bool tolerance, is
+    # refused up front rather than truncated or failing in a kernel
+    with pytest.raises(PreconditionError) as err:
+        cf.RunConfig(**{name: value})
+    assert err.value.field == name
+
+
 def test_model_kind_dispatch(rot4, mc2):
     assert cf.suite.model_kind(rot4) == "finite_system"
     assert cf.suite.model_kind(mc2) == "markov_chain"
@@ -188,15 +204,15 @@ _LIGHT_MAP = [1, 2, 0, 4, 5, 3, 7, 6]
 _LIGHT_WEIGHTS = [1, 1, 1, 2, 2, 2, Fraction(1, 10 ** 9), Fraction(1, 10 ** 9)]
 
 
-def _forward_sweep_nudged(monkeypatch):
-    # the forward excursion mass 1e-9 heavier (float), or one lattice
-    # unit heavier at its first massive point (exact); the backward
-    # sweep is left alone
+def _nudge_sweep(monkeypatch, forward):
+    # the excursion mass of one direction 1e-9 heavier (float), or one
+    # lattice unit heavier at its first massive point (exact); the other
+    # direction's sweep is left alone
     sweep = cf.measure._excursion_sweep
 
     def nudged(step, b_mask, weights):
         mu = sweep(step, b_mask, weights)
-        if not np.array_equal(step, _LIGHT_MAP):
+        if np.array_equal(step, _LIGHT_MAP) != forward:
             return mu
         if mu.dtype.kind == "f":
             return mu * (1 + 1e-9)
@@ -205,6 +221,14 @@ def _forward_sweep_nudged(monkeypatch):
         return mu
 
     monkeypatch.setattr(cf.measure, "_excursion_sweep", nudged)
+
+
+def _forward_sweep_nudged(monkeypatch):
+    _nudge_sweep(monkeypatch, forward=True)
+
+
+def _backward_sweep_nudged(monkeypatch):
+    _nudge_sweep(monkeypatch, forward=False)
 
 
 def _backward_hits_less_point_6(monkeypatch):
@@ -219,34 +243,84 @@ def _backward_hits_less_point_6(monkeypatch):
     monkeypatch.setattr(cf._kernels, "backward_hits", less)
 
 
-def _backward_times_less_point_6(monkeypatch):
-    # the backward hitting profile with point 6 never hitting the set
+def _edit_profile(monkeypatch, direction, edit):
+    # the hitting profile in one direction, after edit(times, entry) has
+    # changed copies of its arrays at point 6
     profile = cf.measure.hitting_profile
 
-    def less(system, members, direction=cf.measure.FORWARD):
-        out = profile(system, members, direction)
-        if direction == cf.measure.BACKWARD:
-            times = out.times.copy()
-            times[6] = -1
-            out = cf.measure.HittingProfile(direction, times, out.entry)
+    def edited(system, members, d=cf.measure.FORWARD):
+        out = profile(system, members, d)
+        if d == direction:
+            times, entry = out.times.copy(), out.entry.copy()
+            edit(times, entry)
+            out = cf.measure.HittingProfile(d, times, entry)
         return out
 
-    monkeypatch.setattr(cf.measure, "hitting_profile", less)
+    monkeypatch.setattr(cf.measure, "hitting_profile", edited)
+
+
+def _never_hits(times, entry):
+    times[6] = -1
+
+
+def _hits_a_step_later(times, entry):
+    if times[6] > 0:
+        times[6] += 1
+
+
+def _enters_at_point_7(times, entry):
+    entry[6] = 7
+
+
+def _backward_times_less_point_6(monkeypatch):
+    _edit_profile(monkeypatch, cf.measure.BACKWARD, _never_hits)
+
+
+def _forward_times_less_point_6(monkeypatch):
+    _edit_profile(monkeypatch, cf.measure.FORWARD, _never_hits)
+
+
+def _forward_times_longer_at_point_6(monkeypatch):
+    _edit_profile(monkeypatch, cf.measure.FORWARD, _hits_a_step_later)
+
+
+def _backward_times_longer_at_point_6(monkeypatch):
+    _edit_profile(monkeypatch, cf.measure.BACKWARD, _hits_a_step_later)
+
+
+def _forward_entry_of_point_6_moved(monkeypatch):
+    _edit_profile(monkeypatch, cf.measure.FORWARD, _enters_at_point_7)
+
+
+def _backward_entry_of_point_6_moved(monkeypatch):
+    _edit_profile(monkeypatch, cf.measure.BACKWARD, _enters_at_point_7)
 
 
 @pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("side,fails", [
     (_forward_sweep_nudged, {"excursion_identity_forward", "precapacity"}),
     (_backward_hits_less_point_6, {"precapacity"}),
-    (_backward_times_less_point_6, {"excursion_identity_forward"}),
+    (_backward_times_less_point_6, {"excursion_identity_forward",
+                                    "kac_integral_forward", "kac_product"}),
+    (_backward_sweep_nudged, {"excursion_identity_backward"}),
+    (_forward_times_less_point_6, {"excursion_identity_backward",
+                                   "kac_integral_backward"}),
+    (_forward_times_longer_at_point_6, {"kac_integral_forward",
+                                        "kac_product"}),
+    (_backward_times_longer_at_point_6, {"kac_integral_backward"}),
+    (_forward_entry_of_point_6_moved, {"entrance_invariance_forward"}),
+    (_backward_entry_of_point_6_moved, {"entrance_invariance_backward"}),
 ])
 def test_finite_cross_identities_read_both_sides(side, fails, exact,
                                                  monkeypatch):
-    # precapacity compares the forward excursion sweep with the backward
-    # hits, excursion_identity_forward with the backward hitting set.
-    # Moving one side by 1e-9 of the mass (float weights) or by one
-    # lattice unit (exact weights) fails the checks that read it, so
-    # neither side is derived from the other
+    # each cross-check compares two independent computations: an
+    # excursion sweep with a hitting set of the other direction (the
+    # excursion identities) or with the backward hits (precapacity),
+    # entry points with B's weights (entrance invariance), hitting-time
+    # integrals with hit-set masses (Kac).  Moving one side by 1e-9 of
+    # the mass (float weights) or by one lattice unit (exact weights), or
+    # point 6 (of mass 1e-9) in a hitting profile, fails the checks that
+    # read it, so neither side is derived from the other
     weights = [Fraction(w) if exact else float(w) for w in _LIGHT_WEIGHTS]
     if exact:
         weights = np.array(weights, dtype=object)
@@ -385,6 +459,25 @@ def test_harris_simulations_need_two_cycles(tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith("cycleflow: error: cycles: ")
         assert "at least 2 cycles" in err
+
+
+@pytest.mark.parametrize("side", ["residual_rows", "k_ell"])
+def test_harris_mixture_identity_reads_both_sides(side, monkeypatch):
+    # the identity compares epsilon lam + (1 - epsilon) times the residual
+    # rows with the R rows of K^ell.  On H3 with R = {0, 1} (epsilon 0.7,
+    # residual rows 0/1), tilting either side by 1e-9 relative moves the
+    # largest defect from 0 to about 5e-10 (k_ell) or 3e-10 (the rows)
+    model = cf.HarrisModel(H3, [0, 1], ell=1)
+    cfg = cf.RunConfig(cycles=0)
+    assert cf.run_suite(model, cfg).overall_pass
+    read = getattr(cf.HarrisModel, side)
+    read = read.fget if isinstance(read, property) else read.func
+    # a property outranks the residual rows already cached on the model
+    monkeypatch.setattr(cf.HarrisModel, side,
+                        property(lambda self: read(self) * (1 + 1e-9)))
+    report = cf.run_suite(model, cfg)
+    assert _failed(report) == ["mixture_identity"]
+    assert by_name(report, "mixture_identity").value > 1e-10
 
 
 def test_harris_suite_skips_simulation_on_structural_failure(h3):
