@@ -124,6 +124,9 @@ class HarrisModel:
     ``split_cycle_measure`` refuse a model on which it dips below -1e-12.
     """
 
+    # the document kind; a class attribute, not a field
+    kind = "harris_discrete"
+
     kernel: StochasticMatrix
     regen_members: tuple
     ell: int = 1

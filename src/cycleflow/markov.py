@@ -73,6 +73,9 @@ class StochasticMatrix:
     before building one.
     """
 
+    # the document kind; a class attribute, not a field
+    kind = "markov_chain"
+
     matrix: np.ndarray
     states: list = None
     source: str = None

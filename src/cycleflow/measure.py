@@ -94,6 +94,9 @@ class FiniteSystem:
         The file the system was loaded from, for reports.
     """
 
+    # the document kind; a class attribute, not a field
+    kind = "finite_system"
+
     mapping: np.ndarray
     weights: np.ndarray
     invertible: bool = True
@@ -120,7 +123,12 @@ class FiniteSystem:
         else:
             weights = weights.astype(np.float64)
         check_entries(weights, "weights")
-        total = weights.sum()
+        # Fraction weights sum exactly; float weights may overflow to inf
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not (weights.dtype == object or math.isfinite(total)):
+            raise InvariantError("total mass overflows float64",
+                                 field="weights")
         if not total > 0:
             raise InvariantError("total mass must be positive", field="weights")
 

@@ -32,7 +32,6 @@ shapes are little-endian int64.  Floats are kept to the bit, so -0.0
 and 0.0 hash apart; memory order and byte order do not enter.
 """
 
-import hashlib
 import json
 import os
 
@@ -45,10 +44,6 @@ from .errors import (
     UnknownKindError,
     check_entries,
 )
-from .harris import HarrisModel
-from .markov import StochasticMatrix
-from .measure import FiniteSystem
-from .report import canonical_json
 
 KINDS = ("finite_system", "markov_chain", "harris_discrete")
 
@@ -124,7 +119,12 @@ def _renormalized_rows(matrix, field):
     return matrix
 
 
+# each builder imports its model's layer when it first runs, so that
+# loading one kind loads no other kind's layer
+
 def _build_finite_system(doc, source):
+    from .measure import FiniteSystem
+
     mapping = _require(doc, "map", list, "finite_system")
     mapping = _index_list(mapping, "map", len(mapping))
     raw_weights = _require(doc, "weights", (list, dict), "finite_system")
@@ -154,6 +154,8 @@ def _build_finite_system(doc, source):
 
 
 def _build_markov_chain(doc, source):
+    from .markov import StochasticMatrix
+
     p = _matrix(_require(doc, "P", list, "markov_chain"), "P")
     p = _renormalized_rows(p, "P")
     return StochasticMatrix(p, states=_labels(doc, "states", p.shape[0]),
@@ -161,11 +163,14 @@ def _build_markov_chain(doc, source):
 
 
 def _build_harris(doc, source):
+    from .harris import HarrisModel
+    from .markov import StochasticMatrix
+
     k = _matrix(_require(doc, "K", list, "harris_discrete"), "K")
     k = _renormalized_rows(k, "K")
     states = _labels(doc, "states", k.shape[0])
-    regen = _index_list(_require(doc, "R", list, "harris_discrete"), "R",
-                        k.shape[0])
+    # HarrisModel range-checks R as the field "R"
+    regen = _int_list(_require(doc, "R", list, "harris_discrete"), "R")
     ell = _require(doc, "ell", int, "harris_discrete")
     if isinstance(ell, bool) or not 1 <= ell <= _INT64_MAX:
         raise InvariantError("ell must be a positive int64 integer",
@@ -222,8 +227,17 @@ def load_model(path):
     return parse_model(doc, source=os.path.basename(path))
 
 
+def model_kind(model):
+    """The document kind of a model, read from its class's ``kind``."""
+    kind = getattr(type(model), "kind", None)
+    if kind not in KINDS:
+        raise UnknownKindError("not a cycleflow model: %r"
+                               % type(model).__name__)
+    return kind
+
+
 def model_size(model):
-    return model.size if isinstance(model, FiniteSystem) else model.n
+    return model.size if model_kind(model) == "finite_system" else model.n
 
 
 def _put(digest, value):
@@ -235,6 +249,8 @@ def _put(digest, value):
         digest.update(dtype[1].encode() + shape.tobytes())
         digest.update(memoryview(a))
     else:
+        from .report import canonical_json
+
         text = canonical_json(value).encode("utf-8")
         digest.update(b"j" + len(text).to_bytes(8, "little") + text)
 
@@ -242,19 +258,20 @@ def _put(digest, value):
 def model_hash(model):
     """sha256 of the model's binary form (module docstring), tag versioned;
     -0.0 and 0.0 hash apart, and the matrix is hashed in place."""
-    if isinstance(model, FiniteSystem):
+    import hashlib
+
+    kind = model_kind(model)
+    if kind == "finite_system":
         weights = ([[w.numerator, w.denominator] for w in model.weights]
                    if model.exact else model.weights)
         fields = ("finite_system", list(model.points), model.mapping,
                   weights, bool(model.invertible))
-    elif isinstance(model, StochasticMatrix):
+    elif kind == "markov_chain":
         fields = ("markov_chain", list(model.states), model.matrix)
-    elif isinstance(model, HarrisModel):
+    else:
         fields = ("harris_discrete", list(model.kernel.states),
                   model.kernel.matrix, np.array(model.regen_indices),
                   model.ell, model.epsilon, model.lam)
-    else:
-        raise UnknownKindError("cannot hash %r" % type(model).__name__)
     digest = hashlib.sha256()
     for value in ("cycleflow-model/2",) + fields:
         _put(digest, value)

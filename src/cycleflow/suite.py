@@ -18,8 +18,8 @@ import numpy as np
 from . import harris as _harris
 from . import markov as _markov
 from . import measure as _measure
-from .errors import PreconditionError, UnknownKindError
-from .modelio import model_hash, model_size
+from .errors import PreconditionError
+from .modelio import model_hash, model_kind, model_size
 from .report import CheckResult, SuiteReport
 
 # bound on the largest |z| over n states: under the normal approximation
@@ -69,16 +69,6 @@ class RunConfig:
             raise PreconditionError(
                 "output_format must be one of %s" % (", ".join(_FORMATS)),
                 field="output_format")
-
-
-def model_kind(model):
-    if isinstance(model, _measure.FiniteSystem):
-        return "finite_system"
-    if isinstance(model, _markov.StochasticMatrix):
-        return "markov_chain"
-    if isinstance(model, _harris.HarrisModel):
-        return "harris_discrete"
-    raise UnknownKindError("no suite for %r" % type(model).__name__)
 
 
 def model_identity(model, kind):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -128,3 +131,15 @@ def tilted(law, shift):
         pi[second] -= mass
         return pi
     return tilted_law
+
+
+def run_fresh(code, *args, **environ):
+    # run `code` in a new interpreter that imports this checkout's package,
+    # with `environ` added to its environment
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code] + list(args), env=env,
+                          check=True, capture_output=True,
+                          text=True).stdout.strip()

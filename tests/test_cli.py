@@ -4,9 +4,8 @@ import io
 import json
 import math
 import os
-import subprocess
-import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ import pytest
 import cycleflow as cf
 from cycleflow.cli import main
 from cycleflow.measure import EXHAUSTIVE_CAP
-from conftest import tilted
+from conftest import run_fresh, tilted
 
 FINITE = {
     "kind": "finite_system",
@@ -91,18 +90,6 @@ def test_fit_minorization_help_states_power_rule(capsys):
     assert "each counted as at least 4096 bytes" in text
     assert "over %d bytes in all" % cf.harris.MAX_POWER_BYTES in text
     assert "exit 7" in text
-
-
-def run_fresh(code, *args, **environ):
-    # run `code` in a new interpreter that imports this checkout's package,
-    # with `environ` added to its environment
-    src = os.path.dirname(os.path.dirname(cf.__file__))
-    env = dict(os.environ, **environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code] + list(args), env=env,
-                          check=True, capture_output=True,
-                          text=True).stdout.strip()
 
 
 def test_import_leaves_scipy_unloaded():
@@ -678,6 +665,39 @@ def test_non_finite_entries_name_their_document_field(tmp_path, capsys,
             assert main(["verify", str(path)]) == 6, (field, value)
             err = capsys.readouterr().err
             assert err.startswith("cycleflow: error: %s: " % field), err
+
+
+def test_regeneration_index_out_of_range_is_refused_once(tmp_path, capsys,
+                                                        clean_env):
+    # the loader checks that R holds integers; HarrisModel checks their
+    # range, naming the entry as the document does
+    two = [[0.5, 0.5], [0.5, 0.5]]
+    runs = (
+        ([5], "R[0]: entry is out of range (2 points)"),
+        ([0, 2], "R[1]: entry is out of range (2 points)"),
+        ([99999999999999999999], "R[0]: entry is out of range (2 points)"),
+        ([-1], "R[0]: entry is negative"),
+        ([1.0], "R: expected a list of integers"),
+    )
+    for regen, message in runs:
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(dict(HARRIS, K=two, R=regen, ell=1)))
+        assert main(["verify", str(path)]) == 6, regen
+        assert capsys.readouterr().err == "cycleflow: error: %s\n" % message
+
+
+def test_overflowing_total_mass_is_refused_without_a_warning(tmp_path, capsys,
+                                                             clean_env):
+    # each weight is finite, their sum is not
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(FINITE, map=[1, 0],
+                                    weights=[1e308, 1e308])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", str(path)]) == 6
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "cycleflow: error: weights: total mass overflows float64\n")
 
 
 def test_huge_ell_is_refused_up_front(tmp_path, capsys, clean_env):

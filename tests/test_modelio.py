@@ -472,6 +472,22 @@ def test_model_size_all_kinds(tmp_path):
     assert cf.model_size(cf.load_model(write(tmp_path, HARRIS_DOC))) == 3
 
 
+def test_each_loaded_kind_names_its_document_kind(tmp_path):
+    # ``kind`` is a class attribute, not a field: it never enters a hash,
+    # a replace or a comparison of fields
+    for doc in (FINITE_DOC, MARKOV_DOC, HARRIS_DOC):
+        model = cf.load_model(write(tmp_path, doc))
+        assert model.kind == type(model).kind == doc["kind"]
+        assert cf.suite.model_kind(model) == doc["kind"]
+        assert "kind" not in [f.name for f in dataclasses.fields(model)]
+    # a report carries a kind of its own but is not a model
+    report = cf.SuiteReport(kind="finite_system", model={}, config={},
+                            checks=[])
+    for call in (cf.model_hash, cf.model_size, cf.suite.model_kind):
+        with pytest.raises(UnknownKindError):
+            call(report)
+
+
 def test_hash_rejects_foreign_objects():
     with pytest.raises(UnknownKindError):
         cf.model_hash({"not": "a model"})

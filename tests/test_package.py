@@ -1,4 +1,5 @@
-"""Package hygiene: what the source modules import, and the public API.
+"""Package hygiene: what the source modules import, what a load of the
+package imports, and the public API.
 
 The API pins are literals on purpose: a change to what ``cycleflow``
 exports, or to the fields of ``ClassStructure``, shows in this file's
@@ -7,10 +8,12 @@ diff.
 
 import ast
 import dataclasses
+import json
 import os
 import sys
 
 import cycleflow as cf
+from conftest import run_fresh
 
 PUBLIC = [
     "BACKWARD", "BudgetExceededError", "CheckResult", "ClassStructure",
@@ -79,3 +82,56 @@ def test_public_names_and_class_structure_fields_are_pinned():
     assert sorted(cf.__all__) == PUBLIC
     assert [f.name for f in dataclasses.fields(cf.ClassStructure)] == [
         "labels", "classes", "recurrent"]
+
+
+def test_loading_a_finite_system_loads_no_other_layer(tmp_path):
+    # ``import cycleflow`` is lazy, and modelio imports a model's layer
+    # only when it builds one
+    path = tmp_path / "fs.json"
+    path.write_text(json.dumps({"kind": "finite_system", "map": [1, 0],
+                                "weights": [0.5, 0.5], "invertible": True}))
+    code = ("import sys, cycleflow; cycleflow.load_model(sys.argv[1]); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'cycleflow'))")
+    assert run_fresh(code, str(path)) == str([
+        "cycleflow", "cycleflow._kernels", "cycleflow.errors",
+        "cycleflow.measure", "cycleflow.modelio"])
+
+
+def test_every_public_name_is_its_submodules_own_object():
+    code = ("import sys, cycleflow as cf\n"
+            "bad = []\n"
+            "for name in cf.__all__:\n"
+            "    value = getattr(cf, name)\n"
+            "    if name in cf._SUBMODULES:\n"
+            "        home = sys.modules['cycleflow.' + name]\n"
+            "    else:\n"
+            "        home = getattr(sys.modules['cycleflow.' + cf._HOME[name]],"
+            " name)\n"
+            "    if value is not home or name not in vars(cf):\n"
+            "        bad.append(name)\n"
+            "print(bad)")
+    assert run_fresh(code) == "[]"
+
+
+def test_star_import_and_dir_cover_every_public_name():
+    # dir() is read before any name is loaded; an unknown name still fails
+    code = ("import cycleflow as cf\n"
+            "listed = set(dir(cf))\n"
+            "ns = {}\n"
+            "exec('from cycleflow import *', ns)\n"
+            "print(sorted(set(cf.__all__) - listed),"
+            " sorted(set(cf.__all__) - set(ns)),"
+            " hasattr(cf, 'no_such_name'))")
+    assert run_fresh(code) == "[] [] False"
+
+
+def test_cli_import_loads_every_module_the_layer_tracer_wraps():
+    # perfbench's tracer wraps only what ``import cycleflow.cli`` loaded
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(cf.__file__))), "perfbench")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tracer; "
+            "import cycleflow.cli; "
+            "print(sorted({m for m, _, _ in tracer.TARGETS "
+            "if 'cycleflow.' + m not in sys.modules}))")
+    assert run_fresh(code, bench) == "[]"
