@@ -188,7 +188,7 @@ def _stationary_report(model, cfg, args):
     details = {"base": base, "method": args.method}
     if args.method == "exact":
         occ = markov.cycle_occupation(chain, base)
-        pi = occ.counts / occ.mean_return
+        pi = markov.cycle_stationary(chain, base)
         checks = [CheckResult("cycle_invariance",
                               markov.invariance_residual(chain, pi),
                               cfg.tolerance)]

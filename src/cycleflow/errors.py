@@ -22,7 +22,7 @@ class CycleflowError(Exception):
 
 
 class FileAccessError(CycleflowError):
-    """An input file is missing or unreadable, or an output path is bad."""
+    """An input file is missing or unreadable."""
 
     exit_code = 3
 

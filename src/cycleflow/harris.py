@@ -116,7 +116,7 @@ class HarrisModel:
         The file the model was loaded from, for reports.
 
     The model is frozen (``dataclasses.replace`` builds another); it keeps
-    R as the sorted tuple ``regen_indices``, and ``lam``, ``regen_mask``,
+    R as the sorted tuple ``regen_members``, and ``lam``, ``regen_mask``,
     ``kernel_powers`` and each table derived from them are read-only.
 
     The minorization itself is not verified at construction; it is a
@@ -140,8 +140,8 @@ class HarrisModel:
             kernel = StochasticMatrix(kernel)
         n = kernel.n
         regen_mask = event_mask(n, self.regen_members, "R")
-        regen_indices = tuple(int(i) for i in np.flatnonzero(regen_mask))
-        if not regen_indices:
+        regen_members = tuple(int(i) for i in np.flatnonzero(regen_mask))
+        if not regen_members:
             raise InvariantError("regeneration set is empty", field="R")
         if (isinstance(self.ell, bool)
                 or not isinstance(self.ell, (int, np.integer))
@@ -153,7 +153,7 @@ class HarrisModel:
 
         fitted = []
         if lam is None:
-            fit_epsilon, lam = _fit(powers[ell], list(regen_indices), ell)
+            fit_epsilon, lam = _fit(powers[ell], list(regen_members), ell)
             fitted.append("lambda")
             if epsilon is None:
                 epsilon = fit_epsilon
@@ -186,8 +186,8 @@ class HarrisModel:
             raise InvariantError("epsilon must lie in (0, 1]", field="epsilon")
         lam.flags.writeable = regen_mask.flags.writeable = False
         powers.flags.writeable = False
-        for name, value in (("kernel", kernel), ("regen_members", regen_indices),
-                            ("regen_indices", regen_indices),
+        for name, value in (("kernel", kernel),
+                            ("regen_members", regen_members),
                             ("regen_mask", regen_mask), ("ell", ell),
                             ("kernel_powers", powers), ("epsilon", epsilon),
                             ("lam", lam), ("fitted_fields", tuple(fitted))):
@@ -210,7 +210,7 @@ class HarrisModel:
         it draws, and ``mixture_residual`` measures what the clip lost."""
         rows = np.zeros((self.n, self.n))
         if self.epsilon < 1.0:
-            idx = np.array(self.regen_indices)
+            idx = np.array(self.regen_members)
             res = np.clip((self.k_ell[idx] - self.epsilon * self.lam)
                           / (1.0 - self.epsilon), 0.0, None)
             total = res.sum(axis=1)
@@ -233,7 +233,7 @@ class HarrisModel:
                np.cumsum(self.lam)[None, :]]
         res_rows = np.zeros(n, dtype=np.intp)
         if self.epsilon < 1.0:
-            regen = list(self.regen_indices)
+            regen = list(self.regen_members)
             cum.append(np.cumsum(self.residual_rows[regen], axis=1))
             res_rows[regen] = np.arange(n + 1, n + 1 + len(regen))
         res_rows.flags.writeable = False
@@ -243,7 +243,7 @@ class HarrisModel:
 def minorization_residual(model):
     """Smallest entry of K^ell - epsilon*lam over the regeneration rows;
     the declared minorization is genuine iff this is >= -1e-12."""
-    idx = np.array(model.regen_indices)
+    idx = np.array(model.regen_members)
     return float((model.k_ell[idx] - model.epsilon * model.lam).min())
 
 
@@ -253,7 +253,7 @@ def mixture_residual(model):
     sampler would actually draw from."""
     recon = model.epsilon * model.lam + (1.0 - model.epsilon) * \
         model.residual_rows
-    idx = np.array(model.regen_indices)
+    idx = np.array(model.regen_members)
     return float(np.abs(recon[idx] - model.k_ell[idx]).max())
 
 
@@ -261,8 +261,6 @@ def mixture_residual(model):
 class HarrisConditions:
     hit_probability_min: float
     expected_lambda_return: float
-    recurrent: bool
-    integrable: bool
 
 
 def _forward_closure(matrix, start_mask):
@@ -300,15 +298,13 @@ def harris_conditions(model):
         idx = np.flatnonzero(closure & ~model.regen_mask)
         w = np.zeros(model.n)
         if idx.size:
-            a = np.eye(idx.size) - k[np.ix_(idx, idx)]
             w[idx] = _solve_or_refuse(
-                a, np.ones(idx.size), "the first-entry system of R from lambda")
+                _cycle_system(k, idx).T, np.ones(idx.size),
+                "the first-entry system of R from lambda")
         expected = float(1.0 + model.lam @ (k @ w))
     return HarrisConditions(
         hit_probability_min=0.0 if missed.any() else 1.0,
         expected_lambda_return=expected,
-        recurrent=not missed.any(),
-        integrable=math.isfinite(expected),
     )
 
 
@@ -352,7 +348,6 @@ class SplitChainRun:
     estimate is the run's ``_stats.RatioEstimate``, folded chunk by chunk.
     """
 
-    seed: object
     occupations: np.ndarray
     lengths: np.ndarray
     regen_states: np.ndarray
@@ -405,7 +400,6 @@ def simulate_split_chain(model, n_regens, seed,
         chunks.append(chunk)
     occ, lengths, regen_states = zip(*chunks)
     return SplitChainRun(
-        seed=seed,
         occupations=_joined(occ),
         lengths=_joined(lengths),
         regen_states=_joined(regen_states),

@@ -146,22 +146,6 @@ class FiniteSystem:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "points", points)
 
-    @classmethod
-    def from_rational(cls, mapping, numerators, denominators, invertible=True,
-                      points=None, source=None):
-        """Build a system with exact Fraction weights."""
-        numerators = list(numerators)
-        denominators = list(denominators)
-        if len(numerators) != len(denominators):
-            raise InvariantError("numerators and denominators differ in length",
-                                 field="weights")
-        weights = np.array(
-            [Fraction(int(n), int(d)) for n, d in zip(numerators, denominators)],
-            dtype=object,
-        )
-        return cls(mapping, weights, invertible=invertible, points=points,
-                   source=source)
-
     @property
     def size(self):
         return self.mapping.shape[0]
@@ -185,9 +169,6 @@ class FiniteSystem:
         inv.flags.writeable = False
         return inv
 
-    def mask(self, members):
-        return event_mask(self.size, members)
-
     def normalized(self):
         """The same system with total mass scaled to one (exactly, in
         rational mode)."""
@@ -199,22 +180,16 @@ class FiniteSystem:
                             points=self.points)
 
 
-class PreservationReport(NamedTuple):
-    preserving: bool
-    max_violation: object  # float, or Fraction in rational mode
-
-
-def check_preserving(system, tol=1e-12):
-    """Compare the mass of every preimage point with the point itself.
-
-    Returns the largest single-point violation of measure preservation;
-    ``preserving`` is True when it does not exceed ``tol`` (exceed zero,
-    in rational mode).
+def check_preserving(system):
+    """The largest single-point violation of measure preservation: the
+    mass a point receives from its preimage against its own mass.  The
+    system is normalised as in ``identity_suite``, so this is on the
+    scale of its residuals: a float, or a Fraction for exact weights.
     """
-    w, den = _lattice(system.weights)
-    pushed = _scatter(system.mapping, w, system.size)
-    worst = _unlattice(np.abs(pushed - w).max(), den)
-    return PreservationReport(worst <= (tol if den is None else 0), worst)
+    sysn = system.normalized()
+    w, den = _lattice(sysn.weights)
+    pushed = _scatter(sysn.mapping, w, sysn.size)
+    return _unlattice(np.abs(pushed - w).max(), den)
 
 
 def _scatter(index, values, m):
@@ -270,19 +245,12 @@ class HittingProfile:
     first entered (i itself when times[i] = -1).
     """
 
-    direction: str
     times: np.ndarray
     entry: np.ndarray
     finite: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.finite = self.times > 0
-
-    @property
-    def times_or_inf(self):
-        out = self.times.astype(np.float64)
-        out[~self.finite] = np.inf
-        return out
 
 
 def _step_map(system, direction):
@@ -300,10 +268,9 @@ def hitting_profile(system, members, direction=FORWARD):
     The count starts at one step, so a point inside the set reports its
     return time, not zero.
     """
-    mask = system.mask(members)
+    mask = event_mask(system.size, members)
     step = _step_map(system, direction)
-    times, entry = _kernels.hitting_times(step, mask)
-    return HittingProfile(direction, times, entry)
+    return HittingProfile(*_kernels.hitting_times(step, mask))
 
 
 def _excursion_sweep(step, b_mask, weights):
@@ -415,7 +382,6 @@ def _subset_matrix(m):
 @dataclass
 class IdentitySuiteResult:
     exhaustive: bool
-    exact: bool
     n_base_sets: int
     n_pairs: int
     residuals: dict
@@ -485,8 +451,8 @@ def identity_residuals(system, b_members, a_members):
     """
     sysn = system.normalized()
     w, den = _lattice(sysn.weights)
-    t = _identity_terms(sysn, w, den, sysn.mask(b_members))
-    a_mask = sysn.mask(a_members)
+    t = _identity_terms(sysn, w, den, event_mask(sysn.size, b_members))
+    a_mask = event_mask(sysn.size, a_members)
     vector_names, scalar_names = _SUITE_CHECKS[sysn.invertible]
     out = {name: t.over(name, a_mask) for name in vector_names}
     out.update((name, t.value(name)) for name in scalar_names
@@ -540,7 +506,6 @@ def identity_suite(system, exhaustive_limit=8, sample_pairs=50, seed=0):
     residuals = {name: _unlattice(v, den) for name, v in residuals.items()}
     return IdentitySuiteResult(
         exhaustive=exhaustive,
-        exact=sysn.exact,
         n_base_sets=len(plan),
         n_pairs=n_pairs,
         residuals=residuals,

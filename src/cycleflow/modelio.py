@@ -34,6 +34,7 @@ and 0.0 hash apart; memory order and byte order do not enter.
 
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,7 +57,7 @@ def _require(doc, key, types, kind):
     if key not in doc:
         raise InvariantError("missing required field", field=key)
     value = doc[key]
-    if types is not None and not isinstance(value, types):
+    if not isinstance(value, types):
         raise InvariantError("field has the wrong type for a %s" % kind,
                              field=key)
     return value
@@ -138,19 +139,16 @@ def _build_finite_system(doc, source):
                                  field="weights")
         if any(d == 0 for d in den):
             raise InvariantError("zero denominator", field="weights.den")
-        system = FiniteSystem.from_rational(
-            mapping, num, den,
-            invertible=bool(_require(doc, "invertible", bool, "finite_system")),
-            points=_labels(doc, "points", len(mapping)), source=source,
-        )
+        weights = np.array([Fraction(n, d) for n, d in zip(num, den)],
+                           dtype=object)
     else:
-        system = FiniteSystem(
-            mapping,
-            np.asarray(_number_list(raw_weights, "weights"), dtype=np.float64),
-            invertible=bool(_require(doc, "invertible", bool, "finite_system")),
-            points=_labels(doc, "points", len(mapping)), source=source,
-        )
-    return system
+        weights = np.asarray(_number_list(raw_weights, "weights"),
+                             dtype=np.float64)
+    return FiniteSystem(
+        mapping, weights,
+        invertible=bool(_require(doc, "invertible", bool, "finite_system")),
+        points=_labels(doc, "points", len(mapping)), source=source,
+    )
 
 
 def _build_markov_chain(doc, source):
@@ -270,7 +268,7 @@ def model_hash(model):
         fields = ("markov_chain", list(model.states), model.matrix)
     else:
         fields = ("harris_discrete", list(model.kernel.states),
-                  model.kernel.matrix, np.array(model.regen_indices),
+                  model.kernel.matrix, np.array(model.regen_members),
                   model.ell, model.epsilon, model.lam)
     digest = hashlib.sha256()
     for value in ("cycleflow-model/2",) + fields:

@@ -83,8 +83,8 @@ def model_identity(model, kind):
 
 def _finite_system_suite(system, cfg):
     checks = []
-    pres = _measure.check_preserving(system, tol=cfg.tolerance)
-    checks.append(CheckResult("measure_preserving", pres.max_violation,
+    checks.append(CheckResult("measure_preserving",
+                              _measure.check_preserving(system),
                               cfg.tolerance))
     result = _measure.identity_suite(
         system, exhaustive_limit=cfg.exhaustive_limit,
@@ -97,7 +97,7 @@ def _finite_system_suite(system, cfg):
         "points": system.size,
         "invertible": system.invertible,
         "exhaustive": result.exhaustive,
-        "exact_arithmetic": result.exact,
+        "exact_arithmetic": system.exact,
         "base_sets": result.n_base_sets,
         "pairs_examined": result.n_pairs,
     }
@@ -177,7 +177,7 @@ def harris_details(model):
     """The regeneration structure a Harris report starts from: set,
     block length, minorization and which of its fields were fitted."""
     return {
-        "regen_set": list(model.regen_indices),
+        "regen_set": list(model.regen_members),
         "ell": model.ell,
         "epsilon": model.epsilon,
         "lambda": model.lam,
@@ -198,12 +198,13 @@ def _harris_suite(model, cfg):
                               max(cfg.tolerance, 1e-12)))
 
     cond = _harris.harris_conditions(model)
+    expected = cond.expected_lambda_return
     checks.append(CheckResult("regeneration_reachability",
                               cond.hit_probability_min, 1.0, comparator=">="))
     checks.append(CheckResult("lambda_return_finite",
-                              1.0 if cond.integrable else 0.0, 1.0,
+                              float(math.isfinite(expected)), 1.0,
                               comparator=">="))
-    details["expected_lambda_return"] = cond.expected_lambda_return
+    details["expected_lambda_return"] = expected
 
     if model.ell >= 2 and model.n ** (model.ell - 1) <= _BRIDGE_PATH_CAP:
         pairs = np.argwhere(model.k_ell > 0)[:cfg.sample_pairs]

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,10 +16,15 @@ def rot4():
     return cf.FiniteSystem([1, 2, 3, 0], [0.25] * 4)
 
 
+def rational(numerators, denominators):
+    """Exact weights, one Fraction per numerator and denominator."""
+    return [Fraction(int(n), int(d))
+            for n, d in zip(numerators, denominators)]
+
+
 @pytest.fixture
 def rot4_exact():
-    return cf.FiniteSystem.from_rational([1, 2, 3, 0], [1, 1, 1, 1],
-                                         [4, 4, 4, 4])
+    return cf.FiniteSystem([1, 2, 3, 0], [Fraction(1, 4)] * 4)
 
 
 @pytest.fixture

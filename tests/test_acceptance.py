@@ -104,7 +104,8 @@ def test_exhaustive_identity_battery(rot4, rot4_exact, two2):
 
     for label, system in exact_systems:
         result = cf.identity_suite(system)
-        if not (result.exact and result.exhaustive):
+        exact = all(isinstance(v, Fraction) for v in result.residuals.values())
+        if not (exact and result.exhaustive):
             failures.append("%s: expected exact exhaustive run" % label)
         bad = {n: str(v) for n, v in result.residuals.items() if v != 0}
         if bad:
@@ -124,10 +125,10 @@ def test_endomorphism_poincare(endo3, endo2):
         systems.append(("endo%d" % k, random_preserving_endomorphism(rng)))
 
     for label, system in systems:
-        sanity = cf.check_preserving(system)
-        if not sanity.preserving:
+        defect = cf.check_preserving(system)
+        if defect > 1e-12:
             failures.append("%s: generator produced a non-preserving map "
-                            "(defect %g)" % (label, sanity.max_violation))
+                            "(defect %g)" % (label, defect))
             continue
         result = cf.identity_suite(system)
         if result.residuals["poincare_forward"] > 1e-12:
@@ -146,7 +147,7 @@ def test_endomorphism_poincare(endo3, endo2):
     # and the image of {1} is {0}
     restriction = np.where(cf.hitting_profile(endo2, [0]).finite,
                            endo2.weights, 0)
-    image = endo2.mask(endo2.mapping[[1]])
+    image = cf.event_mask(endo2.size, endo2.mapping[[1]])
     defect = abs(restriction[image].sum() - restriction[1])
     if not (abs(defect - 1.0) <= 1e-15 and defect != 0.0):
         failures.append("endo2 image-invariance defect %r, expected exactly 1"

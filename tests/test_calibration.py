@@ -112,9 +112,8 @@ def _groups(run):
         acc = RatioAccumulator(run.occupations.shape[1])
         acc.add(run.occupations[part], run.lengths[part])
         yield cf.SplitChainRun(
-            seed=run.seed, occupations=run.occupations[part],
-            lengths=run.lengths[part], regen_states=run.regen_states[part],
-            estimate=acc.estimate())
+            occupations=run.occupations[part], lengths=run.lengths[part],
+            regen_states=run.regen_states[part], estimate=acc.estimate())
 
 
 @pytest.mark.parametrize("name", sorted(_MODELS))

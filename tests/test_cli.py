@@ -700,6 +700,22 @@ def test_overflowing_total_mass_is_refused_without_a_warning(tmp_path, capsys,
         "cycleflow: error: weights: total mass overflows float64\n")
 
 
+def test_preservation_is_judged_on_the_scale_of_the_identities(
+        tmp_path, capsys, clean_env):
+    # a swap of masses 1 : 3 fails by 0.5 however small its weights, and
+    # one of masses 1e9 apart by 1e-4 passes, as every identity does
+    for weights, code in (([1e-15, 3e-15], 1), ([1e9, 1000000000.0001], 0)):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(dict(FINITE, map=[1, 0], weights=weights)))
+        exit_code, doc = run_json(["verify", str(path)], capsys)
+        assert exit_code == code
+        checks = {c["name"]: c for c in doc["checks"]}
+        preserving = checks["measure_preserving"]
+        assert preserving["passed"] == (code == 0)
+        assert preserving["value"] == \
+            checks["excursion_identity_forward"]["value"]
+
+
 def test_huge_ell_is_refused_up_front(tmp_path, capsys, clean_env):
     path = tmp_path / "ell.json"
     path.write_text(json.dumps(dict(HARRIS, ell=4611686018427387904)))

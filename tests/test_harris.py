@@ -153,7 +153,7 @@ def test_writing_into_the_source_arrays_changes_nothing_the_model_reports():
     lam[:] = [0.0, 0.0, 1.0]
     members[:] = [2]
     assert _harris_report(model) == before
-    assert model.regen_members == model.regen_indices == (0, 1)
+    assert model.regen_members == (0, 1)
     assert _harris_report(dataclasses.replace(model)) == before
 
 
@@ -256,7 +256,7 @@ def _residual_rows_by_state(model):
         return rows
     res = np.clip((model.k_ell - model.epsilon * model.lam)
                   / (1.0 - model.epsilon), 0.0, None)
-    for i in model.regen_indices:
+    for i in model.regen_members:
         total = res[i].sum()
         if total > 0:
             rows[i] = res[i] / total
@@ -293,7 +293,6 @@ def test_whole_space_regen_returns_in_one_step(h3):
     cond = cf.harris_conditions(model)
     assert cond.hit_probability_min == pytest.approx(1.0, abs=1e-12)
     assert cond.expected_lambda_return == pytest.approx(1.0, abs=1e-12)
-    assert cond.recurrent and cond.integrable
 
 
 def test_expected_return_from_lambda_start():
@@ -311,7 +310,6 @@ def test_unreachable_block_is_flagged():
     model = cf.HarrisModel(block, [0], ell=1)
     cond = cf.harris_conditions(model)
     assert cond.hit_probability_min == 0.0
-    assert not cond.recurrent
 
 
 def test_conditions_take_no_tolerance():
@@ -376,7 +374,6 @@ def test_conditions_match_the_classes_and_the_first_passage_solve():
         recurrent = [x for x in range(n)
                      if np.all(reach[:, x][reach[x]])]
         meets = all(model.regen_mask[reach[x]].any() for x in recurrent)
-        assert cond.recurrent == meets
         assert cond.hit_probability_min == (1.0 if meets else 0.0)
         hit, expected = _first_passage(model)
         assert abs(cond.hit_probability_min - hit) <= 1e-10
@@ -385,8 +382,8 @@ def test_conditions_match_the_classes_and_the_first_passage_solve():
         else:
             assert abs(cond.expected_lambda_return - expected) <= \
                 1e-12 * expected
-        assert cond.integrable == math.isfinite(expected)
-        seen.add((cond.recurrent, cond.integrable))
+        seen.add((cond.hit_probability_min == 1.0,
+                  math.isfinite(cond.expected_lambda_return)))
     assert seen == {(True, True), (False, True), (False, False)}
 
 
@@ -395,8 +392,8 @@ def test_near_singular_kernel_is_recurrent():
     # first-passage solve put its hitting probability at 0.9997
     model = cf.HarrisModel([[0.5, 0.5], [1e-13, 1.0 - 1e-13]], [0], ell=1)
     cond = cf.harris_conditions(model)
-    assert cond.recurrent and cond.integrable
     assert cond.hit_probability_min == 1.0
+    assert math.isfinite(cond.expected_lambda_return)
     # one step from lam = (1/2, 1/2), then 1e13 steps on average from 1
     assert cond.expected_lambda_return == pytest.approx(
         1.0 + 0.75 / 1e-13, rel=1e-3)
@@ -1239,7 +1236,7 @@ def test_closures_of_a_long_cycle_take_one_pass_per_state():
     cond = cf.harris_conditions(model)
     _, reach = cf.harris._block_reach(model)
     assert time.perf_counter() - started < 2.0
-    assert cond.recurrent and reach.all()
+    assert cond.hit_probability_min == 1.0 and reach.all()
 
 
 def test_false_minorization_cannot_pass_the_exact_crosscheck():

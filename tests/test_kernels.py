@@ -606,7 +606,7 @@ def _harris_cases(seed):
                                lam=fitted.lam)
         # keep models whose cycles close quickly
         conditions = cf.harris_conditions(model)
-        if conditions.recurrent and epsilon > 0.05 and \
+        if conditions.hit_probability_min == 1.0 and epsilon > 0.05 and \
                 conditions.expected_lambda_return < 50:
             cases.append(model)
     return cases

@@ -300,7 +300,7 @@ def test_document_records_fitted_split(tmp_path):
     # nothing left to fit
     model = cf.load_model(write(tmp_path, HARRIS_DOC))
     assert model.epsilon == pytest.approx(0.7, abs=1e-12)
-    assert model.regen_indices == (0, 1)
+    assert model.regen_members == (0, 1)
     doc = dict(HARRIS_DOC, epsilon=model.epsilon,
                **{"lambda": model.lam.tolist()})
     again = cf.parse_model(doc)
